@@ -13,14 +13,22 @@ reported as notes) so that rounding slop in the slacks never invalidates a
 sound bound.  A certificate that verifies proves the asymptotic statement:
 every family-free graph has edge density at most u + o(1).
 
-PSD is decided by rational LDL^T elimination with diagonal pivoting: a
-symmetric matrix is PSD iff elimination never meets a negative pivot and,
-whenever the largest remaining diagonal entry is zero, the whole remaining
-block vanishes.
+PSD is first tried with an exact certificate.  A float Cholesky factor of
+Q - delta*I (delta = 2^-20 times the largest diagonal entry) is rounded to a
+rational L with denominator 2^40, and R = Q - L L^T is formed exactly.  If
+every row of R has R_ii >= sum_{j != i} |R_ij|, R is PSD by Gershgorin's
+theorem and so is Q = L L^T + R.  The floats only propose L; the proof is
+the exact check.  Any other outcome (an entry too large for a float, a float
+pivot <= 0, a row that is not dominant) falls back to rational LDL^T
+elimination with diagonal pivoting, which decides the question: a symmetric
+matrix is PSD iff elimination never meets a negative pivot and, whenever
+the largest remaining diagonal entry is zero, the whole remaining block
+vanishes.  Only the elimination ever answers "not PSD".
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -75,10 +83,80 @@ def is_symmetric(matrix: Sequence[Sequence[Fraction]]) -> bool:
     return all(matrix[i][j] == matrix[j][i] for i in range(n) for j in range(i))
 
 
+# delta = 2**-DELTA_SHIFT * max diagonal leaves room in R for the float and
+# rounding errors of the factor, which sit far below delta for the block
+# sizes here; the factor is rounded to integers over 2**SCALE_SHIFT.
+DELTA_SHIFT = 20
+SCALE_SHIFT = 40
+
+
 def psd_check(matrix: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact positive-semidefiniteness of a symmetric rational matrix."""
+    """Exact positive-semidefiniteness of a symmetric rational matrix.
+
+    True from the Cholesky certificate is a proof; every other outcome is
+    decided by exact elimination.
+    """
     if not is_symmetric(matrix):
         raise ValueError("matrix is not symmetric")
+    exact = [[Fraction(x) for x in row] for row in matrix]
+    return _cholesky_certifies(exact) or _psd_by_elimination(exact)
+
+
+def _cholesky_certifies(matrix: Sequence[Sequence[Fraction]]) -> bool:
+    """True when Q = L L^T + R with L rational and R diagonally dominant.
+
+    R is symmetric with R_ii >= sum_{j != i} |R_ij| for every row, so it is
+    PSD by Gershgorin's theorem, and then so is Q.  False means only that no
+    certificate was found.
+    """
+    n = len(matrix)
+    if n == 0:
+        return False
+    try:
+        q = [[float(x) for x in row] for row in matrix]
+        delta = math.ldexp(max(q[i][i] for i in range(n)), -DELTA_SHIFT)
+        if not delta > 0:
+            return False
+        # Float Cholesky of Q - delta*I, each entry rounded to the grid.
+        lint = [[0] * n for _ in range(n)]
+        lf = [[0.0] * n for _ in range(n)]
+        for j in range(n):
+            lj = lf[j]
+            d = q[j][j] - delta - sum(x * x for x in lj[:j])
+            if not d > 0:
+                return False
+            root = math.sqrt(d)
+            lj[j] = root
+            lint[j][j] = round(math.ldexp(root, SCALE_SHIFT))
+            for i in range(j + 1, n):
+                li = lf[i]
+                x = (q[i][j] - sum(a * b for a, b in zip(li[:j], lj[:j]))) / root
+                li[j] = x
+                lint[i][j] = round(math.ldexp(x, SCALE_SHIFT))
+    except (OverflowError, ValueError):
+        # an entry too large for a float, or an inf/nan reached round()
+        return False
+    scale = 1 << (2 * SCALE_SHIFT)
+    for i in range(n):
+        li = lint[i]
+        row = matrix[i]
+        dominance = Fraction(0)
+        diag = None
+        for j in range(n):
+            lj = lint[j]
+            k = min(i, j) + 1
+            r = row[j] - Fraction(sum(a * b for a, b in zip(li[:k], lj[:k])), scale)
+            if j == i:
+                diag = r
+            else:
+                dominance += abs(r)
+        if diag < dominance:
+            return False
+    return True
+
+
+def _psd_by_elimination(matrix: Sequence[Sequence[Fraction]]) -> bool:
+    """Rational LDL^T elimination with diagonal pivoting."""
     n = len(matrix)
     a = [[Fraction(x) for x in row] for row in matrix]
     for k in range(n):
@@ -104,8 +182,12 @@ def psd_check(matrix: Sequence[Sequence[Fraction]]) -> bool:
 
 
 def inner_product(q: Matrix, pmat: Matrix) -> Fraction:
+    """Exact sum of q[i][j] * pmat[i][j] over the nonzero entries of pmat."""
     return sum(
-        q[i][j] * pmat[i][j] for i in range(len(q)) for j in range(len(q))
+        qrow[j] * x
+        for qrow, prow in zip(q, pmat)
+        for j, x in enumerate(prow)
+        if x
     )
 
 
@@ -154,7 +236,9 @@ def verify(cert: Certificate, family: Family | None = None) -> VerifyResult:
             return _rejected(f"block {bi}: matrix not symmetric")
         if not psd_check(block.matrix):
             return _rejected(f"block {bi}: matrix not positive semidefinite")
-        block_tables.append(pair_density_table(FlagType(sigma), m_prime, cert.m, family))
+        block_tables.append(
+            pair_density_table(FlagType(sigma), m_prime, cert.m, family, cached=False)
+        )
 
     notes = []
     for idx, target in enumerate(targets):

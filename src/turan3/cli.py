@@ -8,12 +8,14 @@ certificate), 2 usage error.
 
 Each subcommand accepts --config FILE with plain key=value lines (comments
 with '#'); explicit flags override file values.  The TURAN3_CACHE_DIR
-environment variable, when set, persists pair-density tables across runs.
+environment variable, when set, persists pair-density tables across runs;
+verify never reads it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal, localcontext
@@ -133,6 +135,13 @@ def _construction_spec(args) -> constructions.ConstructionSpec:
     return constructions.SemiBipartite(*parts)
 
 
+def _check_jobs(args, parser) -> None:
+    """Usage error for a worker count above the machine's CPU count."""
+    limit = os.cpu_count() or 1
+    if args.jobs > limit:
+        parser.error(f"--jobs {args.jobs} exceeds the {limit} available CPUs")
+
+
 def _scan_member(payload):
     h, member_graph, induced = payload
     found, witness = graphs.exhaustive_containment_scan(h, member_graph, induced)
@@ -141,6 +150,7 @@ def _scan_member(payload):
 
 def cmd_construct(args, parser) -> int:
     _merge_config(args, parser)
+    _check_jobs(args, parser)
     spec = _construction_spec(args)
     rows: list[tuple[str, str]] = []
     if args.report:
@@ -268,6 +278,11 @@ def _one_restart(payload):
 
 def cmd_partition(args, parser) -> int:
     _merge_config(args, parser)
+    _check_jobs(args, parser)
+    try:
+        xi = Fraction(args.xi)
+    except ZeroDivisionError:
+        raise ValueError(f"--xi {args.xi} has a zero denominator") from None
     h = _load_graph_arg(args.graph)
     rows: list[tuple[str, str]] = []
     if args.v1 is not None:
@@ -284,7 +299,7 @@ def cmd_partition(args, parser) -> int:
         v1, v2 = set(best[2].v1), set(best[2].v2)
     stats = partition.bad_missing(h, v1, v2)
     mu_lower = Fraction(6 * stats.cross_present, h.n**3)
-    lhs, rhs, holds = partition.lemma22_gap(h, v1, v2, Fraction(args.xi))
+    lhs, rhs, holds = partition.lemma22_gap(h, v1, v2, xi)
     rows += [
         ("v1", ",".join(map(str, sorted(v1)))),
         ("v2", ",".join(map(str, sorted(v2)))),

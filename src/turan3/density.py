@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, perm
-from typing import Sequence
 
 from . import families as families_mod
 from .enumeration import (
@@ -44,7 +43,13 @@ from .enumeration import (
     type_embeddings,
 )
 from .families import Family
-from .graphs import Hypergraph3, decode_key, from_edges, induced_subgraph
+from .graphs import (
+    Hypergraph3,
+    _sorted_triple,
+    decode_key,
+    from_edges,
+    induced_subgraph,
+)
 
 CACHE_ENV_VAR = "TURAN3_CACHE_DIR"
 
@@ -121,9 +126,14 @@ def _family_signature(family: Family) -> tuple:
 
 
 def pair_density_table(
-    ftype: FlagType, m_prime: int, m: int, family: Family = ()
+    ftype: FlagType, m_prime: int, m: int, family: Family = (), cached: bool = True
 ) -> PairDensityTable:
-    """Symmetric rational pair-density matrices, one per admissible target."""
+    """Symmetric rational pair-density matrices, one per admissible target.
+
+    cached=False builds the table afresh and neither reads nor writes the
+    in-process or disk caches; the certificate verifier uses it so that no
+    mutable file can change a verification result.
+    """
     s = ftype.size
     if 2 * m_prime - s > m:
         raise ValueError(
@@ -132,6 +142,8 @@ def pair_density_table(
         )
     if m_prime < s:
         raise ValueError("flag size below type size")
+    if not cached:
+        return _build_table(ftype, m_prime, m, family)
     cache_key = (ftype.key, m_prime, m, _family_signature(family))
     hit = _memory_cache.get(cache_key)
     if hit is not None:
@@ -157,23 +169,48 @@ def _build_table(
     sigma = ftype.sigma
     nf = len(flag_list)
     denominator = perm(m, s) * comb(m - s, t) * comb(m - s - t, t)
+    # t-subsets of the m - s non-root positions, and the ordered pairs of
+    # disjoint ones; the same for every theta of every target.
+    subsets = list(combinations(range(m - s), t))
+    masks = [sum(1 << x for x in sub) for sub in subsets]
+    disjoint = [
+        (x, y)
+        for x, mx in enumerate(masks)
+        for y, my in enumerate(masks)
+        if not mx & my
+    ]
+    flag_triples = list(combinations(range(m_prime), 3))
+    # Flag index by the labeled edge set (a bitmask over flag_triples) of the
+    # induced graph on theta + sorted(A), roots first: equal labeled graphs
+    # have equal rooted keys, so the canonical search runs once per mask.
+    slot_by_mask: dict[int, int] = {}
+    zero = Fraction(0)
     matrices = []
     for target in targets:
-        counts = [[0] * nf for _ in range(nf)]
+        edges = target.edge_set
+        counts: dict[tuple[int, int], int] = {}
         for theta in type_embeddings(target, sigma):
             others = [v for v in range(m) if v not in theta]
-            for a1 in combinations(others, t):
-                rest = [v for v in others if v not in a1]
-                i = _flag_slot(target, theta, a1, flag_index)
-                for a2 in combinations(rest, t):
-                    j = _flag_slot(target, theta, a2, flag_index)
-                    counts[i][j] += 1
-        matrices.append(
-            tuple(
-                tuple(Fraction(counts[i][j], denominator) for j in range(nf))
-                for i in range(nf)
-            )
-        )
+            slots = []
+            for sub in subsets:
+                vertices = list(theta) + [others[x] for x in sub]
+                mask = 0
+                for bit, (a, b, c) in enumerate(flag_triples):
+                    if _sorted_triple(vertices[a], vertices[b], vertices[c]) in edges:
+                        mask |= 1 << bit
+                slot = slot_by_mask.get(mask)
+                if slot is None:
+                    sub_graph = induced_subgraph(target, vertices)
+                    slot = flag_index[rooted_canonical_key(sub_graph, range(s))]
+                    slot_by_mask[mask] = slot
+                slots.append(slot)
+            for x, y in disjoint:
+                pair = (slots[x], slots[y])
+                counts[pair] = counts.get(pair, 0) + 1
+        rows = [[zero] * nf for _ in range(nf)]
+        for (i, j), c in counts.items():
+            rows[i][j] = Fraction(c, denominator)
+        matrices.append(tuple(tuple(row) for row in rows))
     return PairDensityTable(
         ftype=ftype,
         m_prime=m_prime,
@@ -183,17 +220,6 @@ def _build_table(
         targets=tuple(targets),
         matrices=tuple(matrices),
     )
-
-
-def _flag_slot(
-    target: Hypergraph3,
-    theta: Sequence[int],
-    extension: Sequence[int],
-    flag_index: dict[bytes, int],
-) -> int:
-    vertices = list(theta) + sorted(extension)
-    sub = induced_subgraph(target, vertices)
-    return flag_index[rooted_canonical_key(sub, range(len(theta)))]
 
 
 # ---------------------------------------------------------------------------

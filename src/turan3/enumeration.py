@@ -15,7 +15,7 @@ size only, following the conservative policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .graphs import (
@@ -26,6 +26,7 @@ from .graphs import (
     _encode,
     _refine_colors,
     _relabeled_edges,
+    _sorted_triple,
     contains_induced,
     contains_sub,
 )
@@ -107,6 +108,9 @@ def _new_vertex_is_canonical(child: Hypergraph3, data: CanonicalData) -> bool:
     return any(a[target] == last for a in data.automorphisms)
 
 
+_free_memo: dict[tuple, tuple[Hypergraph3, ...]] = {}
+
+
 def enumerate_free(
     m: int,
     family: Sequence[Hypergraph3] = (),
@@ -116,7 +120,9 @@ def enumerate_free(
     """All family-free 3-graphs on m vertices, one canonical form per class.
 
     Output is sorted by canonical key and is exhaustive: every family-free
-    m-vertex graph is isomorphic to exactly one member.
+    m-vertex graph is isomorphic to exactly one member.  Results are
+    memoised per process by (m, member classes); each call returns a new
+    list, so callers may mutate it.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -127,7 +133,21 @@ def enumerate_free(
     noninduced, induced = _split_family(family, induced_flags)
     noninduced = [f for f in noninduced if f.n <= m]
     induced = [f for f in induced if f.n <= m]
+    memo_key = (
+        m,
+        frozenset(f.canon_key for f in noninduced),
+        frozenset(f.canon_key for f in induced),
+    )
+    found = _free_memo.get(memo_key)
+    if found is None:
+        found = tuple(_generate_free(m, noninduced, induced))
+        _free_memo[memo_key] = found
+    return list(found)
 
+
+def _generate_free(
+    m: int, noninduced: Sequence[Hypergraph3], induced: Sequence[Hypergraph3]
+) -> list[Hypergraph3]:
     level = [Hypergraph3(0, ())]
     for k in range(m):
         pairs = list(combinations(range(k), 2))
@@ -207,22 +227,42 @@ def type_embeddings(target: Hypergraph3, sigma: Hypergraph3) -> list[tuple[int, 
     """All ordered injections of the labeled type into target, exact on edges.
 
     theta qualifies iff for every triple of root positions, the image triple
-    is a target edge exactly when the positions form a sigma edge.
+    is a target edge exactly when the positions form a sigma edge.  Roots are
+    placed one at a time in increasing vertex order, and a prefix is dropped
+    as soon as a triple of placed roots disagrees with sigma, so the result
+    comes in the lexicographic order of itertools.permutations.
     """
     s = sigma.n
+    n = target.n
     sigma_edges = sigma.edge_set
     target_edges = target.edge_set
-    out = []
-    for theta in permutations(range(target.n), s):
-        ok = True
-        for tri in combinations(range(s), 3):
-            a, b, c = (theta[i] for i in tri)
-            present = tuple(sorted((a, b, c))) in target_edges
-            if present != (tri in sigma_edges):
-                ok = False
-                break
-        if ok:
-            out.append(theta)
+    # checks[k]: (i, j, wanted) for each triple of positions closing at k
+    checks = [
+        [(i, j, (i, j, k) in sigma_edges) for i, j in combinations(range(k), 2)]
+        for k in range(s)
+    ]
+    out: list[tuple[int, ...]] = []
+    theta: list[int] = []
+    used = [False] * n
+
+    def extend(k: int) -> None:
+        if k == s:
+            out.append(tuple(theta))
+            return
+        for v in range(n):
+            if used[v]:
+                continue
+            if all(
+                (_sorted_triple(theta[i], theta[j], v) in target_edges) == wanted
+                for i, j, wanted in checks[k]
+            ):
+                used[v] = True
+                theta.append(v)
+                extend(k + 1)
+                theta.pop()
+                used[v] = False
+
+    extend(0)
     return out
 
 

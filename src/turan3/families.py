@@ -83,8 +83,3 @@ def parse_family(spec: str) -> Family:
             members.append(FamilyMember(g, induced, item))
     return tuple(members)
 
-
-def is_free(h: Hypergraph3, family: Family) -> bool:
-    return graphs.is_family_free(
-        h, [m.graph for m in family], [m.induced for m in family]
-    )

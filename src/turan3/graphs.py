@@ -225,27 +225,6 @@ def decode_key(raw: bytes) -> Hypergraph3:
     return Hypergraph3(n, edges)
 
 
-def automorphism_orbits(h: Hypergraph3) -> list[set[int]]:
-    """Vertex orbits under the full automorphism group."""
-    parent = list(range(h.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in h.canonical.automorphisms:
-        for v in range(h.n):
-            ra, rb = find(v), find(a[v])
-            if ra != rb:
-                parent[ra] = rb
-    orbits: dict[int, set[int]] = {}
-    for v in range(h.n):
-        orbits.setdefault(find(v), set()).add(v)
-    return list(orbits.values())
-
-
 # ---------------------------------------------------------------------------
 # Containment
 
@@ -307,14 +286,6 @@ def induced_subgraph(h: Hypergraph3, vertices: Sequence[int]) -> Hypergraph3:
         if a in vset and b in vset and c in vset
     ]
     return Hypergraph3(len(vertices), tuple(sorted(edges)))
-
-
-def _isomorphic_small(g: Hypergraph3, f: Hypergraph3) -> bool:
-    if g.n != f.n or len(g.edges) != len(f.edges):
-        return False
-    if sorted(g.degrees) != sorted(f.degrees):
-        return False
-    return g.canon_key == f.canon_key
 
 
 def contains_induced(h: Hypergraph3, f: Hypergraph3) -> bool:

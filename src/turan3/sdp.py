@@ -31,6 +31,7 @@ upper triangles in row-major order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -197,8 +198,13 @@ def model_from_text(text: str) -> SdpModel:
         if parts[0] in {"m", "family", "nblocks", "blockdims", "typekeys", "nconstraints"}:
             header[parts[0]] = parts[1:]
             continue
+        if len(parts) != 5:
+            raise ValueError(f"expected 5 fields per entry line, got {raw!r}")
         r, b, i, j = (int(x) for x in parts[:4])
         entries.append((r, b, i, j, Fraction(parts[4])))
+    for name in ("m", "family", "nblocks", "blockdims", "nconstraints"):
+        if not header.get(name):
+            raise ValueError(f"model has no {name!r} line")
     m = int(header["m"][0])
     family_key = header["family"][0] if header["family"][0] != "none" else ""
     dims = [int(d) for d in header["blockdims"]]
@@ -299,7 +305,11 @@ def read_solution(path: str) -> list[float]:
         values = []
         for raw in fh:
             line = raw.split("#", 1)[0]
-            values.extend(float(tok) for tok in line.split())
+            for tok in line.split():
+                value = float(tok)
+                if not math.isfinite(value):
+                    raise ValueError(f"solution value {tok!r} is not finite")
+                values.append(value)
     return values
 
 

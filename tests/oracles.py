@@ -7,6 +7,7 @@ code paths with the package implementations it audits.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from turan3.graphs import Hypergraph3
@@ -109,3 +110,47 @@ def rooted_iso_brute(g1: Hypergraph3, roots1, g2: Hypergraph3, roots2) -> bool:
         if all(sorted_triple(m[a], m[b], m[c]) in g2_edges for a, b, c in g1.edges):
             return True
     return False
+
+
+def type_embeddings_brute(target: Hypergraph3, sigma: Hypergraph3):
+    """Every ordered s-tuple of target vertices inducing sigma on its labels,
+    filtered from itertools.permutations in its order."""
+    s = sigma.n
+    sigma_edges = set(sigma.edges)
+    target_edges = set(target.edges)
+    out = []
+    for theta in permutations(range(target.n), s):
+        if all(
+            (sorted_triple(*(theta[i] for i in tri)) in target_edges)
+            == (tri in sigma_edges)
+            for tri in combinations(range(s), 3)
+        ):
+            out.append(theta)
+    return out
+
+
+def psd_elimination(matrix) -> bool:
+    """PSD by rational LDL^T elimination with diagonal pivoting.
+
+    A symmetric matrix is PSD iff elimination never meets a negative pivot
+    and, whenever the largest remaining diagonal entry is zero, the whole
+    remaining block vanishes.
+    """
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    for k in range(n):
+        pivot_row = max(range(k, n), key=lambda i: a[i][i])
+        if a[pivot_row][pivot_row] < 0:
+            return False
+        if a[pivot_row][pivot_row] == 0:
+            return all(a[i][j] == 0 for i in range(k, n) for j in range(k, n))
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            for row in a:
+                row[k], row[pivot_row] = row[pivot_row], row[k]
+        for i in range(k + 1, n):
+            factor = a[i][k] / a[k][k]
+            if factor:
+                for j in range(k, n):
+                    a[i][j] -= factor * a[k][j]
+    return True

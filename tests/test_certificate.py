@@ -7,6 +7,7 @@ from turan3 import families
 from turan3.certificate import (
     Certificate,
     CertificateBlock,
+    _cholesky_certifies,
     certificate_from_text,
     certificate_to_text,
     load_certificate,
@@ -18,6 +19,7 @@ from turan3.enumeration import enumerate_free
 from turan3.graphs import named_graph
 from turan3.sdp import lp_certificate
 
+import oracles
 from cert_helpers import make_sos_certificate, minor_sign_psd_oracle, recompute_margins
 
 
@@ -74,6 +76,68 @@ def test_psd_structured_cases():
         if any(gram[i][i] > 0 for i in range(3)):
             neg = [[-x for x in row] for row in gram]
             assert not psd_check(neg)
+
+
+def _random_rational(rng, size=5):
+    return Fraction(rng.randint(-size, size), rng.randint(1, size))
+
+
+def _gram(rows):
+    return [
+        [sum(a * b for a, b in zip(ri, rj)) for rj in rows] for ri in rows
+    ]
+
+
+def _psd_cases(rng):
+    """(label, matrix) pairs spanning the outcomes of the PSD check."""
+    for n in range(1, 9):
+        # full-rank Gram matrices, shifted to be comfortably definite
+        rows = [[_random_rational(rng) for _ in range(n)] for _ in range(n)]
+        gram = _gram(rows)
+        definite = [
+            [x + (n if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(gram)
+        ]
+        yield "definite", definite
+        # far below the 2**-40 grid of the rounded factor
+        yield "tiny", [[x / 10**15 for x in row] for row in definite]
+        # rank-deficient PSD, and the same pushed indefinite by 1/k
+        rank = rng.randint(0, n - 1)
+        rows = [[_random_rational(rng) for _ in range(rank)] for _ in range(n)]
+        thin = _gram(rows)
+        yield "rank-deficient", thin
+        k = rng.randint(1, 10**6)
+        yield "indefinite", [
+            [x - (Fraction(1, k) if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(thin)
+        ]
+        sym = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                sym[i][j] = sym[j][i] = _random_rational(rng)
+        yield "random", sym
+        yield "zero", [[F(0)] * n for _ in range(n)]
+    for q in (Fraction(3, 7), F(0), Fraction(-1, 10**9), F(10**400), F(-(10**400))):
+        yield "1x1", [[q]]
+    big = F(10**400)
+    yield "huge", [[big, F(1)], [F(1), big]]
+    yield "huge", [[big, 2 * big], [2 * big, big]]
+    yield "huge", [[Fraction(1, 10**400), F(0)], [F(0), F(1)]]
+
+
+def test_psd_check_matches_elimination_oracle():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(6):
+        for label, mat in _psd_cases(rng):
+            want = oracles.psd_elimination(mat)
+            assert psd_check(mat) == want, label
+            # the certificate may only ever confirm PSD
+            if _cholesky_certifies(mat):
+                assert want, label
+                seen.add(label)
+    # the certificate path does fire, on well-conditioned matrices
+    assert "definite" in seen
 
 
 # ---------------------------------------------------------------------------
@@ -257,3 +321,27 @@ def test_certificate_text_parse_errors():
         certificate_from_text("bound 1/2\nfamily none\nm 4\ntype ff dim 2\n1 0\n")
     good = certificate_to_text(lp_certificate(4, fam("C4_3")))
     assert certificate_from_text(good + "# trailing comment\n") == certificate_from_text(good)
+
+
+def test_verify_ignores_disk_cache(tmp_path, monkeypatch):
+    import turan3.density as density_mod
+
+    family = fam("C4_3")
+    cert = make_sos_certificate(4, family)
+    want = verify(cert, family)
+    assert want.ok and want.notes == ()
+    # Fill a cache with this certificate's tables, then drop the second half
+    # of each file's entry lines: the header still parses, and loading the
+    # file would silently zero the missing entries.
+    monkeypatch.setenv(density_mod.CACHE_ENV_VAR, str(tmp_path))
+    monkeypatch.setattr(density_mod, "_memory_cache", {})
+    recompute_margins(cert, family)
+    files = list(tmp_path.iterdir())
+    assert len(files) == len(cert.blocks)
+    for path in files:
+        lines = path.read_text().splitlines(keepends=True)
+        header, entries = lines[:6], lines[6:]
+        assert len(entries) >= 2
+        path.write_text("".join(header + entries[: len(entries) // 2]))
+    monkeypatch.setattr(density_mod, "_memory_cache", {})
+    assert verify(cert, family) == want

@@ -232,6 +232,82 @@ def test_jobs_flag_matches_sequential(capsys, tmp_path):
     assert results[0] == results[1]
 
 
+def assert_one_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def test_partition_zero_xi_denominator_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "h.txt"
+    graphs.save_graph(graphs.named_graph("K4_3"), str(path))
+    code, _, err = run(
+        capsys, "partition", "--graph", str(path), "--v1", "0,1", "--xi", "1/0"
+    )
+    assert code == 1
+    assert_one_error_line(err)
+
+
+def test_round_model_without_blockdims_is_domain_error(capsys, tmp_path):
+    model_path = tmp_path / "m.sdp"
+    code, _, _ = run(
+        capsys, "emit-sdp", "--m", "4", "--forbid", "C4_3", "--out", str(model_path)
+    )
+    assert code == 0
+    text = model_path.read_text()
+    model_path.write_text(
+        "".join(line for line in text.splitlines(True) if not line.startswith("blockdims"))
+    )
+    sol_path = tmp_path / "sol.txt"
+    sol_path.write_text("0.75\n")
+    code, _, err = run(
+        capsys, "round", "--model", str(model_path), "--solution", str(sol_path),
+        "--out", str(tmp_path / "cert.txt"),
+    )
+    assert code == 1
+    assert_one_error_line(err)
+
+
+def test_round_infinite_solution_value_is_domain_error(capsys, tmp_path):
+    model_path = tmp_path / "m.sdp"
+    code, _, _ = run(
+        capsys, "emit-sdp", "--m", "4", "--forbid", "C4_3", "--out", str(model_path)
+    )
+    assert code == 0
+    model = assemble(4, families.parse_family("C4_3"))
+    sol_path = tmp_path / "sol.txt"
+    sol_path.write_text("inf " + " ".join(["0"] * model.n_constraints) + "\n")
+    code, _, err = run(
+        capsys, "round", "--model", str(model_path), "--solution", str(sol_path),
+        "--out", str(tmp_path / "cert.txt"),
+    )
+    assert code == 1
+    assert_one_error_line(err)
+
+
+def test_jobs_above_cpu_count_is_usage_error(capsys, monkeypatch, tmp_path):
+    import os
+
+    import turan3.cli as cli_mod
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", no_pool)
+    path = tmp_path / "h.txt"
+    graphs.save_graph(graphs.named_graph("K4_3"), str(path))
+    too_many = str((os.cpu_count() or 1) + 1)
+    for argv in (
+        ["construct", "--kind", "brec", "--n", "8", "--check-free", "C4_3",
+         "--jobs", too_many],
+        ["partition", "--graph", str(path), "--restarts", "4", "--jobs", too_many],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err and "error:" in err
+
+
 def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "turan3.cli", "density", "--graph", "F5", "--edge-density"],

@@ -207,3 +207,45 @@ def test_rooted_key_respects_root_order():
     k2 = rooted_canonical_key(g, (2, 0))
     assert k1 != k2
     assert rooted_canonical_key(g, (0, 1)) == rooted_canonical_key(g, (1, 0))
+
+
+def test_type_embeddings_match_permutation_filter():
+    import random
+
+    from itertools import combinations
+
+    rng = random.Random(17)
+    sigmas = [g for s in range(5) for g in enumerate_free(s)]
+    for _ in range(40):
+        n = rng.randint(0, 6)
+        prob = rng.random()
+        target = Hypergraph3(
+            n, tuple(t for t in combinations(range(n), 3) if rng.random() < prob)
+        )
+        for sigma in sigmas:
+            assert type_embeddings(target, sigma) == oracles.type_embeddings_brute(
+                target, sigma
+            )
+
+
+def test_enumerate_free_memo_returns_fresh_lists():
+    members = [named_graph("C4_3")]
+    first = enumerate_free(5, members)
+    want = [g.edges for g in first]
+    first.clear()
+    again = enumerate_free(5, members)
+    assert [g.edges for g in again] == want
+    again.reverse()
+    again.append(named_graph("F5"))
+    assert [g.edges for g in enumerate_free(5, members)] == want
+
+
+def test_enumerate_free_memo_separates_induced_members(monkeypatch):
+    import turan3.enumeration as enumeration_mod
+
+    monkeypatch.setattr(enumeration_mod, "_free_memo", {})
+    members = [named_graph("F32_BAR")]
+    got_ind = enumerate_free(5, members, [True])
+    got_non = enumerate_free(5, members, [False])
+    assert len(enumeration_mod._free_memo) == 2
+    assert len(got_non) < len(got_ind)
