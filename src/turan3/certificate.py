@@ -24,6 +24,13 @@ elimination with diagonal pivoting, which decides the question: a symmetric
 matrix is PSD iff elimination never meets a negative pivot and, whenever
 the largest remaining diagonal entry is zero, the whole remaining block
 vanishes.  Only the elimination ever answers "not PSD".
+
+The certificate exists only for blocks well inside the PSD cone: the
+smallest eigenvalue must exceed delta, about 2^-20 of the largest diagonal
+entry.  A singular or nearly singular block, which is what a solver returns
+for a tight bound, always takes the elimination, whose cost grows with the
+bit length of the entries (minutes for a 64x64 block rounded at
+denominators up to 2^32).
 """
 
 from __future__ import annotations
@@ -94,7 +101,10 @@ def psd_check(matrix: Sequence[Sequence[Fraction]]) -> bool:
     """Exact positive-semidefiniteness of a symmetric rational matrix.
 
     True from the Cholesky certificate is a proof; every other outcome is
-    decided by exact elimination.
+    decided by exact elimination.  The certificate is fast but succeeds only
+    when the smallest eigenvalue is above about 2^-20 times the largest
+    diagonal entry; a singular or nearly singular PSD matrix pays for the
+    failed attempt and then the full elimination.
     """
     if not is_symmetric(matrix):
         raise ValueError("matrix is not symmetric")

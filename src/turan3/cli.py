@@ -135,9 +135,16 @@ def _construction_spec(args) -> constructions.ConstructionSpec:
     return constructions.SemiBipartite(*parts)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _check_jobs(args, parser) -> None:
-    """Usage error for a worker count above the machine's CPU count."""
-    limit = os.cpu_count() or 1
+    """Usage error for a worker count above the CPUs this process may use."""
+    limit = _usable_cpus()
     if args.jobs > limit:
         parser.error(f"--jobs {args.jobs} exceeds the {limit} available CPUs")
 
@@ -351,7 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--emit", help="write the graph to this path")
     sub.add_argument("--report", action="store_true", help="print the density report")
     sub.add_argument("--check-free", default="", help="family to scan for exhaustively")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel workers for the scan")
+    sub.add_argument(
+        "--jobs", type=int, default=1,
+        help="parallel workers for the scan, at most the usable CPUs",
+    )
     _add_common(sub)
     sub.set_defaults(func=cmd_construct, parser_ref=sub)
 
@@ -390,7 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--restarts", type=int, default=32)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--xi", default="0", help="slack coefficient as p/q")
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument(
+        "--jobs", type=int, default=1,
+        help="parallel restarts, at most the usable CPUs",
+    )
     _add_common(sub)
     sub.set_defaults(func=cmd_partition, parser_ref=sub)
 

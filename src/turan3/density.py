@@ -30,7 +30,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, perm
 
 from . import families as families_mod
@@ -45,7 +45,6 @@ from .enumeration import (
 from .families import Family
 from .graphs import (
     Hypergraph3,
-    _sorted_triple,
     decode_key,
     from_edges,
     induced_subgraph,
@@ -183,11 +182,14 @@ def _build_table(
     # Flag index by the labeled edge set (a bitmask over flag_triples) of the
     # induced graph on theta + sorted(A), roots first: equal labeled graphs
     # have equal rooted keys, so the canonical search runs once per mask.
+    # The mask is cheaper than building induced_subgraph for every subset,
+    # which is done only on a miss.
     slot_by_mask: dict[int, int] = {}
     zero = Fraction(0)
     matrices = []
     for target in targets:
-        edges = target.edge_set
+        # every ordering of every edge, so unsorted triples can be looked up
+        edges = {e for edge in target.edges for e in permutations(edge)}
         counts: dict[tuple[int, int], int] = {}
         for theta in type_embeddings(target, sigma):
             others = [v for v in range(m) if v not in theta]
@@ -196,7 +198,7 @@ def _build_table(
                 vertices = list(theta) + [others[x] for x in sub]
                 mask = 0
                 for bit, (a, b, c) in enumerate(flag_triples):
-                    if _sorted_triple(vertices[a], vertices[b], vertices[c]) in edges:
+                    if (vertices[a], vertices[b], vertices[c]) in edges:
                         mask |= 1 << bit
                 slot = slot_by_mask.get(mask)
                 if slot is None:

@@ -308,6 +308,24 @@ def test_jobs_above_cpu_count_is_usage_error(capsys, monkeypatch, tmp_path):
         assert "--jobs" in err and "error:" in err
 
 
+def test_jobs_bound_is_the_affinity_set(capsys, monkeypatch, tmp_path):
+    import os
+
+    import turan3.cli as cli_mod
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    path = tmp_path / "h.txt"
+    graphs.save_graph(graphs.named_graph("K4_3"), str(path))
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "--graph", str(path), "--restarts", "4", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "1 available CPUs" in capsys.readouterr().err
+
+
 def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "turan3.cli", "density", "--graph", "F5", "--edge-density"],
