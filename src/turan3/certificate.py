@@ -38,11 +38,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import families as families_mod
-from .density import SINGLE_EDGE, p, pair_density_table
-from .enumeration import FlagType, enumerate_flags, enumerate_free
+from .density import SINGLE_EDGE, fraction_text, p, pair_density_table, parse_fraction
+from .enumeration import SOFT_VERTEX_LIMIT, FlagType, enumerate_free
 from .families import Family
 from .graphs import decode_key
 
@@ -212,6 +212,8 @@ def verify(cert: Certificate, family: Family | None = None) -> VerifyResult:
             family = families_mod.parse_family(cert.family_key)
         except (OSError, ValueError) as exc:
             return _rejected(f"unknown family key: {exc}")
+    if not 3 <= cert.m <= SOFT_VERTEX_LIMIT:
+        return _rejected(f"m={cert.m} is outside 3..{SOFT_VERTEX_LIMIT}")
     members = [fm.graph for fm in family]
     flags_ind = [fm.induced for fm in family]
     targets = enumerate_free(cert.m, members, flags_ind)
@@ -235,20 +237,20 @@ def verify(cert: Certificate, family: Family | None = None) -> VerifyResult:
             return _rejected(f"block {bi}: type size {sigma.n} has wrong parity")
         m_prime = (cert.m + sigma.n) // 2
         try:
-            flags = enumerate_flags(FlagType(sigma), m_prime, members, flags_ind)
+            table = pair_density_table(
+                FlagType(sigma), m_prime, cert.m, family, cached=False
+            )
         except ValueError as exc:
             return _rejected(f"block {bi}: {exc}")
-        if block.dim != len(flags):
+        if block.dim != len(table.flags):
             return _rejected(
-                f"block {bi}: dimension {block.dim} but {len(flags)} flags exist"
+                f"block {bi}: dimension {block.dim} but {len(table.flags)} flags exist"
             )
         if not is_symmetric(block.matrix):
             return _rejected(f"block {bi}: matrix not symmetric")
         if not psd_check(block.matrix):
             return _rejected(f"block {bi}: matrix not positive semidefinite")
-        block_tables.append(
-            pair_density_table(FlagType(sigma), m_prime, cert.m, family, cached=False)
-        )
+        block_tables.append(table)
 
     notes = []
     for idx, target in enumerate(targets):
@@ -274,13 +276,9 @@ def verify(cert: Certificate, family: Family | None = None) -> VerifyResult:
 # Text format
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def certificate_to_text(cert: Certificate) -> str:
     lines = [
-        f"bound {_frac_str(cert.bound)}",
+        f"bound {fraction_text(cert.bound)}",
         f"family {cert.family_key if cert.family_key else 'none'}",
         f"m {cert.m}",
     ]
@@ -288,11 +286,15 @@ def certificate_to_text(cert: Certificate) -> str:
         lines.append(f"type {block.type_key.hex()} dim {block.dim}")
         for i in range(block.dim):
             lines.append(
-                " ".join(_frac_str(block.matrix[i][j]) for j in range(i, block.dim))
+                " ".join(fraction_text(block.matrix[i][j]) for j in range(i, block.dim))
             )
     for idx, c in enumerate(cert.slacks):
-        lines.append(f"slack {idx} {_frac_str(c)}")
+        lines.append(f"slack {idx} {fraction_text(c)}")
     return "\n".join(lines) + "\n"
+
+
+# Fields per line, keyword included, for the fixed-width line kinds.
+_FIELD_COUNTS = {"bound": 2, "m": 2, "type": 4, "slack": 3}
 
 
 def certificate_from_text(text: str) -> Certificate:
@@ -300,7 +302,7 @@ def certificate_from_text(text: str) -> Certificate:
     family_key = ""
     m: int | None = None
     blocks: list[CertificateBlock] = []
-    slacks: dict[int, Fraction] = {}
+    slacks: list[Fraction] = []
     pending_key: bytes | None = None
     pending_dim = 0
     pending_entries: list[Fraction] = []
@@ -333,32 +335,37 @@ def certificate_from_text(text: str) -> Certificate:
         if not line:
             continue
         parts = line.split()
+        if parts[0] in _FIELD_COUNTS and len(parts) != _FIELD_COUNTS[parts[0]]:
+            raise ValueError(
+                f"{parts[0]} line needs {_FIELD_COUNTS[parts[0]]} fields: {raw!r}"
+            )
         if parts[0] == "bound":
-            bound = Fraction(parts[1])
+            bound = parse_fraction(parts[1])
         elif parts[0] == "family":
-            family_key = "" if parts[1] == "none" else " ".join(parts[1:])
+            family_key = "" if parts[1:2] == ["none"] else " ".join(parts[1:])
         elif parts[0] == "m":
             m = int(parts[1])
         elif parts[0] == "type":
             flush_block()
-            if len(parts) != 4 or parts[2] != "dim":
+            if parts[2] != "dim":
                 raise ValueError(f"malformed type line: {raw!r}")
             pending_key = bytes.fromhex(parts[1])
             pending_dim = int(parts[3])
         elif parts[0] == "slack":
             flush_block()
-            slacks[int(parts[1])] = Fraction(parts[2])
+            # in order, so a large index cannot make the parser allocate
+            if int(parts[1]) != len(slacks):
+                raise ValueError(f"expected slack {len(slacks)}, got {raw!r}")
+            slacks.append(parse_fraction(parts[2]))
         else:
             if pending_key is None:
                 raise ValueError(f"unexpected line outside a type block: {raw!r}")
-            pending_entries.extend(Fraction(tok) for tok in parts)
+            pending_entries.extend(parse_fraction(tok) for tok in parts)
     flush_block()
     if bound is None or m is None:
         raise ValueError("certificate needs 'bound' and 'm' lines")
-    n_slacks = max(slacks) + 1 if slacks else 0
-    slack_tuple = tuple(slacks.get(i, Fraction(0)) for i in range(n_slacks))
     return Certificate(
-        bound=bound, family_key=family_key, m=m, blocks=tuple(blocks), slacks=slack_tuple
+        bound=bound, family_key=family_key, m=m, blocks=tuple(blocks), slacks=tuple(slacks)
     )
 
 
@@ -367,20 +374,6 @@ def save_certificate(cert: Certificate, path: str) -> None:
         fh.write(certificate_to_text(cert))
 
 
-# Import hook: external certificate layouts can be plugged in by file
-# suffix; the native text format is the fallback.
-_loaders: dict[str, Callable[[str], Certificate]] = {}
-
-
-def register_loader(suffix: str, parse_fn: Callable[[str], Certificate]) -> None:
-    """Register parse_fn(text) -> Certificate for files ending in suffix."""
-    _loaders[suffix] = parse_fn
-
-
 def load_certificate(path: str) -> Certificate:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    for suffix, parse_fn in _loaders.items():
-        if path.endswith(suffix):
-            return parse_fn(text)
-    return certificate_from_text(text)
+        return certificate_from_text(fh.read())

@@ -23,13 +23,9 @@ from fractions import Fraction
 
 from . import certificate as certificate_mod
 from . import constructions, families, graphs, partition, sdp
-from .density import edge_density, p
+from .density import edge_density, fraction_text, p, parse_fraction
 from .enumeration import FlagType, enumerate_free
 from .graphs import Hypergraph3
-
-
-def _frac(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _decimal50(q: Fraction) -> str:
@@ -166,11 +162,11 @@ def cmd_construct(args, parser) -> int:
             ("kind", rep.kind),
             ("n", str(rep.n)),
             ("edges", str(rep.edges)),
-            ("density", _frac(rep.density)),
+            ("density", fraction_text(rep.density)),
             ("density_decimal", _decimal50(rep.density)),
             (
                 "limit_density",
-                rep.limit if isinstance(rep.limit, str) else _frac(rep.limit),
+                rep.limit if isinstance(rep.limit, str) else fraction_text(rep.limit),
             ),
         ]
         if isinstance(spec, constructions.BRec):
@@ -207,10 +203,10 @@ def cmd_density(args, parser) -> int:
     h = _load_graph_arg(args.graph)
     rows = []
     if args.edge_density:
-        rows.append(("edge_density", _frac(edge_density(h))))
+        rows.append(("edge_density", fraction_text(edge_density(h))))
     if args.sub:
         f = _load_graph_arg(args.sub)
-        rows.append((f"p {args.sub}", _frac(p(f, h))))
+        rows.append((f"p {args.sub}", fraction_text(p(f, h))))
     if not rows:
         raise ValueError("nothing to do: pass --edge-density and/or --sub")
     _emit_rows(rows, args.human)
@@ -247,7 +243,7 @@ def cmd_emit_sdp(args, parser) -> int:
         ("block_dims", ",".join(map(str, model.type_dims)) or "-"),
     ]
     if not model.type_dims:
-        rows.append(("lp_bound", _frac(model.lp_value())))
+        rows.append(("lp_bound", fraction_text(model.lp_value())))
     _emit_rows(rows, args.human)
     return 0
 
@@ -259,7 +255,7 @@ def cmd_round(args, parser) -> int:
     cert = sdp.round_solution(model, floats, args.den_bound)
     certificate_mod.save_certificate(cert, args.out)
     _emit_rows(
-        [("written", args.out), ("bound", _frac(cert.bound))], args.human
+        [("written", args.out), ("bound", fraction_text(cert.bound))], args.human
     )
     return 0
 
@@ -269,7 +265,7 @@ def cmd_verify(args, parser) -> int:
     cert = certificate_mod.load_certificate(args.cert)
     result = certificate_mod.verify(cert)
     if result.ok:
-        print(f"VERIFIED bound={_frac(result.bound)}")
+        print(f"VERIFIED bound={fraction_text(result.bound)}")
         for note in result.notes:
             print(f"note\t{note}")
         return 0
@@ -286,10 +282,7 @@ def _one_restart(payload):
 def cmd_partition(args, parser) -> int:
     _merge_config(args, parser)
     _check_jobs(args, parser)
-    try:
-        xi = Fraction(args.xi)
-    except ZeroDivisionError:
-        raise ValueError(f"--xi {args.xi} has a zero denominator") from None
+    xi = parse_fraction(args.xi)
     h = _load_graph_arg(args.graph)
     rows: list[tuple[str, str]] = []
     if args.v1 is not None:
@@ -314,12 +307,12 @@ def cmd_partition(args, parser) -> int:
         ("bad", str(len(stats.bad))),
         ("missing", str(len(stats.missing))),
         ("inner2", str(stats.inner2)),
-        ("mu_lower", _frac(mu_lower)),
+        ("mu_lower", fraction_text(mu_lower)),
         ("locally_maximal", "yes" if partition.is_locally_maximal(h, v1, v2) else "no"),
-        ("bad_minus_scaled_missing", _frac(partition.prop33_expr(h, v1, v2))),
+        ("bad_minus_scaled_missing", fraction_text(partition.prop33_expr(h, v1, v2))),
         ("xi", args.xi),
         ("edge_bound_lhs", str(lhs)),
-        ("edge_bound_rhs", _frac(rhs)),
+        ("edge_bound_rhs", fraction_text(rhs)),
         ("edge_bound_holds", "yes" if holds else "no"),
     ]
     _emit_rows(rows, args.human)

@@ -45,6 +45,7 @@ from .enumeration import (
 from .families import Family
 from .graphs import (
     Hypergraph3,
+    _spanning_subsets,
     decode_key,
     from_edges,
     induced_subgraph,
@@ -55,27 +56,31 @@ CACHE_ENV_VAR = "TURAN3_CACHE_DIR"
 SINGLE_EDGE = from_edges(3, [(0, 1, 2)])
 
 
+def fraction_text(q: Fraction) -> str:
+    """'p' for an integer, else 'p/q': the form every output file uses."""
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def parse_fraction(text: str) -> Fraction:
+    """Exact rational from an integer, 'p/q' or plain decimal token.
+
+    Anything else raises ValueError, a zero denominator included.  Exponent
+    notation is refused: '1e999999999' would take unbounded time and memory.
+    """
+    if "e" in text.lower():
+        raise ValueError(f"{text!r} is not a rational p/q")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 def p(f: Hypergraph3, h: Hypergraph3) -> Fraction:
     """Density of |V(f)|-subsets of V(h) spanning an induced copy of f."""
-    k = f.n
-    if k > h.n:
-        raise ValueError(f"pattern on {k} vertices cannot fit in {h.n}")
-    want = len(f.edges)
-    f_key = f.canon_key
-    f_degs = sorted(f.degrees)
-    h_edges = h.edge_set
-    hits = 0
-    for sub in combinations(range(h.n), k):
-        count = 0
-        for t in combinations(sub, 3):
-            if t in h_edges:
-                count += 1
-        if count != want:
-            continue
-        g = induced_subgraph(h, sub)
-        if sorted(g.degrees) == f_degs and g.canon_key == f_key:
-            hits += 1
-    return Fraction(hits, comb(h.n, k))
+    if f.n > h.n:
+        raise ValueError(f"pattern on {f.n} vertices cannot fit in {h.n}")
+    hits = sum(1 for _ in _spanning_subsets(h, f, True))
+    return Fraction(hits, comb(h.n, f.n))
 
 
 def spanning_profile(h: Hypergraph3, m: int) -> dict[bytes, int]:
@@ -228,7 +233,23 @@ def _build_table(
 # Text serialization and optional disk cache
 
 
+_HEADER_FIELDS = (
+    "type", "m_prime", "m", "family", "nflags", "ntargets", "nentries", "sha256"
+)
+
+
+def _entries_digest(entry_lines: list[str]) -> str:
+    return hashlib.sha256("".join(line + "\n" for line in entry_lines).encode()).hexdigest()
+
+
 def table_to_text(table: PairDensityTable) -> str:
+    entries = []
+    for fi, mat in enumerate(table.matrices):
+        for i in range(len(table.flags)):
+            for j in range(i, len(table.flags)):
+                q = mat[i][j]
+                if q:
+                    entries.append(f"{fi} {i} {j} {q.numerator}/{q.denominator}")
     lines = [
         f"type {table.ftype.sigma.canon_key.hex()}",
         f"m_prime {table.m_prime}",
@@ -236,14 +257,10 @@ def table_to_text(table: PairDensityTable) -> str:
         f"family {table.family_key if table.family_key else 'none'}",
         f"nflags {len(table.flags)}",
         f"ntargets {len(table.targets)}",
+        f"nentries {len(entries)}",
+        f"sha256 {_entries_digest(entries)}",
     ]
-    for fi, mat in enumerate(table.matrices):
-        for i in range(len(table.flags)):
-            for j in range(i, len(table.flags)):
-                q = mat[i][j]
-                if q:
-                    lines.append(f"{fi} {i} {j} {q.numerator}/{q.denominator}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + entries) + "\n"
 
 
 def table_from_text(text: str, family: Family | None = None) -> PairDensityTable:
@@ -251,27 +268,34 @@ def table_from_text(text: str, family: Family | None = None) -> PairDensityTable
 
     Flags and targets are re-derived from (type, sizes, family), so the type
     graph named in the header must be reachable from the family universe;
-    entries are then checked against the declared counts.
+    entries are then checked against the declared counts, the entry count
+    and the SHA-256 of the entry lines.  Any mismatch raises ValueError.
     """
     header: dict[str, str] = {}
-    entries: list[tuple[int, int, int, Fraction]] = []
+    entry_lines: list[str] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] in {"type", "m_prime", "m", "family", "nflags", "ntargets"}:
+        if parts[0] in _HEADER_FIELDS:
             header[parts[0]] = " ".join(parts[1:])
         else:
-            fi, i, j = int(parts[0]), int(parts[1]), int(parts[2])
-            entries.append((fi, i, j, Fraction(parts[3])))
+            entry_lines.append(line)
+    for name in _HEADER_FIELDS:
+        if name not in header:
+            raise ValueError(f"table has no {name!r} line")
+    if len(entry_lines) != int(header["nentries"]):
+        raise ValueError(f"table has {len(entry_lines)} entries, not {header['nentries']}")
+    if _entries_digest(entry_lines) != header["sha256"]:
+        raise ValueError("table entries do not match their SHA-256")
     if family is None:
-        family = families_mod.parse_family(header.get("family", ""))
+        family = families_mod.parse_family(header["family"])
     m_prime = int(header["m_prime"])
     m = int(header["m"])
     members = [fm.graph for fm in family]
     flags_ind = [fm.induced for fm in family]
-    sigma = _sigma_from_hex(header["type"])
+    sigma = decode_key(bytes.fromhex(header["type"]))
     ftype = FlagType(sigma)
     flag_list = enumerate_flags(ftype, m_prime, members, flags_ind)
     targets = enumerate_free(m, members, flags_ind)
@@ -279,7 +303,14 @@ def table_from_text(text: str, family: Family | None = None) -> PairDensityTable
         raise ValueError("table header counts do not match the derived basis")
     nf = len(flag_list)
     mats = [[[Fraction(0)] * nf for _ in range(nf)] for _ in targets]
-    for fi, i, j, q in entries:
+    for line in entry_lines:
+        parts = line.split()
+        if len(parts) != 4:
+            raise ValueError(f"expected 4 fields per entry line, got {line!r}")
+        fi, i, j = int(parts[0]), int(parts[1]), int(parts[2])
+        if not (0 <= fi < len(targets) and 0 <= i < nf and 0 <= j < nf):
+            raise ValueError(f"entry index out of range: {line!r}")
+        q = parse_fraction(parts[3])
         mats[fi][i][j] = q
         mats[fi][j][i] = q
     return PairDensityTable(
@@ -293,10 +324,6 @@ def table_from_text(text: str, family: Family | None = None) -> PairDensityTable
     )
 
 
-def _sigma_from_hex(hex_key: str) -> Hypergraph3:
-    return decode_key(bytes.fromhex(hex_key))
-
-
 def _cache_path(cache_key: tuple) -> str | None:
     root = os.environ.get(CACHE_ENV_VAR)
     if not root:
@@ -306,17 +333,24 @@ def _cache_path(cache_key: tuple) -> str | None:
 
 
 def _load_disk_cache(cache_key: tuple, family: Family) -> PairDensityTable | None:
+    """The cached table, or None when there is none or it fails its checks."""
     path = _cache_path(cache_key)
     if path is None or not os.path.exists(path):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        return table_from_text(fh.read(), family)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return table_from_text(fh.read(), family)
+    except ValueError:
+        return None
 
 
 def _store_disk_cache(cache_key: tuple, table: PairDensityTable) -> None:
+    """Write the table through a temporary file, so no reader sees half of it."""
     path = _cache_path(cache_key)
     if path is None:
         return
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(table_to_text(table))
+    os.replace(tmp, path)

@@ -15,20 +15,16 @@ size only, following the conservative policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 from .graphs import (
     CanonicalData,
     Hypergraph3,
-    Triple,
-    _cell_consistent_perms,
-    _encode,
-    _refine_colors,
-    _relabeled_edges,
-    _sorted_triple,
     contains_induced,
     contains_sub,
+    relabel,
+    rooted_canonical_key,
 )
 
 SOFT_VERTEX_LIMIT = 7
@@ -202,27 +198,6 @@ class Flag:
         return rooted_canonical_key(self.graph, self.roots)
 
 
-def rooted_canonical_key(h: Hypergraph3, roots: Sequence[int]) -> bytes:
-    """Canonical key with the roots pinned, in order, to labels 0..s-1.
-
-    Equal keys exactly when there is an isomorphism carrying root i to root i.
-    """
-    s = len(roots)
-    if len(set(roots)) != s:
-        raise ValueError("roots must be distinct")
-    root_pos = {v: i for i, v in enumerate(roots)}
-    # Seed refinement with singleton colors for the roots: they stay the
-    # smallest colors, so every candidate relabeling pins root i to label i.
-    colors = _refine_colors(h.n, h.edges, [root_pos.get(v, s) for v in range(h.n)])
-    best: tuple[Triple, ...] | None = None
-    for perm in _cell_consistent_perms(h.n, colors):
-        rel = _relabeled_edges(h.edges, perm)
-        if best is None or rel < best:
-            best = rel
-    assert best is not None
-    return bytes([s]) + _encode(h.n, best)
-
-
 def type_embeddings(target: Hypergraph3, sigma: Hypergraph3) -> list[tuple[int, ...]]:
     """All ordered injections of the labeled type into target, exact on edges.
 
@@ -235,7 +210,8 @@ def type_embeddings(target: Hypergraph3, sigma: Hypergraph3) -> list[tuple[int, 
     s = sigma.n
     n = target.n
     sigma_edges = sigma.edge_set
-    target_edges = target.edge_set
+    # every ordering of every edge, so unsorted triples can be looked up
+    target_edges = {e for edge in target.edges for e in permutations(edge)}
     # checks[k]: (i, j, wanted) for each triple of positions closing at k
     checks = [
         [(i, j, (i, j, k) in sigma_edges) for i, j in combinations(range(k), 2)]
@@ -253,7 +229,7 @@ def type_embeddings(target: Hypergraph3, sigma: Hypergraph3) -> list[tuple[int, 
             if used[v]:
                 continue
             if all(
-                (_sorted_triple(theta[i], theta[j], v) in target_edges) == wanted
+                ((theta[i], theta[j], v) in target_edges) == wanted
                 for i, j, wanted in checks[k]
             ):
                 used[v] = True
@@ -304,5 +280,4 @@ def _relabel_flag(g: Hypergraph3, roots: Sequence[int]) -> Flag:
     perm = [0] * g.n
     for new, old in enumerate(order):
         perm[old] = new
-    relabeled = Hypergraph3(g.n, _relabeled_edges(g.edges, perm))
-    return Flag(relabeled, tuple(range(len(roots))))
+    return Flag(relabel(g, perm), tuple(range(len(roots))))

@@ -4,18 +4,22 @@ Vertices are always 0-based integers 0..n-1.  Edges are 3-element subsets
 stored as sorted triples in a sorted tuple, so two equal graphs compare equal
 as values.  Graphs are immutable; every operation returns a new graph.
 
-Canonical labeling is meant for small graphs (the enumeration scale, n <= 12
-or so).  It uses iterative color refinement followed by exhaustive search
-over the refined cells, which also yields the full automorphism group; that
-group is what the isomorph-free generator needs.
+This is the only module that searches a small graph.  _canonical_search
+(color refinement, then every relabeling within the refined cells, keeping
+the least edge tuple and the permutations reaching it) serves both
+canonical_data, whose permutations give the automorphism group the
+isomorph-free generator needs, and rooted_canonical_key; it is meant for the
+enumeration scale, n <= 12 or so.  _spanning_subsets is the one k-subset
+scan for copies of f: density.p counts it, contains_induced and
+exhaustive_containment_scan take its first subset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations, product
-from typing import Iterable, Sequence
+from itertools import chain, combinations, permutations, product
+from typing import Iterable, Iterator, Sequence
 
 Triple = tuple[int, int, int]
 Perm = tuple[int, ...]
@@ -133,27 +137,32 @@ def _refine_colors(
         colors = new_colors
 
 
-def _cell_consistent_perms(n: int, colors: Sequence[int]) -> Iterable[Perm]:
-    """All relabelings that sort vertices by color, free within each cell.
+def _canonical_search(
+    n: int, edges: Sequence[Triple], initial: Sequence[int] | None = None
+) -> tuple[tuple[Triple, ...], list[Perm]]:
+    """Least relabeled edge tuple, and every perm (v -> perm[v]) reaching it.
 
-    perm[v] is the new label of v.  Cells are laid out in increasing color
-    order, so the candidate set is the same for any isomorphic input.
+    Tries every relabeling that sorts vertices by refined color, free within
+    each cell; cells are laid out in increasing color order, so the
+    candidate set is the same for any isomorphic input.
     """
     cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
+    for v, c in enumerate(_refine_colors(n, edges, initial)):
         cells.setdefault(c, []).append(v)
-    ordered = [cells[c] for c in sorted(cells)]
-    offsets = []
-    pos = 0
-    for cell in ordered:
-        offsets.append(pos)
-        pos += len(cell)
-    for arrangement in product(*(permutations(cell) for cell in ordered)):
+    best: tuple[Triple, ...] | None = None
+    best_perms: list[Perm] = []
+    for arrangement in product(*(permutations(cells[c]) for c in sorted(cells))):
         perm = [0] * n
-        for cell_order, off in zip(arrangement, offsets):
-            for i, v in enumerate(cell_order):
-                perm[v] = off + i
-        yield tuple(perm)
+        for label, v in enumerate(chain.from_iterable(arrangement)):
+            perm[v] = label
+        rel = _relabeled_edges(edges, perm)
+        if best is None or rel < best:
+            best = rel
+            best_perms = [tuple(perm)]
+        elif rel == best:
+            best_perms.append(tuple(perm))
+    assert best is not None
+    return best, best_perms
 
 
 @dataclass(frozen=True)
@@ -176,17 +185,7 @@ def _encode(n: int, edges: Sequence[Triple]) -> bytes:
 def canonical_data(h: Hypergraph3) -> CanonicalData:
     if h.n > 255:
         raise ValueError("canonical labeling supports at most 255 vertices")
-    colors = _refine_colors(h.n, h.edges)
-    best: tuple[Triple, ...] | None = None
-    best_perms: list[Perm] = []
-    for perm in _cell_consistent_perms(h.n, colors):
-        rel = _relabeled_edges(h.edges, perm)
-        if best is None or rel < best:
-            best = rel
-            best_perms = [perm]
-        elif rel == best:
-            best_perms.append(perm)
-    assert best is not None
+    best, best_perms = _canonical_search(h.n, h.edges)
     p0 = best_perms[0]
     inv0 = [0] * h.n
     for v, img in enumerate(p0):
@@ -198,6 +197,21 @@ def canonical_data(h: Hypergraph3) -> CanonicalData:
         to_canonical=p0,
         automorphisms=auts,
     )
+
+
+def rooted_canonical_key(h: Hypergraph3, roots: Sequence[int]) -> bytes:
+    """Canonical key with the roots pinned, in order, to labels 0..s-1.
+
+    Equal keys exactly when there is an isomorphism carrying root i to root i.
+    """
+    s = len(roots)
+    if len(set(roots)) != s:
+        raise ValueError("roots must be distinct")
+    root_pos = {v: i for i, v in enumerate(roots)}
+    # Seed refinement with singleton colors for the roots: they stay the
+    # smallest colors, so every candidate relabeling pins root i to label i.
+    best, _ = _canonical_search(h.n, h.edges, [root_pos.get(v, s) for v in range(h.n)])
+    return bytes([s]) + _encode(h.n, best)
 
 
 def canonical_form(h: Hypergraph3) -> tuple[Hypergraph3, bytes]:
@@ -288,11 +302,17 @@ def induced_subgraph(h: Hypergraph3, vertices: Sequence[int]) -> Hypergraph3:
     return Hypergraph3(len(vertices), tuple(sorted(edges)))
 
 
-def contains_induced(h: Hypergraph3, f: Hypergraph3) -> bool:
-    """True iff some |V(f)|-subset of V(h) spans a copy of f."""
-    if f.n > h.n:
-        return False
-    want_edges = len(f.edges)
+def _spanning_subsets(
+    h: Hypergraph3, f: Hypergraph3, induced: bool
+) -> Iterator[tuple[int, ...]]:
+    """Each |V(f)|-subset of V(h), in combinations order, that spans a copy of f.
+
+    Induced: the subset's induced graph is isomorphic to f.  Otherwise f
+    embeds in it on all of its vertices.  Subsets are first filtered by
+    their edge count (== for induced, >= otherwise) before the degree and
+    key comparison or the bijection search.
+    """
+    want = len(f.edges)
     f_degs = sorted(f.degrees)
     h_edge_set = h.edge_set
     for sub in combinations(range(h.n), f.n):
@@ -300,12 +320,19 @@ def contains_induced(h: Hypergraph3, f: Hypergraph3) -> bool:
         for t in combinations(sub, 3):
             if t in h_edge_set:
                 count += 1
-        if count != want_edges:
-            continue
-        g = induced_subgraph(h, sub)
-        if sorted(g.degrees) == f_degs and g.canon_key == f.canon_key:
-            return True
-    return False
+        if induced:
+            if count != want:
+                continue
+            g = induced_subgraph(h, sub)
+            if sorted(g.degrees) == f_degs and g.canon_key == f.canon_key:
+                yield sub
+        elif count >= want and _spanning_embeds(f, induced_subgraph(h, sub)):
+            yield sub
+
+
+def contains_induced(h: Hypergraph3, f: Hypergraph3) -> bool:
+    """True iff some |V(f)|-subset of V(h) spans a copy of f."""
+    return next(_spanning_subsets(h, f, True), None) is not None
 
 
 def is_family_free(
@@ -341,36 +368,12 @@ def exhaustive_containment_scan(
     all C(n, k) subsets, filtering by induced edge count before attempting a
     vertex bijection.
     """
-    k = f.n
-    if k > h.n:
-        return False, None
-    want = len(f.edges)
-    h_edge_set = h.edge_set
-    f_degs_sorted = sorted(f.degrees)
-    for sub in combinations(range(h.n), k):
-        count = 0
-        for t in combinations(sub, 3):
-            if t in h_edge_set:
-                count += 1
-        if induced:
-            if count != want:
-                continue
-            g = induced_subgraph(h, sub)
-            if sorted(g.degrees) == f_degs_sorted and g.canon_key == f.canon_key:
-                return True, sub
-        else:
-            if count < want:
-                continue
-            g = induced_subgraph(h, sub)
-            if _spanning_embeds(f, g):
-                return True, sub
-    return False, None
+    witness = next(_spanning_subsets(h, f, induced), None)
+    return witness is not None, witness
 
 
 def _spanning_embeds(f: Hypergraph3, g: Hypergraph3) -> bool:
-    """Some bijection V(f) -> V(g) maps every f-edge onto a g-edge."""
-    if f.n != g.n:
-        return False
+    """Some bijection V(f) -> V(g), |V(f)| = |V(g)|, maps f-edges onto g-edges."""
     f_degs = sorted(f.degrees)
     g_degs = sorted(g.degrees)
     if any(fd > gd for fd, gd in zip(f_degs, g_degs)):

@@ -38,7 +38,7 @@ from typing import Sequence
 
 from . import families as families_mod
 from .certificate import Certificate, CertificateBlock
-from .density import SINGLE_EDGE, p, pair_density_table
+from .density import SINGLE_EDGE, fraction_text, p, pair_density_table, parse_fraction
 from .enumeration import Flag, FlagType, enumerate_free
 from .families import Family
 
@@ -150,10 +150,6 @@ def assemble(
 # Text emission and parsing
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def model_to_text(model: SdpModel) -> str:
     k = model.n_constraints
     dims = [-1] + list(model.type_dims) + [-k]
@@ -170,14 +166,14 @@ def model_to_text(model: SdpModel) -> str:
     slack_block = len(dims)
     for r in range(1, k + 1):
         fi = r - 1
-        lines.append(f"{r} 0 0 0 {_frac_str(model.obj[fi])}")
+        lines.append(f"{r} 0 0 0 {fraction_text(model.obj[fi])}")
         lines.append(f"{r} 1 0 0 1")
         for t, mat in enumerate(model.pair_matrices[fi]):
             d = len(mat)
             for i in range(d):
                 for j in range(i, d):
                     if mat[i][j]:
-                        lines.append(f"{r} {t + 2} {i} {j} {_frac_str(-mat[i][j])}")
+                        lines.append(f"{r} {t + 2} {i} {j} {fraction_text(-mat[i][j])}")
         lines.append(f"{r} {slack_block} {fi} {fi} -1")
     return "\n".join(lines) + "\n"
 
@@ -201,7 +197,7 @@ def model_from_text(text: str) -> SdpModel:
         if len(parts) != 5:
             raise ValueError(f"expected 5 fields per entry line, got {raw!r}")
         r, b, i, j = (int(x) for x in parts[:4])
-        entries.append((r, b, i, j, Fraction(parts[4])))
+        entries.append((r, b, i, j, parse_fraction(parts[4])))
     for name in ("m", "family", "nblocks", "blockdims", "nconstraints"):
         if not header.get(name):
             raise ValueError(f"model has no {name!r} line")

@@ -299,19 +299,12 @@ def test_certificate_round_trip(tmp_path):
         assert verify(again, family).ok
 
 
-def test_loader_hook(tmp_path, monkeypatch):
-    import turan3.certificate as cert_mod
-
-    cert = lp_certificate(4, fam("C4_3"))
-    path = tmp_path / "cert.alien"
-    path.write_text("ignored payload")
-    monkeypatch.setattr(cert_mod, "_loaders", {})
-    cert_mod.register_loader(".alien", lambda text: cert)
-    assert cert_mod.load_certificate(str(path)) == cert
-    # native format untouched by the hook
-    native = tmp_path / "cert.txt"
-    cert_mod.save_certificate(cert, str(native))
-    assert cert_mod.load_certificate(str(native)) == cert
+@pytest.mark.parametrize("m", [-1, 0, 1, 2, 8, 9])
+def test_verify_rejects_m_out_of_range(m):
+    # m <= 2 has one graph, the empty one, so one slack gets past the count
+    cert = Certificate(bound=F(1), family_key="", m=m, blocks=(), slacks=(F(1),))
+    result = verify(cert, ())
+    assert not result.ok and f"m={m} is outside" in result.reason
 
 
 def test_certificate_text_parse_errors():
@@ -320,6 +313,8 @@ def test_certificate_text_parse_errors():
     with pytest.raises(ValueError):
         certificate_from_text("bound 1/2\nfamily none\nm 4\ntype ff dim 2\n1 0\n")
     good = certificate_to_text(lp_certificate(4, fam("C4_3")))
+    with pytest.raises(ValueError):
+        certificate_from_text(good + "slack 100000000 0\n")  # index out of order
     assert certificate_from_text(good + "# trailing comment\n") == certificate_from_text(good)
 
 
@@ -331,17 +326,24 @@ def test_verify_ignores_disk_cache(tmp_path, monkeypatch):
     want = verify(cert, family)
     assert want.ok and want.notes == ()
     # Fill a cache with this certificate's tables, then drop the second half
-    # of each file's entry lines: the header still parses, and loading the
-    # file would silently zero the missing entries.
+    # of each file's entry lines and restate the entry count and digest to
+    # match: the file passes the cache's own checks, and loading it would
+    # zero the missing entries.
     monkeypatch.setenv(density_mod.CACHE_ENV_VAR, str(tmp_path))
     monkeypatch.setattr(density_mod, "_memory_cache", {})
     recompute_margins(cert, family)
     files = list(tmp_path.iterdir())
     assert len(files) == len(cert.blocks)
     for path in files:
-        lines = path.read_text().splitlines(keepends=True)
-        header, entries = lines[:6], lines[6:]
+        lines = path.read_text().splitlines()
+        header, entries = lines[:6], lines[8:]
         assert len(entries) >= 2
-        path.write_text("".join(header + entries[: len(entries) // 2]))
+        kept = entries[: len(entries) // 2]
+        digest = density_mod._entries_digest(kept)
+        path.write_text(
+            "\n".join(header + [f"nentries {len(kept)}", f"sha256 {digest}"] + kept)
+            + "\n"
+        )
+        assert density_mod.table_from_text(path.read_text(), family)
     monkeypatch.setattr(density_mod, "_memory_cache", {})
     assert verify(cert, family) == want

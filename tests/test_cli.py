@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turan3 import certificate, families, graphs
 from turan3.cli import main
@@ -334,3 +337,150 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "edge_density\t3/10"
+
+
+def _good_certificate_text():
+    return certificate.certificate_to_text(lp_certificate(4, families.parse_family("C4_3")))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda text: _swap_line(text, "bound", "bound"),
+        lambda text: text + "slack 0\n",
+        lambda text: _swap_line(text, "bound", "bound 1/0"),
+    ],
+    ids=["bare-bound", "bare-slack", "zero-denominator-bound"],
+)
+def test_verify_malformed_certificate_is_domain_error(capsys, tmp_path, change):
+    path = tmp_path / "cert.txt"
+    path.write_text(change(_good_certificate_text()))
+    code, _, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 1
+    assert_one_error_line(err)
+
+
+def _swap_line(text, prefix, new):
+    return "".join(
+        new + "\n" if line.split()[:1] == [prefix] else line
+        for line in text.splitlines(keepends=True)
+    )
+
+
+def test_round_zero_denominator_entry_is_domain_error(capsys, tmp_path):
+    model_path = tmp_path / "m.sdp"
+    code, _, _ = run(
+        capsys, "emit-sdp", "--m", "4", "--forbid", "C4_3", "--out", str(model_path)
+    )
+    assert code == 0
+    lines = model_path.read_text().splitlines()
+    lines[-1] = " ".join(lines[-1].split()[:4] + ["1/0"])
+    model_path.write_text("\n".join(lines) + "\n")
+    sol_path = tmp_path / "sol.txt"
+    sol_path.write_text("0.75\n")
+    code, _, err = run(
+        capsys, "round", "--model", str(model_path), "--solution", str(sol_path),
+        "--out", str(tmp_path / "cert.txt"),
+    )
+    assert code == 1
+    assert_one_error_line(err)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing every file argument through main
+
+
+def _fuzz_seeds():
+    """Valid small inputs per file argument; each stays cheap to process."""
+    from turan3.sdp import model_to_text
+
+    from cert_helpers import make_sos_certificate
+
+    family = families.parse_family("C4_3")
+    model = assemble(4, family, use_default_types=True)
+    return {
+        "graph": graphs.graph_to_text(graphs.named_graph("F5")),
+        "model": model_to_text(model),
+        "solution": " ".join(["0.5"] * model.solution_length()) + "\n",
+        "cert": certificate.certificate_to_text(make_sos_certificate(4, family)),
+        "config": "human = yes\nforbid = C4_3\n",
+    }
+
+
+# Replacement tokens stay small: a file that declares an m above 4 or a
+# block dimension in the millions is valid input that takes long to process.
+_TOKENS = (
+    "", "0", "1", "-1", "2", "3", "1/0", "2/3", "-1/2", "0.5", "1e5", "nan",
+    "x", "none", "dim", "ff", "#", "=", "n", "m", "bound", "slack", "type",
+)
+
+
+@st.composite
+def _mutated(draw, text):
+    lines = text.splitlines() or [""]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("drop", "dup", "token", "trim", "cut", "insert")))
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        elif op == "token":
+            parts = lines[i].split() or [""]
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(_TOKENS))
+            lines[i] = " ".join(parts)
+        elif op == "trim":
+            parts = lines[i].split()
+            lines[i] = " ".join(parts[: draw(st.integers(0, len(parts)))])
+        elif op == "cut":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        else:
+            lines.insert(i, " ".join(draw(st.lists(st.sampled_from(_TOKENS), max_size=4))))
+    return "\n".join(lines) + "\n"
+
+
+_SEEDS = None
+
+
+def _commands(kind, path, seeds_dir):
+    good = {k: str(seeds_dir / k) for k in ("graph", "model", "solution")}
+    if kind == "graph":
+        return [
+            ["density", "--graph", path, "--edge-density"],
+            ["density", "--graph", "F5", "--sub", path],
+            ["partition", "--graph", path, "--restarts", "2"],
+            ["enumerate", "--m", "4", "--forbid", path, "--out", "enum.txt"],
+        ]
+    if kind == "model":
+        return [["round", "--model", path, "--solution", good["solution"], "--out", "c.txt"]]
+    if kind == "solution":
+        return [["round", "--model", good["model"], "--solution", path, "--out", "c.txt"]]
+    if kind == "cert":
+        return [["verify", "--cert", path]]
+    return [["density", "--graph", good["graph"], "--edge-density", "--config", path]]
+
+
+@pytest.mark.parametrize("kind", ["graph", "model", "solution", "cert", "config"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_fuzz_file_arguments_never_escape(kind, data, tmp_path_factory):
+    global _SEEDS
+    if _SEEDS is None:
+        _SEEDS = _fuzz_seeds()
+    work = tmp_path_factory.mktemp("fuzz")
+    for name, text in _SEEDS.items():
+        (work / name).write_text(text)
+    text = data.draw(st.one_of(_mutated(_SEEDS[kind]), st.text(max_size=40)))
+    path = work / f"fuzz-{kind}"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        for argv in _commands(kind, str(path), work):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code in (0, 1, 2), (argv, text)
+    finally:
+        os.chdir(cwd)

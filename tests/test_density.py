@@ -18,6 +18,8 @@ from turan3.density import (
 from turan3.enumeration import FlagType, enumerate_free, rooted_canonical_key
 from turan3.graphs import blow_up, from_edges, induced_subgraph, named_graph
 
+import oracles
+
 
 def random_graph(n, prob, rng):
     edges = [t for t in combinations(range(n), 3) if rng.random() < prob]
@@ -215,3 +217,88 @@ def test_disk_cache(tmp_path, monkeypatch):
     t2 = pair_density_table(FlagType(from_edges(1, [])), 3, 5, fam)
     assert t1.matrices == t2.matrices
     density_mod._memory_cache.clear()
+
+
+def test_p_matches_per_subset_iso_oracle():
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(3, 7)
+        h = random_graph(n, rng.random(), rng)
+        k = rng.randint(3, min(n, 5))
+        f = random_graph(k, rng.random(), rng)
+        hits = 0
+        for sub in combinations(range(n), k):
+            pos = {v: i for i, v in enumerate(sub)}
+            edges = [tuple(pos[v] for v in e) for e in h.edges if set(e) <= pos.keys()]
+            if oracles.iso_brute(from_edges(k, edges), f):
+                hits += 1
+        assert p(f, h) == Fraction(hits, comb(n, k))
+
+
+def _cache_files(tmp_path):
+    return sorted(path for path in tmp_path.iterdir() if path.suffix == ".txt")
+
+
+def test_truncated_cache_file_is_rebuilt(tmp_path, monkeypatch):
+    import turan3.density as density_mod
+    from turan3.sdp import assemble, model_to_text
+
+    fam = families.parse_family("C4_3")
+    monkeypatch.delenv(density_mod.CACHE_ENV_VAR, raising=False)
+    monkeypatch.setattr(density_mod, "_memory_cache", {})
+    want = model_to_text(assemble(5, fam, use_default_types=True))
+
+    monkeypatch.setenv(density_mod.CACHE_ENV_VAR, str(tmp_path))
+    monkeypatch.setattr(density_mod, "_memory_cache", {})
+    assert model_to_text(assemble(5, fam, use_default_types=True)) == want
+    files = _cache_files(tmp_path)
+    assert files
+    intact = {path: path.read_text() for path in files}
+    # Drop the second half of each file's entry lines.
+    for path, text in intact.items():
+        lines = text.splitlines(keepends=True)
+        header, entries = lines[:8], lines[8:]
+        assert len(entries) >= 2
+        path.write_text("".join(header + entries[: len(entries) // 2]))
+
+    monkeypatch.setattr(density_mod, "_memory_cache", {})
+    assert model_to_text(assemble(5, fam, use_default_types=True)) == want
+    # each damaged file was treated as a miss and written again, atomically
+    assert {path: path.read_text() for path in _cache_files(tmp_path)} == intact
+    assert not [path for path in tmp_path.iterdir() if path.suffix == ".tmp"]
+
+
+def _replace_line(text, prefix, new):
+    return "".join(
+        new + "\n" if line.startswith(prefix) else line
+        for line in text.splitlines(keepends=True)
+    )
+
+
+def test_table_from_text_rejects_damaged_text():
+    fam = families.make_family(named_graph("C4_3"))
+    table = pair_density_table(FlagType(from_edges(1, [])), 3, 5, fam)
+    text = table_to_text(table)
+    lines = text.splitlines()
+    entry = lines[-1].split()
+    negative = " ".join(["-1"] + entry[1:])
+    damaged = [
+        "\n".join(lines[:-1]) + "\n",  # an entry line removed
+        _replace_line(text, "nentries", "nentries 1"),
+        "\n".join(lines[:-1] + [" ".join(entry[:3] + ["7/3"])]) + "\n",
+        _replace_line(text, "sha256", "sha256 00"),
+        "\n".join(line for line in lines if not line.startswith("sha256")) + "\n",
+    ]
+    for bad in damaged:
+        with pytest.raises(ValueError):
+            table_from_text(bad, fam)
+    # an out-of-range index fails even with a matching count and digest
+    from turan3.density import _entries_digest
+
+    entries = lines[8:-1] + [negative]
+    forged = "\n".join(
+        lines[:6] + [f"nentries {len(entries)}", f"sha256 {_entries_digest(entries)}"]
+        + entries
+    ) + "\n"
+    with pytest.raises(ValueError, match="out of range"):
+        table_from_text(forged, fam)

@@ -209,6 +209,37 @@ def test_rooted_key_respects_root_order():
     assert rooted_canonical_key(g, (0, 1)) == rooted_canonical_key(g, (1, 0))
 
 
+def test_rooted_key_equality_matches_rooted_iso_oracle():
+    import random
+
+    from itertools import combinations
+
+    from turan3.graphs import relabel
+
+    rng = random.Random(5)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        s = rng.randint(0, n)
+        g1 = from_edges(n, [t for t in combinations(range(n), 3) if rng.random() < 0.5])
+        roots1 = tuple(rng.sample(range(n), s))
+        if rng.random() < 0.5:
+            # a relabeled copy carrying the roots along: rooted-isomorphic
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g2 = relabel(g1, perm)
+            roots2 = tuple(perm[v] for v in roots1)
+            if rng.random() < 0.3 and s >= 2:
+                roots2 = roots2[::-1]
+        else:
+            density = rng.random()
+            g2 = from_edges(
+                n, [t for t in combinations(range(n), 3) if rng.random() < density]
+            )
+            roots2 = tuple(rng.sample(range(n), s))
+        same = rooted_canonical_key(g1, roots1) == rooted_canonical_key(g2, roots2)
+        assert same == oracles.rooted_iso_brute(g1, roots1, g2, roots2)
+
+
 def test_type_embeddings_match_permutation_filter():
     import random
 
