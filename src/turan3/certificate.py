@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import families as families_mod
-from .density import SINGLE_EDGE, fraction_text, p, pair_density_table, parse_fraction
+from .density import SINGLE_EDGE, PairMatrix, fraction_text, p, pair_density_table, parse_fraction
 from .enumeration import SOFT_VERTEX_LIMIT, FlagType, enumerate_free
 from .families import Family
 from .graphs import decode_key
@@ -191,14 +191,9 @@ def _psd_by_elimination(matrix: Sequence[Sequence[Fraction]]) -> bool:
     return True
 
 
-def inner_product(q: Matrix, pmat: Matrix) -> Fraction:
-    """Exact sum of q[i][j] * pmat[i][j] over the nonzero entries of pmat."""
-    return sum(
-        qrow[j] * x
-        for qrow, prow in zip(q, pmat)
-        for j, x in enumerate(prow)
-        if x
-    )
+def inner_product(q: Matrix, pmat: PairMatrix) -> Fraction:
+    """Exact sum of q[i][j] * pmat[i][j] over the stored entries of pmat."""
+    return sum(q[i][j] * x for i, row in enumerate(pmat) for j, x in row)
 
 
 def verify(cert: Certificate, family: Family | None = None) -> VerifyResult:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import certificate as certificate_mod
 from . import constructions, families, graphs, partition, sdp
 from .density import edge_density, fraction_text, p, parse_fraction
-from .enumeration import FlagType, enumerate_free
+from .enumeration import enumerate_free
 from .graphs import Hypergraph3
 
 
@@ -218,16 +218,7 @@ def _parse_type_selection(selection: str, m: int, family) -> list | None:
         return []
     if selection == "default":
         return sdp.default_types(m, family)
-    sizes = [int(x) for x in selection.split(",")]
-    members = [fm.graph for fm in family]
-    flags = [fm.induced for fm in family]
-    out = []
-    for s in sizes:
-        if (m + s) % 2:
-            raise ValueError(f"type size {s} has the wrong parity for m={m}")
-        for sigma in enumerate_free(s, members, flags):
-            out.append((FlagType(sigma), (m + s) // 2))
-    return out
+    return sdp.types_of_sizes(m, [int(x) for x in selection.split(",")], family)
 
 
 def cmd_emit_sdp(args, parser) -> int:

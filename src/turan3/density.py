@@ -22,6 +22,13 @@ the tests rely on): sampling (theta, A1, A2) directly in H gives
 because conditioning on the induced graph of a uniform random m-set through
 (theta, A1, A2) is distribution-preserving.  Matrices are symmetric since
 the pair (A1, A2) is exchangeable.
+
+Pair-density matrices are about 2% nonzero, so every layer holds them in one
+sparse form, PairMatrix: a tuple of rows, row i listing a (j, value) pair for
+each nonzero entry with j ascending.  Both triangles are stored, and rows
+after the last nonempty one are left out, so a zero matrix is ().
+pair_matrix builds one from upper-triangle entries; upper_entries reads them
+back in row-major order, the order of every text format.
 """
 
 from __future__ import annotations
@@ -108,6 +115,29 @@ def edge_density(h: Hypergraph3) -> Fraction:
 # Pair density tables
 
 
+PairMatrix = tuple[tuple[tuple[int, Fraction], ...], ...]
+
+
+def pair_matrix(upper: dict[tuple[int, int], Fraction]) -> PairMatrix:
+    """The symmetric matrix with entries {(i, j): value}, i <= j; zeros dropped."""
+    rows: dict[int, list[tuple[int, Fraction]]] = {}
+    for (i, j), q in upper.items():
+        if q:
+            rows.setdefault(i, []).append((j, q))
+            if i != j:
+                rows.setdefault(j, []).append((i, q))
+    size = max(rows) + 1 if rows else 0
+    return tuple(tuple(sorted(rows.get(i, ()))) for i in range(size))
+
+
+def upper_entries(mat: PairMatrix):
+    """(i, j, value) for each nonzero entry with j >= i, in row-major order."""
+    for i, row in enumerate(mat):
+        for j, q in row:
+            if j >= i:
+                yield i, j, q
+
+
 @dataclass(frozen=True)
 class PairDensityTable:
     ftype: FlagType
@@ -116,10 +146,7 @@ class PairDensityTable:
     family_key: str
     flags: tuple[Flag, ...]
     targets: tuple[Hypergraph3, ...]
-    matrices: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-    def matrix_for(self, target_index: int) -> tuple[tuple[Fraction, ...], ...]:
-        return self.matrices[target_index]
+    matrices: tuple[PairMatrix, ...]
 
 
 _memory_cache: dict[tuple, PairDensityTable] = {}
@@ -171,7 +198,6 @@ def _build_table(
     s = ftype.size
     t = m_prime - s
     sigma = ftype.sigma
-    nf = len(flag_list)
     denominator = perm(m, s) * comb(m - s, t) * comb(m - s - t, t)
     # t-subsets of the m - s non-root positions, and the ordered pairs of
     # disjoint ones; the same for every theta of every target.
@@ -190,7 +216,6 @@ def _build_table(
     # The mask is cheaper than building induced_subgraph for every subset,
     # which is done only on a miss.
     slot_by_mask: dict[int, int] = {}
-    zero = Fraction(0)
     matrices = []
     for target in targets:
         # every ordering of every edge, so unsorted triples can be looked up
@@ -214,10 +239,9 @@ def _build_table(
             for x, y in disjoint:
                 pair = (slots[x], slots[y])
                 counts[pair] = counts.get(pair, 0) + 1
-        rows = [[zero] * nf for _ in range(nf)]
-        for (i, j), c in counts.items():
-            rows[i][j] = Fraction(c, denominator)
-        matrices.append(tuple(tuple(row) for row in rows))
+        # counts is symmetric, since (A1, A2) and (A2, A1) are both counted
+        upper = {(i, j): Fraction(c, denominator) for (i, j), c in counts.items() if i <= j}
+        matrices.append(pair_matrix(upper))
     return PairDensityTable(
         ftype=ftype,
         m_prime=m_prime,
@@ -243,13 +267,11 @@ def _entries_digest(entry_lines: list[str]) -> str:
 
 
 def table_to_text(table: PairDensityTable) -> str:
-    entries = []
-    for fi, mat in enumerate(table.matrices):
-        for i in range(len(table.flags)):
-            for j in range(i, len(table.flags)):
-                q = mat[i][j]
-                if q:
-                    entries.append(f"{fi} {i} {j} {q.numerator}/{q.denominator}")
+    entries = [
+        f"{fi} {i} {j} {q.numerator}/{q.denominator}"
+        for fi, mat in enumerate(table.matrices)
+        for i, j, q in upper_entries(mat)
+    ]
     lines = [
         f"type {table.ftype.sigma.canon_key.hex()}",
         f"m_prime {table.m_prime}",
@@ -301,18 +323,15 @@ def table_from_text(text: str, family: Family | None = None) -> PairDensityTable
     targets = enumerate_free(m, members, flags_ind)
     if len(flag_list) != int(header["nflags"]) or len(targets) != int(header["ntargets"]):
         raise ValueError("table header counts do not match the derived basis")
-    nf = len(flag_list)
-    mats = [[[Fraction(0)] * nf for _ in range(nf)] for _ in targets]
+    uppers: list[dict[tuple[int, int], Fraction]] = [{} for _ in targets]
     for line in entry_lines:
         parts = line.split()
         if len(parts) != 4:
             raise ValueError(f"expected 4 fields per entry line, got {line!r}")
         fi, i, j = int(parts[0]), int(parts[1]), int(parts[2])
-        if not (0 <= fi < len(targets) and 0 <= i < nf and 0 <= j < nf):
+        if not (0 <= fi < len(targets) and 0 <= i <= j < len(flag_list)):
             raise ValueError(f"entry index out of range: {line!r}")
-        q = parse_fraction(parts[3])
-        mats[fi][i][j] = q
-        mats[fi][j][i] = q
+        uppers[fi][i, j] = parse_fraction(parts[3])
     return PairDensityTable(
         ftype=ftype,
         m_prime=m_prime,
@@ -320,7 +339,7 @@ def table_from_text(text: str, family: Family | None = None) -> PairDensityTable
         family_key=families_mod.family_key(family),
         flags=tuple(flag_list),
         targets=tuple(targets),
-        matrices=tuple(tuple(tuple(row) for row in mat) for mat in mats),
+        matrices=tuple(pair_matrix(upper) for upper in uppers),
     )
 
 

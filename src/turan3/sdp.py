@@ -38,22 +38,10 @@ from typing import Sequence
 
 from . import families as families_mod
 from .certificate import Certificate, CertificateBlock
-from .density import SINGLE_EDGE, fraction_text, p, pair_density_table, parse_fraction
-from .enumeration import Flag, FlagType, enumerate_free
+from .density import SINGLE_EDGE, PairMatrix, fraction_text, p, pair_density_table, pair_matrix
+from .density import parse_fraction, upper_entries
+from .enumeration import FlagType, enumerate_free
 from .families import Family
-
-Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-@dataclass(frozen=True)
-class TypeBlock:
-    ftype: FlagType
-    m_prime: int
-    flags: tuple[Flag, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.flags)
 
 
 @dataclass(frozen=True)
@@ -64,7 +52,7 @@ class SdpModel:
     type_keys: tuple[bytes, ...]
     type_dims: tuple[int, ...]
     # pair matrices indexed [constraint][type block]
-    pair_matrices: tuple[tuple[Matrix, ...], ...]
+    pair_matrices: tuple[tuple[PairMatrix, ...], ...]
 
     @property
     def n_constraints(self) -> int:
@@ -80,20 +68,28 @@ class SdpModel:
         return 1 + sum(d * (d + 1) // 2 for d in self.type_dims) + self.n_constraints
 
 
-def default_types(m: int, family: Family = ()) -> list[tuple[FlagType, int]]:
-    """Types of every size s matching m's parity with s <= m - 2.
+def types_of_sizes(
+    m: int, sizes: Sequence[int], family: Family = ()
+) -> list[tuple[FlagType, int]]:
+    """Every admissible type of each size s in sizes, with flag size (m + s) / 2.
 
-    The flag size m' = (m + s) / 2 makes two flags over a shared root set
-    exactly fill an m-vertex target.
+    That flag size makes two flags over a shared root set exactly fill an
+    m-vertex target; a size of the wrong parity for m raises ValueError.
     """
     members = [fm.graph for fm in family]
     flags_ind = [fm.induced for fm in family]
     out = []
-    start = 0 if m % 2 == 0 else 1
-    for s in range(start, max(m - 1, 0), 2):
+    for s in sizes:
+        if (m + s) % 2:
+            raise ValueError(f"type size {s} has the wrong parity for m={m}")
         for sigma in enumerate_free(s, members, flags_ind):
             out.append((FlagType(sigma), (m + s) // 2))
     return out
+
+
+def default_types(m: int, family: Family = ()) -> list[tuple[FlagType, int]]:
+    """Types of every size s matching m's parity with s <= m - 2."""
+    return types_of_sizes(m, range(m % 2, max(m - 1, 0), 2), family)
 
 
 def assemble(
@@ -169,11 +165,8 @@ def model_to_text(model: SdpModel) -> str:
         lines.append(f"{r} 0 0 0 {fraction_text(model.obj[fi])}")
         lines.append(f"{r} 1 0 0 1")
         for t, mat in enumerate(model.pair_matrices[fi]):
-            d = len(mat)
-            for i in range(d):
-                for j in range(i, d):
-                    if mat[i][j]:
-                        lines.append(f"{r} {t + 2} {i} {j} {fraction_text(-mat[i][j])}")
+            for i, j, q in upper_entries(mat):
+                lines.append(f"{r} {t + 2} {i} {j} {fraction_text(-q)}")
         lines.append(f"{r} {slack_block} {fi} {fi} -1")
     return "\n".join(lines) + "\n"
 
@@ -202,9 +195,12 @@ def model_from_text(text: str) -> SdpModel:
         if not header.get(name):
             raise ValueError(f"model has no {name!r} line")
     m = int(header["m"][0])
-    family_key = header["family"][0] if header["family"][0] != "none" else ""
+    family_key = " ".join(header["family"]) if header["family"][0] != "none" else ""
     dims = [int(d) for d in header["blockdims"]]
     k = int(header["nconstraints"][0])
+    # every constraint has its own constant-term line
+    if not 1 <= k <= len(entries):
+        raise ValueError(f"nconstraints {k} is not between 1 and the {len(entries)} entries")
     if len(dims) != int(header["nblocks"][0]):
         raise ValueError("blockdims length disagrees with nblocks")
     if dims[0] != -1 or dims[-1] != -k:
@@ -216,9 +212,7 @@ def model_from_text(text: str) -> SdpModel:
     if len(type_keys) != len(type_dims):
         raise ValueError("typekeys count disagrees with PSD block count")
     obj: list[Fraction | None] = [None] * k
-    mats = [
-        [[[Fraction(0)] * d for _ in range(d)] for d in type_dims] for _ in range(k)
-    ]
+    uppers: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
     slack_block = len(dims)
     for r, b, i, j, value in entries:
         if r == 0:
@@ -240,12 +234,12 @@ def model_from_text(text: str) -> SdpModel:
             t = b - 2
             if not 0 <= t < len(type_dims) or not (0 <= i <= j < type_dims[t]):
                 raise ValueError(f"entry outside declared block: {(r, b, i, j)}")
-            mats[fi][t][i][j] = -value
-            mats[fi][t][j][i] = -value
+            uppers.setdefault((fi, t), {})[i, j] = -value
     if any(o is None for o in obj):
         raise ValueError("missing constant term for some constraint")
     pair_matrices = tuple(
-        tuple(tuple(tuple(row) for row in mat) for mat in mats[fi]) for fi in range(k)
+        tuple(pair_matrix(uppers.get((fi, t), {})) for t in range(len(type_dims)))
+        for fi in range(k)
     )
     return SdpModel(
         m=m,

@@ -129,6 +129,15 @@ def type_embeddings_brute(target: Hypergraph3, sigma: Hypergraph3):
     return out
 
 
+def dense(mat, n):
+    """The n x n list-of-lists form of a sparse pair matrix, zeros filled in."""
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in enumerate(mat):
+        for j, x in row:
+            out[i][j] = x
+    return out
+
+
 def psd_elimination(matrix) -> bool:
     """PSD by rational LDL^T elimination with diagonal pivoting.
 

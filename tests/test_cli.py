@@ -119,17 +119,17 @@ def test_density_unknown_name_is_domain_error(capsys):
     assert code == 1
 
 
-def test_emit_sdp_and_round_and_verify(capsys, tmp_path):
+def _emit_round_verify_lp(capsys, tmp_path, forbid):
     model_path = tmp_path / "m.sdp"
     code, out, _ = run(
-        capsys, "emit-sdp", "--m", "4", "--forbid", "C4_3",
+        capsys, "emit-sdp", "--m", "4", "--forbid", forbid,
         "--types", "none", "--out", str(model_path),
     )
     assert code == 0
     assert rows(out)["lp_bound"] == "3/4"
 
     # hand-written solver output matching the LP optimum
-    model = assemble(4, families.parse_family("C4_3"))
+    model = assemble(4, families.parse_family(forbid))
     floats = [0.75] + [float(Fraction(3, 4) - o) for o in model.obj]
     sol_path = tmp_path / "sol.txt"
     sol_path.write_text(" ".join(str(x) for x in floats) + "\n")
@@ -144,6 +144,31 @@ def test_emit_sdp_and_round_and_verify(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--cert", str(cert_path))
     assert code == 0
     assert out.splitlines()[0] == "VERIFIED bound=3/4"
+
+
+def test_emit_sdp_and_round_and_verify(capsys, tmp_path):
+    _emit_round_verify_lp(capsys, tmp_path, "C4_3")
+
+
+def test_family_file_with_a_space_survives_round(capsys, tmp_path):
+    path = tmp_path / "my f5.txt"
+    path.write_text(graphs.graph_to_text(graphs.named_graph("F5")))
+    _emit_round_verify_lp(capsys, tmp_path, f"C4_3,{path}")
+
+
+def test_emit_sdp_type_sizes(capsys, tmp_path):
+    out_path = str(tmp_path / "m.sdp")
+    code, out, _ = run(
+        capsys, "emit-sdp", "--m", "5", "--forbid", "C4_3,F5_BAR", "--types", "1,3",
+        "--out", out_path,
+    )
+    assert code == 0
+    assert rows(out)["block_dims"] == "2,8,7"
+    code, _, err = run(
+        capsys, "emit-sdp", "--m", "5", "--types", "1,2", "--out", out_path
+    )
+    assert code == 1
+    assert err == "error: type size 2 has the wrong parity for m=5\n"
 
 
 def test_verify_rejects_bad_certificate(capsys, tmp_path):
@@ -407,8 +432,8 @@ def _fuzz_seeds():
     }
 
 
-# Replacement tokens stay small: a file that declares an m above 4 or a
-# block dimension in the millions is valid input that takes long to process.
+# Replacement tokens stay small: a file that declares an m above 4 is valid
+# input that takes long to process.
 _TOKENS = (
     "", "0", "1", "-1", "2", "3", "1/0", "2/3", "-1/2", "0.5", "1e5", "nan",
     "x", "none", "dim", "ff", "#", "=", "n", "m", "bound", "slack", "type",

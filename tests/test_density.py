@@ -6,14 +6,17 @@ from math import comb
 import pytest
 
 from turan3 import families
+from turan3.certificate import inner_product
 from turan3.density import (
     SINGLE_EDGE,
     edge_density,
     p,
     pair_density_table,
+    pair_matrix,
     spanning_profile,
     table_from_text,
     table_to_text,
+    upper_entries,
 )
 from turan3.enumeration import FlagType, enumerate_free, rooted_canonical_key
 from turan3.graphs import blow_up, from_edges, induced_subgraph, named_graph
@@ -136,13 +139,14 @@ def _pair_probability_in_host(host, sigma, t, flag_key_1, flag_key_2):
 def test_empty_type_entries_sum_to_one():
     table = pair_density_table(FlagType(from_edges(0, [])), 3, 6)
     for mat in table.matrices:
-        assert sum(sum(row) for row in mat) == 1
+        assert sum(sum(row) for row in oracles.dense(mat, len(table.flags))) == 1
 
 
 def test_matrices_symmetric():
     fam = families.make_family(named_graph("C4_3"), named_graph("F5_BAR"))
     table = pair_density_table(FlagType(from_edges(1, [])), 3, 5, fam)
-    for mat in table.matrices:
+    for sparse in table.matrices:
+        mat = oracles.dense(sparse, len(table.flags))
         n = len(mat)
         for i in range(n):
             for j in range(n):
@@ -158,7 +162,7 @@ def test_table_against_embedding_oracle():
     t = 2
     for target_idx in (0, len(table.targets) // 2, len(table.targets) - 1):
         target = table.targets[target_idx]
-        mat = table.matrices[target_idx]
+        mat = oracles.dense(table.matrices[target_idx], len(table.flags))
         for i in range(len(table.flags)):
             for j in range(len(table.flags)):
                 want = _pair_probability_in_host(
@@ -182,11 +186,39 @@ def test_host_identity_from_docstring():
                 host, ftype.sigma, t, table.flags[i].key, table.flags[j].key
             )
             rhs = sum(
-                table.matrices[fi][i][j]
+                oracles.dense(table.matrices[fi], len(table.flags))[i][j]
                 * Fraction(prof.get(g.canon_key, 0), total)
                 for fi, g in enumerate(table.targets)
             )
             assert lhs == rhs
+
+
+def test_pair_matrix_matches_dense_form():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        upper = {
+            (i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 4))  # zero included
+            for i in range(n)
+            for j in range(i, n)
+            if rng.random() < 0.3
+        }
+        want = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j), q in upper.items():
+            want[i][j] = want[j][i] = q
+        mat = pair_matrix(upper)
+        assert oracles.dense(mat, n) == want
+        # the form: no zeros, columns ascending, no trailing empty row
+        assert all(x for row in mat for _, x in row)
+        assert all([j for j, _ in row] == sorted({j for j, _ in row}) for row in mat)
+        assert not mat or mat[-1]
+        assert list(upper_entries(mat)) == [
+            (i, j, want[i][j]) for i in range(n) for j in range(i, n) if want[i][j]
+        ]
+        q = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        assert inner_product(q, mat) == sum(
+            q[i][j] * want[i][j] for i in range(n) for j in range(n)
+        )
 
 
 def test_size_validation():

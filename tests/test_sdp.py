@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -150,6 +151,43 @@ def test_parse_rejects_malformed():
         model_from_text(text.replace("blockdims -1 -4", "blockdims -1 2 -4"))
     with pytest.raises(ValueError):
         model_from_text(text.replace("0 1 0 0 1", "0 1 0 0 2"))
+
+
+# Small files declaring large sizes: one 2000-dimensional block, and a
+# million constraints of which only one has its constant-term line.
+_LARGE_DECLARATIONS = (
+    "m 4\nfamily none\nnblocks 3\nblockdims -1 2000 -1\ntypekeys 00\n"
+    "nconstraints 1\n0 1 0 0 1\n1 0 0 0 1/2\n1 1 0 0 1\n1 3 0 0 -1\n",
+    "m 4\nfamily none\nnblocks 2\nblockdims -1 -1000000\n"
+    "nconstraints 1000000\n0 1 0 0 1\n1 0 0 0 1/2\n1 1 0 0 1\n1 2 0 0 -1\n",
+)
+
+
+@pytest.mark.parametrize("text", _LARGE_DECLARATIONS, ids=["dim-2000", "constraints-1e6"])
+def test_parse_allocation_follows_the_text_not_its_declared_sizes(text):
+    tracemalloc.start()
+    try:
+        try:
+            model_from_text(text)
+        except ValueError:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_parse_rejects_more_constraints_than_entries():
+    with pytest.raises(ValueError, match="nconstraints"):
+        model_from_text(_LARGE_DECLARATIONS[1])
+
+
+def test_parse_keeps_a_family_key_with_spaces():
+    model = assemble(4, fam("C4_3"))
+    text = model_to_text(model).replace("family C4_3", "family C4_3,my f5.txt")
+    assert model_from_text(text).family_key == "C4_3,my f5.txt"
+    text = model_to_text(model).replace("family C4_3", "family none")
+    assert model_from_text(text).family_key == ""
 
 
 # ---------------------------------------------------------------------------
