@@ -200,7 +200,9 @@ def verify(cert: Certificate, family: Family | None = None) -> VerifyResult:
     """Check a certificate exactly; Verified implies the density bound holds.
 
     The family may be passed directly; otherwise it is re-resolved from the
-    certificate's family key.
+    certificate's family key.  Pair-density tables come from the per-process
+    memo of pair_density_table, which holds only tables built from the
+    family and the code, so a table assemble built is not built again.
     """
     if family is None:
         try:
@@ -232,9 +234,7 @@ def verify(cert: Certificate, family: Family | None = None) -> VerifyResult:
             return _rejected(f"block {bi}: type size {sigma.n} has wrong parity")
         m_prime = (cert.m + sigma.n) // 2
         try:
-            table = pair_density_table(
-                FlagType(sigma), m_prime, cert.m, family, cached=False
-            )
+            table = pair_density_table(FlagType(sigma), m_prime, cert.m, family)
         except ValueError as exc:
             return _rejected(f"block {bi}: {exc}")
         if block.dim != len(table.flags):

@@ -7,9 +7,7 @@ decimal.  Exit codes: 0 success, 1 domain error (bad input data, rejected
 certificate), 2 usage error.
 
 Each subcommand accepts --config FILE with plain key=value lines (comments
-with '#'); explicit flags override file values.  The TURAN3_CACHE_DIR
-environment variable, when set, persists pair-density tables across runs;
-verify never reads it.
+with '#'); explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -18,20 +16,13 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from decimal import Decimal, localcontext
+from decimal import localcontext
 from fractions import Fraction
 
 from . import certificate as certificate_mod
 from . import constructions, families, graphs, partition, sdp
-from .density import edge_density, fraction_text, p, parse_fraction
+from .density import edge_density, fraction_text, p, parse_fraction, to_decimal
 from .enumeration import enumerate_free
-from .graphs import Hypergraph3
-
-
-def _decimal50(q: Fraction) -> str:
-    with localcontext() as ctx:
-        ctx.prec = 50
-        return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
 def _emit_rows(rows: list[tuple[str, str]], human: bool, out=None) -> None:
@@ -41,12 +32,6 @@ def _emit_rows(rows: list[tuple[str, str]], human: bool, out=None) -> None:
             print(f"{key}: {value}", file=out)
         else:
             print(f"{key}\t{value}", file=out)
-
-
-def _load_graph_arg(spec: str) -> Hypergraph3:
-    if spec in graphs.NAMED_GRAPHS:
-        return graphs.named_graph(spec)
-    return graphs.load_graph(spec)
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -158,12 +143,15 @@ def cmd_construct(args, parser) -> int:
     rows: list[tuple[str, str]] = []
     if args.report:
         rep = constructions.density_report(spec)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            density_decimal = str(to_decimal(rep.density))
         rows += [
             ("kind", rep.kind),
             ("n", str(rep.n)),
             ("edges", str(rep.edges)),
             ("density", fraction_text(rep.density)),
-            ("density_decimal", _decimal50(rep.density)),
+            ("density_decimal", density_decimal),
             (
                 "limit_density",
                 rep.limit if isinstance(rep.limit, str) else fraction_text(rep.limit),
@@ -200,12 +188,12 @@ def cmd_construct(args, parser) -> int:
 
 def cmd_density(args, parser) -> int:
     _merge_config(args, parser)
-    h = _load_graph_arg(args.graph)
+    h = families.resolve_graph(args.graph)
     rows = []
     if args.edge_density:
         rows.append(("edge_density", fraction_text(edge_density(h))))
     if args.sub:
-        f = _load_graph_arg(args.sub)
+        f = families.resolve_graph(args.sub)
         rows.append((f"p {args.sub}", fraction_text(p(f, h))))
     if not rows:
         raise ValueError("nothing to do: pass --edge-density and/or --sub")
@@ -274,7 +262,7 @@ def cmd_partition(args, parser) -> int:
     _merge_config(args, parser)
     _check_jobs(args, parser)
     xi = parse_fraction(args.xi)
-    h = _load_graph_arg(args.graph)
+    h = families.resolve_graph(args.graph)
     rows: list[tuple[str, str]] = []
     if args.v1 is not None:
         v1 = {int(x) for x in args.v1.split(",")} if args.v1 else set()
@@ -350,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_construct, parser_ref=sub)
 
     sub = subs.add_parser("density", help="induced pattern density and edge density")
-    sub.add_argument("--graph", required=True, help="graph file or built-in name")
-    sub.add_argument("--sub", default="", help="pattern graph file or built-in name")
+    sub.add_argument("--graph", required=True, help="built-in name, hex key or graph file")
+    sub.add_argument("--sub", default="", help="pattern: built-in name, hex key or file")
     sub.add_argument("--edge-density", action="store_true")
     _add_common(sub)
     sub.set_defaults(func=cmd_density, parser_ref=sub)

@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Union
 
+from .density import to_decimal
 from .graphs import Hypergraph3, blow_up, from_edges, named_graph
 
 # Correctly rounded to 50 fractional digits.
@@ -164,16 +165,6 @@ class Fact21Result:
         return self.holds1 and (self.holds2 is not False)
 
 
-def _to_decimal(x) -> Decimal:
-    if isinstance(x, Decimal):
-        return +x
-    if isinstance(x, Fraction):
-        return Decimal(x.numerator) / Decimal(x.denominator)
-    if isinstance(x, int):
-        return Decimal(x)
-    return Decimal(str(x))
-
-
 def fact21_check(x1, x2) -> Fact21Result:
     """Evaluate both simplex inequalities at (x1, x2) with 60-digit precision.
 
@@ -189,8 +180,8 @@ def fact21_check(x1, x2) -> Fact21Result:
     """
     with localcontext() as ctx:
         ctx.prec = _PRECISION
-        a = _to_decimal(x1)
-        b = _to_decimal(x2)
+        a = to_decimal(x1)
+        b = to_decimal(x2)
         if a < 0 or b < 0 or a + b != 1:
             raise ValueError(f"({x1}, {x2}) is not on the unit simplex")
         if b >= 1:

@@ -28,14 +28,13 @@ sparse form, PairMatrix: a tuple of rows, row i listing a (j, value) pair for
 each nonzero entry with j ascending.  Both triangles are stored, and rows
 after the last nonempty one are left out, so a zero matrix is ().
 pair_matrix builds one from upper-triangle entries; upper_entries reads them
-back in row-major order, the order of every text format.
+back in row-major order, the order of program text.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, perm
@@ -53,12 +52,9 @@ from .families import Family
 from .graphs import (
     Hypergraph3,
     _spanning_subsets,
-    decode_key,
     from_edges,
     induced_subgraph,
 )
-
-CACHE_ENV_VAR = "TURAN3_CACHE_DIR"
 
 SINGLE_EDGE = from_edges(3, [(0, 1, 2)])
 
@@ -66,6 +62,17 @@ SINGLE_EDGE = from_edges(3, [(0, 1, 2)])
 def fraction_text(q: Fraction) -> str:
     """'p' for an integer, else 'p/q': the form every output file uses."""
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def to_decimal(x) -> Decimal:
+    """x as a Decimal rounded to the current context's precision."""
+    if isinstance(x, Decimal):
+        return +x
+    if isinstance(x, Fraction):
+        return Decimal(x.numerator) / Decimal(x.denominator)
+    if isinstance(x, int):
+        return Decimal(x)
+    return Decimal(str(x))
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -149,6 +156,8 @@ class PairDensityTable:
     matrices: tuple[PairMatrix, ...]
 
 
+# Tables built by this process, keyed by the labelled type: a table's flags
+# and matrices depend on how sigma is labelled, not only on its class.
 _memory_cache: dict[tuple, PairDensityTable] = {}
 
 
@@ -157,13 +166,12 @@ def _family_signature(family: Family) -> tuple:
 
 
 def pair_density_table(
-    ftype: FlagType, m_prime: int, m: int, family: Family = (), cached: bool = True
+    ftype: FlagType, m_prime: int, m: int, family: Family = ()
 ) -> PairDensityTable:
     """Symmetric rational pair-density matrices, one per admissible target.
 
-    cached=False builds the table afresh and neither reads nor writes the
-    in-process or disk caches; the certificate verifier uses it so that no
-    mutable file can change a verification result.
+    Tables are memoised per process.  Each one was built here from the family
+    and the code, so the certificate verifier reads them as well.
     """
     s = ftype.size
     if 2 * m_prime - s > m:
@@ -173,17 +181,11 @@ def pair_density_table(
         )
     if m_prime < s:
         raise ValueError("flag size below type size")
-    if not cached:
-        return _build_table(ftype, m_prime, m, family)
-    cache_key = (ftype.key, m_prime, m, _family_signature(family))
-    hit = _memory_cache.get(cache_key)
-    if hit is not None:
-        return hit
-    table = _load_disk_cache(cache_key, family)
+    cache_key = (ftype.sigma, m_prime, m, _family_signature(family))
+    table = _memory_cache.get(cache_key)
     if table is None:
         table = _build_table(ftype, m_prime, m, family)
-        _store_disk_cache(cache_key, table)
-    _memory_cache[cache_key] = table
+        _memory_cache[cache_key] = table
     return table
 
 
@@ -251,125 +253,3 @@ def _build_table(
         targets=tuple(targets),
         matrices=tuple(matrices),
     )
-
-
-# ---------------------------------------------------------------------------
-# Text serialization and optional disk cache
-
-
-_HEADER_FIELDS = (
-    "type", "m_prime", "m", "family", "nflags", "ntargets", "nentries", "sha256"
-)
-
-
-def _entries_digest(entry_lines: list[str]) -> str:
-    return hashlib.sha256("".join(line + "\n" for line in entry_lines).encode()).hexdigest()
-
-
-def table_to_text(table: PairDensityTable) -> str:
-    entries = [
-        f"{fi} {i} {j} {q.numerator}/{q.denominator}"
-        for fi, mat in enumerate(table.matrices)
-        for i, j, q in upper_entries(mat)
-    ]
-    lines = [
-        f"type {table.ftype.sigma.canon_key.hex()}",
-        f"m_prime {table.m_prime}",
-        f"m {table.m}",
-        f"family {table.family_key if table.family_key else 'none'}",
-        f"nflags {len(table.flags)}",
-        f"ntargets {len(table.targets)}",
-        f"nentries {len(entries)}",
-        f"sha256 {_entries_digest(entries)}",
-    ]
-    return "\n".join(lines + entries) + "\n"
-
-
-def table_from_text(text: str, family: Family | None = None) -> PairDensityTable:
-    """Rebuild a table from its text form.
-
-    Flags and targets are re-derived from (type, sizes, family), so the type
-    graph named in the header must be reachable from the family universe;
-    entries are then checked against the declared counts, the entry count
-    and the SHA-256 of the entry lines.  Any mismatch raises ValueError.
-    """
-    header: dict[str, str] = {}
-    entry_lines: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] in _HEADER_FIELDS:
-            header[parts[0]] = " ".join(parts[1:])
-        else:
-            entry_lines.append(line)
-    for name in _HEADER_FIELDS:
-        if name not in header:
-            raise ValueError(f"table has no {name!r} line")
-    if len(entry_lines) != int(header["nentries"]):
-        raise ValueError(f"table has {len(entry_lines)} entries, not {header['nentries']}")
-    if _entries_digest(entry_lines) != header["sha256"]:
-        raise ValueError("table entries do not match their SHA-256")
-    if family is None:
-        family = families_mod.parse_family(header["family"])
-    m_prime = int(header["m_prime"])
-    m = int(header["m"])
-    members = [fm.graph for fm in family]
-    flags_ind = [fm.induced for fm in family]
-    sigma = decode_key(bytes.fromhex(header["type"]))
-    ftype = FlagType(sigma)
-    flag_list = enumerate_flags(ftype, m_prime, members, flags_ind)
-    targets = enumerate_free(m, members, flags_ind)
-    if len(flag_list) != int(header["nflags"]) or len(targets) != int(header["ntargets"]):
-        raise ValueError("table header counts do not match the derived basis")
-    uppers: list[dict[tuple[int, int], Fraction]] = [{} for _ in targets]
-    for line in entry_lines:
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"expected 4 fields per entry line, got {line!r}")
-        fi, i, j = int(parts[0]), int(parts[1]), int(parts[2])
-        if not (0 <= fi < len(targets) and 0 <= i <= j < len(flag_list)):
-            raise ValueError(f"entry index out of range: {line!r}")
-        uppers[fi][i, j] = parse_fraction(parts[3])
-    return PairDensityTable(
-        ftype=ftype,
-        m_prime=m_prime,
-        m=m,
-        family_key=families_mod.family_key(family),
-        flags=tuple(flag_list),
-        targets=tuple(targets),
-        matrices=tuple(pair_matrix(upper) for upper in uppers),
-    )
-
-
-def _cache_path(cache_key: tuple) -> str | None:
-    root = os.environ.get(CACHE_ENV_VAR)
-    if not root:
-        return None
-    digest = hashlib.sha256(repr(cache_key).encode()).hexdigest()[:24]
-    return os.path.join(root, f"pairdensity-{digest}.txt")
-
-
-def _load_disk_cache(cache_key: tuple, family: Family) -> PairDensityTable | None:
-    """The cached table, or None when there is none or it fails its checks."""
-    path = _cache_path(cache_key)
-    if path is None or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return table_from_text(fh.read(), family)
-    except ValueError:
-        return None
-
-
-def _store_disk_cache(cache_key: tuple, table: PairDensityTable) -> None:
-    """Write the table through a temporary file, so no reader sees half of it."""
-    path = _cache_path(cache_key)
-    if path is None:
-        return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(table_to_text(table))
-    os.replace(tmp, path)

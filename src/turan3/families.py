@@ -2,8 +2,11 @@
 
 A family is an ordered tuple of members; each member is a graph plus a flag
 saying whether containment is induced.  The textual form is a comma-separated
-list of built-in names or graph-file paths, with an optional "induced:"
-prefix per member, e.g. "C4_3,F5_BAR" or "F32,induced:F32_BAR".
+list of members, each a built-in name, a canonical hex key or a graph-file
+path (see resolve_graph), with an optional "induced:" prefix per member,
+e.g. "C4_3,F5_BAR" or "F32,induced:F32_BAR".  family_key writes every member
+as a built-in name or a hex key, so a key written into a program or a
+certificate names no file.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graphs
+from .enumeration import SOFT_VERTEX_LIMIT
 from .graphs import Hypergraph3
 
 
@@ -56,12 +60,31 @@ def family_key(family: Family) -> str:
     return ",".join(m.label() for m in family)
 
 
-def parse_family(spec: str) -> Family:
-    """Parse a family spec string.
+def resolve_graph(spec: str) -> Hypergraph3:
+    """The graph a spec names: a built-in name, a canonical hex key, else a file path.
 
-    Each comma-separated item names a built-in graph, a hex canonical key is
-    not accepted as input here; unknown names are treated as file paths.
-    An empty spec (or "none") is the empty family.
+    Keys of graphs on more than SOFT_VERTEX_LIMIT vertices are read as
+    paths: no program or certificate has targets that large, and canonical
+    labelling of a large symmetric graph takes unbounded time.
+    """
+    if spec in graphs.NAMED_GRAPHS:
+        return graphs.named_graph(spec)
+    try:
+        raw = bytes.fromhex(spec)
+        g = graphs.decode_key(raw)
+    except ValueError:
+        pass
+    else:
+        if raw.hex() == spec and g.n <= SOFT_VERTEX_LIMIT and g.canon_key == raw:
+            return g
+    return graphs.load_graph(spec)
+
+
+def parse_family(spec: str) -> Family:
+    """Parse a family spec string; an empty spec (or "none") is the empty family.
+
+    A member given by built-in name keeps that name; any other member is
+    named by builtin_name, so its label is a built-in name or a hex key.
     """
     spec = spec.strip()
     if not spec or spec.lower() == "none":
@@ -69,17 +92,10 @@ def parse_family(spec: str) -> Family:
     members = []
     for item in spec.split(","):
         item = item.strip()
-        induced = False
-        if item.startswith("induced:"):
-            induced = True
+        induced = item.startswith("induced:")
+        if induced:
             item = item[len("induced:"):]
-        if item in graphs.NAMED_GRAPHS:
-            g = graphs.named_graph(item)
-            members.append(FamilyMember(g, induced, item))
-        else:
-            # Anything else is a graph file path; the path is kept as the
-            # member's name so family keys written to certificates re-parse.
-            g = graphs.load_graph(item)
-            members.append(FamilyMember(g, induced, item))
+        g = resolve_graph(item)
+        name = item if item in graphs.NAMED_GRAPHS else builtin_name(g)
+        members.append(FamilyMember(g, induced, name))
     return tuple(members)
-

@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
+from .density import to_decimal
 from .graphs import Hypergraph3, Triple
 
 
@@ -201,24 +202,14 @@ def low_degree_set(h: Hypergraph3, delta, pi_val) -> tuple[tuple[int, ...], Deci
     with localcontext() as ctx:
         ctx.prec = 50
         ctx.rounding = ROUND_FLOOR
-        d = _as_decimal(delta)
+        d = to_decimal(delta)
         if d <= 0:
             raise ValueError("delta must be positive")
-        pi = _as_decimal(pi_val)
+        pi = to_decimal(pi_val)
         threshold = (pi / 2 - 4 * d.sqrt()) * h.n * h.n
     degs = h.degrees
     members = tuple(v for v in range(h.n) if degs[v] <= threshold)
     return members, threshold
-
-
-def _as_decimal(x) -> Decimal:
-    if isinstance(x, Decimal):
-        return +x
-    if isinstance(x, Fraction):
-        return Decimal(x.numerator) / Decimal(x.denominator)
-    if isinstance(x, int):
-        return Decimal(x)
-    return Decimal(str(x))
 
 
 def degree_gap_check(h: Hypergraph3) -> tuple[int, int, bool]:

@@ -51,8 +51,8 @@ class SdpModel:
     obj: tuple[Fraction, ...]  # per admissible graph, its edge density
     type_keys: tuple[bytes, ...]
     type_dims: tuple[int, ...]
-    # pair matrices indexed [constraint][type block]
-    pair_matrices: tuple[tuple[PairMatrix, ...], ...]
+    # per type block, its nonzero pair matrices by constraint index
+    pair_matrices: tuple[dict[int, PairMatrix], ...]
 
     @property
     def n_constraints(self) -> int:
@@ -129,8 +129,8 @@ def assemble(
         type_dims.append(len(table.flags))
         per_type_tables.append(table)
     pair_matrices = tuple(
-        tuple(table.matrices[fi] for table in per_type_tables)
-        for fi in range(len(targets))
+        {fi: mat for fi, mat in enumerate(table.matrices) if mat}
+        for table in per_type_tables
     )
     return SdpModel(
         m=m,
@@ -164,8 +164,8 @@ def model_to_text(model: SdpModel) -> str:
         fi = r - 1
         lines.append(f"{r} 0 0 0 {fraction_text(model.obj[fi])}")
         lines.append(f"{r} 1 0 0 1")
-        for t, mat in enumerate(model.pair_matrices[fi]):
-            for i, j, q in upper_entries(mat):
+        for t, block in enumerate(model.pair_matrices):
+            for i, j, q in upper_entries(block.get(fi, ())):
                 lines.append(f"{r} {t + 2} {i} {j} {fraction_text(-q)}")
         lines.append(f"{r} {slack_block} {fi} {fi} -1")
     return "\n".join(lines) + "\n"
@@ -212,7 +212,8 @@ def model_from_text(text: str) -> SdpModel:
     if len(type_keys) != len(type_dims):
         raise ValueError("typekeys count disagrees with PSD block count")
     obj: list[Fraction | None] = [None] * k
-    uppers: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
+    # per type block, the upper-triangle entries of each constraint's matrix
+    uppers: list[dict[int, dict[tuple[int, int], Fraction]]] = [{} for _ in type_dims]
     slack_block = len(dims)
     for r, b, i, j, value in entries:
         if r == 0:
@@ -234,12 +235,12 @@ def model_from_text(text: str) -> SdpModel:
             t = b - 2
             if not 0 <= t < len(type_dims) or not (0 <= i <= j < type_dims[t]):
                 raise ValueError(f"entry outside declared block: {(r, b, i, j)}")
-            uppers.setdefault((fi, t), {})[i, j] = -value
+            uppers[t].setdefault(fi, {})[i, j] = -value
     if any(o is None for o in obj):
         raise ValueError("missing constant term for some constraint")
     pair_matrices = tuple(
-        tuple(pair_matrix(uppers.get((fi, t), {})) for t in range(len(type_dims)))
-        for fi in range(k)
+        {fi: mat for fi, upper in block.items() if (mat := pair_matrix(upper))}
+        for block in uppers
     )
     return SdpModel(
         m=m,

@@ -16,8 +16,8 @@ from turan3.certificate import (
     verify,
 )
 from turan3.enumeration import enumerate_free
-from turan3.graphs import named_graph
-from turan3.sdp import lp_certificate
+from turan3.graphs import from_edges, named_graph
+from turan3.sdp import assemble, lp_certificate
 
 import oracles
 from cert_helpers import make_sos_certificate, minor_sign_psd_oracle, recompute_margins
@@ -318,32 +318,26 @@ def test_certificate_text_parse_errors():
     assert certificate_from_text(good + "# trailing comment\n") == certificate_from_text(good)
 
 
-def test_verify_ignores_disk_cache(tmp_path, monkeypatch):
+def test_verify_reuses_the_tables_assemble_built(monkeypatch):
     import turan3.density as density_mod
 
-    family = fam("C4_3")
-    cert = make_sos_certificate(4, family)
-    want = verify(cert, family)
-    assert want.ok and want.notes == ()
-    # Fill a cache with this certificate's tables, then drop the second half
-    # of each file's entry lines and restate the entry count and digest to
-    # match: the file passes the cache's own checks, and loading it would
-    # zero the missing entries.
-    monkeypatch.setenv(density_mod.CACHE_ENV_VAR, str(tmp_path))
+    family = fam("C4_3", "F5_BAR")
     monkeypatch.setattr(density_mod, "_memory_cache", {})
-    recompute_margins(cert, family)
-    files = list(tmp_path.iterdir())
-    assert len(files) == len(cert.blocks)
-    for path in files:
-        lines = path.read_text().splitlines()
-        header, entries = lines[:6], lines[8:]
-        assert len(entries) >= 2
-        kept = entries[: len(entries) // 2]
-        digest = density_mod._entries_digest(kept)
-        path.write_text(
-            "\n".join(header + [f"nentries {len(kept)}", f"sha256 {digest}"] + kept)
-            + "\n"
-        )
-        assert density_mod.table_from_text(path.read_text(), family)
-    monkeypatch.setattr(density_mod, "_memory_cache", {})
-    assert verify(cert, family) == want
+    assemble(5, family, use_default_types=True)
+    cert = make_sos_certificate(5, family)
+    assert cert.blocks
+    built = []
+    build = density_mod._build_table
+    monkeypatch.setattr(
+        density_mod, "_build_table", lambda *args: built.append(args) or build(*args)
+    )
+    assert verify(cert).ok
+    assert built == []
+
+
+def test_non_builtin_member_survives_the_certificate_text():
+    g = from_edges(4, [(0, 1, 2), (0, 1, 3)])
+    family = families.make_family(g)
+    cert = certificate_from_text(certificate_to_text(lp_certificate(4, family)))
+    assert cert.family_key == g.canon_key.hex()
+    assert verify(cert).ok

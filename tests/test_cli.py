@@ -119,18 +119,19 @@ def test_density_unknown_name_is_domain_error(capsys):
     assert code == 1
 
 
-def _emit_round_verify_lp(capsys, tmp_path, forbid):
+def _emit_round_verify_lp(capsys, tmp_path, forbid, bound=Fraction(3, 4), remove=None):
+    """emit-sdp, round and verify the LP bound; remove a file before verify."""
     model_path = tmp_path / "m.sdp"
     code, out, _ = run(
         capsys, "emit-sdp", "--m", "4", "--forbid", forbid,
         "--types", "none", "--out", str(model_path),
     )
     assert code == 0
-    assert rows(out)["lp_bound"] == "3/4"
+    assert rows(out)["lp_bound"] == str(bound)
 
     # hand-written solver output matching the LP optimum
     model = assemble(4, families.parse_family(forbid))
-    floats = [0.75] + [float(Fraction(3, 4) - o) for o in model.obj]
+    floats = [float(bound)] + [float(bound - o) for o in model.obj]
     sol_path = tmp_path / "sol.txt"
     sol_path.write_text(" ".join(str(x) for x in floats) + "\n")
     cert_path = tmp_path / "cert.txt"
@@ -139,11 +140,13 @@ def _emit_round_verify_lp(capsys, tmp_path, forbid):
         "--den-bound", "65536", "--out", str(cert_path),
     )
     assert code == 0
-    assert rows(out)["bound"] == "3/4"
+    assert rows(out)["bound"] == str(bound)
 
+    if remove is not None:
+        remove.unlink()
     code, out, _ = run(capsys, "verify", "--cert", str(cert_path))
     assert code == 0
-    assert out.splitlines()[0] == "VERIFIED bound=3/4"
+    assert out.splitlines()[0] == f"VERIFIED bound={bound}"
 
 
 def test_emit_sdp_and_round_and_verify(capsys, tmp_path):
@@ -154,6 +157,14 @@ def test_family_file_with_a_space_survives_round(capsys, tmp_path):
     path = tmp_path / "my f5.txt"
     path.write_text(graphs.graph_to_text(graphs.named_graph("F5")))
     _emit_round_verify_lp(capsys, tmp_path, f"C4_3,{path}")
+
+
+def test_verify_opens_no_family_file(capsys, tmp_path):
+    # two edges sharing a pair, not a built-in: the program names it by key
+    path = tmp_path / "pair.txt"
+    graphs.save_graph(graphs.from_edges(4, [(0, 1, 2), (0, 1, 3)]), str(path))
+    _emit_round_verify_lp(capsys, tmp_path, str(path), Fraction(1, 4), remove=path)
+    assert "family 04000203010203\n" in (tmp_path / "m.sdp").read_text()
 
 
 def test_emit_sdp_type_sizes(capsys, tmp_path):

@@ -14,8 +14,6 @@ from turan3.density import (
     pair_density_table,
     pair_matrix,
     spanning_profile,
-    table_from_text,
-    table_to_text,
     upper_entries,
 )
 from turan3.enumeration import FlagType, enumerate_free, rooted_canonical_key
@@ -226,31 +224,6 @@ def test_size_validation():
         pair_density_table(FlagType(from_edges(1, [])), 4, 5)  # 2*4-1 = 7 > 5
 
 
-def test_table_round_trip():
-    fam = families.make_family(named_graph("C4_3"))
-    table = pair_density_table(FlagType(from_edges(1, [])), 3, 5, fam)
-    text = table_to_text(table)
-    back = table_from_text(text)
-    assert back.matrices == table.matrices
-    assert back.family_key == table.family_key
-    assert [f.key for f in back.flags] == [f.key for f in table.flags]
-
-
-def test_disk_cache(tmp_path, monkeypatch):
-    import turan3.density as density_mod
-
-    monkeypatch.setenv(density_mod.CACHE_ENV_VAR, str(tmp_path))
-    density_mod._memory_cache.clear()
-    fam = families.make_family(named_graph("F32"), named_graph("C5_3_MINUS"))
-    t1 = pair_density_table(FlagType(from_edges(1, [])), 3, 5, fam)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    density_mod._memory_cache.clear()
-    t2 = pair_density_table(FlagType(from_edges(1, [])), 3, 5, fam)
-    assert t1.matrices == t2.matrices
-    density_mod._memory_cache.clear()
-
-
 def test_p_matches_per_subset_iso_oracle():
     rng = random.Random(11)
     for _ in range(40):
@@ -267,70 +240,16 @@ def test_p_matches_per_subset_iso_oracle():
         assert p(f, h) == Fraction(hits, comb(n, k))
 
 
-def _cache_files(tmp_path):
-    return sorted(path for path in tmp_path.iterdir() if path.suffix == ".txt")
-
-
-def test_truncated_cache_file_is_rebuilt(tmp_path, monkeypatch):
+def test_memo_keeps_labellings_of_one_type_apart(monkeypatch):
     import turan3.density as density_mod
-    from turan3.sdp import assemble, model_to_text
 
-    fam = families.parse_family("C4_3")
-    monkeypatch.delenv(density_mod.CACHE_ENV_VAR, raising=False)
+    # Two labellings of the one-edge 4-vertex type have different tables.
+    fam = families.parse_family("F32,C5_3_MINUS")
     monkeypatch.setattr(density_mod, "_memory_cache", {})
-    want = model_to_text(assemble(5, fam, use_default_types=True))
-
-    monkeypatch.setenv(density_mod.CACHE_ENV_VAR, str(tmp_path))
-    monkeypatch.setattr(density_mod, "_memory_cache", {})
-    assert model_to_text(assemble(5, fam, use_default_types=True)) == want
-    files = _cache_files(tmp_path)
-    assert files
-    intact = {path: path.read_text() for path in files}
-    # Drop the second half of each file's entry lines.
-    for path, text in intact.items():
-        lines = text.splitlines(keepends=True)
-        header, entries = lines[:8], lines[8:]
-        assert len(entries) >= 2
-        path.write_text("".join(header + entries[: len(entries) // 2]))
-
-    monkeypatch.setattr(density_mod, "_memory_cache", {})
-    assert model_to_text(assemble(5, fam, use_default_types=True)) == want
-    # each damaged file was treated as a miss and written again, atomically
-    assert {path: path.read_text() for path in _cache_files(tmp_path)} == intact
-    assert not [path for path in tmp_path.iterdir() if path.suffix == ".tmp"]
-
-
-def _replace_line(text, prefix, new):
-    return "".join(
-        new + "\n" if line.startswith(prefix) else line
-        for line in text.splitlines(keepends=True)
-    )
-
-
-def test_table_from_text_rejects_damaged_text():
-    fam = families.make_family(named_graph("C4_3"))
-    table = pair_density_table(FlagType(from_edges(1, [])), 3, 5, fam)
-    text = table_to_text(table)
-    lines = text.splitlines()
-    entry = lines[-1].split()
-    negative = " ".join(["-1"] + entry[1:])
-    damaged = [
-        "\n".join(lines[:-1]) + "\n",  # an entry line removed
-        _replace_line(text, "nentries", "nentries 1"),
-        "\n".join(lines[:-1] + [" ".join(entry[:3] + ["7/3"])]) + "\n",
-        _replace_line(text, "sha256", "sha256 00"),
-        "\n".join(line for line in lines if not line.startswith("sha256")) + "\n",
-    ]
-    for bad in damaged:
-        with pytest.raises(ValueError):
-            table_from_text(bad, fam)
-    # an out-of-range index fails even with a matching count and digest
-    from turan3.density import _entries_digest
-
-    entries = lines[8:-1] + [negative]
-    forged = "\n".join(
-        lines[:6] + [f"nentries {len(entries)}", f"sha256 {_entries_digest(entries)}"]
-        + entries
-    ) + "\n"
-    with pytest.raises(ValueError, match="out of range"):
-        table_from_text(forged, fam)
+    fresh = []
+    for edges in ([(0, 1, 2)], [(1, 2, 3)]):
+        ftype = FlagType(from_edges(4, edges))
+        fresh.append(density_mod._build_table(ftype, 5, 6, fam))
+        assert pair_density_table(ftype, 5, 6, fam) == fresh[-1]
+    assert fresh[0].flags != fresh[1].flags
+    assert fresh[0].matrices != fresh[1].matrices

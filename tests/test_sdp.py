@@ -153,17 +153,23 @@ def test_parse_rejects_malformed():
         model_from_text(text.replace("0 1 0 0 1", "0 1 0 0 2"))
 
 
-# Small files declaring large sizes: one 2000-dimensional block, and a
-# million constraints of which only one has its constant-term line.
+# Small files declaring large sizes: one 2000-dimensional block; a million
+# constraints of which only one has its constant-term line; and 1000 PSD
+# blocks of dimension 1 with 1000 constraints, each only a constant term.
 _LARGE_DECLARATIONS = (
     "m 4\nfamily none\nnblocks 3\nblockdims -1 2000 -1\ntypekeys 00\n"
     "nconstraints 1\n0 1 0 0 1\n1 0 0 0 1/2\n1 1 0 0 1\n1 3 0 0 -1\n",
     "m 4\nfamily none\nnblocks 2\nblockdims -1 -1000000\n"
     "nconstraints 1000000\n0 1 0 0 1\n1 0 0 0 1/2\n1 1 0 0 1\n1 2 0 0 -1\n",
+    "m 4\nfamily none\nnblocks 1002\nblockdims -1" + " 1" * 1000 + " -1000\n"
+    "typekeys" + " 00" * 1000 + "\nnconstraints 1000\n0 1 0 0 1\n"
+    + "".join(f"{r} 0 0 0 1/2\n" for r in range(1, 1001)),
 )
 
 
-@pytest.mark.parametrize("text", _LARGE_DECLARATIONS, ids=["dim-2000", "constraints-1e6"])
+@pytest.mark.parametrize(
+    "text", _LARGE_DECLARATIONS, ids=["dim-2000", "constraints-1e6", "blocks-by-constraints"]
+)
 def test_parse_allocation_follows_the_text_not_its_declared_sizes(text):
     tracemalloc.start()
     try:
