@@ -124,7 +124,9 @@ def _usable_cpus() -> int:
 
 
 def _check_jobs(args, parser) -> None:
-    """Usage error for a worker count above the CPUs this process may use."""
+    """Usage error for a worker count below 1 or above the CPUs this process may use."""
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     limit = _usable_cpus()
     if args.jobs > limit:
         parser.error(f"--jobs {args.jobs} exceeds the {limit} available CPUs")
@@ -261,6 +263,8 @@ def _one_restart(payload):
 def cmd_partition(args, parser) -> int:
     _merge_config(args, parser)
     _check_jobs(args, parser)
+    if args.restarts < 1:
+        parser.error(f"--restarts must be at least 1, got {args.restarts}")
     xi = parse_fraction(args.xi)
     h = families.resolve_graph(args.graph)
     rows: list[tuple[str, str]] = []

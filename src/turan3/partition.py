@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal, localcontext, ROUND_FLOOR
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
@@ -94,6 +95,32 @@ def _move_deltas(h: Hypergraph3, in_v1: Sequence[bool]) -> list[int]:
     return deltas
 
 
+def _flip(h: Hypergraph3, in_v1: list[bool], deltas: list[int], v: int) -> None:
+    """Move v to the other side and update deltas from the edges at v only.
+
+    Each edge {v, a, b} changes the deltas of a and b by its contribution
+    after the move less its contribution before; every edge at v turns its
+    own contribution to v around, so deltas[v] changes sign.  The edges at
+    v are found by looking up the triples through v in h.edge_set.
+    """
+    edge_set = h.edge_set
+    side = in_v1[v]
+    others = [u for u in range(h.n) if u != v]
+    for a, b in combinations(others, 2):
+        t = (v, a, b) if v < a else (a, v, b) if v < b else (a, b, v)
+        if t not in edge_set:
+            continue
+        k_old = side + in_v1[a] + in_v1[b]
+        k_new = k_old - 1 if side else k_old + 1
+        for u in (a, b):
+            step = -1 if in_v1[u] else 1
+            deltas[u] += (
+                (k_new + step == 2) - (k_new == 2) - (k_old + step == 2) + (k_old == 2)
+            )
+    deltas[v] = -deltas[v]
+    in_v1[v] = not side
+
+
 def is_locally_maximal(h: Hypergraph3, v1, v2) -> bool:
     """True iff no single-vertex move increases the cross-edge count."""
     s1, _ = _check_partition(h, v1, v2)
@@ -116,23 +143,26 @@ def maxcut_local_search(
 
     Steepest single-vertex ascent from each random start; the returned
     partition admits no improving single move, so 6*cross/n^3 is a certified
-    lower bound on the max-cut ratio.
+    lower bound on the max-cut ratio.  The move deltas are computed in full
+    once per restart and then updated after each move (`_flip`).
     """
     if h.n < 1:
         raise ValueError("need at least one vertex")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     rng = random.Random(seed)
     best_cross = -1
     best_assign: list[bool] = []
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         in_v1 = [rng.random() < 0.5 for _ in range(h.n)]
         cross = cross_edge_count(h, {v for v in range(h.n) if in_v1[v]})
+        deltas = _move_deltas(h, in_v1)
         while True:
-            deltas = _move_deltas(h, in_v1)
             v_best = max(range(h.n), key=lambda v: (deltas[v], -v))
             if deltas[v_best] <= 0:
                 break
-            in_v1[v_best] = not in_v1[v_best]
             cross += deltas[v_best]
+            _flip(h, in_v1, deltas, v_best)
         if cross > best_cross:
             best_cross = cross
             best_assign = list(in_v1)

@@ -7,6 +7,7 @@ code paths with the package implementations it audits.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -163,3 +164,33 @@ def psd_elimination(matrix) -> bool:
                 for j in range(k, n):
                     a[i][j] -= factor * a[k][j]
     return True
+
+
+def maxcut_full_recompute(h: Hypergraph3, restarts: int, seed: int):
+    """Steepest-ascent max-cut that recomputes every move delta at every step.
+
+    Same random starts, tie-break (largest gain, then smallest vertex) and
+    choice among restarts as `partition.maxcut_local_search`.  Returns
+    (v1, v2, cross_present).
+    """
+    rng = random.Random(seed)
+    best_cross, best_assign = -1, []
+    for _ in range(restarts):
+        in_v1 = [rng.random() < 0.5 for _ in range(h.n)]
+        cross = sum(1 for e in h.edges if in_v1[e[0]] + in_v1[e[1]] + in_v1[e[2]] == 2)
+        while True:
+            deltas = [0] * h.n
+            for e in h.edges:
+                k = in_v1[e[0]] + in_v1[e[1]] + in_v1[e[2]]
+                for v in e:
+                    k_after = k - 1 if in_v1[v] else k + 1
+                    deltas[v] += (k_after == 2) - (k == 2)
+            v_best = max(range(h.n), key=lambda v: (deltas[v], -v))
+            if deltas[v_best] <= 0:
+                break
+            in_v1[v_best] = not in_v1[v_best]
+            cross += deltas[v_best]
+        if cross > best_cross:
+            best_cross, best_assign = cross, list(in_v1)
+    v1 = frozenset(v for v in range(h.n) if best_assign[v])
+    return v1, frozenset(range(h.n)) - v1, best_cross

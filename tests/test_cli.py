@@ -365,6 +365,29 @@ def test_jobs_bound_is_the_affinity_set(capsys, monkeypatch, tmp_path):
     assert "1 available CPUs" in capsys.readouterr().err
 
 
+def _usage_error_lines(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+
+
+@pytest.mark.parametrize("restarts", ["0", "-1"])
+def test_restarts_below_one_is_usage_error(capsys, restarts):
+    errors = _usage_error_lines(capsys, ["partition", "--graph", "K4_3", "--restarts", restarts])
+    assert len(errors) == 1 and "--restarts" in errors[0]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_usage_error(capsys, jobs):
+    for argv in (
+        ["construct", "--kind", "brec", "--n", "8", "--check-free", "C4_3", "--jobs", jobs],
+        ["partition", "--graph", "K4_3", "--restarts", "4", "--jobs", jobs],
+    ):
+        errors = _usage_error_lines(capsys, argv)
+        assert len(errors) == 1 and "--jobs" in errors[0]
+
+
 def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "turan3.cli", "density", "--graph", "F5", "--edge-density"],

@@ -27,6 +27,8 @@ from turan3.partition import (
     prop33_expr,
 )
 
+import oracles
+
 
 def random_graph(n, prob, rng):
     edges = [t for t in combinations(range(n), 3) if rng.random() < prob]
@@ -128,6 +130,39 @@ def test_maxcut_vs_exhaustive():
         if res.cross_present == exact:
             agree += 1
     assert agree >= 27
+
+
+def test_flip_keeps_the_move_deltas_exact():
+    import turan3.partition as partition_mod
+
+    # a wrong update can make the ascent cycle forever, so check each
+    # step against the full recount before running whole searches
+    rng = random.Random(53)
+    for n in range(3, 16):
+        h = random_graph(n, rng.random(), rng)
+        in_v1 = [rng.random() < 0.5 for _ in range(n)]
+        deltas = partition_mod._move_deltas(h, in_v1)
+        for _ in range(20):
+            partition_mod._flip(h, in_v1, deltas, rng.randrange(n))
+            assert deltas == partition_mod._move_deltas(h, in_v1)
+
+
+def test_maxcut_matches_full_recompute_oracle():
+    rng = random.Random(47)
+    for n in range(5, 31):
+        h = random_graph(n, 0.1 + 0.8 * rng.random(), rng)
+        for _ in range(3):
+            seed = rng.randint(0, 10**6)
+            restarts = rng.randint(1, 6)
+            res = maxcut_local_search(h, restarts=restarts, seed=seed)
+            v1, v2, cross = oracles.maxcut_full_recompute(h, restarts, seed)
+            assert (res.v1, res.v2, res.cross_present) == (v1, v2, cross)
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_maxcut_rejects_restarts_below_one(restarts):
+    with pytest.raises(ValueError, match="restarts"):
+        maxcut_local_search(from_edges(4, [(0, 1, 2)]), restarts=restarts)
 
 
 def test_not_locally_maximal_instance():
