@@ -231,6 +231,8 @@ def cmd_emit_sdp(args, parser) -> int:
 
 def cmd_round(args, parser) -> int:
     _merge_config(args, parser)
+    if args.den_bound < 1:
+        parser.error(f"--den-bound must be at least 1, got {args.den_bound}")
     model = sdp.parse_sdp(args.model)
     floats = sdp.read_solution(args.solution)
     cert = sdp.round_solution(model, floats, args.den_bound)

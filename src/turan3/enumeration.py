@@ -5,41 +5,27 @@ attachments (the new vertex's link, a set of vertex pairs) are taken one per
 orbit of the parent's automorphism group, and a child survives only when its
 newly added vertex lies in the same automorphism orbit as the canonical
 deletion vertex.  Together these two filters produce every isomorphism class
-exactly once, so no global seen-set is needed.
-
-Non-induced forbidden members prune at every level (their absence is
-hereditary under vertex deletion); induced members are filtered at the final
-size only, following the conservative policy.
+exactly once, so no global seen-set is needed.  Family-freeness, induced
+members included, is hereditary under vertex deletion, so it prunes children
+at every level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .graphs import (
     CanonicalData,
     Hypergraph3,
-    contains_induced,
-    contains_sub,
+    is_family_free,
     relabel,
     rooted_canonical_key,
+    type_embeddings,
 )
 
 SOFT_VERTEX_LIMIT = 7
-
-
-def _split_family(
-    family: Sequence[Hypergraph3], induced_flags: Sequence[bool] | None
-) -> tuple[list[Hypergraph3], list[Hypergraph3]]:
-    if induced_flags is None:
-        induced_flags = [False] * len(family)
-    if len(induced_flags) != len(family):
-        raise ValueError("induced_flags length must match family length")
-    noninduced = [f for f, ind in zip(family, induced_flags) if not ind]
-    induced = [f for f, ind in zip(family, induced_flags) if ind]
-    return noninduced, induced
 
 
 def _attachment_orbit_reps(k: int, auts: Sequence[tuple[int, ...]]) -> Iterable[int]:
@@ -117,8 +103,9 @@ def enumerate_free(
 
     Output is sorted by canonical key and is exhaustive: every family-free
     m-vertex graph is isomorphic to exactly one member.  Results are
-    memoised per process by (m, member classes); each call returns a new
-    list, so callers may mutate it.
+    memoised per process by m and the class and induced flag of each member
+    on at most m vertices (larger members cannot occur, so they are never
+    labelled); each call returns a new list, so callers may mutate it.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -126,23 +113,21 @@ def enumerate_free(
         raise ValueError(
             f"m={m} exceeds the soft limit {SOFT_VERTEX_LIMIT}; pass allow_large=True"
         )
-    noninduced, induced = _split_family(family, induced_flags)
-    noninduced = [f for f in noninduced if f.n <= m]
-    induced = [f for f in induced if f.n <= m]
-    memo_key = (
-        m,
-        frozenset(f.canon_key for f in noninduced),
-        frozenset(f.canon_key for f in induced),
-    )
+    if induced_flags is None:
+        induced_flags = [False] * len(family)
+    if len(induced_flags) != len(family):
+        raise ValueError("induced_flags length must match family length")
+    kept = [(f, ind) for f, ind in zip(family, induced_flags) if f.n <= m]
+    memo_key = (m, frozenset((f.canon_key, ind) for f, ind in kept))
     found = _free_memo.get(memo_key)
     if found is None:
-        found = tuple(_generate_free(m, noninduced, induced))
+        found = tuple(_generate_free(m, [f for f, _ in kept], [ind for _, ind in kept]))
         _free_memo[memo_key] = found
     return list(found)
 
 
 def _generate_free(
-    m: int, noninduced: Sequence[Hypergraph3], induced: Sequence[Hypergraph3]
+    m: int, family: Sequence[Hypergraph3], induced_flags: Sequence[bool]
 ) -> list[Hypergraph3]:
     level = [Hypergraph3(0, ())]
     for k in range(m):
@@ -152,18 +137,12 @@ def _generate_free(
             auts = parent.canonical.automorphisms
             for mask in _attachment_orbit_reps(k, auts):
                 child = _extend(parent, mask, pairs)
-                if any(
-                    f.n <= child.n and contains_sub(child, f) for f in noninduced
-                ):
+                if not is_family_free(child, family, induced_flags):
                     continue
                 data = child.canonical
                 if _new_vertex_is_canonical(child, data):
                     next_level.append(data.graph)
         level = sorted(next_level, key=lambda g: g.canon_key)
-    if induced:
-        level = [
-            g for g in level if not any(contains_induced(g, f) for f in induced)
-        ]
     return level
 
 
@@ -198,50 +177,6 @@ class Flag:
         return rooted_canonical_key(self.graph, self.roots)
 
 
-def type_embeddings(target: Hypergraph3, sigma: Hypergraph3) -> list[tuple[int, ...]]:
-    """All ordered injections of the labeled type into target, exact on edges.
-
-    theta qualifies iff for every triple of root positions, the image triple
-    is a target edge exactly when the positions form a sigma edge.  Roots are
-    placed one at a time in increasing vertex order, and a prefix is dropped
-    as soon as a triple of placed roots disagrees with sigma, so the result
-    comes in the lexicographic order of itertools.permutations.
-    """
-    s = sigma.n
-    n = target.n
-    sigma_edges = sigma.edge_set
-    # every ordering of every edge, so unsorted triples can be looked up
-    target_edges = {e for edge in target.edges for e in permutations(edge)}
-    # checks[k]: (i, j, wanted) for each triple of positions closing at k
-    checks = [
-        [(i, j, (i, j, k) in sigma_edges) for i, j in combinations(range(k), 2)]
-        for k in range(s)
-    ]
-    out: list[tuple[int, ...]] = []
-    theta: list[int] = []
-    used = [False] * n
-
-    def extend(k: int) -> None:
-        if k == s:
-            out.append(tuple(theta))
-            return
-        for v in range(n):
-            if used[v]:
-                continue
-            if all(
-                ((theta[i], theta[j], v) in target_edges) == wanted
-                for i, j, wanted in checks[k]
-            ):
-                used[v] = True
-                theta.append(v)
-                extend(k + 1)
-                theta.pop()
-                used[v] = False
-
-    extend(0)
-    return out
-
-
 def enumerate_flags(
     ftype: FlagType,
     m_prime: int,
@@ -258,11 +193,8 @@ def enumerate_flags(
     s = ftype.size
     if s > m_prime:
         raise ValueError(f"type size {s} exceeds flag size {m_prime}")
-    noninduced, induced = _split_family(family, induced_flags)
     sigma = ftype.sigma
-    if any(f.n <= s and contains_sub(sigma, f) for f in noninduced) or any(
-        f.n <= s and contains_induced(sigma, f) for f in induced
-    ):
+    if not is_family_free(sigma, family, induced_flags):
         raise ValueError("type graph is not family-free; no flags exist")
 
     flags: dict[bytes, Flag] = {}

@@ -36,10 +36,14 @@ def builtin_name(g: Hypergraph3) -> str | None:
     """Name of the built-in isomorphic to g, if any.
 
     Names are tried in sorted order, so the complete 4-graph resolves to
-    C4_3 rather than its alias K4_3.
+    C4_3 rather than its alias K4_3.  Canonical keys are compared only after
+    the vertex count, edge count and degrees agree, so a member that is no
+    built-in, however large, is never labelled here.
     """
+    invariants = (g.n, len(g.edges), sorted(g.degrees))
     for name in graphs.NAMED_GRAPHS:
-        if graphs.named_graph(name).canon_key == g.canon_key:
+        b = graphs.named_graph(name)
+        if (b.n, len(b.edges), sorted(b.degrees)) == invariants and b.canon_key == g.canon_key:
             return name
     return None
 

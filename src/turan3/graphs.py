@@ -4,14 +4,18 @@ Vertices are always 0-based integers 0..n-1.  Edges are 3-element subsets
 stored as sorted triples in a sorted tuple, so two equal graphs compare equal
 as values.  Graphs are immutable; every operation returns a new graph.
 
-This is the only module that searches a small graph.  _canonical_search
-(color refinement, then every relabeling within the refined cells, keeping
-the least edge tuple and the permutations reaching it) serves both
-canonical_data, whose permutations give the automorphism group the
-isomorph-free generator needs, and rooted_canonical_key; it is meant for the
-enumeration scale, n <= 12 or so.  _spanning_subsets is the one k-subset
-scan for copies of f: density.p counts it, contains_induced and
-exhaustive_containment_scan take its first subset.
+This is the only module that searches a small graph, and it has two
+searches.  _canonical_search (color refinement, then every relabeling within
+the refined cells, keeping the least edge tuple and the permutations reaching
+it) decides isomorphism classes: it serves canonical_data, whose permutations
+give the automorphism group the isomorph-free generator needs, and
+rooted_canonical_key; it is meant for the enumeration scale, n <= 12 or so.
+_injections (backtracking over vertex images, pruned by degree and by every
+triple a placed vertex completes) decides containment: contains_sub,
+contains_induced and type_embeddings are single calls of it, and
+_spanning_subsets, the one k-subset scan behind density.p and
+exhaustive_containment_scan, runs it as a bijection search on each subset.
+Canonical labeling never decides containment.
 """
 
 from __future__ import annotations
@@ -243,49 +247,84 @@ def decode_key(raw: bytes) -> Hypergraph3:
 # Containment
 
 
-def contains_sub(h: Hypergraph3, f: Hypergraph3) -> bool:
-    """Non-induced containment: some injection V(f) -> V(h) maps edges to edges."""
-    if f.n > h.n:
-        return False
-    if not f.edges:
-        return True
+def _degree_order(f: Hypergraph3) -> list[int]:
+    """f's vertices by decreasing degree, ties by label."""
     f_deg = f.degrees
-    # Place high-degree vertices first; a placed vertex must immediately
-    # complete every f-edge whose vertices are all placed.
-    order = sorted(range(f.n), key=lambda v: -f_deg[v])
-    pos_in_order = {v: i for i, v in enumerate(order)}
-    edges_closing_at: list[list[Triple]] = [[] for _ in range(f.n)]
-    for e in f.edges:
-        last = max(pos_in_order[v] for v in e)
-        edges_closing_at[last].append(e)
+    return sorted(range(f.n), key=lambda v: -f_deg[v])
+
+
+def _injections(
+    f: Hypergraph3, h: Hypergraph3, order: Sequence[int], exact: bool
+) -> Iterator[tuple[int, ...]]:
+    """Each injection V(f) -> V(h) that maps f-edges to h-edges.
+
+    With exact, non-edges must also land on non-edges (an induced copy).
+    Each injection is yielded as the tuple of images of f's vertices
+    0..f.n-1.  f's vertices are placed in the given order; each takes the
+    unused h-vertices of at least its own degree in increasing order, and a
+    placed vertex must at once satisfy every f-triple it completes, so
+    injections come in the lexicographic order of their images along order.
+    """
+    if f.n > h.n:
+        return
+    f_deg = f.degrees
     h_deg = h.degrees
     h_edges = h.edge_set
+    f_edges = f.edge_set
+    pos_in_order = {v: i for i, v in enumerate(order)}
+    # closing[i]: (a, b, c, is_edge) for each f-triple whose last vertex in
+    # order is order[i]; non-edges only when exact.
+    closing: list[list[tuple[int, int, int, bool]]] = [[] for _ in range(f.n)]
+    for t in combinations(range(f.n), 3) if exact else f.edges:
+        a, b, c = t
+        closing[max(pos_in_order[a], pos_in_order[b], pos_in_order[c])].append(
+            (a, b, c, t in f_edges)
+        )
     assignment: dict[int, int] = {}
     used = [False] * h.n
 
-    def place(i: int) -> bool:
+    def place(i: int) -> Iterator[tuple[int, ...]]:
         if i == f.n:
-            return True
+            yield tuple(assignment[v] for v in range(f.n))
+            return
         v = order[i]
         need = f_deg[v]
         for cand in range(h.n):
             if used[cand] or h_deg[cand] < need:
                 continue
             assignment[v] = cand
-            ok = True
-            for a, b, c in edges_closing_at[i]:
-                if _sorted_triple(assignment[a], assignment[b], assignment[c]) not in h_edges:
-                    ok = False
+            for a, b, c, is_edge in closing[i]:
+                if (
+                    _sorted_triple(assignment[a], assignment[b], assignment[c]) in h_edges
+                ) is not is_edge:
                     break
-            if ok:
+            else:
                 used[cand] = True
-                if place(i + 1):
-                    return True
+                yield from place(i + 1)
                 used[cand] = False
-            del assignment[v]
-        return False
 
-    return place(0)
+    yield from place(0)
+
+
+def contains_sub(h: Hypergraph3, f: Hypergraph3) -> bool:
+    """Non-induced containment: some injection V(f) -> V(h) maps edges to edges."""
+    return next(_injections(f, h, _degree_order(f), False), None) is not None
+
+
+def contains_induced(h: Hypergraph3, f: Hypergraph3) -> bool:
+    """Induced containment: some injection maps edges to edges and non-edges to non-edges."""
+    return next(_injections(f, h, _degree_order(f), True), None) is not None
+
+
+def type_embeddings(target: Hypergraph3, sigma: Hypergraph3) -> list[tuple[int, ...]]:
+    """All ordered injections of the labeled type into target, exact on edges.
+
+    theta qualifies iff for every triple of root positions, the image triple
+    is a target edge exactly when the positions form a sigma edge.  Roots are
+    placed in label order, so the result comes in the lexicographic order of
+    itertools.permutations.
+    """
+    return list(_injections(sigma, target, range(sigma.n), True))
 
 
 def induced_subgraph(h: Hypergraph3, vertices: Sequence[int]) -> Hypergraph3:
@@ -307,32 +346,26 @@ def _spanning_subsets(
 ) -> Iterator[tuple[int, ...]]:
     """Each |V(f)|-subset of V(h), in combinations order, that spans a copy of f.
 
-    Induced: the subset's induced graph is isomorphic to f.  Otherwise f
-    embeds in it on all of its vertices.  Subsets are first filtered by
-    their edge count (== for induced, >= otherwise) before the degree and
-    key comparison or the bijection search.
+    A subset is first filtered by its edge count (== for induced, >=
+    otherwise); then a bijection search from f onto its induced graph,
+    exact when induced, decides it.
     """
     want = len(f.edges)
-    f_degs = sorted(f.degrees)
+    order = _degree_order(f)
     h_edge_set = h.edge_set
+    local_triples = list(combinations(range(f.n), 3))
     for sub in combinations(range(h.n), f.n):
         count = 0
         for t in combinations(sub, 3):
             if t in h_edge_set:
                 count += 1
-        if induced:
-            if count != want:
-                continue
-            g = induced_subgraph(h, sub)
-            if sorted(g.degrees) == f_degs and g.canon_key == f.canon_key:
+        if count == want if induced else count >= want:
+            # sub's induced graph, relabeled 0..k-1 in sub's order
+            g = Hypergraph3(f.n, tuple(
+                e for e, t in zip(local_triples, combinations(sub, 3)) if t in h_edge_set
+            ))
+            if next(_injections(f, g, order, induced), None) is not None:
                 yield sub
-        elif count >= want and _spanning_embeds(f, induced_subgraph(h, sub)):
-            yield sub
-
-
-def contains_induced(h: Hypergraph3, f: Hypergraph3) -> bool:
-    """True iff some |V(f)|-subset of V(h) spans a copy of f."""
-    return next(_spanning_subsets(h, f, True), None) is not None
 
 
 def is_family_free(
@@ -370,24 +403,6 @@ def exhaustive_containment_scan(
     """
     witness = next(_spanning_subsets(h, f, induced), None)
     return witness is not None, witness
-
-
-def _spanning_embeds(f: Hypergraph3, g: Hypergraph3) -> bool:
-    """Some bijection V(f) -> V(g), |V(f)| = |V(g)|, maps f-edges onto g-edges."""
-    f_degs = sorted(f.degrees)
-    g_degs = sorted(g.degrees)
-    if any(fd > gd for fd, gd in zip(f_degs, g_degs)):
-        return False
-    g_edges = g.edge_set
-    for p in permutations(range(g.n)):
-        good = True
-        for a, b, c in f.edges:
-            if _sorted_triple(p[a], p[b], p[c]) not in g_edges:
-                good = False
-                break
-        if good:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

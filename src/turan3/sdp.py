@@ -273,6 +273,8 @@ def rational_upper_bound(x, max_denominator: int) -> Fraction:
     the best semiconvergent straddle x, and whichever lies above is optimal
     on that side.
     """
+    if max_denominator < 1:
+        raise ValueError(f"denominator bound must be at least 1, got {max_denominator}")
     target = Fraction(x)
     if target.denominator <= max_denominator:
         return target

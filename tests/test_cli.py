@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import turan3
 from turan3 import certificate, families, graphs
 from turan3.cli import main
 from turan3.sdp import assemble, lp_certificate
@@ -378,6 +379,30 @@ def test_restarts_below_one_is_usage_error(capsys, restarts):
     assert len(errors) == 1 and "--restarts" in errors[0]
 
 
+@pytest.mark.parametrize("den_bound", ["0", "-3"])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_den_bound_below_one_is_usage_error(capsys, tmp_path, den_bound, via_config):
+    model_path = tmp_path / "m.sdp"
+    code, _, _ = run(
+        capsys, "emit-sdp", "--m", "4", "--forbid", "C4_3", "--out", str(model_path)
+    )
+    assert code == 0
+    model = assemble(4, families.parse_family("C4_3"))
+    sol_path = tmp_path / "sol.txt"
+    sol_path.write_text(" ".join(["0.75"] + ["0.1"] * model.n_constraints) + "\n")
+    argv = ["round", "--model", str(model_path), "--solution", str(sol_path),
+            "--out", str(tmp_path / "cert.txt")]
+    if via_config:
+        config = tmp_path / "round.cfg"
+        config.write_text(f"den-bound = {den_bound}\n")
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--den-bound", den_bound]
+    errors = _usage_error_lines(capsys, argv)
+    assert len(errors) == 1 and "--den-bound" in errors[0]
+    assert not (tmp_path / "cert.txt").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_is_usage_error(capsys, jobs):
     for argv in (
@@ -389,10 +414,15 @@ def test_jobs_below_one_is_usage_error(capsys, jobs):
 
 
 def test_installed_entry_point():
+    # The child must import the package these tests import, installed or not.
+    root = os.path.dirname(os.path.dirname(turan3.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "turan3.cli", "density", "--graph", "F5", "--edge-density"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "edge_density\t3/10"

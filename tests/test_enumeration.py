@@ -82,6 +82,18 @@ def test_induced_member_filtering():
     assert len(reps) == len(got_ind)
 
 
+def test_induced_member_prunes_every_level_m6():
+    # Filtering after the last level is the reference for pruning at each level.
+    f32, f32_bar = named_graph("F32"), named_graph("F32_BAR")
+    got = enumerate_free(6, [f32, f32_bar], [False, True])
+    want = [
+        g.canon_key
+        for g in enumerate_free(6, [f32])
+        if not oracles.contains_brute(g, f32_bar, induced=True)
+    ]
+    assert [g.canon_key for g in got] == want
+
+
 def test_deterministic_order():
     a = enumerate_free(5, [named_graph("C4_3")])
     b = enumerate_free(5, [named_graph("C4_3")])

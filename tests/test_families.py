@@ -3,7 +3,9 @@ import time
 import pytest
 
 from turan3 import families, graphs
-from turan3.graphs import from_edges, named_graph
+from turan3.cli import main
+from turan3.enumeration import SOFT_VERTEX_LIMIT
+from turan3.graphs import Hypergraph3, from_edges, named_graph
 
 # Two edges sharing a pair: not a built-in.
 PAIR = from_edges(4, [(0, 1, 2), (0, 1, 3)])
@@ -50,3 +52,21 @@ def test_family_key_names_no_file(tmp_path):
     assert [(m.graph.canon_key, m.induced) for m in again] == [
         (m.graph.canon_key, m.induced) for m in family
     ]
+
+
+def test_large_member_file_is_never_labelled(tmp_path, monkeypatch):
+    # Labelling the edgeless 12-vertex graph would try 12! relabellings.
+    real = graphs.canonical_data
+
+    def small_only(h):
+        assert h.n <= SOFT_VERTEX_LIMIT, f"canonical labelling of a {h.n}-vertex graph"
+        return real(h)
+
+    monkeypatch.setattr(graphs, "canonical_data", small_only)
+    path = tmp_path / "empty12.txt"
+    graphs.save_graph(Hypergraph3(12, ()), str(path))
+    (member,) = families.parse_family(str(path))
+    assert member.graph.n == 12 and member.name is None
+    out = tmp_path / "enum.txt"
+    assert main(["enumerate", "--m", "5", "--forbid", str(path), "--out", str(out)]) == 0
+    assert out.read_text().endswith("count 34\n")

@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turan3 import graphs
+from turan3 import density, graphs
 from turan3.graphs import (
     Hypergraph3,
     blow_up,
@@ -175,8 +176,8 @@ def test_contains_induced_examples():
 def test_containment_against_brute_force():
     rng = random.Random(11)
     pats = [named_graph("F5"), named_graph("C5_3_MINUS"), from_edges(4, [(0, 1, 2), (0, 1, 3)])]
-    for _ in range(25):
-        h = random_graph(6, rng.random(), rng)
+    hosts = [random_graph(n, rng.random(), rng) for n in (6, 7, 8) for _ in range(25)]
+    for h in hosts:
         for f in pats:
             assert contains_sub(h, f) == oracles.contains_brute(h, f, induced=False)
             assert contains_induced(h, f) == oracles.contains_brute(h, f, induced=True)
@@ -188,11 +189,35 @@ def test_exhaustive_scan_matches_backtracking():
     for _ in range(15):
         h = random_graph(7, rng.random(), rng)
         for f in pats:
-            found, witness = exhaustive_containment_scan(h, f)
-            assert found == contains_sub(h, f)
-            if found:
-                sub = graphs.induced_subgraph(h, witness)
-                assert oracles.contains_brute(sub, f)
+            for induced, contains in ((False, contains_sub), (True, contains_induced)):
+                found, witness = exhaustive_containment_scan(h, f, induced)
+                assert found == contains(h, f)
+                if found:
+                    sub = graphs.induced_subgraph(h, witness)
+                    assert oracles.contains_brute(sub, f, induced=induced)
+
+
+def test_containment_never_labels(monkeypatch):
+    def refuse(h):
+        raise AssertionError("containment called canonical_data")
+
+    rng = random.Random(19)
+    hosts = [random_graph(7, rng.random(), rng) for _ in range(10)]
+    monkeypatch.setattr(graphs, "canonical_data", refuse)
+    for h in hosts:
+        for name in ("F5", "C5_3_MINUS", "F32_BAR"):
+            f = named_graph(name)
+            want = oracles.contains_brute(h, f, induced=True)
+            assert contains_induced(h, f) == want
+            assert exhaustive_containment_scan(h, f, induced=True)[0] == want
+        single = from_edges(3, [(0, 1, 2)])
+        assert density.p(single, h) == Fraction(len(h.edges), comb(7, 3))
+        c5_minus = named_graph("C5_3_MINUS")
+        hits = sum(
+            oracles.contains_brute(graphs.induced_subgraph(h, sub), c5_minus, induced=True)
+            for sub in combinations(range(7), 5)
+        )
+        assert density.p(c5_minus, h) == Fraction(hits, comb(7, 5))
 
 
 def test_contains_monotone_under_edge_addition():

@@ -225,6 +225,18 @@ def test_rational_upper_bound_small_oracle():
         assert got >= x and got.denominator <= n
 
 
+@pytest.mark.parametrize("bound", [0, -3])
+def test_denominator_bound_below_one_is_rejected(bound):
+    model = assemble(4, fam("C4_3"))
+    floats = [0.75, 0.75, 0.5, 0.25, 0.0]
+    with pytest.raises(ValueError):
+        rational_upper_bound(0.75, bound)
+    with pytest.raises(ValueError):
+        best_rational(0.75, bound)
+    with pytest.raises(ValueError):
+        round_solution(model, floats, bound)
+
+
 def test_round_solution_builds_certificate():
     model = assemble(4, fam("C4_3"))
     u = float(model.lp_value())
