@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import certificate as certificate_mod
 from . import constructions, families, graphs, partition, sdp
 from .density import edge_density, fraction_text, p, parse_fraction, to_decimal
-from .enumeration import enumerate_free
+from .enumeration import SOFT_VERTEX_LIMIT, enumerate_free
 
 
 def _emit_rows(rows: list[tuple[str, str]], human: bool, out=None) -> None:
@@ -77,6 +77,10 @@ def cmd_enumerate(args, parser) -> int:
     family = families.parse_family(args.forbid)
     members = [fm.graph for fm in family]
     flags = [fm.induced for fm in family]
+    if args.m > SOFT_VERTEX_LIMIT and not args.allow_large:
+        raise ValueError(
+            f"m={args.m} exceeds the soft limit {SOFT_VERTEX_LIMIT}; pass --allow-large"
+        )
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         found = enumerate_free(args.m, members, flags, allow_large=args.allow_large)

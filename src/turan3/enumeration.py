@@ -1,13 +1,27 @@
 """Isomorph-free generation of family-free 3-graphs and typed flags.
 
-Generation is by canonical augmentation: graphs grow one vertex at a time,
-attachments (the new vertex's link, a set of vertex pairs) are taken one per
-orbit of the parent's automorphism group, and a child survives only when its
-newly added vertex lies in the same automorphism orbit as the canonical
-deletion vertex.  Together these two filters produce every isomorphism class
+Generation is by canonical augmentation (McKay, J. Algorithms 26, 1998):
+graphs grow one vertex at a time, attachments (the new vertex's link, a set
+of vertex pairs) are taken one per orbit of the parent's automorphism group,
+and a child survives only when its newly added vertex lies in the same
+automorphism orbit as the canonical deletion vertex, the one at canonical
+slot n-1.  Together these two filters produce every isomorphism class
 exactly once, so no global seen-set is needed.  Family-freeness, induced
-members included, is hereditary under vertex deletion, so it prunes children
-at every level.
+members included, is hereditary under vertex deletion, so it prunes
+children at every level, the empty root included.
+
+Each child meets the cheapest checks first.  The first two are implied by
+the orbit test, so the output is the same as without them:
+
+1. the new vertex has the child's largest degree;
+2. it lies in the top cell of the child's refined colouring, which is
+   computed once and reused by the labelling;
+3. the child is family-free;
+4. the child is labelled and the orbit test decides.
+
+An accepted child is labelled once: its canonical form comes with its own
+labelling primed (see graphs.CanonicalData), so sorting a level and
+extending it as a parent search nothing again.
 """
 
 from __future__ import annotations
@@ -76,6 +90,26 @@ def _extend(parent: Hypergraph3, mask: int, pairs: Sequence[tuple[int, int]]) ->
     return Hypergraph3(new + 1, tuple(sorted(edges)))
 
 
+def _has_top_degree(child: Hypergraph3) -> bool:
+    """The new vertex has the child's largest degree.
+
+    Refinement orders colour cells by degree first, so a vertex below the
+    largest degree is outside the top cell (see _in_top_cell).
+    """
+    deg = child.degrees
+    return deg[-1] == max(deg)
+
+
+def _in_top_cell(child: Hypergraph3) -> bool:
+    """The new vertex lies in the top cell of the child's refined colouring.
+
+    Canonical slot n-1 lies in the top cell, and automorphisms keep each
+    cell, so a new vertex outside it fails _new_vertex_is_canonical.
+    """
+    colors = child.refined_colors
+    return colors[-1] == max(colors)
+
+
 def _new_vertex_is_canonical(child: Hypergraph3, data: CanonicalData) -> bool:
     """Accept iff the last-added vertex sits in the canonical deletion orbit.
 
@@ -106,13 +140,12 @@ def enumerate_free(
     memoised per process by m and the class and induced flag of each member
     on at most m vertices (larger members cannot occur, so they are never
     labelled); each call returns a new list, so callers may mutate it.
+    m above SOFT_VERTEX_LIMIT raises unless allow_large is set.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > SOFT_VERTEX_LIMIT and not allow_large:
-        raise ValueError(
-            f"m={m} exceeds the soft limit {SOFT_VERTEX_LIMIT}; pass allow_large=True"
-        )
+        raise ValueError(f"m={m} exceeds the soft limit {SOFT_VERTEX_LIMIT}")
     if induced_flags is None:
         induced_flags = [False] * len(family)
     if len(induced_flags) != len(family):
@@ -129,7 +162,8 @@ def enumerate_free(
 def _generate_free(
     m: int, family: Sequence[Hypergraph3], induced_flags: Sequence[bool]
 ) -> list[Hypergraph3]:
-    level = [Hypergraph3(0, ())]
+    root = Hypergraph3(0, ())
+    level = [root] if is_family_free(root, family, induced_flags) else []
     for k in range(m):
         pairs = list(combinations(range(k), 2))
         next_level: list[Hypergraph3] = []
@@ -137,7 +171,11 @@ def _generate_free(
             auts = parent.canonical.automorphisms
             for mask in _attachment_orbit_reps(k, auts):
                 child = _extend(parent, mask, pairs)
-                if not is_family_free(child, family, induced_flags):
+                if not (
+                    _has_top_degree(child)
+                    and _in_top_cell(child)
+                    and is_family_free(child, family, induced_flags)
+                ):
                     continue
                 data = child.canonical
                 if _new_vertex_is_canonical(child, data):

@@ -5,11 +5,13 @@ stored as sorted triples in a sorted tuple, so two equal graphs compare equal
 as values.  Graphs are immutable; every operation returns a new graph.
 
 This is the only module that searches a small graph, and it has two
-searches.  _canonical_search (color refinement, then every relabeling within
-the refined cells, keeping the least edge tuple and the permutations reaching
-it) decides isomorphism classes: it serves canonical_data, whose permutations
+searches.  _canonical_search (every relabeling within the cells of a refined
+colouring, keeping the least edge tuple and the permutations reaching it)
+decides isomorphism classes: it serves canonical_data, whose permutations
 give the automorphism group the isomorph-free generator needs, and
 rooted_canonical_key; it is meant for the enumeration scale, n <= 12 or so.
+A graph's refined colouring is its cached refined_colors, which the
+generator reads before it decides to label.
 _injections (backtracking over vertex images, pruned by degree and by every
 triple a placed vertex completes) decides containment: contains_sub,
 contains_induced and type_embeddings are single calls of it, and
@@ -58,6 +60,11 @@ class Hypergraph3:
             d[b] += 1
             d[c] += 1
         return tuple(d)
+
+    @cached_property
+    def refined_colors(self) -> tuple[int, ...]:
+        """The label-invariant colouring _refine_colors gives from all-equal colours."""
+        return tuple(_refine_colors(self.n, self.edges))
 
     @cached_property
     def canonical(self) -> "CanonicalData":
@@ -142,16 +149,17 @@ def _refine_colors(
 
 
 def _canonical_search(
-    n: int, edges: Sequence[Triple], initial: Sequence[int] | None = None
+    n: int, edges: Sequence[Triple], colors: Sequence[int]
 ) -> tuple[tuple[Triple, ...], list[Perm]]:
     """Least relabeled edge tuple, and every perm (v -> perm[v]) reaching it.
 
-    Tries every relabeling that sorts vertices by refined color, free within
-    each cell; cells are laid out in increasing color order, so the
-    candidate set is the same for any isomorphic input.
+    colors is a refined colouring from _refine_colors.  Tries every
+    relabeling that sorts vertices by color, free within each cell; cells
+    are laid out in increasing color order, so the candidate set is the
+    same for any isomorphic input, and the top cell takes the top labels.
     """
     cells: dict[int, list[int]] = {}
-    for v, c in enumerate(_refine_colors(n, edges, initial)):
+    for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
     best: tuple[Triple, ...] | None = None
     best_perms: list[Perm] = []
@@ -171,11 +179,18 @@ def _canonical_search(
 
 @dataclass(frozen=True)
 class CanonicalData:
-    """Canonical representative plus the symmetry data the generator needs."""
+    """Canonical representative plus the symmetry data the generator needs.
+
+    A graph is labelled once: canonical_data reads the graph's cached
+    refined_colors, and it primes the representative's own cached
+    canonical (same key, the identity as to_canonical, the automorphisms
+    conjugated onto it), so sorting by key, extending the representative
+    and any later canon_key of it search nothing again.
+    """
 
     key: bytes
     graph: Hypergraph3
-    to_canonical: Perm  # one relabeling achieving the key
+    to_canonical: Perm  # some relabeling v -> to_canonical[v] that reaches the key
     automorphisms: tuple[Perm, ...]  # full automorphism group
 
 
@@ -189,17 +204,27 @@ def _encode(n: int, edges: Sequence[Triple]) -> bytes:
 def canonical_data(h: Hypergraph3) -> CanonicalData:
     if h.n > 255:
         raise ValueError("canonical labeling supports at most 255 vertices")
-    best, best_perms = _canonical_search(h.n, h.edges)
+    best, best_perms = _canonical_search(h.n, h.edges, h.refined_colors)
     p0 = best_perms[0]
     inv0 = [0] * h.n
     for v, img in enumerate(p0):
         inv0[img] = v
-    auts = tuple(tuple(inv0[q[v]] for v in range(h.n)) for q in best_perms)
+    key = _encode(h.n, best)
+    graph = Hypergraph3(h.n, best)
+    # Each q reaching best maps h onto graph, so q p0^-1 is an automorphism
+    # of graph and p0^-1 q one of h.  Writing graph's cached_property slot
+    # directly is how a frozen instance takes a precomputed value.
+    object.__setattr__(graph, "canonical", CanonicalData(
+        key=key,
+        graph=graph,
+        to_canonical=tuple(range(h.n)),
+        automorphisms=tuple(tuple(q[inv0[x]] for x in range(h.n)) for q in best_perms),
+    ))
     return CanonicalData(
-        key=_encode(h.n, best),
-        graph=Hypergraph3(h.n, best),
+        key=key,
+        graph=graph,
         to_canonical=p0,
-        automorphisms=auts,
+        automorphisms=tuple(tuple(inv0[q[v]] for v in range(h.n)) for q in best_perms),
     )
 
 
@@ -214,7 +239,8 @@ def rooted_canonical_key(h: Hypergraph3, roots: Sequence[int]) -> bytes:
     root_pos = {v: i for i, v in enumerate(roots)}
     # Seed refinement with singleton colors for the roots: they stay the
     # smallest colors, so every candidate relabeling pins root i to label i.
-    best, _ = _canonical_search(h.n, h.edges, [root_pos.get(v, s) for v in range(h.n)])
+    colors = _refine_colors(h.n, h.edges, [root_pos.get(v, s) for v in range(h.n)])
+    best, _ = _canonical_search(h.n, h.edges, colors)
     return bytes([s]) + _encode(h.n, best)
 
 

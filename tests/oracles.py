@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive: factorial-time isomorphism, full
 injection scans, classify-after-generate enumeration.  None of it shares
-code paths with the package implementations it audits.
+code paths with the package implementations it audits, except
+generate_free_labelling_every_child: it is the package's generator with its
+shortcuts taken out, so it shares the orbit representatives and the
+canonical search, and audits only the shortcuts.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from turan3.graphs import Hypergraph3
+from turan3.enumeration import _attachment_orbit_reps, _extend, _new_vertex_is_canonical
+from turan3.graphs import Hypergraph3, canonical_data, is_family_free
 
 
 def sorted_triple(a, b, c):
@@ -93,6 +97,30 @@ def enumerate_free_brute(m: int, members, induced_flags):
         if family_free_brute(g, members, induced_flags)
     )
     return classify_by_iso(free)
+
+
+def generate_free_labelling_every_child(m: int, members, induced_flags):
+    """Canonical augmentation with every family-free child labelled afresh.
+
+    No degree or colour pre-check, and no cached labelling is read: each
+    parent and child goes through canonical_data.  So enumerate_free must
+    return the same graphs in the same order.
+    """
+    root = Hypergraph3(0, ())
+    level = [root] if is_family_free(root, members, induced_flags) else []
+    for k in range(m):
+        pairs = list(combinations(range(k), 2))
+        found = []
+        for parent in level:
+            for mask in _attachment_orbit_reps(k, canonical_data(parent).automorphisms):
+                child = _extend(parent, mask, pairs)
+                if not is_family_free(child, members, induced_flags):
+                    continue
+                data = canonical_data(child)
+                if _new_vertex_is_canonical(child, data):
+                    found.append((data.key, data.graph))
+        level = [g for _, g in sorted(found, key=lambda kg: kg[0])]
+    return level
 
 
 def rooted_iso_brute(g1: Hypergraph3, roots1, g2: Hypergraph3, roots2) -> bool:

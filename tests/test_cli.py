@@ -52,6 +52,24 @@ def test_enumerate_guard_is_domain_error(capsys):
     assert "soft limit" in err
 
 
+def test_soft_limit_error_names_only_the_subcommands_options(capsys, tmp_path):
+    code, _, err = run(capsys, "enumerate", "--m", "9")
+    assert code == 1
+    assert err == "error: m=9 exceeds the soft limit 7; pass --allow-large\n"
+    code, out, err = run(capsys, "emit-sdp", "--m", "8", "--out", str(tmp_path / "m.sdp"))
+    assert code == 1
+    assert out == ""
+    assert err == "error: m=8 exceeds the soft limit 7\n"
+
+
+def test_enumerate_root_obeys_a_zero_vertex_member(capsys, tmp_path):
+    member = tmp_path / "k0.txt"
+    member.write_text("n 0\n")
+    code, out, _ = run(capsys, "enumerate", "--m", "0", "--forbid", str(member))
+    assert code == 0
+    assert out == "count 0\n"
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate"])  # missing required --m

@@ -1,15 +1,21 @@
 import time
+from itertools import combinations
 
 import pytest
 
 from turan3.enumeration import (
     FlagType,
+    _attachment_orbit_reps,
+    _extend,
+    _has_top_degree,
+    _in_top_cell,
+    _new_vertex_is_canonical,
     enumerate_flags,
     enumerate_free,
     rooted_canonical_key,
     type_embeddings,
 )
-from turan3.graphs import Hypergraph3, from_edges, named_graph
+from turan3.graphs import Hypergraph3, canonical_data, from_edges, named_graph, relabel
 
 import oracles
 
@@ -159,6 +165,71 @@ def test_enumerate_m6_empty_family_count_burnside():
         total += 1 << cycles
     expected = total // 720
     assert len(enumerate_free(6)) == expected
+
+
+GENERATOR_FAMILIES = {
+    "empty": ([], []),
+    "C4_3,F5_BAR": ([named_graph("C4_3"), named_graph("F5_BAR")], [False, False]),
+    "F32,C5_3_MINUS": ([named_graph("F32"), named_graph("C5_3_MINUS")], [False, False]),
+    "F32,induced:F32_BAR": ([named_graph("F32"), named_graph("F32_BAR")], [False, True]),
+    "0-vertex member": ([Hypergraph3(0, ())], [False]),
+    "1-vertex member": ([Hypergraph3(1, ())], [False]),
+    "edgeless 3-vertex member": ([Hypergraph3(3, ())], [False]),
+    "member larger than m": ([named_graph("C4_3"), Hypergraph3(6, ())], [False, False]),
+}
+
+
+@pytest.mark.parametrize("famname", sorted(GENERATOR_FAMILIES))
+@pytest.mark.parametrize("m", range(6))
+def test_generator_matches_labelling_every_child(m, famname):
+    members, flags = GENERATOR_FAMILIES[famname]
+    want = oracles.generate_free_labelling_every_child(m, members, flags)
+    assert enumerate_free(m, members, flags) == want
+
+
+def test_generator_matches_labelling_every_child_m6():
+    members, flags = GENERATOR_FAMILIES["F32,C5_3_MINUS"]
+    want = oracles.generate_free_labelling_every_child(6, members, flags)
+    assert len(want) == 125
+    assert enumerate_free(6, members, flags) == want
+
+
+def test_root_passes_the_family_filter():
+    k0 = Hypergraph3(0, ())
+    assert enumerate_free(0) == [k0]
+    assert enumerate_free(0, [k0]) == []
+    assert enumerate_free(0, [Hypergraph3(1, ())]) == [k0]
+
+
+def test_pre_checks_are_implied_by_the_orbit_test():
+    # Every child the generator forms up to m=6 from the empty family.
+    degree_rejects = colour_rejects = 0
+    for k in range(6):
+        pairs = list(combinations(range(k), 2))
+        for parent in enumerate_free(k):
+            for mask in _attachment_orbit_reps(k, parent.canonical.automorphisms):
+                child = _extend(parent, mask, pairs)
+                in_top_cell = _in_top_cell(child)
+                if not _has_top_degree(child):
+                    degree_rejects += 1
+                    assert not in_top_cell
+                if not in_top_cell:
+                    colour_rejects += 1
+                    assert not _new_vertex_is_canonical(child, canonical_data(child))
+    assert 0 < degree_rejects < colour_rejects
+
+
+@pytest.mark.parametrize("famname", ["empty", "C4_3,F5_BAR"])
+def test_enumerated_graphs_carry_their_own_labelling(famname):
+    members, flags = GENERATOR_FAMILIES[famname]
+    for g in enumerate_free(6, members, flags):
+        assert "canonical" in vars(g)  # primed, not computed on first use
+        primed = g.canonical
+        fresh = canonical_data(Hypergraph3(g.n, g.edges))
+        assert primed.graph == g
+        assert primed.key == fresh.key
+        assert set(primed.automorphisms) == set(fresh.automorphisms)
+        assert relabel(g, primed.to_canonical) == fresh.graph
 
 
 # ---------------------------------------------------------------------------
