@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import families as families_mod
-from .density import SINGLE_EDGE, PairMatrix, fraction_text, p, pair_density_table, parse_fraction
+from .density import PairMatrix, edge_density, fraction_text, pair_density_table, parse_fraction
 from .enumeration import SOFT_VERTEX_LIMIT, FlagType, enumerate_free
 from .families import Family
 from .graphs import decode_key
@@ -249,7 +249,7 @@ def verify(cert: Certificate, family: Family | None = None) -> VerifyResult:
 
     notes = []
     for idx, target in enumerate(targets):
-        margin = cert.bound - p(SINGLE_EDGE, target)
+        margin = cert.bound - edge_density(target)
         for block, table in zip(cert.blocks, block_tables):
             margin -= inner_product(block.matrix, table.matrices[idx])
         if margin < 0:

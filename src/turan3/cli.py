@@ -13,9 +13,7 @@ with '#'); explicit flags override file values.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from decimal import localcontext
 from fractions import Fraction
 
@@ -81,9 +79,9 @@ def cmd_enumerate(args, parser) -> int:
         raise ValueError(
             f"m={args.m} exceeds the soft limit {SOFT_VERTEX_LIMIT}; pass --allow-large"
         )
+    found = enumerate_free(args.m, members, flags, allow_large=args.allow_large)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        found = enumerate_free(args.m, members, flags, allow_large=args.allow_large)
         for idx, g in enumerate(found):
             print(f"graph {idx}", file=out)
             out.write(graphs.graph_to_text(g))
@@ -120,31 +118,8 @@ def _construction_spec(args) -> constructions.ConstructionSpec:
     return constructions.SemiBipartite(*parts)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity set where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _check_jobs(args, parser) -> None:
-    """Usage error for a worker count below 1 or above the CPUs this process may use."""
-    if args.jobs < 1:
-        parser.error(f"--jobs must be at least 1, got {args.jobs}")
-    limit = _usable_cpus()
-    if args.jobs > limit:
-        parser.error(f"--jobs {args.jobs} exceeds the {limit} available CPUs")
-
-
-def _scan_member(payload):
-    h, member_graph, induced = payload
-    found, witness = graphs.exhaustive_containment_scan(h, member_graph, induced)
-    return found, witness
-
-
 def cmd_construct(args, parser) -> int:
     _merge_config(args, parser)
-    _check_jobs(args, parser)
     spec = _construction_spec(args)
     rows: list[tuple[str, str]] = []
     if args.report:
@@ -172,15 +147,9 @@ def cmd_construct(args, parser) -> int:
         graphs.save_graph(h, args.emit)
         rows.append(("emitted", args.emit))
     if args.check_free:
-        family = families.parse_family(args.check_free)
-        payloads = [(h, fm.graph, fm.induced) for fm in family]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_scan_member, payloads))
-        else:
-            results = [_scan_member(pl) for pl in payloads]
         all_free = True
-        for fm, (found, witness) in zip(family, results):
+        for fm in families.parse_family(args.check_free):
+            found, witness = graphs.exhaustive_containment_scan(h, fm.graph, fm.induced)
             label = fm.label()
             if found:
                 all_free = False
@@ -260,15 +229,8 @@ def cmd_verify(args, parser) -> int:
     return 1
 
 
-def _one_restart(payload):
-    h, seed = payload
-    res = partition.maxcut_local_search(h, restarts=1, seed=seed)
-    return res.cross_present, seed, res
-
-
 def cmd_partition(args, parser) -> int:
     _merge_config(args, parser)
-    _check_jobs(args, parser)
     if args.restarts < 1:
         parser.error(f"--restarts must be at least 1, got {args.restarts}")
     xi = parse_fraction(args.xi)
@@ -278,14 +240,15 @@ def cmd_partition(args, parser) -> int:
         v1 = {int(x) for x in args.v1.split(",")} if args.v1 else set()
         v2 = set(range(h.n)) - v1
     else:
-        payloads = [(h, args.seed + i) for i in range(args.restarts)]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_one_restart, payloads))
-        else:
-            results = [_one_restart(pl) for pl in payloads]
-        best = max(results, key=lambda r: (r[0], -r[1]))
-        v1, v2 = set(best[2].v1), set(best[2].v2)
+        # Restart i is seeded with seed + i; max keeps the first best restart.
+        best = max(
+            (
+                partition.maxcut_local_search(h, restarts=1, seed=args.seed + i)
+                for i in range(args.restarts)
+            ),
+            key=lambda res: res.cross_present,
+        )
+        v1, v2 = set(best.v1), set(best.v2)
     stats = partition.bad_missing(h, v1, v2)
     mu_lower = Fraction(6 * stats.cross_present, h.n**3)
     lhs, rhs, holds = partition.lemma22_gap(h, v1, v2, xi)
@@ -340,10 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--emit", help="write the graph to this path")
     sub.add_argument("--report", action="store_true", help="print the density report")
     sub.add_argument("--check-free", default="", help="family to scan for exhaustively")
-    sub.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel workers for the scan, at most the usable CPUs",
-    )
     _add_common(sub)
     sub.set_defaults(func=cmd_construct, parser_ref=sub)
 
@@ -382,10 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--restarts", type=int, default=32)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--xi", default="0", help="slack coefficient as p/q")
-    sub.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel restarts, at most the usable CPUs",
-    )
     _add_common(sub)
     sub.set_defaults(func=cmd_partition, parser_ref=sub)
 

@@ -16,7 +16,7 @@ ties broken toward a larger first part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
@@ -65,18 +65,28 @@ class SemiBipartite:
 ConstructionSpec = Union[BRec, Partite3, K4Blowup, SemiBipartite]
 
 
-def _validate_brec(spec: BRec) -> None:
-    remaining = spec.n
-    for s in spec.splits:
-        if s < 1:
-            raise ValueError(f"split {s} must be at least 1")
-        if s > remaining:
-            raise ValueError(f"split {s} exceeds the {remaining} remaining vertices")
-        remaining -= s
-    if remaining > 2:
-        raise ValueError(
-            f"{remaining} vertices left unsplit; tails above 2 vertices need a split"
-        )
+def _validate(spec: ConstructionSpec) -> None:
+    """Reject negative sizes of every kind, and brec splits that do not fit n."""
+    if isinstance(spec, (Partite3, K4Blowup, SemiBipartite)):
+        sizes = astuple(spec)
+        if min(sizes) < 0:
+            raise ValueError(
+                f"part sizes must be nonnegative, got {','.join(map(str, sizes))}"
+            )
+    elif isinstance(spec, BRec):
+        if spec.n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {spec.n}")
+        remaining = spec.n
+        for s in spec.splits:
+            if s < 1:
+                raise ValueError(f"split {s} must be at least 1")
+            if s > remaining:
+                raise ValueError(f"split {s} exceeds the {remaining} remaining vertices")
+            remaining -= s
+        if remaining > 2:
+            raise ValueError(
+                f"{remaining} vertices left unsplit; tails above 2 vertices need a split"
+            )
 
 
 def semi_bipartite_edges(v1: range, v2: range) -> list[tuple[int, int, int]]:
@@ -91,8 +101,8 @@ def semi_bipartite_edges(v1: range, v2: range) -> list[tuple[int, int, int]]:
 
 def build(spec: ConstructionSpec) -> Hypergraph3:
     """Materialize a construction spec as a concrete graph."""
+    _validate(spec)
     if isinstance(spec, BRec):
-        _validate_brec(spec)
         edges = []
         offset = 0
         for s in spec.splits:
@@ -247,8 +257,8 @@ def vertex_count(spec: ConstructionSpec) -> int:
 
 def edge_count(spec: ConstructionSpec) -> int:
     """Closed-form edge count; never materializes the graph."""
+    _validate(spec)
     if isinstance(spec, BRec):
-        _validate_brec(spec)
         total = 0
         remaining = spec.n
         for s in spec.splits:

@@ -74,9 +74,6 @@ class Hypergraph3:
     def canon_key(self) -> bytes:
         return self.canonical.key
 
-    def has_edge(self, a: int, b: int, c: int) -> bool:
-        return _sorted_triple(a, b, c) in self.edge_set
-
     def __len__(self) -> int:
         return len(self.edges)
 
@@ -242,15 +239,6 @@ def rooted_canonical_key(h: Hypergraph3, roots: Sequence[int]) -> bytes:
     colors = _refine_colors(h.n, h.edges, [root_pos.get(v, s) for v in range(h.n)])
     best, _ = _canonical_search(h.n, h.edges, colors)
     return bytes([s]) + _encode(h.n, best)
-
-
-def canonical_form(h: Hypergraph3) -> tuple[Hypergraph3, bytes]:
-    """Canonically relabeled copy of h and its canonical key.
-
-    Two graphs get equal keys exactly when they are isomorphic.
-    """
-    data = h.canonical
-    return data.graph, data.key
 
 
 def decode_key(raw: bytes) -> Hypergraph3:

@@ -38,7 +38,7 @@ from typing import Sequence
 
 from . import families as families_mod
 from .certificate import Certificate, CertificateBlock
-from .density import SINGLE_EDGE, PairMatrix, fraction_text, p, pair_density_table, pair_matrix
+from .density import PairMatrix, edge_density, fraction_text, pair_density_table, pair_matrix
 from .density import parse_fraction, upper_entries
 from .enumeration import FlagType, enumerate_free
 from .families import Family
@@ -118,7 +118,7 @@ def assemble(
                 f"type of size {ftype.size} with flags of size {m_prime} "
                 f"does not fit in m={m}"
             )
-    obj = tuple(p(SINGLE_EDGE, f) for f in targets)
+    obj = tuple(edge_density(f) for f in targets)
     type_keys = []
     type_dims = []
     per_type_tables = []

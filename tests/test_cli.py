@@ -52,6 +52,15 @@ def test_enumerate_guard_is_domain_error(capsys):
     assert "soft limit" in err
 
 
+def test_failing_enumerate_writes_no_out_file(capsys, tmp_path):
+    out_path = tmp_path / "e.txt"
+    for m in ("-1", "9"):
+        code, _, err = run(capsys, "enumerate", "--m", m, "--out", str(out_path))
+        assert code == 1
+        assert_one_error_line(err)
+        assert not out_path.exists()
+
+
 def test_soft_limit_error_names_only_the_subcommands_options(capsys, tmp_path):
     code, _, err = run(capsys, "enumerate", "--m", "9")
     assert code == 1
@@ -112,6 +121,18 @@ def test_construct_partite_report(capsys):
     assert code == 0
     assert table["edges"] == "1000"
     assert table["limit_density"] == "2/9"
+
+
+@pytest.mark.parametrize(
+    "kind, parts",
+    [("partite3", "-1,2,2"), ("k4blowup", "-2,3,3,3"), ("semibipartite", "0,-5")],
+)
+def test_construct_negative_part_size_is_domain_error(capsys, kind, parts):
+    code, out, err = run(capsys, "construct", "--kind", kind, f"--parts={parts}", "--report")
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err)
+    assert "nonnegative" in err
 
 
 def test_density_subcommand(capsys, tmp_path):
@@ -274,22 +295,6 @@ def test_human_mode(capsys):
     assert "edges: 8" in out
 
 
-def test_jobs_flag_matches_sequential(capsys, tmp_path):
-    path = tmp_path / "h.txt"
-    from turan3.constructions import optimal_brec, build
-
-    graphs.save_graph(build(optimal_brec(10)), str(path))
-    results = []
-    for jobs in ("1", "2"):
-        code, out, _ = run(
-            capsys, "partition", "--graph", str(path),
-            "--restarts", "6", "--seed", "1", "--jobs", jobs,
-        )
-        assert code == 0
-        results.append(out)
-    assert results[0] == results[1]
-
-
 def assert_one_error_line(err):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
@@ -342,48 +347,6 @@ def test_round_infinite_solution_value_is_domain_error(capsys, tmp_path):
     assert_one_error_line(err)
 
 
-def test_jobs_above_cpu_count_is_usage_error(capsys, monkeypatch, tmp_path):
-    import os
-
-    import turan3.cli as cli_mod
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", no_pool)
-    path = tmp_path / "h.txt"
-    graphs.save_graph(graphs.named_graph("K4_3"), str(path))
-    too_many = str((os.cpu_count() or 1) + 1)
-    for argv in (
-        ["construct", "--kind", "brec", "--n", "8", "--check-free", "C4_3",
-         "--jobs", too_many],
-        ["partition", "--graph", str(path), "--restarts", "4", "--jobs", too_many],
-    ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--jobs" in err and "error:" in err
-
-
-def test_jobs_bound_is_the_affinity_set(capsys, monkeypatch, tmp_path):
-    import os
-
-    import turan3.cli as cli_mod
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    path = tmp_path / "h.txt"
-    graphs.save_graph(graphs.named_graph("K4_3"), str(path))
-    with pytest.raises(SystemExit) as exc:
-        main(["partition", "--graph", str(path), "--restarts", "4", "--jobs", "2"])
-    assert exc.value.code == 2
-    assert "1 available CPUs" in capsys.readouterr().err
-
-
 def _usage_error_lines(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -421,29 +384,57 @@ def test_den_bound_below_one_is_usage_error(capsys, tmp_path, den_bound, via_con
     assert not (tmp_path / "cert.txt").exists()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_jobs_below_one_is_usage_error(capsys, jobs):
-    for argv in (
-        ["construct", "--kind", "brec", "--n", "8", "--check-free", "C4_3", "--jobs", jobs],
-        ["partition", "--graph", "K4_3", "--restarts", "4", "--jobs", jobs],
-    ):
-        errors = _usage_error_lines(capsys, argv)
-        assert len(errors) == 1 and "--jobs" in errors[0]
+_NO_JOBS_COMMANDS = [
+    ["construct", "--kind", "brec", "--n", "8", "--check-free", "C4_3"],
+    ["partition", "--graph", "K4_3", "--restarts", "4"],
+]
 
 
-def test_installed_entry_point():
-    # The child must import the package these tests import, installed or not.
+@pytest.mark.parametrize("argv", _NO_JOBS_COMMANDS, ids=["construct", "partition"])
+def test_jobs_flag_is_a_usage_error(capsys, argv):
+    errors = _usage_error_lines(capsys, argv + ["--jobs", "2"])
+    assert len(errors) == 1 and errors[0].endswith("unrecognized arguments: --jobs 2")
+
+
+@pytest.mark.parametrize("argv", _NO_JOBS_COMMANDS, ids=["construct", "partition"])
+def test_jobs_config_key_is_unknown(capsys, tmp_path, argv):
+    config = tmp_path / "jobs.cfg"
+    config.write_text("jobs = 2\n")
+    code, out, err = run(capsys, *argv, "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert err == "error: unknown config key 'jobs'\n"
+
+
+def _child_env():
+    """Environment in which a child imports the package these tests import."""
     root = os.path.dirname(os.path.dirname(turan3.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "turan3.cli", "density", "--graph", "F5", "--edge-density"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "edge_density\t3/10"
+
+
+def test_cli_import_loads_no_process_pool():
+    code = (
+        "import sys, turan3.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _good_certificate_text():

@@ -100,6 +100,17 @@ def test_build_brec_invalid_splits(spec):
         build(spec)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [Partite3(-1, 2, 2), K4Blowup(-2, 3, 3, 3), SemiBipartite(0, -5), BRec(-5, ())],
+)
+def test_negative_sizes_are_rejected(spec):
+    with pytest.raises(ValueError):
+        density_report(spec)
+    with pytest.raises(ValueError):
+        build(spec)
+
+
 def test_brec_freeness_small():
     # the layered construction avoids both forbidden graphs; scan exhaustively
     h = build(optimal_brec(12))
