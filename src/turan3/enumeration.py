@@ -119,9 +119,7 @@ def _new_vertex_is_canonical(child: Hypergraph3, data: CanonicalData) -> bool:
     """
     last = child.n - 1
     target = data.to_canonical.index(last)  # vertex occupying canonical slot n-1
-    if target == last:
-        return True
-    return any(a[target] == last for a in data.automorphisms)
+    return last in data.orbit(target)
 
 
 _free_memo: dict[tuple, tuple[Hypergraph3, ...]] = {}

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graphs
-from .enumeration import SOFT_VERTEX_LIMIT
 from .graphs import Hypergraph3
 
 
@@ -67,9 +66,8 @@ def family_key(family: Family) -> str:
 def resolve_graph(spec: str) -> Hypergraph3:
     """The graph a spec names: a built-in name, a canonical hex key, else a file path.
 
-    Keys of graphs on more than SOFT_VERTEX_LIMIT vertices are read as
-    paths: no program or certificate has targets that large, and canonical
-    labelling of a large symmetric graph takes unbounded time.
+    A key is lowercase hex of a graph's canon_key, of any vertex count, so
+    every label family_key writes resolves; any other string is a path.
     """
     if spec in graphs.NAMED_GRAPHS:
         return graphs.named_graph(spec)
@@ -79,7 +77,7 @@ def resolve_graph(spec: str) -> Hypergraph3:
     except ValueError:
         pass
     else:
-        if raw.hex() == spec and g.n <= SOFT_VERTEX_LIMIT and g.canon_key == raw:
+        if raw.hex() == spec and g.canon_key == raw:
             return g
     return graphs.load_graph(spec)
 

@@ -5,13 +5,16 @@ stored as sorted triples in a sorted tuple, so two equal graphs compare equal
 as values.  Graphs are immutable; every operation returns a new graph.
 
 This is the only module that searches a small graph, and it has two
-searches.  _canonical_search (every relabeling within the cells of a refined
-colouring, keeping the least edge tuple and the permutations reaching it)
-decides isomorphism classes: it serves canonical_data, whose permutations
-give the automorphism group the isomorph-free generator needs, and
-rooted_canonical_key; it is meant for the enumeration scale, n <= 12 or so.
-A graph's refined colouring is its cached refined_colors, which the
-generator reads before it decides to label.
+searches.  _canonical_search (the least edge tuple over the relabelings
+within the cells of a refined colouring) decides isomorphism classes: it
+serves canonical_data, whose automorphism generators give the orbits and
+the group the isomorph-free generator needs, and rooted_canonical_key.  It
+visits the relabelings depth first and prunes them by the automorphisms it
+finds on the way (first-path pruning, McKay and Piperno, J. Symbolic
+Comput. 60, 2014): the edgeless and the complete graph cost one leaf per
+vertex, but a rigid graph whose colouring leaves large cells still costs
+a leaf per relabeling.  A graph's refined colouring is its cached
+refined_colors, which the generator reads before it decides to label.
 _injections (backtracking over vertex images, pruned by degree and by every
 triple a placed vertex completes) decides containment: contains_sub,
 contains_induced and type_embeddings are single calls of it, and
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, permutations, product
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 Triple = tuple[int, int, int]
@@ -123,55 +126,135 @@ def _refine_colors(
 
     The result is a label-invariant coloring: isomorphic graphs produce the
     same color for corresponding vertices.  Distinctions present in the
-    initial coloring persist, and their relative order is preserved.
+    initial coloring persist, and their relative order is preserved.  A pair
+    of colours x <= y is coded as x*k + y with k above every colour, so the
+    sorted codes order vertices exactly as the sorted (x, y) pairs would.
     """
-    incident: list[list[Triple]] = [[] for _ in range(n)]
-    for e in edges:
-        for v in e:
-            incident[v].append(e)
+    links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, c in edges:
+        links[a].append((b, c))
+        links[b].append((a, c))
+        links[c].append((a, b))
     colors = [0] * n if initial is None else list(initial)
     while True:
+        k = max(colors, default=0) + 1
         sigs = []
         for v in range(n):
-            pair_colors = sorted(
-                tuple(sorted(colors[u] for u in e if u != v)) for e in incident[v]
-            )
-            sigs.append((colors[v], tuple(pair_colors)))
-        order = sorted(set(sigs))
-        rank = {s: i for i, s in enumerate(order)}
+            codes = []
+            for x, y in links[v]:
+                cx, cy = colors[x], colors[y]
+                codes.append(cx * k + cy if cx <= cy else cy * k + cx)
+            codes.sort()
+            sigs.append((colors[v], tuple(codes)))
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new_colors = [rank[s] for s in sigs]
         if new_colors == colors:
             return colors
         colors = new_colors
 
 
+def _orbit_closure(start: Iterable[int], generators: Sequence[Perm]) -> set[int]:
+    """The union of the orbits of the start vertices under the generated group."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        v = frontier.pop()
+        for g in generators:
+            w = g[v]
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
 def _canonical_search(
     n: int, edges: Sequence[Triple], colors: Sequence[int]
-) -> tuple[tuple[Triple, ...], list[Perm]]:
-    """Least relabeled edge tuple, and every perm (v -> perm[v]) reaching it.
+) -> tuple[tuple[Triple, ...], Perm, list[Perm]]:
+    """Least relabeled edge tuple, one perm (v -> perm[v]) reaching it, and
+    automorphisms that generate the graph's automorphism group.
 
-    colors is a refined colouring from _refine_colors.  Tries every
-    relabeling that sorts vertices by color, free within each cell; cells
-    are laid out in increasing color order, so the candidate set is the
-    same for any isomorphic input, and the top cell takes the top labels.
+    colors is a refined colouring from _refine_colors.  The candidates are
+    the relabelings that sort vertices by color, free within each cell;
+    cells are laid out in increasing color order, so the candidate set is
+    the same for any isomorphic input, and the top cell takes the top labels.
+
+    The candidates form a tree: a node at depth d fixes the vertices of
+    labels 0..d-1, and its children take the unused vertices of label d's
+    cell in increasing order, so leaves come in the order of
+    product(permutations(cell) ...).  Two leaves with equal edge tuples give
+    an automorphism.  A leaf equal to the first leaf or to the best so far
+    sends the search back to the depth where the two paths diverge, and a
+    node skips a child in the orbit of an explored sibling under the found
+    automorphisms that fix the node's prefix (McKay's first-path pruning).
+    A skipped subtree is an automorphic image of an explored one, so the
+    least tuple and the first leaf reaching it are still visited, and the
+    found automorphisms generate the whole group.
     """
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
-    best: tuple[Triple, ...] | None = None
-    best_perms: list[Perm] = []
-    for arrangement in product(*(permutations(cells[c]) for c in sorted(cells))):
-        perm = [0] * n
-        for label, v in enumerate(chain.from_iterable(arrangement)):
-            perm[v] = label
-        rel = _relabeled_edges(edges, perm)
-        if best is None or rel < best:
-            best = rel
-            best_perms = [tuple(perm)]
-        elif rel == best:
-            best_perms.append(tuple(perm))
-    assert best is not None
-    return best, best_perms
+    cell_of_label = [cells[c] for c in sorted(cells) for _ in cells[c]]
+    # A relabeled edge is coded as the OR of bit[label] over its vertices;
+    # one edge tuple is less than another exactly when its codes, sorted in
+    # decreasing order, are greater.
+    bit = [1 << (n - 1 - label) for label in range(n)]
+    arrangement = [0] * n  # arrangement[label] = vertex
+    code = [0] * n  # code[v] = bit[label of v]
+    used = [False] * n
+    generators: list[Perm] = []
+    # (value, arrangement) of the first leaf, then of the best leaf if it differs
+    leaves: list[tuple[list[int], list[int]]] = []
+
+    def visit_leaf() -> int:
+        value = sorted([code[a] | code[b] | code[c] for a, b, c in edges], reverse=True)
+        if not leaves:
+            leaves.append((value, arrangement[:]))
+            return n - 1
+        for ref_value, ref in leaves:
+            if value == ref_value:
+                g = [0] * n
+                for u, w in zip(ref, arrangement):
+                    g[u] = w
+                generators.append(tuple(g))
+                return next(i for i in range(n) if ref[i] != arrangement[i])
+        if value > leaves[-1][0]:
+            del leaves[1:]
+            leaves.append((value, arrangement[:]))
+        return n - 1
+
+    def explore(d: int) -> int:
+        """Search below arrangement[:d]; return the depth to resume at."""
+        if d == n:
+            return visit_leaf()
+        explored: list[int] = []
+        covered: set[int] = set()  # orbits of explored under prefix-fixing generators
+        seen = (0, 0)  # (len(explored), len(generators)) when covered was computed
+        for x in cell_of_label[d]:
+            if used[x]:
+                continue
+            if explored and seen != (len(explored), len(generators)):
+                seen = (len(explored), len(generators))
+                prefix = arrangement[:d]
+                covered = _orbit_closure(
+                    explored, [g for g in generators if all(g[v] == v for v in prefix)]
+                )
+            if x in covered:
+                continue
+            arrangement[d] = x
+            code[x] = bit[d]
+            used[x] = True
+            back = explore(d + 1)
+            used[x] = False
+            if back < d:
+                return back
+            explored.append(x)
+        return d - 1
+
+    explore(0)
+    perm = [0] * n
+    for label, v in enumerate(leaves[-1][1]):
+        perm[v] = label
+    return _relabeled_edges(edges, perm), tuple(perm), generators
 
 
 @dataclass(frozen=True)
@@ -180,7 +263,7 @@ class CanonicalData:
 
     A graph is labelled once: canonical_data reads the graph's cached
     refined_colors, and it primes the representative's own cached
-    canonical (same key, the identity as to_canonical, the automorphisms
+    canonical (same key, the identity as to_canonical, the generators
     conjugated onto it), so sorting by key, extending the representative
     and any later canon_key of it search nothing again.
     """
@@ -188,7 +271,26 @@ class CanonicalData:
     key: bytes
     graph: Hypergraph3
     to_canonical: Perm  # some relabeling v -> to_canonical[v] that reaches the key
-    automorphisms: tuple[Perm, ...]  # full automorphism group
+    generators: tuple[Perm, ...]  # automorphisms that generate the group
+
+    @cached_property
+    def automorphisms(self) -> tuple[Perm, ...]:
+        """The full automorphism group, closed from the generators on first use."""
+        identity = tuple(range(self.graph.n))
+        group = {identity: None}
+        frontier = [identity]
+        while frontier:
+            a = frontier.pop()
+            for g in self.generators:
+                b = tuple([g[x] for x in a])
+                if b not in group:
+                    group[b] = None
+                    frontier.append(b)
+        return tuple(group)
+
+    def orbit(self, v: int) -> set[int]:
+        """The automorphism orbit of vertex v."""
+        return _orbit_closure([v], self.generators)
 
 
 def _encode(n: int, edges: Sequence[Triple]) -> bytes:
@@ -201,28 +303,22 @@ def _encode(n: int, edges: Sequence[Triple]) -> bytes:
 def canonical_data(h: Hypergraph3) -> CanonicalData:
     if h.n > 255:
         raise ValueError("canonical labeling supports at most 255 vertices")
-    best, best_perms = _canonical_search(h.n, h.edges, h.refined_colors)
-    p0 = best_perms[0]
+    best, p0, generators = _canonical_search(h.n, h.edges, h.refined_colors)
     inv0 = [0] * h.n
     for v, img in enumerate(p0):
         inv0[img] = v
     key = _encode(h.n, best)
     graph = Hypergraph3(h.n, best)
-    # Each q reaching best maps h onto graph, so q p0^-1 is an automorphism
-    # of graph and p0^-1 q one of h.  Writing graph's cached_property slot
+    # p0 maps h onto graph, so p0 a p0^-1 is an automorphism of graph for
+    # each automorphism a of h.  Writing graph's cached_property slot
     # directly is how a frozen instance takes a precomputed value.
     object.__setattr__(graph, "canonical", CanonicalData(
         key=key,
         graph=graph,
         to_canonical=tuple(range(h.n)),
-        automorphisms=tuple(tuple(q[inv0[x]] for x in range(h.n)) for q in best_perms),
+        generators=tuple(tuple(p0[g[inv0[x]]] for x in range(h.n)) for g in generators),
     ))
-    return CanonicalData(
-        key=key,
-        graph=graph,
-        to_canonical=p0,
-        automorphisms=tuple(tuple(inv0[q[v]] for v in range(h.n)) for q in best_perms),
-    )
+    return CanonicalData(key=key, graph=graph, to_canonical=p0, generators=tuple(generators))
 
 
 def rooted_canonical_key(h: Hypergraph3, roots: Sequence[int]) -> bytes:
@@ -237,12 +333,16 @@ def rooted_canonical_key(h: Hypergraph3, roots: Sequence[int]) -> bytes:
     # Seed refinement with singleton colors for the roots: they stay the
     # smallest colors, so every candidate relabeling pins root i to label i.
     colors = _refine_colors(h.n, h.edges, [root_pos.get(v, s) for v in range(h.n)])
-    best, _ = _canonical_search(h.n, h.edges, colors)
+    best, _, _ = _canonical_search(h.n, h.edges, colors)
     return bytes([s]) + _encode(h.n, best)
 
 
 def decode_key(raw: bytes) -> Hypergraph3:
-    """Rebuild the graph a canonical key encodes (inverse of the key layout)."""
+    """Rebuild the graph a canonical key encodes (inverse of the key layout).
+
+    The edges must be sorted triples in strictly increasing order, as every
+    key writes them.
+    """
     if not raw:
         raise ValueError("empty key")
     n = raw[0]
@@ -254,6 +354,8 @@ def decode_key(raw: bytes) -> Hypergraph3:
     )
     if any(not (a < b < c < n) for a, b, c in edges):
         raise ValueError("malformed key edges")
+    if any(e >= f for e, f in zip(edges, edges[1:])):
+        raise ValueError("key edges are repeated or out of order")
     return Hypergraph3(n, edges)
 
 

@@ -1,7 +1,8 @@
 """Brute-force oracles the test suite checks the package against.
 
 Everything here is deliberately naive: factorial-time isomorphism, full
-injection scans, classify-after-generate enumeration.  None of it shares
+injection scans, classify-after-generate enumeration, colour refinement
+on tuples and a canonical search over every relabelling.  None of it shares
 code paths with the package implementations it audits, except
 generate_free_labelling_every_child: it is the package's generator with its
 shortcuts taken out, so it shares the orbit representatives and the
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, product
 
 from turan3.enumeration import _attachment_orbit_reps, _extend, _new_vertex_is_canonical
 from turan3.graphs import Hypergraph3, canonical_data, is_family_free
@@ -121,6 +122,64 @@ def generate_free_labelling_every_child(m: int, members, induced_flags):
                     found.append((data.key, data.graph))
         level = [g for _, g in sorted(found, key=lambda kg: kg[0])]
     return level
+
+
+def refine_colors_by_pair_tuples(n: int, edges, initial=None) -> list[int]:
+    """Colour refinement with each incident pair colour kept as a sorted tuple.
+
+    Each round ranks the signatures (own colour, sorted pair-colour tuples)
+    until the colouring is stable.
+    """
+    incident = [[] for _ in range(n)]
+    for e in edges:
+        for v in e:
+            incident[v].append(e)
+    colors = [0] * n if initial is None else list(initial)
+    while True:
+        sigs = []
+        for v in range(n):
+            pair_colors = sorted(
+                tuple(sorted(colors[u] for u in e if u != v)) for e in incident[v]
+            )
+            sigs.append((colors[v], tuple(pair_colors)))
+        order = sorted(set(sigs))
+        rank = {s: i for i, s in enumerate(order)}
+        new_colors = [rank[s] for s in sigs]
+        if new_colors == colors:
+            return colors
+        colors = new_colors
+
+
+def canonical_search_exhaustive(n: int, edges, colors):
+    """Least relabelled edge tuple over every cell-respecting relabelling,
+    and every perm (v -> perm[v]) reaching it, in product(permutations) order.
+    """
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    best = None
+    best_perms = []
+    for arrangement in product(*(permutations(cells[c]) for c in sorted(cells))):
+        perm = [0] * n
+        for label, v in enumerate(chain.from_iterable(arrangement)):
+            perm[v] = label
+        rel = tuple(sorted(sorted_triple(perm[a], perm[b], perm[c]) for a, b, c in edges))
+        if best is None or rel < best:
+            best = rel
+            best_perms = [tuple(perm)]
+        elif rel == best:
+            best_perms.append(tuple(perm))
+    return best, best_perms
+
+
+def automorphisms_exhaustive(h: Hypergraph3) -> set[tuple[int, ...]]:
+    """Every automorphism of h, from the perms reaching the exhaustive minimum."""
+    colors = refine_colors_by_pair_tuples(h.n, h.edges)
+    _, perms = canonical_search_exhaustive(h.n, h.edges, colors)
+    inv0 = [0] * h.n
+    for v, img in enumerate(perms[0]):
+        inv0[img] = v
+    return {tuple(inv0[q[v]] for v in range(h.n)) for q in perms}
 
 
 def rooted_iso_brute(g1: Hypergraph3, roots1, g2: Hypergraph3, roots2) -> bool:

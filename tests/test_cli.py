@@ -159,6 +159,34 @@ def test_density_unknown_name_is_domain_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--graph", "03000102000102", "--edge-density"],
+        ["enumerate", "--m", "4", "--forbid", "03000102000102"],
+    ],
+    ids=["density", "enumerate"],
+)
+def test_key_with_a_repeated_edge_is_an_error(capsys, tmp_path, monkeypatch, argv):
+    # Read as a path, which does not exist, rather than as a graph.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err)
+
+
+def test_emit_sdp_with_a_large_symmetric_member_file(capsys, tmp_path):
+    member = tmp_path / "empty12.txt"
+    graphs.save_graph(graphs.Hypergraph3(12, ()), str(member))
+    out_path = tmp_path / "m5.sdp"
+    code, _, _ = run(
+        capsys, "emit-sdp", "--m", "5", "--forbid", str(member), "--out", str(out_path)
+    )
+    assert code == 0
+    assert "family 0c\n" in out_path.read_text()
+
+
 def _emit_round_verify_lp(capsys, tmp_path, forbid, bound=Fraction(3, 4), remove=None):
     """emit-sdp, round and verify the LP bound; remove a file before verify."""
     model_path = tmp_path / "m.sdp"

@@ -25,8 +25,7 @@ def test_resolve_graph_reads_names_keys_and_files(tmp_path):
     [
         "04000102000103",  # a key layout, but not the canonical labelling
         "04 000203010203",  # spaced
-        "ff",  # 255 vertices: above the limit, so never labelled
-        "0a",
+        "03000102000102",  # an edge twice
         "C4",
     ],
 )
@@ -35,6 +34,22 @@ def test_resolve_graph_treats_other_hex_as_a_path(spec):
     with pytest.raises(FileNotFoundError):
         families.resolve_graph(spec)
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("spec", ["0a", "ff"])
+def test_resolve_graph_reads_keys_of_any_vertex_count(spec):
+    assert families.resolve_graph(spec) == Hypergraph3(int(spec, 16), ())
+
+
+def test_large_member_file_round_trips_through_its_key(tmp_path):
+    path = tmp_path / "empty12.txt"
+    graphs.save_graph(Hypergraph3(12, ()), str(path))
+    family = families.parse_family(f"F5,{path}")
+    assert families.family_key(family) == "F5,0c"
+    path.unlink()
+    again = families.parse_family("F5,0c")
+    assert families.family_key(again) == "F5,0c"
+    assert again[1].graph == Hypergraph3(12, ())
 
 
 def test_family_key_names_no_file(tmp_path):

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turan3 import density, graphs
+from turan3.enumeration import enumerate_free
 from turan3.graphs import (
     Hypergraph3,
     blow_up,
@@ -148,6 +149,70 @@ def test_automorphisms_are_automorphisms():
             assert relabel(h, a).edges == h.edges
     # C5_3 is the tight 5-cycle; its symmetry group is dihedral of order 10.
     assert len(named_graph("C5_3").canonical.automorphisms) == 10
+
+
+def _every_graph_up_to_6_relabelled(rng):
+    for n in range(7):
+        for g in enumerate_free(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield relabel(g, perm)
+
+
+def test_labelling_matches_the_exhaustive_oracle():
+    # Colours, keys, the relabelling reached first, the whole automorphism
+    # group and rooted keys, against the search over every relabelling.
+    rng = random.Random(29)
+    for h in _every_graph_up_to_6_relabelled(rng):
+        colors = oracles.refine_colors_by_pair_tuples(h.n, h.edges)
+        assert list(h.refined_colors) == colors
+        best, perms = oracles.canonical_search_exhaustive(h.n, h.edges, colors)
+        data = graphs.canonical_data(h)
+        assert data.key == graphs._encode(h.n, best)
+        assert data.to_canonical == perms[0]
+        assert set(data.automorphisms) == oracles.automorphisms_exhaustive(h)
+        roots = rng.sample(range(h.n), rng.randint(0, min(3, h.n)))
+        seed = [roots.index(v) if v in roots else len(roots) for v in range(h.n)]
+        rooted_colors = oracles.refine_colors_by_pair_tuples(h.n, h.edges, seed)
+        assert graphs._refine_colors(h.n, h.edges, seed) == rooted_colors
+        rooted_best, _ = oracles.canonical_search_exhaustive(h.n, h.edges, rooted_colors)
+        assert graphs.rooted_canonical_key(h, roots) == bytes([len(roots)]) + graphs._encode(
+            h.n, rooted_best
+        )
+
+
+def test_refine_colors_matches_the_oracle_on_larger_graphs():
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(7, 30)
+        h = random_graph(n, rng.random() * 0.5, rng)
+        seed = None
+        if rng.random() < 0.5:
+            roots = rng.sample(range(n), rng.randint(1, 4))
+            seed = [roots.index(v) if v in roots else len(roots) for v in range(n)]
+        assert graphs._refine_colors(n, h.edges, seed) == oracles.refine_colors_by_pair_tuples(
+            n, h.edges, seed
+        )
+
+
+@pytest.mark.parametrize(
+    "h,key",
+    [
+        (Hypergraph3(64, ()), bytes([64])),
+        (Hypergraph3(20, ()), bytes([20])),
+        (
+            Hypergraph3(20, tuple(combinations(range(20), 3))),
+            bytes([20]) + bytes(chain.from_iterable(combinations(range(20), 3))),
+        ),
+    ],
+    ids=["edgeless-64", "edgeless-20", "complete-20"],
+)
+def test_canon_key_of_large_symmetric_graphs(h, key):
+    # Every relabelling is an automorphism here, so an unpruned search
+    # would visit n! leaves.
+    data = graphs.canonical_data(h)
+    assert data.key == key
+    assert data.orbit(0) == set(range(h.n))
 
 
 # ---------------------------------------------------------------------------
