@@ -47,21 +47,28 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill values from --config for options the command line left at default."""
+    """Fill values from --config for options the command line left at default.
+
+    A value is converted by its option's type, as argparse would convert
+    the flag; a switch (store_true) reads yes/no words.
+    """
     if not getattr(args, "config", None):
         return
     file_values = _read_config(args.config)
-    defaults = {a.dest: a.default for a in parser._actions}
+    actions = {a.dest: a for a in parser._actions if a.default is not argparse.SUPPRESS}
     for key, text in file_values.items():
-        if key not in defaults:
+        if key not in actions:
             raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, key) != defaults[key]:
+        action = actions[key]
+        if getattr(args, key) != action.default:
             continue  # explicit flag wins
-        current = defaults[key]
-        if isinstance(current, bool):
+        if isinstance(action.default, bool):
             setattr(args, key, text.lower() in {"1", "true", "yes", "on"})
-        elif isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, key, int(text))
+        elif action.type is not None:
+            try:
+                setattr(args, key, action.type(text))
+            except ValueError:
+                raise ValueError(f"config key {key!r}: invalid value {text!r}") from None
         else:
             setattr(args, key, text)
 

@@ -8,16 +8,25 @@ automorphism orbit as the canonical deletion vertex, the one at canonical
 slot n-1.  Together these two filters produce every isomorphism class
 exactly once, so no global seen-set is needed.  Family-freeness, induced
 members included, is hereditary under vertex deletion, so it prunes
-children at every level, the empty root included.
+children at every level: the empty root is checked directly, and a child
+of a family-free parent by its attachment alone.
 
-Each child meets the cheapest checks first.  The first two are implied by
-the orbit test, so the output is the same as without them:
+Each attachment meets the cheapest checks first.  The first two read only
+the mask, before the child is built and before the orbit-minimality test;
+both are invariant under Aut(parent), so the orbit representatives kept
+are the same as without them:
 
-1. the new vertex has the child's largest degree;
-2. it lies in the top cell of the child's refined colouring, which is
+1. the mask has at least as many pairs as the parent's largest degree (the
+   new vertex's degree is the popcount, and no old vertex loses degree);
+2. the mask matches none of the parent's link patterns
+   (graphs.link_patterns), so the child is family-free;
+3. the new vertex has the child's largest degree;
+4. it lies in the top cell of the child's refined colouring, which is
    computed once and reused by the labelling;
-3. the child is family-free;
-4. the child is labelled and the orbit test decides.
+5. the child is labelled and the orbit test decides.
+
+Checks 1, 3 and 4 are implied by the orbit test, so the output is the same
+as without them.
 
 An accepted child is labelled once: its canonical form comes with its own
 labelling primed (see graphs.CanonicalData), so sorting a level and
@@ -34,6 +43,7 @@ from .graphs import (
     CanonicalData,
     Hypergraph3,
     is_family_free,
+    link_patterns,
     relabel,
     rooted_canonical_key,
     type_embeddings,
@@ -42,10 +52,19 @@ from .graphs import (
 SOFT_VERTEX_LIMIT = 7
 
 
-def _attachment_orbit_reps(k: int, auts: Sequence[tuple[int, ...]]) -> Iterable[int]:
+def _attachment_orbit_reps(
+    k: int,
+    auts: Sequence[tuple[int, ...]],
+    min_size: int = 0,
+    patterns: Sequence[tuple[int, int]] = (),
+) -> Iterable[int]:
     """Bitmask representatives of link-sets (pair subsets) up to Aut(parent).
 
-    A mask is kept iff it is the numerically smallest in its orbit.
+    A mask is kept iff it is the numerically smallest in its orbit.  Masks
+    with fewer than min_size pairs, or matching a (care, want) pattern
+    (mask & care == want), are dropped before the orbit test; both filters
+    must be Aut(parent)-invariant, so the kept masks are exactly the
+    unfiltered representatives that pass them.
     """
     pairs = list(combinations(range(k), 2))
     npairs = len(pairs)
@@ -63,6 +82,10 @@ def _attachment_orbit_reps(k: int, auts: Sequence[tuple[int, ...]]) -> Iterable[
         if changed:
             tables.append(tbl)
     for mask in range(1 << npairs):
+        if mask.bit_count() < min_size:
+            continue
+        if any(mask & care == want for care, want in patterns):
+            continue
         minimal = True
         for tbl in tables:
             img = 0
@@ -166,14 +189,15 @@ def _generate_free(
         pairs = list(combinations(range(k), 2))
         next_level: list[Hypergraph3] = []
         for parent in level:
-            auts = parent.canonical.automorphisms
-            for mask in _attachment_orbit_reps(k, auts):
+            masks = _attachment_orbit_reps(
+                k,
+                parent.canonical.automorphisms,
+                max(parent.degrees, default=0),
+                link_patterns(parent, family, induced_flags),
+            )
+            for mask in masks:
                 child = _extend(parent, mask, pairs)
-                if not (
-                    _has_top_degree(child)
-                    and _in_top_cell(child)
-                    and is_family_free(child, family, induced_flags)
-                ):
+                if not (_has_top_degree(child) and _in_top_cell(child)):
                     continue
                 data = child.canonical
                 if _new_vertex_is_canonical(child, data):

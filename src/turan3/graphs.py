@@ -17,9 +17,11 @@ a leaf per relabeling.  A graph's refined colouring is its cached
 refined_colors, which the generator reads before it decides to label.
 _injections (backtracking over vertex images, pruned by degree and by every
 triple a placed vertex completes) decides containment: contains_sub,
-contains_induced and type_embeddings are single calls of it, and
-_spanning_subsets, the one k-subset scan behind density.p and
-exhaustive_containment_scan, runs it as a bijection search on each subset.
+contains_induced, type_embeddings and link_patterns (which lists, for the
+isomorph-free generator, the links of a new vertex that would complete a
+member) are single callers of it, and _spanning_subsets, the one k-subset
+scan behind density.p and exhaustive_containment_scan, runs it as a
+bijection search on each subset.
 Canonical labeling never decides containment.
 """
 
@@ -506,6 +508,46 @@ def is_family_free(
             if contains_sub(h, f):
                 return False
     return True
+
+
+def link_patterns(
+    parent: Hypergraph3,
+    family: Sequence[Hypergraph3],
+    induced_flags: Sequence[bool],
+) -> list[tuple[int, int]]:
+    """The (care, want) pair-bitmasks of the links that complete a member.
+
+    Bit i of a mask is the i-th pair of combinations(range(parent.n), 2).
+    For each member f, vertex w of f and injection of f - w into parent
+    (exact for an induced member), want is the image of w's link and care
+    is want, or for an induced member every pair inside the image.  When
+    parent is family-free, the graph parent plus a new vertex with link
+    mask contains a member exactly when mask & care == want for some
+    pattern: any copy uses the new vertex, as the image of some w.
+    """
+    k = parent.n
+    index = {p: i for i, p in enumerate(combinations(range(k), 2))}
+    patterns: set[tuple[int, int]] = set()
+    for f, ind in zip(family, induced_flags):
+        for w in range(f.n):
+            rest = [v for v in range(f.n) if v != w]
+            f_rest = induced_subgraph(f, rest)
+            link = [
+                (i, j)
+                for (i, a), (j, b) in combinations(enumerate(rest), 2)
+                if _sorted_triple(w, a, b) in f.edge_set
+            ]
+            for img in _injections(f_rest, parent, _degree_order(f_rest), ind):
+                want = 0
+                for a, b in link:
+                    x, y = img[a], img[b]
+                    want |= 1 << index[(x, y) if x < y else (y, x)]
+                care = want
+                if ind:
+                    for x, y in combinations(sorted(img), 2):
+                        care |= 1 << index[(x, y)]
+                patterns.add((care, want))
+    return sorted(patterns)
 
 
 def exhaustive_containment_scan(

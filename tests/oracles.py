@@ -103,7 +103,8 @@ def enumerate_free_brute(m: int, members, induced_flags):
 def generate_free_labelling_every_child(m: int, members, induced_flags):
     """Canonical augmentation with every family-free child labelled afresh.
 
-    No degree or colour pre-check, and no cached labelling is read: each
+    No degree, link-pattern or colour pre-check, and no cached labelling is
+    read: every child is built and searched by is_family_free, and each
     parent and child goes through canonical_data.  So enumerate_free must
     return the same graphs in the same order.
     """

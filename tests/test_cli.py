@@ -309,9 +309,11 @@ def test_config_file_and_flag_override(capsys, tmp_path):
     )
     assert code == 0 and out.strip().endswith("count 5")
     bad = tmp_path / "bad"
-    bad.write_text("nonsense_key = 1\n")
-    code, _, err = run(capsys, "enumerate", "--m", "4", "--config", str(bad))
-    assert code == 1 and "unknown config key" in err
+    for line in ("nonsense_key = 1\n", "help = 1\n"):
+        bad.write_text(line)
+        code, _, err = run(capsys, "enumerate", "--m", "4", "--config", str(bad))
+        assert code == 1 and "unknown config key" in err
+        assert_one_error_line(err)
 
 
 def test_human_mode(capsys):
@@ -326,6 +328,19 @@ def test_human_mode(capsys):
 def assert_one_error_line(err):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def test_config_value_takes_the_option_type(capsys, tmp_path):
+    # --n has no default, so its type comes from the option, not the default
+    cfg = tmp_path / "cfg"
+    cfg.write_text("n = 7\n")
+    want = run(capsys, "construct", "--kind", "brec", "--report", "--n", "7")
+    assert want[0] == 0
+    assert run(capsys, "construct", "--kind", "brec", "--report", "--config", str(cfg)) == want
+    cfg.write_text("n = x\n")
+    code, out, err = run(capsys, "construct", "--kind", "brec", "--report", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert_one_error_line(err)
 
 
 def test_partition_zero_xi_denominator_is_domain_error(capsys, tmp_path):

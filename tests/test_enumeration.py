@@ -15,7 +15,15 @@ from turan3.enumeration import (
     rooted_canonical_key,
     type_embeddings,
 )
-from turan3.graphs import Hypergraph3, canonical_data, from_edges, named_graph, relabel
+from turan3.graphs import (
+    Hypergraph3,
+    canonical_data,
+    from_edges,
+    is_family_free,
+    link_patterns,
+    named_graph,
+    relabel,
+)
 
 import oracles
 
@@ -188,10 +196,49 @@ def test_generator_matches_labelling_every_child(m, famname):
 
 
 def test_generator_matches_labelling_every_child_m6():
-    members, flags = GENERATOR_FAMILIES["F32,C5_3_MINUS"]
-    want = oracles.generate_free_labelling_every_child(6, members, flags)
-    assert len(want) == 125
-    assert enumerate_free(6, members, flags) == want
+    for famname, count in [("F32,C5_3_MINUS", 125), ("F32,induced:F32_BAR", 400)]:
+        members, flags = GENERATOR_FAMILIES[famname]
+        want = oracles.generate_free_labelling_every_child(6, members, flags)
+        assert len(want) == count
+        assert enumerate_free(6, members, flags) == want
+
+
+LINK_PATTERN_FAMILIES = {
+    **GENERATOR_FAMILIES,
+    "induced edgeless 3-vertex member": ([Hypergraph3(3, ())], [True]),
+}
+
+
+def _matches(mask, patterns):
+    return any(mask & care == want for care, want in patterns)
+
+
+@pytest.mark.parametrize("famname", sorted(LINK_PATTERN_FAMILIES))
+def test_link_patterns_decide_the_child_freeness(famname):
+    members, flags = LINK_PATTERN_FAMILIES[famname]
+    for k in range(6):
+        pairs = list(combinations(range(k), 2))
+        for parent in enumerate_free(k, members, flags):
+            patterns = link_patterns(parent, members, flags)
+            for mask in range(1 << len(pairs)):
+                child = _extend(parent, mask, pairs)
+                assert _matches(mask, patterns) is not is_family_free(child, members, flags)
+
+
+@pytest.mark.parametrize("famname", ["empty", "C4_3,F5_BAR"])
+def test_prefiltered_orbit_reps_are_the_filtered_reps(famname):
+    members, flags = GENERATOR_FAMILIES[famname]
+    for k in range(6):
+        for parent in enumerate_free(k, members, flags):
+            auts = parent.canonical.automorphisms
+            min_size = max(parent.degrees, default=0)
+            patterns = link_patterns(parent, members, flags)
+            want = [
+                mask
+                for mask in _attachment_orbit_reps(k, auts)
+                if mask.bit_count() >= min_size and not _matches(mask, patterns)
+            ]
+            assert list(_attachment_orbit_reps(k, auts, min_size, patterns)) == want
 
 
 def test_root_passes_the_family_filter():
