@@ -13,6 +13,13 @@ reported as notes) so that rounding slop in the slacks never invalidates a
 sound bound.  A certificate that verifies proves the asymptotic statement:
 every family-free graph has edge density at most u + o(1).
 
+The verifier trusts only the certificate and the code.  The family comes
+from the certificate's family key, whose members are built-in names or
+canonical keys, never files; obj(F) and P_t(F) come from the program that
+sdp.assemble builds for that family with the certificate's block types,
+the same program emit-sdp writes.  The certificate types themselves are
+defined in sdp, which rounds solutions into them.
+
 PSD is first tried with an exact certificate.  A float Cholesky factor of
 Q - delta*I (delta = 2^-20 times the largest diagonal entry) is rounded to a
 rational L with denominator 2^40, and R = Q - L L^T is formed exactly.  If
@@ -40,32 +47,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import families as families_mod
-from .density import PairMatrix, edge_density, fraction_text, pair_density_table, parse_fraction
-from .enumeration import SOFT_VERTEX_LIMIT, FlagType, enumerate_free
-from .families import Family
+from .density import PairMatrix, fraction_text, parse_fraction
+from .enumeration import SOFT_VERTEX_LIMIT, enumerate_free
+from .families import family_from_key
 from .graphs import decode_key
-
-Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-@dataclass(frozen=True)
-class CertificateBlock:
-    type_key: bytes  # canonical key of the type graph
-    matrix: Matrix
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
-
-
-@dataclass(frozen=True)
-class Certificate:
-    bound: Fraction
-    family_key: str
-    m: int
-    blocks: tuple[CertificateBlock, ...]
-    slacks: tuple[Fraction, ...]
+from .sdp import Certificate, CertificateBlock, Matrix, assemble
 
 
 @dataclass(frozen=True)
@@ -196,35 +182,22 @@ def inner_product(q: Matrix, pmat: PairMatrix) -> Fraction:
     return sum(q[i][j] * x for i, row in enumerate(pmat) for j, x in row)
 
 
-def verify(cert: Certificate, family: Family | None = None) -> VerifyResult:
+def verify(cert: Certificate) -> VerifyResult:
     """Check a certificate exactly; Verified implies the density bound holds.
 
-    The family may be passed directly; otherwise it is re-resolved from the
-    certificate's family key.  Pair-density tables come from the per-process
-    memo of pair_density_table, which holds only tables built from the
-    family and the code, so a table assemble built is not built again.
+    The family is read from the certificate's key alone, and the program is
+    the one assemble builds for it with one type per certificate block.
+    Pair-density tables come from the per-process memo of
+    pair_density_table, so a table built for an earlier program in the same
+    process is not built again.
     """
-    if family is None:
-        try:
-            family = families_mod.parse_family(cert.family_key)
-        except (OSError, ValueError) as exc:
-            return _rejected(f"unknown family key: {exc}")
+    try:
+        family = family_from_key(cert.family_key)
+    except ValueError as exc:
+        return _rejected(f"unknown family key: {exc}")
     if not 3 <= cert.m <= SOFT_VERTEX_LIMIT:
         return _rejected(f"m={cert.m} is outside 3..{SOFT_VERTEX_LIMIT}")
-    members = [fm.graph for fm in family]
-    flags_ind = [fm.induced for fm in family]
-    targets = enumerate_free(cert.m, members, flags_ind)
-    if not targets:
-        return _rejected("family excludes every admissible graph")
-    if len(cert.slacks) != len(targets):
-        return _rejected(
-            f"expected {len(targets)} slacks for m={cert.m}, got {len(cert.slacks)}"
-        )
-    for idx, c in enumerate(cert.slacks):
-        if c < 0:
-            return _rejected(f"negative slack at graph {idx}")
-
-    block_tables = []
+    types = []
     for bi, block in enumerate(cert.blocks):
         try:
             sigma = decode_key(block.type_key)
@@ -232,27 +205,34 @@ def verify(cert: Certificate, family: Family | None = None) -> VerifyResult:
             return _rejected(f"block {bi}: bad type key ({exc})")
         if (cert.m + sigma.n) % 2:
             return _rejected(f"block {bi}: type size {sigma.n} has wrong parity")
-        m_prime = (cert.m + sigma.n) // 2
-        try:
-            table = pair_density_table(FlagType(sigma), m_prime, cert.m, family)
-        except ValueError as exc:
-            return _rejected(f"block {bi}: {exc}")
-        if block.dim != len(table.flags):
-            return _rejected(
-                f"block {bi}: dimension {block.dim} but {len(table.flags)} flags exist"
-            )
+        types.append((sigma, (cert.m + sigma.n) // 2))
+    try:
+        model = assemble(cert.m, family, types)
+    except ValueError as exc:
+        return _rejected(f"no program: {exc}")
+    if len(cert.slacks) != model.n_constraints:
+        return _rejected(
+            f"expected {model.n_constraints} slacks for m={cert.m}, got {len(cert.slacks)}"
+        )
+    for idx, c in enumerate(cert.slacks):
+        if c < 0:
+            return _rejected(f"negative slack at graph {idx}")
+    for bi, (block, dim) in enumerate(zip(cert.blocks, model.type_dims)):
+        if block.dim != dim:
+            return _rejected(f"block {bi}: dimension {block.dim} but {dim} flags exist")
         if not is_symmetric(block.matrix):
             return _rejected(f"block {bi}: matrix not symmetric")
         if not psd_check(block.matrix):
             return _rejected(f"block {bi}: matrix not positive semidefinite")
-        block_tables.append(table)
 
     notes = []
-    for idx, target in enumerate(targets):
-        margin = cert.bound - edge_density(target)
-        for block, table in zip(cert.blocks, block_tables):
-            margin -= inner_product(block.matrix, table.matrices[idx])
+    for idx, obj in enumerate(model.obj):
+        margin = cert.bound - obj
+        for block, matrices in zip(cert.blocks, model.pair_matrices):
+            margin -= inner_product(block.matrix, matrices.get(idx, ()))
         if margin < 0:
+            members = [fm.graph for fm in family]
+            target = enumerate_free(cert.m, members, [fm.induced for fm in family])[idx]
             return _rejected(
                 f"constraint fails at graph {idx} "
                 f"(key {target.canon_key.hex()}): margin {margin}"

@@ -247,14 +247,7 @@ def cmd_partition(args, parser) -> int:
         v1 = {int(x) for x in args.v1.split(",")} if args.v1 else set()
         v2 = set(range(h.n)) - v1
     else:
-        # Restart i is seeded with seed + i; max keeps the first best restart.
-        best = max(
-            (
-                partition.maxcut_local_search(h, restarts=1, seed=args.seed + i)
-                for i in range(args.restarts)
-            ),
-            key=lambda res: res.cross_present,
-        )
+        best = partition.maxcut_local_search(h, restarts=args.restarts, seed=args.seed)
         v1, v2 = set(best.v1), set(best.v2)
     stats = partition.bad_missing(h, v1, v2)
     mu_lower = Fraction(6 * stats.cross_present, h.n**3)

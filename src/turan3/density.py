@@ -39,15 +39,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, perm
 
-from . import families as families_mod
-from .enumeration import (
-    Flag,
-    FlagType,
-    enumerate_flags,
-    enumerate_free,
-    rooted_canonical_key,
-    type_embeddings,
-)
+from .enumeration import enumerate_flags, enumerate_free, rooted_canonical_key, type_embeddings
 from .families import Family
 from .graphs import (
     Hypergraph3,
@@ -147,11 +139,7 @@ def upper_entries(mat: PairMatrix):
 
 @dataclass(frozen=True)
 class PairDensityTable:
-    ftype: FlagType
-    m_prime: int
-    m: int
-    family_key: str
-    flags: tuple[Flag, ...]
+    flags: tuple[bytes, ...]  # rooted keys, the order of matrix rows
     targets: tuple[Hypergraph3, ...]
     matrices: tuple[PairMatrix, ...]
 
@@ -166,14 +154,16 @@ def _family_signature(family: Family) -> tuple:
 
 
 def pair_density_table(
-    ftype: FlagType, m_prime: int, m: int, family: Family = ()
+    sigma: Hypergraph3, m_prime: int, m: int, family: Family = ()
 ) -> PairDensityTable:
     """Symmetric rational pair-density matrices, one per admissible target.
 
-    Tables are memoised per process.  Each one was built here from the family
-    and the code, so the certificate verifier reads them as well.
+    sigma is the type, a labelled graph whose vertices are all roots; row i
+    of each matrix is the flag with rooted key flags[i].  Tables are memoised
+    per process, and each was built here from the family and the code, so
+    the verifier's own assembly reuses the tables an earlier one built.
     """
-    s = ftype.size
+    s = sigma.n
     if 2 * m_prime - s > m:
         raise ValueError(
             f"two flags of size {m_prime} over a type of size {s} need "
@@ -181,25 +171,24 @@ def pair_density_table(
         )
     if m_prime < s:
         raise ValueError("flag size below type size")
-    cache_key = (ftype.sigma, m_prime, m, _family_signature(family))
+    cache_key = (sigma, m_prime, m, _family_signature(family))
     table = _memory_cache.get(cache_key)
     if table is None:
-        table = _build_table(ftype, m_prime, m, family)
+        table = _build_table(sigma, m_prime, m, family)
         _memory_cache[cache_key] = table
     return table
 
 
 def _build_table(
-    ftype: FlagType, m_prime: int, m: int, family: Family
+    sigma: Hypergraph3, m_prime: int, m: int, family: Family
 ) -> PairDensityTable:
     members = [fm.graph for fm in family]
     flags_ind = [fm.induced for fm in family]
-    flag_list = enumerate_flags(ftype, m_prime, members, flags_ind)
+    flags = enumerate_flags(sigma, m_prime, members, flags_ind)
     targets = enumerate_free(m, members, flags_ind)
-    flag_index = {f.key: i for i, f in enumerate(flag_list)}
-    s = ftype.size
+    flag_index = {key: i for i, key in enumerate(flags)}
+    s = sigma.n
     t = m_prime - s
-    sigma = ftype.sigma
     denominator = perm(m, s) * comb(m - s, t) * comb(m - s - t, t)
     # t-subsets of the m - s non-root positions, and the ordered pairs of
     # disjoint ones; the same for every theta of every target.
@@ -245,11 +234,5 @@ def _build_table(
         upper = {(i, j): Fraction(c, denominator) for (i, j), c in counts.items() if i <= j}
         matrices.append(pair_matrix(upper))
     return PairDensityTable(
-        ftype=ftype,
-        m_prime=m_prime,
-        m=m,
-        family_key=families_mod.family_key(family),
-        flags=tuple(flag_list),
-        targets=tuple(targets),
-        matrices=tuple(matrices),
+        flags=tuple(flags), targets=tuple(targets), matrices=tuple(matrices)
     )

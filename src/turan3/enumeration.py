@@ -31,11 +31,16 @@ as without them.
 An accepted child is labelled once: its canonical form comes with its own
 labelling primed (see graphs.CanonicalData), so sorting a level and
 extending it as a parent search nothing again.
+
+Typed flags need no wrapper types.  A type is a labelled graph sigma whose
+vertices are all roots, in label order.  A flag over sigma is a rooted
+isomorphism class, and it is its rooted key (graphs.rooted_canonical_key):
+the root count, then the key of the flag graph with root i at label i.
+Pair-density tables index their rows by these keys directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -44,7 +49,6 @@ from .graphs import (
     Hypergraph3,
     is_family_free,
     link_patterns,
-    relabel,
     rooted_canonical_key,
     type_embeddings,
 )
@@ -210,66 +214,28 @@ def _generate_free(
 # Typed flags
 
 
-@dataclass(frozen=True)
-class FlagType:
-    """A fully labeled small graph; every vertex is a root, in label order."""
-
-    sigma: Hypergraph3
-
-    @property
-    def size(self) -> int:
-        return self.sigma.n
-
-    @property
-    def key(self) -> bytes:
-        return self.sigma.canon_key
-
-
-@dataclass(frozen=True)
-class Flag:
-    """A graph with an ordered root tuple inducing the type exactly."""
-
-    graph: Hypergraph3
-    roots: tuple[int, ...]
-
-    @property
-    def key(self) -> bytes:
-        return rooted_canonical_key(self.graph, self.roots)
-
-
 def enumerate_flags(
-    ftype: FlagType,
+    sigma: Hypergraph3,
     m_prime: int,
     family: Sequence[Hypergraph3] = (),
     induced_flags: Sequence[bool] | None = None,
-    allow_large: bool = False,
-) -> list[Flag]:
-    """All flags on m_prime vertices over the given type, family-free.
+) -> list[bytes]:
+    """Rooted keys of all family-free flags on m_prime vertices over type sigma.
 
-    Flags are pairwise non-isomorphic as rooted structures; each is returned
-    with roots relabeled to 0..s-1.  Raises if the type graph itself is not
-    family-free (no flags can exist and the inputs are contradictory).
+    A type is a labelled graph whose vertices are all roots, in label order;
+    a flag is a rooted isomorphism class, named by its rooted_canonical_key
+    with the roots in that order.  The keys are returned sorted.  Raises if
+    sigma itself is not family-free (no flags can exist and the inputs are
+    contradictory).
     """
-    s = ftype.size
-    if s > m_prime:
-        raise ValueError(f"type size {s} exceeds flag size {m_prime}")
-    sigma = ftype.sigma
+    if sigma.n > m_prime:
+        raise ValueError(f"type size {sigma.n} exceeds flag size {m_prime}")
     if not is_family_free(sigma, family, induced_flags):
         raise ValueError("type graph is not family-free; no flags exist")
-
-    flags: dict[bytes, Flag] = {}
-    for g in enumerate_free(m_prime, family, induced_flags, allow_large):
-        for theta in type_embeddings(g, sigma):
-            key = rooted_canonical_key(g, theta)
-            if key in flags:
-                continue
-            flags[key] = _relabel_flag(g, theta)
-    return [flags[k] for k in sorted(flags)]
-
-
-def _relabel_flag(g: Hypergraph3, roots: Sequence[int]) -> Flag:
-    order = list(roots) + [v for v in range(g.n) if v not in set(roots)]
-    perm = [0] * g.n
-    for new, old in enumerate(order):
-        perm[old] = new
-    return Flag(relabel(g, perm), tuple(range(len(roots))))
+    return sorted(
+        {
+            rooted_canonical_key(g, theta)
+            for g in enumerate_free(m_prime, family, induced_flags)
+            for theta in type_embeddings(g, sigma)
+        }
+    )

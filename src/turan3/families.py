@@ -6,7 +6,8 @@ list of members, each a built-in name, a canonical hex key or a graph-file
 path (see resolve_graph), with an optional "induced:" prefix per member,
 e.g. "C4_3,F5_BAR" or "F32,induced:F32_BAR".  family_key writes every member
 as a built-in name or a hex key, so a key written into a program or a
-certificate names no file.
+certificate names no file, and family_from_key reads such a key back
+without opening one.
 """
 
 from __future__ import annotations
@@ -63,31 +64,34 @@ def family_key(family: Family) -> str:
     return ",".join(m.label() for m in family)
 
 
-def resolve_graph(spec: str) -> Hypergraph3:
-    """The graph a spec names: a built-in name, a canonical hex key, else a file path.
+def graph_of_label(label: str) -> Hypergraph3:
+    """The graph a member label names: a built-in name or a canonical hex key.
 
     A key is lowercase hex of a graph's canon_key, of any vertex count, so
-    every label family_key writes resolves; any other string is a path.
+    every label family_key writes resolves; anything else raises ValueError.
     """
-    if spec in graphs.NAMED_GRAPHS:
-        return graphs.named_graph(spec)
+    if label in graphs.NAMED_GRAPHS:
+        return graphs.named_graph(label)
     try:
-        raw = bytes.fromhex(spec)
+        raw = bytes.fromhex(label)
         g = graphs.decode_key(raw)
     except ValueError:
         pass
     else:
-        if raw.hex() == spec and g.canon_key == raw:
+        if raw.hex() == label and g.canon_key == raw:
             return g
-    return graphs.load_graph(spec)
+    raise ValueError(f"{label!r} is neither a built-in name nor a canonical key")
 
 
-def parse_family(spec: str) -> Family:
-    """Parse a family spec string; an empty spec (or "none") is the empty family.
+def resolve_graph(spec: str) -> Hypergraph3:
+    """The graph a spec names: a member label (graph_of_label), else a file path."""
+    try:
+        return graph_of_label(spec)
+    except ValueError:
+        return graphs.load_graph(spec)
 
-    A member given by built-in name keeps that name; any other member is
-    named by builtin_name, so its label is a built-in name or a hex key.
-    """
+
+def _parse_members(spec: str, resolve) -> Family:
     spec = spec.strip()
     if not spec or spec.lower() == "none":
         return ()
@@ -97,7 +101,27 @@ def parse_family(spec: str) -> Family:
         induced = item.startswith("induced:")
         if induced:
             item = item[len("induced:"):]
-        g = resolve_graph(item)
+        g = resolve(item)
         name = item if item in graphs.NAMED_GRAPHS else builtin_name(g)
         members.append(FamilyMember(g, induced, name))
     return tuple(members)
+
+
+def parse_family(spec: str) -> Family:
+    """Parse a family spec string; an empty spec (or "none") is the empty family.
+
+    Members are resolved by resolve_graph, so a member may name a file.  A
+    member given by built-in name keeps that name; any other member is named
+    by builtin_name, so its label is a built-in name or a hex key.
+    """
+    return _parse_members(spec, resolve_graph)
+
+
+def family_from_key(key: str) -> Family:
+    """The family a family_key names, read without opening any file.
+
+    Parsed as parse_family is, but each member must be a built-in name or a
+    canonical hex key (graph_of_label), so the result depends only on the key
+    and the code; a member that is anything else raises ValueError.
+    """
+    return _parse_members(key, graph_of_label)

@@ -141,19 +141,21 @@ def maxcut_local_search(
 ) -> MaxcutResult:
     """Best locally maximal partition over random restarts.
 
-    Steepest single-vertex ascent from each random start; the returned
-    partition admits no improving single move, so 6*cross/n^3 is a certified
-    lower bound on the max-cut ratio.  The move deltas are computed in full
-    once per restart and then updated after each move (`_flip`).
+    Steepest single-vertex ascent from each random start; restart i draws
+    its start from random.Random(seed + i), and the first restart with the
+    most cross edges wins.  The returned partition admits no improving
+    single move, so 6*cross/n^3 is a certified lower bound on the max-cut
+    ratio.  The move deltas are computed in full once per restart and then
+    updated after each move (`_flip`).
     """
     if h.n < 1:
         raise ValueError("need at least one vertex")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    rng = random.Random(seed)
     best_cross = -1
     best_assign: list[bool] = []
-    for _ in range(restarts):
+    for i in range(restarts):
+        rng = random.Random(seed + i)
         in_v1 = [rng.random() < 0.5 for _ in range(h.n)]
         cross = cross_edge_count(h, {v for v in range(h.n) if in_v1[v]})
         deltas = _move_deltas(h, in_v1)

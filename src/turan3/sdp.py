@@ -12,6 +12,13 @@ summing, the Q terms become an averaged square (nonnegative up to o(1)) and
 the slacks are nonnegative, so edge density <= u + o(1) for every admissible
 H.  With no PSD blocks the optimum is simply max_F obj(F).
 
+A type block is given as a pair (sigma, m'): the type sigma, a labelled
+graph whose vertices are all roots, and the flag size m'.  Its rows are the
+flags over sigma in the order of their rooted keys, and the program names
+it by sigma's canonical key.  A Certificate is a rational solution of the
+program, one CertificateBlock per type block; certificate.verify checks it
+against the program assemble builds.
+
 File format (one entry per line, exact rationals, '#' comments):
 
     m <int>
@@ -37,11 +44,35 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import families as families_mod
-from .certificate import Certificate, CertificateBlock
 from .density import PairMatrix, edge_density, fraction_text, pair_density_table, pair_matrix
 from .density import parse_fraction, upper_entries
-from .enumeration import FlagType, enumerate_free
+from .enumeration import enumerate_free
 from .families import Family
+from .graphs import Hypergraph3
+
+TypeSpec = tuple[Hypergraph3, int]  # (sigma, m'), see above
+Matrix = tuple[tuple[Fraction, ...], ...]
+
+
+@dataclass(frozen=True)
+class CertificateBlock:
+    type_key: bytes  # canonical key of the type graph
+    matrix: Matrix
+
+    @property
+    def dim(self) -> int:
+        return len(self.matrix)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """A rational solution of the program; certificate.verify checks it."""
+
+    bound: Fraction
+    family_key: str
+    m: int
+    blocks: tuple[CertificateBlock, ...]
+    slacks: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -68,13 +99,12 @@ class SdpModel:
         return 1 + sum(d * (d + 1) // 2 for d in self.type_dims) + self.n_constraints
 
 
-def types_of_sizes(
-    m: int, sizes: Sequence[int], family: Family = ()
-) -> list[tuple[FlagType, int]]:
-    """Every admissible type of each size s in sizes, with flag size (m + s) / 2.
+def types_of_sizes(m: int, sizes: Sequence[int], family: Family = ()) -> list[TypeSpec]:
+    """(sigma, (m + s) / 2) for each admissible type sigma of each size s in sizes.
 
-    That flag size makes two flags over a shared root set exactly fill an
-    m-vertex target; a size of the wrong parity for m raises ValueError.
+    Each sigma is the canonical form of its class.  The flag size (m + s) / 2
+    makes two flags over a shared root set exactly fill an m-vertex target; a
+    size of the wrong parity for m raises ValueError.
     """
     members = [fm.graph for fm in family]
     flags_ind = [fm.induced for fm in family]
@@ -83,11 +113,11 @@ def types_of_sizes(
         if (m + s) % 2:
             raise ValueError(f"type size {s} has the wrong parity for m={m}")
         for sigma in enumerate_free(s, members, flags_ind):
-            out.append((FlagType(sigma), (m + s) // 2))
+            out.append((sigma, (m + s) // 2))
     return out
 
 
-def default_types(m: int, family: Family = ()) -> list[tuple[FlagType, int]]:
+def default_types(m: int, family: Family = ()) -> list[TypeSpec]:
     """Types of every size s matching m's parity with s <= m - 2."""
     return types_of_sizes(m, range(m % 2, max(m - 1, 0), 2), family)
 
@@ -95,7 +125,7 @@ def default_types(m: int, family: Family = ()) -> list[tuple[FlagType, int]]:
 def assemble(
     m: int,
     family: Family = (),
-    types: Sequence[tuple[FlagType, int]] | None = None,
+    types: Sequence[TypeSpec] | None = None,
     use_default_types: bool = False,
 ) -> SdpModel:
     """Build the model for (m, family) with the given SOS types.
@@ -112,20 +142,20 @@ def assemble(
         raise ValueError("the family excludes every m-vertex graph")
     if types is None:
         types = default_types(m, family) if use_default_types else []
-    for ftype, m_prime in types:
-        if 2 * m_prime - ftype.size > m:
+    for sigma, m_prime in types:
+        if 2 * m_prime - sigma.n > m:
             raise ValueError(
-                f"type of size {ftype.size} with flags of size {m_prime} "
+                f"type of size {sigma.n} with flags of size {m_prime} "
                 f"does not fit in m={m}"
             )
     obj = tuple(edge_density(f) for f in targets)
     type_keys = []
     type_dims = []
     per_type_tables = []
-    for ftype, m_prime in types:
-        table = pair_density_table(ftype, m_prime, m, family)
+    for sigma, m_prime in types:
+        table = pair_density_table(sigma, m_prime, m, family)
         assert [t.canon_key for t in table.targets] == [t.canon_key for t in targets]
-        type_keys.append(ftype.key)
+        type_keys.append(sigma.canon_key)
         type_dims.append(len(table.flags))
         per_type_tables.append(table)
     pair_matrices = tuple(

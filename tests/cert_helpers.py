@@ -7,7 +7,7 @@ from itertools import combinations
 
 from turan3.certificate import Certificate, CertificateBlock, inner_product
 from turan3.density import SINGLE_EDGE, p, pair_density_table
-from turan3.enumeration import FlagType, enumerate_free
+from turan3.enumeration import enumerate_free
 from turan3.graphs import decode_key
 from turan3.sdp import assemble, default_types
 
@@ -17,14 +17,14 @@ def make_sos_certificate(m, family, scale=Fraction(1, 8)):
     types = default_types(m, family)
     blocks = []
     tables = []
-    for ftype, m_prime in types:
-        table = pair_density_table(ftype, m_prime, m, family)
+    for sigma, m_prime in types:
+        table = pair_density_table(sigma, m_prime, m, family)
         d = len(table.flags)
         mat = tuple(
             tuple(scale if i == j else Fraction(0) for j in range(d))
             for i in range(d)
         )
-        blocks.append(CertificateBlock(ftype.key, mat))
+        blocks.append(CertificateBlock(sigma.canon_key, mat))
         tables.append(table)
     model = assemble(m, family)
     margins = []
@@ -53,9 +53,7 @@ def recompute_margins(cert, family):
         margin = cert.bound - p(SINGLE_EDGE, target)
         for block in cert.blocks:
             sigma = decode_key(block.type_key)
-            table = pair_density_table(
-                FlagType(sigma), (cert.m + sigma.n) // 2, cert.m, family
-            )
+            table = pair_density_table(sigma, (cert.m + sigma.n) // 2, cert.m, family)
             margin -= inner_product(block.matrix, table.matrices[idx])
         out.append(margin)
     return out

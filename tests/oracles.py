@@ -261,9 +261,9 @@ def maxcut_full_recompute(h: Hypergraph3, restarts: int, seed: int):
     choice among restarts as `partition.maxcut_local_search`.  Returns
     (v1, v2, cross_present).
     """
-    rng = random.Random(seed)
     best_cross, best_assign = -1, []
-    for _ in range(restarts):
+    for i in range(restarts):
+        rng = random.Random(seed + i)
         in_v1 = [rng.random() < 0.5 for _ in range(h.n)]
         cross = sum(1 for e in h.edges if in_v1[e[0]] + in_v1[e[1]] + in_v1[e[2]] == 2)
         while True:

@@ -154,7 +154,7 @@ def test_lp_certificate_verifies_m4():
 
 def test_lp_certificate_verifies_m5_pair():
     cert = lp_certificate(5, fam("F32", "C5_3_MINUS"))
-    res = verify(cert, fam("F32", "C5_3_MINUS"))
+    res = verify(cert)
     assert res.ok and res.bound == Fraction(3, 5)
 
 
@@ -207,7 +207,7 @@ def test_sos_certificate_verifies():
     family = fam("C4_3")
     cert = make_sos_certificate(4, family)
     assert cert.blocks
-    res = verify(cert, family)
+    res = verify(cert)
     assert res.ok and res.notes == ()
 
 
@@ -249,7 +249,7 @@ def test_tamper_fuzz():
                 cert.blocks,
                 cert.slacks,
             )
-        res = verify(tampered, family)
+        res = verify(tampered)
         if res.ok:
             # a perturbation that survived must be genuinely valid: audit the
             # inequalities with an independent recomputation
@@ -271,8 +271,7 @@ def test_perturbed_off_diagonal_small_identity_rejected_psd():
     blocks = list(cert.blocks)
     blocks[bi] = CertificateBlock(block.type_key, tuple(tuple(r) for r in mat))
     res = verify(
-        Certificate(cert.bound, cert.family_key, cert.m, tuple(blocks), cert.slacks),
-        family,
+        Certificate(cert.bound, cert.family_key, cert.m, tuple(blocks), cert.slacks)
     )
     assert not res.ok and "semidefinite" in res.reason
 
@@ -280,8 +279,8 @@ def test_perturbed_off_diagonal_small_identity_rejected_psd():
 def test_verify_order_independent_and_deterministic():
     family = fam("F32", "C5_3_MINUS")
     cert = lp_certificate(5, family)
-    r1 = verify(cert, family)
-    r2 = verify(cert)  # family re-resolved from the key
+    r1 = verify(cert)
+    r2 = verify(cert)
     assert r1 == r2 and r1.ok
 
 
@@ -296,14 +295,14 @@ def test_certificate_round_trip(tmp_path):
         save_certificate(cert, str(path))
         again = load_certificate(str(path))
         assert again == cert
-        assert verify(again, family).ok
+        assert verify(again).ok
 
 
 @pytest.mark.parametrize("m", [-1, 0, 1, 2, 8, 9])
 def test_verify_rejects_m_out_of_range(m):
     # m <= 2 has one graph, the empty one, so one slack gets past the count
     cert = Certificate(bound=F(1), family_key="", m=m, blocks=(), slacks=(F(1),))
-    result = verify(cert, ())
+    result = verify(cert)
     assert not result.ok and f"m={m} is outside" in result.reason
 
 

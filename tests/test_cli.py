@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,25 @@ def test_verify_opens_no_family_file(capsys, tmp_path):
     graphs.save_graph(graphs.from_edges(4, [(0, 1, 2), (0, 1, 3)]), str(path))
     _emit_round_verify_lp(capsys, tmp_path, str(path), Fraction(1, 4), remove=path)
     assert "family 04000203010203\n" in (tmp_path / "m.sdp").read_text()
+
+
+def test_verify_rejects_a_family_key_that_names_a_file(capsys, tmp_path, monkeypatch):
+    # the file holds a valid graph, but a certificate names its members only
+    # by built-in name or canonical key, so verify never reads it
+    monkeypatch.chdir(tmp_path)
+    graphs.save_graph(graphs.named_graph("C4_3"), "mine.txt")
+    cert = lp_certificate(4, families.parse_family("C4_3"))
+    certificate.save_certificate(replace(cert, family_key="mine.txt"), "cert.txt")
+
+    def no_file(path):
+        raise AssertionError(f"verify opened {path}")
+
+    monkeypatch.setattr(graphs, "load_graph", no_file)
+    result = certificate.verify(certificate.load_certificate("cert.txt"))
+    assert not result.ok and "mine.txt" in result.reason
+    code, out, err = run(capsys, "verify", "--cert", "cert.txt")
+    assert code == 1 and err == ""
+    assert out.splitlines() == [f"REJECTED {result.reason}"]
 
 
 def test_emit_sdp_type_sizes(capsys, tmp_path):

@@ -16,7 +16,7 @@ from turan3.density import (
     spanning_profile,
     upper_entries,
 )
-from turan3.enumeration import FlagType, enumerate_free, rooted_canonical_key
+from turan3.enumeration import enumerate_free, rooted_canonical_key
 from turan3.graphs import blow_up, from_edges, induced_subgraph, named_graph
 
 import oracles
@@ -135,14 +135,14 @@ def _pair_probability_in_host(host, sigma, t, flag_key_1, flag_key_2):
 
 
 def test_empty_type_entries_sum_to_one():
-    table = pair_density_table(FlagType(from_edges(0, [])), 3, 6)
+    table = pair_density_table(from_edges(0, []), 3, 6)
     for mat in table.matrices:
         assert sum(sum(row) for row in oracles.dense(mat, len(table.flags))) == 1
 
 
 def test_matrices_symmetric():
     fam = families.make_family(named_graph("C4_3"), named_graph("F5_BAR"))
-    table = pair_density_table(FlagType(from_edges(1, [])), 3, 5, fam)
+    table = pair_density_table(from_edges(1, []), 3, 5, fam)
     for sparse in table.matrices:
         mat = oracles.dense(sparse, len(table.flags))
         n = len(mat)
@@ -155,8 +155,8 @@ def test_matrices_symmetric():
 def test_table_against_embedding_oracle():
     # single-vertex type, flags of size 3, targets of size 5
     fam = families.make_family(named_graph("C4_3"), named_graph("F5_BAR"))
-    ftype = FlagType(from_edges(1, []))
-    table = pair_density_table(ftype, 3, 5, fam)
+    sigma = from_edges(1, [])
+    table = pair_density_table(sigma, 3, 5, fam)
     t = 2
     for target_idx in (0, len(table.targets) // 2, len(table.targets) - 1):
         target = table.targets[target_idx]
@@ -164,7 +164,7 @@ def test_table_against_embedding_oracle():
         for i in range(len(table.flags)):
             for j in range(len(table.flags)):
                 want = _pair_probability_in_host(
-                    target, ftype.sigma, t, table.flags[i].key, table.flags[j].key
+                    target, sigma, t, table.flags[i], table.flags[j]
                 )
                 assert mat[i][j] == want
 
@@ -172,8 +172,8 @@ def test_table_against_embedding_oracle():
 def test_host_identity_from_docstring():
     # Pr[sigma and F1 and F2 in H] == sum_F entry(F1,F2;F) p(F,H), exactly.
     rng = random.Random(9)
-    ftype = FlagType(from_edges(1, []))
-    table = pair_density_table(ftype, 3, 5)
+    sigma = from_edges(1, [])
+    table = pair_density_table(sigma, 3, 5)
     t = 2
     host = random_graph(6, 0.5, rng)
     prof = spanning_profile(host, 5)
@@ -181,7 +181,7 @@ def test_host_identity_from_docstring():
     for i in (0, 1):
         for j in (0, 1):
             lhs = _pair_probability_in_host(
-                host, ftype.sigma, t, table.flags[i].key, table.flags[j].key
+                host, sigma, t, table.flags[i], table.flags[j]
             )
             rhs = sum(
                 oracles.dense(table.matrices[fi], len(table.flags))[i][j]
@@ -221,7 +221,7 @@ def test_pair_matrix_matches_dense_form():
 
 def test_size_validation():
     with pytest.raises(ValueError):
-        pair_density_table(FlagType(from_edges(1, [])), 4, 5)  # 2*4-1 = 7 > 5
+        pair_density_table(from_edges(1, []), 4, 5)  # 2*4-1 = 7 > 5
 
 
 def test_p_matches_per_subset_iso_oracle():
@@ -248,8 +248,8 @@ def test_memo_keeps_labellings_of_one_type_apart(monkeypatch):
     monkeypatch.setattr(density_mod, "_memory_cache", {})
     fresh = []
     for edges in ([(0, 1, 2)], [(1, 2, 3)]):
-        ftype = FlagType(from_edges(4, edges))
-        fresh.append(density_mod._build_table(ftype, 5, 6, fam))
-        assert pair_density_table(ftype, 5, 6, fam) == fresh[-1]
+        sigma = from_edges(4, edges)
+        fresh.append(density_mod._build_table(sigma, 5, 6, fam))
+        assert pair_density_table(sigma, 5, 6, fam) == fresh[-1]
     assert fresh[0].flags != fresh[1].flags
     assert fresh[0].matrices != fresh[1].matrices

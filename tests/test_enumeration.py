@@ -4,7 +4,6 @@ from itertools import combinations
 import pytest
 
 from turan3.enumeration import (
-    FlagType,
     _attachment_orbit_reps,
     _extend,
     _has_top_degree,
@@ -18,6 +17,7 @@ from turan3.enumeration import (
 from turan3.graphs import (
     Hypergraph3,
     canonical_data,
+    decode_key,
     from_edges,
     is_family_free,
     link_patterns,
@@ -283,18 +283,21 @@ def test_enumerated_graphs_carry_their_own_labelling(famname):
 # Flags
 
 
+def _decode_flag(key):
+    """(graph, root count) of a rooted key: roots sit at labels 0..s-1."""
+    return decode_key(key[1:]), key[0]
+
+
 def test_single_vertex_type_m2():
-    t = FlagType(from_edges(1, []))
-    flags = enumerate_flags(t, 2)
+    flags = enumerate_flags(from_edges(1, []), 2)
     assert len(flags) == 1
-    assert flags[0].roots == (0,)
+    assert _decode_flag(flags[0]) == (from_edges(2, []), 1)
 
 
 def test_flag_counts_vs_rooted_oracle():
     # type = one labeled edge on 3 vertices, flags on 4 vertices, no family
     sigma = from_edges(3, [(0, 1, 2)])
-    t = FlagType(sigma)
-    flags = enumerate_flags(t, 4)
+    flags = enumerate_flags(sigma, 4)
     # oracle: all labeled graphs on 4 vertices x all root embeddings,
     # classified by rooted isomorphism
     found = []
@@ -307,7 +310,7 @@ def test_flag_counts_vs_rooted_oracle():
                 found.append((g, theta))
     assert len(flags) == len(found)
     # cross-check keys: every oracle rep matches exactly one flag key
-    flag_keys = {f.key for f in flags}
+    flag_keys = set(flags)
     assert len(flag_keys) == len(flags)
     for fg, fr in found:
         assert rooted_canonical_key(fg, fr) in flag_keys
@@ -315,19 +318,21 @@ def test_flag_counts_vs_rooted_oracle():
 
 def test_flag_roots_induce_type():
     sigma = from_edges(3, [(0, 1, 2)])
-    for f in enumerate_flags(FlagType(sigma), 5, [named_graph("C4_3")]):
-        assert f.roots == (0, 1, 2)
-        assert (0, 1, 2) in f.graph.edge_set
+    for key in enumerate_flags(sigma, 5, [named_graph("C4_3")]):
+        graph, roots = _decode_flag(key)
+        assert roots == 3 and graph.n == 5
+        assert (0, 1, 2) in graph.edge_set
+        assert rooted_canonical_key(graph, (0, 1, 2)) == key
 
 
 def test_flags_with_contradictory_type():
     with pytest.raises(ValueError):
-        enumerate_flags(FlagType(named_graph("C4_3")), 5, [named_graph("C4_3")])
+        enumerate_flags(named_graph("C4_3"), 5, [named_graph("C4_3")])
 
 
 def test_flag_type_too_big():
     with pytest.raises(ValueError):
-        enumerate_flags(FlagType(from_edges(4, [])), 3)
+        enumerate_flags(from_edges(4, []), 3)
 
 
 def test_rooted_key_respects_root_order():

@@ -69,6 +69,17 @@ def test_family_key_names_no_file(tmp_path):
     ]
 
 
+def test_family_from_key_reads_names_and_keys_only(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    graphs.save_graph(PAIR, "pair.txt")
+    key = f"K4_3,induced:{PAIR.canon_key.hex()}"
+    assert families.family_from_key(key) == families.parse_family(key)
+    assert families.family_from_key("none") == ()
+    with pytest.raises(ValueError, match="pair.txt"):
+        families.family_from_key("K4_3,pair.txt")
+    assert families.parse_family("pair.txt")[0].graph == PAIR
+
+
 def test_large_member_file_is_never_labelled(tmp_path, monkeypatch):
     # Labelling the edgeless 12-vertex graph would try 12! relabellings.
     real = graphs.canonical_data

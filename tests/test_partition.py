@@ -159,6 +159,15 @@ def test_maxcut_matches_full_recompute_oracle():
             assert (res.v1, res.v2, res.cross_present) == (v1, v2, cross)
 
 
+def test_maxcut_restart_i_is_seeded_with_seed_plus_i():
+    h = random_graph(20, 0.5, random.Random(59))
+    for seed in range(40, 44):
+        whole = maxcut_local_search(h, restarts=6, seed=seed)
+        # max keeps the first of equal maxima, as the search does
+        singles = [maxcut_local_search(h, restarts=1, seed=seed + i) for i in range(6)]
+        assert whole == max(singles, key=lambda res: res.cross_present)
+
+
 @pytest.mark.parametrize("restarts", [0, -1])
 def test_maxcut_rejects_restarts_below_one(restarts):
     with pytest.raises(ValueError, match="restarts"):

@@ -8,7 +8,7 @@ import pytest
 
 from turan3 import families
 from turan3.density import spanning_profile
-from turan3.enumeration import FlagType, enumerate_free
+from turan3.enumeration import enumerate_free
 from turan3.graphs import from_edges, named_graph
 from turan3.sdp import (
     assemble,
@@ -82,18 +82,17 @@ def test_assemble_rejects_impossible_family():
 
 
 def test_assemble_rejects_oversized_types():
-    t = FlagType(from_edges(1, []))
     with pytest.raises(ValueError):
-        assemble(5, (), types=[(t, 4)])  # 2*4 - 1 = 7 > 5
+        assemble(5, (), types=[(from_edges(1, []), 4)])  # 2*4 - 1 = 7 > 5
 
 
 def test_default_types_m5():
     family = fam("C4_3", "F5_BAR")
     types = default_types(5, family)
-    sizes = sorted(t.size for t, _ in types)
+    sizes = sorted(t.n for t, _ in types)
     assert sizes == [1, 3, 3]
     for t, m_prime in types:
-        assert 2 * m_prime - t.size == 5
+        assert 2 * m_prime - t.n == 5
     model = assemble(5, family, use_default_types=True)
     assert model.type_dims == (2, 8, 7)
     assert model.n_constraints == 22
