@@ -188,7 +188,13 @@ def _parse_type_selection(selection: str, m: int, family) -> list | None:
         return []
     if selection == "default":
         return sdp.default_types(m, family)
-    return sdp.types_of_sizes(m, [int(x) for x in selection.split(",")], family)
+    sizes = []
+    for text in selection.split(","):
+        try:
+            sizes.append(int(text))
+        except ValueError:
+            raise ValueError(f"type size {text!r} is not an integer") from None
+    return sdp.types_of_sizes(m, sizes, family)
 
 
 def cmd_emit_sdp(args, parser) -> int:

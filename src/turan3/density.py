@@ -29,6 +29,19 @@ each nonzero entry with j ascending.  Both triangles are stored, and rows
 after the last nonempty one are left out, so a zero matrix is ().
 pair_matrix builds one from upper-triangle entries; upper_entries reads them
 back in row-major order, the order of program text.
+
+How a table is built.  Each target is scanned by root sets
+(graphs.root_sets): an s-subset S that induces a copy of sigma comes with
+the orderings p for which theta = S o p induces sigma exactly.  A flag's
+labelled graph, on theta + sorted(A), is a bitmask over its triples; the
+triples inside theta are sigma's edges, one constant base mask per type,
+so only the triples that touch A are read, from a per-target table of
+every ordering of every edge.  Those are coded once per (S, A) with S
+sorted, and the flag slot of each theta = S o p is memoised by (p, code)
+across the table's targets.  A new (p, code) reads its mask on theta + A,
+and a new mask costs one rooted canonical search.  Ordered pairs of
+disjoint A's are counted per target under integer keys, and each count
+becomes one shared Fraction over the common denominator.
 """
 
 from __future__ import annotations
@@ -39,13 +52,14 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, perm
 
-from .enumeration import enumerate_flags, enumerate_free, rooted_canonical_key, type_embeddings
+from .enumeration import enumerate_flags, enumerate_free, rooted_canonical_key
 from .families import Family
 from .graphs import (
     Hypergraph3,
     _spanning_subsets,
     from_edges,
     induced_subgraph,
+    root_sets,
 )
 
 SINGLE_EDGE = from_edges(3, [(0, 1, 2)])
@@ -200,39 +214,77 @@ def _build_table(
         for y, my in enumerate(masks)
         if not mx & my
     ]
+    # A flag's vertices are theta + sorted(A), roots first, and its labelled
+    # edge set is a bitmask over flag_triples.  theta induces sigma, so the
+    # triples inside the roots are one base mask for every theta; only the
+    # open triples, those that touch A, are looked up.
     flag_triples = list(combinations(range(m_prime), 3))
-    # Flag index by the labeled edge set (a bitmask over flag_triples) of the
-    # induced graph on theta + sorted(A), roots first: equal labeled graphs
-    # have equal rooted keys, so the canonical search runs once per mask.
-    # The mask is cheaper than building induced_subgraph for every subset,
-    # which is done only on a miss.
+    base = sum(1 << bit for bit, tri in enumerate(flag_triples) if tri in sigma.edge_set)
+    open_triples = [(1 << bit, tri) for bit, tri in enumerate(flag_triples) if tri[2] >= s]
+    # Flag index by mask: equal labelled graphs have equal rooted keys, so
+    # the canonical search runs once per mask.
     slot_by_mask: dict[int, int] = {}
+    # A root set S and a subset A are coded once, by the open triples of
+    # S + sorted(A) with S sorted.  Each theta = S o p relabels that code, so
+    # its flag slot is slot_by_code[p][code], for every target.
+    slot_by_code: dict[tuple[int, ...], dict[int, int]] = {
+        order: {} for order in permutations(range(s))
+    }
+    nflags = len(flags)
+    fractions: dict[int, Fraction] = {}  # count -> count / denominator
     matrices = []
     for target in targets:
-        # every ordering of every edge, so unsorted triples can be looked up
-        edges = {e for edge in target.edges for e in permutations(edge)}
-        counts: dict[tuple[int, int], int] = {}
-        for theta in type_embeddings(target, sigma):
-            others = [v for v in range(m) if v not in theta]
-            slots = []
-            for sub in subsets:
-                vertices = list(theta) + [others[x] for x in sub]
-                mask = 0
-                for bit, (a, b, c) in enumerate(flag_triples):
-                    if (vertices[a], vertices[b], vertices[c]) in edges:
-                        mask |= 1 << bit
-                slot = slot_by_mask.get(mask)
-                if slot is None:
-                    sub_graph = induced_subgraph(target, vertices)
-                    slot = flag_index[rooted_canonical_key(sub_graph, range(s))]
-                    slot_by_mask[mask] = slot
-                slots.append(slot)
-            for x, y in disjoint:
-                pair = (slots[x], slots[y])
-                counts[pair] = counts.get(pair, 0) + 1
-        # counts is symmetric, since (A1, A2) and (A2, A1) are both counted
-        upper = {(i, j): Fraction(c, denominator) for (i, j), c in counts.items() if i <= j}
-        matrices.append(pair_matrix(upper))
+        # edge[a][b][c] for every ordering of every edge
+        edge = [[[False] * m for _ in range(m)] for _ in range(m)]
+        for tri in target.edges:
+            for a, b, c in permutations(tri):
+                edge[a][b][c] = True
+        counts: dict[int, int] = {}  # i * nflags + j -> count for flags (i, j)
+        for roots, orderings in root_sets(target, sigma):
+            others = [v for v in range(m) if v not in roots]
+            groups = [[others[x] for x in sub] for sub in subsets]
+            codes = []
+            for group in groups:
+                vertices = roots + tuple(group)
+                code = 0
+                for bit, (a, b, c) in open_triples:
+                    if edge[vertices[a]][vertices[b]][vertices[c]]:
+                        code |= bit
+                codes.append(code)
+            for order in orderings:
+                by_code = slot_by_code[order]
+                slots = []
+                for group, code in zip(groups, codes):
+                    slot = by_code.get(code)
+                    if slot is None:
+                        vertices = [roots[i] for i in order] + group
+                        mask = base
+                        for bit, (a, b, c) in open_triples:
+                            if edge[vertices[a]][vertices[b]][vertices[c]]:
+                                mask |= bit
+                        slot = slot_by_mask.get(mask)
+                        if slot is None:
+                            sub_graph = induced_subgraph(target, vertices)
+                            slot = flag_index[rooted_canonical_key(sub_graph, range(s))]
+                            slot_by_mask[mask] = slot
+                        by_code[code] = slot
+                    slots.append(slot)
+                for x, y in disjoint:
+                    pair = slots[x] * nflags + slots[y]
+                    counts[pair] = counts.get(pair, 0) + 1
+        # counts is symmetric, since (A1, A2) and (A2, A1) are both counted,
+        # so its keys in order give each row of the PairMatrix, sorted.
+        rows: list[list[tuple[int, Fraction]]] = [[] for _ in flags]
+        for pair in sorted(counts):
+            i, j = divmod(pair, nflags)
+            c = counts[pair]
+            q = fractions.get(c)
+            if q is None:
+                q = fractions[c] = Fraction(c, denominator)
+            rows[i].append((j, q))
+        while rows and not rows[-1]:
+            rows.pop()
+        matrices.append(tuple(map(tuple, rows)))
     return PairDensityTable(
         flags=tuple(flags), targets=tuple(targets), matrices=tuple(matrices)
     )

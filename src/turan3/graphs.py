@@ -17,19 +17,25 @@ a leaf per relabeling.  A graph's refined colouring is its cached
 refined_colors, which the generator reads before it decides to label.
 _injections (backtracking over vertex images, pruned by degree and by every
 triple a placed vertex completes) decides containment: contains_sub,
-contains_induced, type_embeddings and link_patterns (which lists, for the
-isomorph-free generator, the links of a new vertex that would complete a
-member) are single callers of it, and _spanning_subsets, the one k-subset
-scan behind density.p and exhaustive_containment_scan, runs it as a
-bijection search on each subset.
+contains_induced and link_patterns (which lists, for the isomorph-free
+generator, the links of a new vertex that would complete a member) are
+single callers of it, and _spanning_subsets, the one k-subset scan behind
+density.p and exhaustive_containment_scan, runs it as a bijection search on
+each subset.
 Canonical labeling never decides containment.
+
+Typed embeddings need no search.  root_sets codes each s-subset of a
+target by its induced graph, one bit per triple, and reads the orderings
+that make it induce the type sigma exactly from a per-(sigma, code) list
+computed once per process; type_embeddings sorts the tuples it gives, and
+density's pair-density tables read the root sets directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
 Triple = tuple[int, int, int]
@@ -434,15 +440,67 @@ def contains_induced(h: Hypergraph3, f: Hypergraph3) -> bool:
     return next(_injections(f, h, _degree_order(f), True), None) is not None
 
 
+# Per labelled type sigma, the orderings of a root set whose induced graph
+# has a given code (see root_sets); filled lazily, a few entries per type.
+_orderings_memo: dict[Hypergraph3, dict[int, list[Perm]]] = {}
+
+
+def root_sets(
+    target: Hypergraph3, sigma: Hypergraph3
+) -> Iterator[tuple[tuple[int, ...], list[Perm]]]:
+    """Each sigma.n-subset S of target's vertices that induces a copy of
+    sigma, in combinations order, with the orderings p for which
+    (S[p[0]], ..., S[p[s-1]]) induces sigma exactly.
+
+    S is coded by its induced graph, one bit per triple of its sorted
+    positions in combinations order, and the orderings depend only on that
+    code, so each (sigma, code) computes its list once per process.
+    """
+    s = sigma.n
+    by_code = _orderings_memo.setdefault(sigma, {})
+    edge_set = target.edge_set
+    for sub in combinations(range(target.n), s):
+        code = 0
+        for bit, t in enumerate(combinations(sub, 3)):
+            if t in edge_set:
+                code |= 1 << bit
+        orderings = by_code.get(code)
+        if orderings is None:
+            orderings = by_code[code] = _orderings_of(sigma, code)
+        if orderings:
+            yield sub, orderings
+
+
+def _orderings_of(sigma: Hypergraph3, code: int) -> list[Perm]:
+    """The orderings p of range(s), in permutations order, that carry the
+    graph coded by code (see root_sets) onto sigma: label x goes to p[x]."""
+    s = sigma.n
+    triples = list(combinations(range(s), 3))
+    bit_of = {t: 1 << i for i, t in enumerate(triples)}
+    sigma_code = sum(bit_of[t] for t in sigma.edges)
+    out = []
+    for p in permutations(range(s)):
+        image = 0
+        for bit, (x, y, z) in enumerate(triples):
+            if code & bit_of[_sorted_triple(p[x], p[y], p[z])]:
+                image |= 1 << bit
+        if image == sigma_code:
+            out.append(p)
+    return out
+
+
 def type_embeddings(target: Hypergraph3, sigma: Hypergraph3) -> list[tuple[int, ...]]:
     """All ordered injections of the labeled type into target, exact on edges.
 
     theta qualifies iff for every triple of root positions, the image triple
-    is a target edge exactly when the positions form a sigma edge.  Roots are
-    placed in label order, so the result comes in the lexicographic order of
-    itertools.permutations.
+    is a target edge exactly when the positions form a sigma edge.  Each
+    root set's qualifying orderings come from root_sets, and the result is
+    sorted, so it comes in the lexicographic order of itertools.permutations.
     """
-    return list(_injections(sigma, target, range(sigma.n), True))
+    return sorted(
+        tuple([sub[i] for i in p]) for sub, orderings in root_sets(target, sigma)
+        for p in orderings
+    )
 
 
 def induced_subgraph(h: Hypergraph3, vertices: Sequence[int]) -> Hypergraph3:

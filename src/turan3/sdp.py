@@ -103,15 +103,23 @@ def types_of_sizes(m: int, sizes: Sequence[int], family: Family = ()) -> list[Ty
     """(sigma, (m + s) / 2) for each admissible type sigma of each size s in sizes.
 
     Each sigma is the canonical form of its class.  The flag size (m + s) / 2
-    makes two flags over a shared root set exactly fill an m-vertex target; a
-    size of the wrong parity for m raises ValueError.
+    makes two flags over a shared root set exactly fill an m-vertex target.  A
+    size that is negative, above m, repeated or of the wrong parity for m
+    raises ValueError naming it.
     """
+    for i, s in enumerate(sizes):
+        if s < 0:
+            raise ValueError(f"type size {s} is negative")
+        if s > m:
+            raise ValueError(f"type size {s} exceeds m={m}")
+        if s in sizes[:i]:
+            raise ValueError(f"type size {s} is repeated")
+        if (m + s) % 2:
+            raise ValueError(f"type size {s} has the wrong parity for m={m}")
     members = [fm.graph for fm in family]
     flags_ind = [fm.induced for fm in family]
     out = []
     for s in sizes:
-        if (m + s) % 2:
-            raise ValueError(f"type size {s} has the wrong parity for m={m}")
         for sigma in enumerate_free(s, members, flags_ind):
             out.append((sigma, (m + s) // 2))
     return out

@@ -3,10 +3,12 @@
 Everything here is deliberately naive: factorial-time isomorphism, full
 injection scans, classify-after-generate enumeration, colour refinement
 on tuples and a canonical search over every relabelling.  None of it shares
-code paths with the package implementations it audits, except
-generate_free_labelling_every_child: it is the package's generator with its
+code paths with the package implementations it audits, except two:
+generate_free_labelling_every_child is the package's generator with its
 shortcuts taken out, so it shares the orbit representatives and the
-canonical search, and audits only the shortcuts.
+canonical search, and audits only the shortcuts; pair_density_table_brute
+takes the flags, targets, rooted keys and sparse matrix form from the
+package, and audits how a table finds its thetas and flag slots.
 """
 
 from __future__ import annotations
@@ -14,9 +16,23 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
+from math import comb, perm
 
-from turan3.enumeration import _attachment_orbit_reps, _extend, _new_vertex_is_canonical
-from turan3.graphs import Hypergraph3, canonical_data, is_family_free
+from turan3.density import PairDensityTable, pair_matrix
+from turan3.enumeration import (
+    _attachment_orbit_reps,
+    _extend,
+    _new_vertex_is_canonical,
+    enumerate_flags,
+    enumerate_free,
+)
+from turan3.graphs import (
+    Hypergraph3,
+    canonical_data,
+    induced_subgraph,
+    is_family_free,
+    rooted_canonical_key,
+)
 
 
 def sorted_triple(a, b, c):
@@ -216,6 +232,41 @@ def type_embeddings_brute(target: Hypergraph3, sigma: Hypergraph3):
         ):
             out.append(theta)
     return out
+
+
+def pair_density_table_brute(sigma: Hypergraph3, m_prime: int, m: int, family):
+    """The pair-density table counted directly: for each target, each theta
+    of type_embeddings_brute and each ordered pair of disjoint
+    (m' - s)-subsets A1, A2 of the other vertices, the rooted key of the
+    induced graph on theta + A, computed afresh for every subset."""
+    members = [fm.graph for fm in family]
+    flags_ind = [fm.induced for fm in family]
+    flags = enumerate_flags(sigma, m_prime, members, flags_ind)
+    targets = enumerate_free(m, members, flags_ind)
+    index = {key: i for i, key in enumerate(flags)}
+    s = sigma.n
+    t = m_prime - s
+    denominator = perm(m, s) * comb(m - s, t) * comb(m - s - t, t)
+    matrices = []
+    for target in targets:
+        counts = {}
+        for theta in type_embeddings_brute(target, sigma):
+            others = [v for v in range(m) if v not in theta]
+            slot = {
+                sub: index[rooted_canonical_key(
+                    induced_subgraph(target, theta + sub), range(s)
+                )]
+                for sub in combinations(others, t)
+            }
+            for a1 in slot:
+                for a2 in slot:
+                    if not set(a1) & set(a2):
+                        pair = (slot[a1], slot[a2])
+                        counts[pair] = counts.get(pair, 0) + 1
+        matrices.append(pair_matrix(
+            {(i, j): Fraction(c, denominator) for (i, j), c in counts.items() if i <= j}
+        ))
+    return PairDensityTable(tuple(flags), tuple(targets), tuple(matrices))
 
 
 def dense(mat, n):

@@ -256,18 +256,27 @@ def test_verify_rejects_a_family_key_that_names_a_file(capsys, tmp_path, monkeyp
 
 
 def test_emit_sdp_type_sizes(capsys, tmp_path):
-    out_path = str(tmp_path / "m.sdp")
+    out_path = tmp_path / "m.sdp"
     code, out, _ = run(
         capsys, "emit-sdp", "--m", "5", "--forbid", "C4_3,F5_BAR", "--types", "1,3",
-        "--out", out_path,
+        "--out", str(out_path),
     )
     assert code == 0
     assert rows(out)["block_dims"] == "2,8,7"
-    code, _, err = run(
-        capsys, "emit-sdp", "--m", "5", "--types", "1,2", "--out", out_path
-    )
-    assert code == 1
-    assert err == "error: type size 2 has the wrong parity for m=5\n"
+    out_path.unlink()
+    for m, selection, reason in [
+        ("5", "1,2", "type size 2 has the wrong parity for m=5"),
+        ("6", "8", "type size 8 exceeds m=6"),
+        ("6", "-2", "type size -2 is negative"),
+        ("6", "4,x", "type size 'x' is not an integer"),
+        ("6", "2,2", "type size 2 is repeated"),
+        ("6", "2,", "type size '' is not an integer"),
+    ]:
+        code, out, err = run(
+            capsys, "emit-sdp", "--m", m, "--types", selection, "--out", str(out_path)
+        )
+        assert (code, out, err) == (1, "", f"error: {reason}\n"), selection
+        assert not out_path.exists()
 
 
 def test_verify_rejects_bad_certificate(capsys, tmp_path):

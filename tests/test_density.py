@@ -18,6 +18,7 @@ from turan3.density import (
 )
 from turan3.enumeration import enumerate_free, rooted_canonical_key
 from turan3.graphs import blow_up, from_edges, induced_subgraph, named_graph
+from turan3.sdp import default_types
 
 import oracles
 
@@ -243,7 +244,8 @@ def test_p_matches_per_subset_iso_oracle():
 def test_memo_keeps_labellings_of_one_type_apart(monkeypatch):
     import turan3.density as density_mod
 
-    # Two labellings of the one-edge 4-vertex type have different tables.
+    # Two labellings of the one-edge 4-vertex type have different tables,
+    # each equal to the direct count.
     fam = families.parse_family("F32,C5_3_MINUS")
     monkeypatch.setattr(density_mod, "_memory_cache", {})
     fresh = []
@@ -251,5 +253,21 @@ def test_memo_keeps_labellings_of_one_type_apart(monkeypatch):
         sigma = from_edges(4, edges)
         fresh.append(density_mod._build_table(sigma, 5, 6, fam))
         assert pair_density_table(sigma, 5, 6, fam) == fresh[-1]
+        assert fresh[-1] == oracles.pair_density_table_brute(sigma, 5, 6, fam)
     assert fresh[0].flags != fresh[1].flags
     assert fresh[0].matrices != fresh[1].matrices
+
+
+PAPER_FAMILIES = ("C4_3,F5_BAR", "F32,C5_3_MINUS", "F32,induced:F32_BAR")
+
+
+@pytest.mark.parametrize(
+    "m, spec",
+    [(5, spec) for spec in PAPER_FAMILIES] + [(6, "F32,C5_3_MINUS")],
+)
+def test_tables_match_direct_count(m, spec):
+    fam = families.parse_family(spec)
+    for sigma, m_prime in default_types(m, fam):
+        assert pair_density_table(sigma, m_prime, m, fam) == oracles.pair_density_table_brute(
+            sigma, m_prime, m, fam
+        )

@@ -381,9 +381,14 @@ def test_type_embeddings_match_permutation_filter():
     from itertools import combinations
 
     rng = random.Random(17)
-    sigmas = [g for s in range(5) for g in enumerate_free(s)]
-    for _ in range(40):
-        n = rng.randint(0, 6)
+    # every type class on at most 5 vertices, canonical and relabelled
+    sigmas = [
+        h
+        for s in range(6)
+        for g in enumerate_free(s)
+        for h in (g, relabel(g, rng.sample(range(s), s)))
+    ]
+    for n in [k for k in range(8) for _ in range(3)]:
         prob = rng.random()
         target = Hypergraph3(
             n, tuple(t for t in combinations(range(n), 3) if rng.random() < prob)

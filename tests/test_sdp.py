@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -113,6 +114,25 @@ def test_adding_types_never_raises_lp_floor():
 
 # ---------------------------------------------------------------------------
 # Emission round-trip
+
+
+# SHA-256 of the program text for the three paper families with the default
+# types, recorded before the tables were built from root sets.
+PROGRAM_DIGESTS = {
+    (5, "C4_3,F5_BAR"): "1e42f37b2920152ded5505e2b39f3c1b006208102c0072c384b639269408b5b6",
+    (5, "F32,C5_3_MINUS"): "ce28795cef7b3472cf4a189fc842da3838c1985924ea1828262b88b5caecc5ed",
+    (5, "F32,induced:F32_BAR"): "5b832b887432a6952528a5cf08f9f8d865545c16bed410772e42ec29b5ae57c5",
+    (6, "C4_3,F5_BAR"): "bd1e77d0749d3d1d0ba1fedd1cf6115b66efa981f65c2febb0f58a13034debd0",
+    (6, "F32,C5_3_MINUS"): "4ac4853765228f55d56f737f6967ed87d778db70ce9718c371ec1b9c2afd63e7",
+    (6, "F32,induced:F32_BAR"): "a0bd9cb4ff039194e73e239ee52b9f9926fdef416b7e72a152aa9db95aeb1ad0",
+}
+
+
+@pytest.mark.parametrize("m, spec", sorted(PROGRAM_DIGESTS))
+def test_default_program_text_is_pinned(m, spec):
+    model = assemble(m, families.parse_family(spec), use_default_types=True)
+    digest = hashlib.sha256(model_to_text(model).encode()).hexdigest()
+    assert digest == PROGRAM_DIGESTS[m, spec]
 
 
 def test_emit_parse_round_trip_lp(tmp_path):
