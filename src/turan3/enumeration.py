@@ -16,16 +16,17 @@ the mask, before the child is built and before the orbit-minimality test;
 both are invariant under Aut(parent), so the orbit representatives kept
 are the same as without them:
 
-1. the mask has at least as many pairs as the parent's largest degree (the
-   new vertex's degree is the popcount, and no old vertex loses degree);
+1. the new vertex has the child's largest degree: its degree is the
+   mask's popcount, and old vertex v's is deg(v) plus the mask's pairs at
+   v (refinement orders colour cells by degree first, so a vertex below
+   the largest degree is outside the top cell);
 2. the mask matches none of the parent's link patterns
    (graphs.link_patterns), so the child is family-free;
-3. the new vertex has the child's largest degree;
-4. it lies in the top cell of the child's refined colouring, which is
-   computed once and reused by the labelling;
-5. the child is labelled and the orbit test decides.
+3. the new vertex lies in the top cell of the child's refined colouring,
+   which is computed once and reused by the labelling;
+4. the child is labelled and the orbit test decides.
 
-Checks 1, 3 and 4 are implied by the orbit test, so the output is the same
+Checks 1 and 3 are implied by the orbit test, so the output is the same
 as without them.
 
 An accepted child is labelled once: its canonical form comes with its own
@@ -56,23 +57,65 @@ from .graphs import (
 SOFT_VERTEX_LIMIT = 7
 
 
+# Per k, the packed link degrees _attachment_orbit_reps tests degrees with.
+_outrank_memo: dict[int, tuple[int, list[int], list[int], int, int]] = {}
+
+
+def _outrank_codes(k: int) -> tuple[int, list[int], list[int], int, int]:
+    """(split, low, high, width, top) for the degree test of _attachment_orbit_reps.
+
+    A mask's code packs, in a field of width bits per vertex v < k, the
+    value |mask & star(v)| - |mask| + half - 1, where star(v) is the pairs
+    at v and half = 1 << (width - 1) exceeds the pair count.  Adding deg(v)
+    < half to v's field sets its top bit (one of the bits of top) exactly
+    when deg(v) + |mask & star(v)| > |mask|, and no field overflows.  The
+    code is linear in the mask's pairs, so it is the sum of low[mask's low
+    split bits] and high[mask's other bits]; two tables of about
+    2 ** (pairs / 2) entries stand for one of 2 ** pairs.
+    """
+    found = _outrank_memo.get(k)
+    if found is None:
+        pairs = list(combinations(range(k), 2))
+        split = len(pairs) // 2
+        width = len(pairs).bit_length() + 1
+        half = 1 << (width - 1)
+        stars = [sum(1 << i for i, p in enumerate(pairs) if v in p) for v in range(k)]
+
+        def pack(mask: int, offset: int) -> int:
+            size = mask.bit_count()
+            return sum(
+                ((mask & star).bit_count() - size + offset) << (width * v)
+                for v, star in enumerate(stars)
+            )
+
+        low = [pack(lo, 0) for lo in range(1 << split)]
+        high = [pack(hi << split, half - 1) for hi in range(1 << (len(pairs) - split))]
+        top = sum(half << (width * v) for v in range(k))
+        found = _outrank_memo[k] = (split, low, high, width, top)
+    return found
+
+
 def _attachment_orbit_reps(
     k: int,
     auts: Sequence[tuple[int, ...]],
-    min_size: int = 0,
+    degrees: Sequence[int] = (),
     patterns: Sequence[tuple[int, int]] = (),
 ) -> Iterable[int]:
     """Bitmask representatives of link-sets (pair subsets) up to Aut(parent).
 
-    A mask is kept iff it is the numerically smallest in its orbit.  Masks
-    with fewer than min_size pairs, or matching a (care, want) pattern
-    (mask & care == want), are dropped before the orbit test; both filters
-    must be Aut(parent)-invariant, so the kept masks are exactly the
-    unfiltered representatives that pass them.
+    A mask is kept iff it is the numerically smallest in its orbit.  Given
+    the parent's degrees, a mask is dropped before the orbit test when an
+    old vertex v would outrank the new vertex, deg(v) + |mask & star(v)| >
+    |mask| (star(v) being the pairs at v); a mask matching a (care, want)
+    pattern (mask & care == want) is dropped too.  Both filters must be
+    Aut(parent)-invariant, so the kept masks are exactly the unfiltered
+    representatives that pass them.
     """
     pairs = list(combinations(range(k), 2))
     npairs = len(pairs)
     index = {p: i for i, p in enumerate(pairs)}
+    split, low_codes, high_codes, width, top = _outrank_codes(k)
+    shift = sum(d << (width * v) for v, d in enumerate(degrees))
     # pair image table per nontrivial automorphism
     tables = []
     for a in auts:
@@ -85,24 +128,27 @@ def _attachment_orbit_reps(
             changed = changed or j != i
         if changed:
             tables.append(tbl)
-    for mask in range(1 << npairs):
-        if mask.bit_count() < min_size:
-            continue
-        if any(mask & care == want for care, want in patterns):
-            continue
-        minimal = True
-        for tbl in tables:
-            img = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                img |= 1 << tbl[low.bit_length() - 1]
-                rest ^= low
-            if img < mask:
-                minimal = False
-                break
-        if minimal:
-            yield mask
+    for hi, high_code in enumerate(high_codes):
+        outer = high_code + shift
+        for lo, low_code in enumerate(low_codes):
+            if (low_code + outer) & top:
+                continue
+            mask = hi << split | lo
+            if any(mask & care == want for care, want in patterns):
+                continue
+            minimal = True
+            for tbl in tables:
+                img = 0
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    img |= 1 << tbl[low.bit_length() - 1]
+                    rest ^= low
+                if img < mask:
+                    minimal = False
+                    break
+            if minimal:
+                yield mask
 
 
 def _extend(parent: Hypergraph3, mask: int, pairs: Sequence[tuple[int, int]]) -> Hypergraph3:
@@ -115,16 +161,6 @@ def _extend(parent: Hypergraph3, mask: int, pairs: Sequence[tuple[int, int]]) ->
         edges.append((u, v, new))
         rest ^= low
     return Hypergraph3(new + 1, tuple(sorted(edges)))
-
-
-def _has_top_degree(child: Hypergraph3) -> bool:
-    """The new vertex has the child's largest degree.
-
-    Refinement orders colour cells by degree first, so a vertex below the
-    largest degree is outside the top cell (see _in_top_cell).
-    """
-    deg = child.degrees
-    return deg[-1] == max(deg)
 
 
 def _in_top_cell(child: Hypergraph3) -> bool:
@@ -196,12 +232,12 @@ def _generate_free(
             masks = _attachment_orbit_reps(
                 k,
                 parent.canonical.automorphisms,
-                max(parent.degrees, default=0),
+                parent.degrees,
                 link_patterns(parent, family, induced_flags),
             )
             for mask in masks:
                 child = _extend(parent, mask, pairs)
-                if not (_has_top_degree(child) and _in_top_cell(child)):
+                if not _in_top_cell(child):
                     continue
                 data = child.canonical
                 if _new_vertex_is_canonical(child, data):

@@ -96,11 +96,13 @@ def _parse_members(spec: str, resolve) -> Family:
     if not spec or spec.lower() == "none":
         return ()
     members = []
-    for item in spec.split(","):
+    for position, item in enumerate(spec.split(","), 1):
         item = item.strip()
         induced = item.startswith("induced:")
         if induced:
             item = item[len("induced:"):]
+        if not item:
+            raise ValueError(f"member {position} of family {spec!r} is empty")
         g = resolve(item)
         name = item if item in graphs.NAMED_GRAPHS else builtin_name(g)
         members.append(FamilyMember(g, induced, name))
@@ -110,6 +112,7 @@ def _parse_members(spec: str, resolve) -> Family:
 def parse_family(spec: str) -> Family:
     """Parse a family spec string; an empty spec (or "none") is the empty family.
 
+    An empty member (as in "F32,", "induced:" or ",,") raises ValueError.
     Members are resolved by resolve_graph, so a member may name a file.  A
     member given by built-in name keeps that name; any other member is named
     by builtin_name, so its label is a built-in name or a hex key.

@@ -13,8 +13,11 @@ visits the relabelings depth first and prunes them by the automorphisms it
 finds on the way (first-path pruning, McKay and Piperno, J. Symbolic
 Comput. 60, 2014): the edgeless and the complete graph cost one leaf per
 vertex, but a rigid graph whose colouring leaves large cells still costs
-a leaf per relabeling.  A graph's refined colouring is its cached
-refined_colors, which the generator reads before it decides to label.
+a leaf per relabeling.  A discrete colouring is answered without a
+search, and a leaf is valued by an integer with one bit per relabeled
+edge, at the rank of the edge's triple, so a leaf costs one OR per edge
+and no sort.  A graph's refined colouring is its cached refined_colors,
+which the generator reads before it decides to label.
 _injections (backtracking over vertex images, pruned by degree and by every
 triple a placed vertex completes) decides containment: contains_sub,
 contains_induced and link_patterns (which lists, for the isomorph-free
@@ -36,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 Triple = tuple[int, int, int]
@@ -74,7 +78,7 @@ class Hypergraph3:
 
     @cached_property
     def refined_colors(self) -> tuple[int, ...]:
-        """The label-invariant colouring _refine_colors gives from all-equal colours."""
+        """The label-invariant colouring _refine_colors gives with no initial colouring."""
         return tuple(_refine_colors(self.n, self.edges))
 
     @cached_property
@@ -134,8 +138,10 @@ def _refine_colors(
 
     The result is a label-invariant coloring: isomorphic graphs produce the
     same color for corresponding vertices.  Distinctions present in the
-    initial coloring persist, and their relative order is preserved.  A pair
-    of colours x <= y is coded as x*k + y with k above every colour, so the
+    initial coloring persist, and their relative order is preserved.  With
+    no initial colouring, refinement starts from the degree ranks, which is
+    exactly what the first round from all-equal colours gives.  A pair of
+    colours x <= y is coded as x*k + y with k above every colour, so the
     sorted codes order vertices exactly as the sorted (x, y) pairs would.
     """
     links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -143,7 +149,11 @@ def _refine_colors(
         links[a].append((b, c))
         links[b].append((a, c))
         links[c].append((a, b))
-    colors = [0] * n if initial is None else list(initial)
+    if initial is None:
+        rank = {d: i for i, d in enumerate(sorted({len(link) for link in links}))}
+        colors = [rank[len(link)] for link in links]
+    else:
+        colors = list(initial)
     while True:
         k = max(colors, default=0) + 1
         sigs = []
@@ -175,6 +185,27 @@ def _orbit_closure(start: Iterable[int], generators: Sequence[Perm]) -> set[int]
     return seen
 
 
+class _TripleBits(dict):
+    """Triple code -> 1 << its rank among all triple codes, filled on first use.
+
+    A triple code has three set bits, at positions i > j > k, and its rank
+    in increasing order is comb(i, 3) + comb(j, 2) + k (the combinatorial
+    number system), whatever the vertex count.  So the table holds only the
+    codes searches have met, never one entry per n-bit integer.
+    """
+
+    def __missing__(self, code: int) -> int:
+        i = code.bit_length() - 1
+        rest = code ^ (1 << i)
+        j = rest.bit_length() - 1
+        k = (rest ^ (1 << j)).bit_length() - 1
+        bit = self[code] = 1 << (comb(i, 3) + comb(j, 2) + k)
+        return bit
+
+
+_TRIPLE_BIT = _TripleBits()
+
+
 def _canonical_search(
     n: int, edges: Sequence[Triple], colors: Sequence[int]
 ) -> tuple[tuple[Triple, ...], Perm, list[Perm]]:
@@ -185,6 +216,8 @@ def _canonical_search(
     the relabelings that sort vertices by color, free within each cell;
     cells are laid out in increasing color order, so the candidate set is
     the same for any isomorphic input, and the top cell takes the top labels.
+    A discrete colouring leaves one candidate and a trivial group, so it is
+    returned without a search.
 
     The candidates form a tree: a node at depth d fixes the vertices of
     labels 0..d-1, and its children take the unused vertices of label d's
@@ -202,19 +235,26 @@ def _canonical_search(
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
     cell_of_label = [cells[c] for c in sorted(cells) for _ in cells[c]]
-    # A relabeled edge is coded as the OR of bit[label] over its vertices;
-    # one edge tuple is less than another exactly when its codes, sorted in
-    # decreasing order, are greater.
+    if len(cells) == n:
+        best, perm = _relabeled_to(edges, [cell[0] for cell in cell_of_label])
+        return best, perm, []
+    # A relabeled edge is coded as the OR of bit[label] over its vertices,
+    # and a leaf's value sets one bit per edge, at the rank of its code
+    # (_TRIPLE_BIT).  One edge tuple is less than another exactly when its
+    # codes, sorted in decreasing order, are greater; with as many edges on
+    # each side, that is exactly when its value is greater.
     bit = [1 << (n - 1 - label) for label in range(n)]
     arrangement = [0] * n  # arrangement[label] = vertex
     code = [0] * n  # code[v] = bit[label of v]
     used = [False] * n
     generators: list[Perm] = []
     # (value, arrangement) of the first leaf, then of the best leaf if it differs
-    leaves: list[tuple[list[int], list[int]]] = []
+    leaves: list[tuple[int, list[int]]] = []
 
     def visit_leaf() -> int:
-        value = sorted([code[a] | code[b] | code[c] for a, b, c in edges], reverse=True)
+        value = 0
+        for a, b, c in edges:
+            value |= _TRIPLE_BIT[code[a] | code[b] | code[c]]
         if not leaves:
             leaves.append((value, arrangement[:]))
             return n - 1
@@ -259,10 +299,18 @@ def _canonical_search(
         return d - 1
 
     explore(0)
-    perm = [0] * n
-    for label, v in enumerate(leaves[-1][1]):
+    best, perm = _relabeled_to(edges, leaves[-1][1])
+    return best, perm, generators
+
+
+def _relabeled_to(
+    edges: Sequence[Triple], arrangement: Sequence[int]
+) -> tuple[tuple[Triple, ...], Perm]:
+    """(relabeled edges, perm) for the relabeling that puts arrangement[label] at label."""
+    perm = [0] * len(arrangement)
+    for label, v in enumerate(arrangement):
         perm[v] = label
-    return _relabeled_edges(edges, perm), tuple(perm), generators
+    return _relabeled_edges(edges, perm), tuple(perm)
 
 
 @dataclass(frozen=True)
@@ -581,13 +629,20 @@ def link_patterns(
     is want, or for an induced member every pair inside the image.  When
     parent is family-free, the graph parent plus a new vertex with link
     mask contains a member exactly when mask & care == want for some
-    pattern: any copy uses the new vertex, as the image of some w.
+    pattern: any copy uses the new vertex, as the image of some w.  One w
+    per orbit of Aut(f) is enough: an automorphism carrying w to w' carries
+    the injections of f - w onto those of f - w', with the same masks.
     """
     k = parent.n
     index = {p: i for i, p in enumerate(combinations(range(k), 2))}
     patterns: set[tuple[int, int]] = set()
     for f, ind in zip(family, induced_flags):
+        generators = f.canonical.generators
+        covered: set[int] = set()
         for w in range(f.n):
+            if w in covered:
+                continue
+            covered |= _orbit_closure([w], generators)
             rest = [v for v in range(f.n) if v != w]
             f_rest = induced_subgraph(f, rest)
             link = [

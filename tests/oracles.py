@@ -3,10 +3,14 @@
 Everything here is deliberately naive: factorial-time isomorphism, full
 injection scans, classify-after-generate enumeration, colour refinement
 on tuples and a canonical search over every relabelling.  None of it shares
-code paths with the package implementations it audits, except two:
+code paths with the package implementations it audits, except four:
 generate_free_labelling_every_child is the package's generator with its
 shortcuts taken out, so it shares the orbit representatives and the
-canonical search, and audits only the shortcuts; pair_density_table_brute
+canonical search, and audits only the shortcuts; link_patterns_every_vertex
+and canonical_search_sorted_leaves are the package's routines without their
+shortcuts (one w per automorphism orbit; a discrete colouring returned at
+once, leaves valued as integers), so they share the injection search and
+the orbit closure, and audit only the shortcuts; pair_density_table_brute
 takes the flags, targets, rooted keys and sparse matrix form from the
 package, and audits how a table finds its thetas and flag slots.
 """
@@ -28,6 +32,10 @@ from turan3.enumeration import (
 )
 from turan3.graphs import (
     Hypergraph3,
+    _degree_order,
+    _injections,
+    _orbit_closure,
+    _relabeled_edges,
     canonical_data,
     induced_subgraph,
     is_family_free,
@@ -141,6 +149,33 @@ def generate_free_labelling_every_child(m: int, members, induced_flags):
     return level
 
 
+def link_patterns_every_vertex(parent: Hypergraph3, family, induced_flags):
+    """graphs.link_patterns with an injection search from every vertex w of
+    each member, not one w per automorphism orbit."""
+    k = parent.n
+    index = {p: i for i, p in enumerate(combinations(range(k), 2))}
+    patterns = set()
+    for f, ind in zip(family, induced_flags):
+        for w in range(f.n):
+            rest = [v for v in range(f.n) if v != w]
+            f_rest = induced_subgraph(f, rest)
+            link = [
+                (i, j)
+                for (i, a), (j, b) in combinations(enumerate(rest), 2)
+                if sorted_triple(w, a, b) in f.edge_set
+            ]
+            for img in _injections(f_rest, parent, _degree_order(f_rest), ind):
+                want = 0
+                for a, b in link:
+                    want |= 1 << index[tuple(sorted((img[a], img[b])))]
+                care = want
+                if ind:
+                    for x, y in combinations(sorted(img), 2):
+                        care |= 1 << index[(x, y)]
+                patterns.add((care, want))
+    return sorted(patterns)
+
+
 def refine_colors_by_pair_tuples(n: int, edges, initial=None) -> list[int]:
     """Colour refinement with each incident pair colour kept as a sorted tuple.
 
@@ -187,6 +222,72 @@ def canonical_search_exhaustive(n: int, edges, colors):
         elif rel == best:
             best_perms.append(tuple(perm))
     return best, best_perms
+
+
+def canonical_search_sorted_leaves(n: int, edges, colors):
+    """graphs._canonical_search with each leaf valued by its sorted list of
+    edge codes and no shortcut for a discrete colouring: the same
+    (best, perm, generators) must come back."""
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    cell_of_label = [cells[c] for c in sorted(cells) for _ in cells[c]]
+    bit = [1 << (n - 1 - label) for label in range(n)]
+    arrangement = [0] * n
+    code = [0] * n
+    used = [False] * n
+    generators = []
+    leaves = []
+
+    def visit_leaf():
+        value = sorted([code[a] | code[b] | code[c] for a, b, c in edges], reverse=True)
+        if not leaves:
+            leaves.append((value, arrangement[:]))
+            return n - 1
+        for ref_value, ref in leaves:
+            if value == ref_value:
+                g = [0] * n
+                for u, w in zip(ref, arrangement):
+                    g[u] = w
+                generators.append(tuple(g))
+                return next(i for i in range(n) if ref[i] != arrangement[i])
+        if value > leaves[-1][0]:
+            del leaves[1:]
+            leaves.append((value, arrangement[:]))
+        return n - 1
+
+    def explore(d):
+        if d == n:
+            return visit_leaf()
+        explored = []
+        covered = set()
+        seen = (0, 0)
+        for x in cell_of_label[d]:
+            if used[x]:
+                continue
+            if explored and seen != (len(explored), len(generators)):
+                seen = (len(explored), len(generators))
+                prefix = arrangement[:d]
+                covered = _orbit_closure(
+                    explored, [g for g in generators if all(g[v] == v for v in prefix)]
+                )
+            if x in covered:
+                continue
+            arrangement[d] = x
+            code[x] = bit[d]
+            used[x] = True
+            back = explore(d + 1)
+            used[x] = False
+            if back < d:
+                return back
+            explored.append(x)
+        return d - 1
+
+    explore(0)
+    perm = [0] * n
+    for label, v in enumerate(leaves[-1][1]):
+        perm[v] = label
+    return _relabeled_edges(edges, perm), tuple(perm), generators
 
 
 def automorphisms_exhaustive(h: Hypergraph3) -> set[tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -78,6 +79,39 @@ def test_enumerate_root_obeys_a_zero_vertex_member(capsys, tmp_path):
     code, out, _ = run(capsys, "enumerate", "--m", "0", "--forbid", str(member))
     assert code == 0
     assert out == "count 0\n"
+
+
+@pytest.mark.parametrize("spec", ["F32,", "induced:", ",,"])
+def test_empty_family_member_is_domain_error(capsys, tmp_path, spec):
+    out_path = tmp_path / "m.sdp"
+    for argv in (
+        ["enumerate", "--m", "4", "--forbid", spec],
+        ["emit-sdp", "--m", "4", "--forbid", spec, "--out", str(out_path)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert_one_error_line(err)
+        assert "is empty" in err and repr(spec) in err
+    assert not out_path.exists()
+
+
+# SHA-256 of the enumerate output, recorded before the generator tested
+# degrees on the attachment mask and valued labelling leaves as integers.
+ENUMERATE_DIGESTS = {
+    (6, ""): "a98f667d032005ee2ce708a1377a08c3d032ca53c6b2a6ff3f60d48b61d188ce",
+    (6, "C4_3,F5_BAR"): "b80c49a0e9398ea6b3e0423c28e4cb30a6ff1773e6506dafcd353b71fbca6e13",
+    (6, "F32,C5_3_MINUS"): "c111824d539206a879bffa511a5117bd8b80135c6620f342175fa9301fd29db7",
+    (6, "F32,induced:F32_BAR"): "ef6b8a2ac85553ea62e4f3eec88de787f030d7aa18b6f1dde044243490ffc84b",
+    (7, "F32,C5_3_MINUS"): "31042613e6ea0de97e65faaffce877eeb4d11dd09ccf2e485d36a5dbe1340364",
+}
+
+
+@pytest.mark.parametrize("m, spec", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_output_is_pinned(capsys, m, spec):
+    code, out, _ = run(capsys, "enumerate", "--m", str(m), "--forbid", spec)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[m, spec]
 
 
 def test_usage_error_exit_2(capsys):

@@ -6,7 +6,6 @@ import pytest
 from turan3.enumeration import (
     _attachment_orbit_reps,
     _extend,
-    _has_top_degree,
     _in_top_cell,
     _new_vertex_is_canonical,
     enumerate_flags,
@@ -225,20 +224,48 @@ def test_link_patterns_decide_the_child_freeness(famname):
                 assert _matches(mask, patterns) is not is_family_free(child, members, flags)
 
 
+@pytest.mark.parametrize("famname", sorted(LINK_PATTERN_FAMILIES))
+def test_link_patterns_match_the_every_vertex_oracle(famname):
+    members, flags = LINK_PATTERN_FAMILIES[famname]
+    for k in range(6):
+        for parent in enumerate_free(k, members, flags):
+            assert link_patterns(parent, members, flags) == oracles.link_patterns_every_vertex(
+                parent, members, flags
+            )
+
+
+def _new_vertex_has_top_degree(child):
+    return child.degrees[-1] == max(child.degrees)
+
+
 @pytest.mark.parametrize("famname", ["empty", "C4_3,F5_BAR"])
 def test_prefiltered_orbit_reps_are_the_filtered_reps(famname):
     members, flags = GENERATOR_FAMILIES[famname]
     for k in range(6):
+        pairs = list(combinations(range(k), 2))
         for parent in enumerate_free(k, members, flags):
             auts = parent.canonical.automorphisms
-            min_size = max(parent.degrees, default=0)
             patterns = link_patterns(parent, members, flags)
             want = [
                 mask
                 for mask in _attachment_orbit_reps(k, auts)
-                if mask.bit_count() >= min_size and not _matches(mask, patterns)
+                if _new_vertex_has_top_degree(_extend(parent, mask, pairs))
+                and not _matches(mask, patterns)
             ]
-            assert list(_attachment_orbit_reps(k, auts, min_size, patterns)) == want
+            assert list(_attachment_orbit_reps(k, auts, parent.degrees, patterns)) == want
+
+
+def test_degree_filter_on_six_vertex_parents():
+    # 15 pair bits: the first parents whose masks span both halves of the
+    # packed degree tables with more than a handful of bits each.
+    pairs = list(combinations(range(6), 2))
+    for parent in enumerate_free(6)[::500]:
+        want = [
+            mask
+            for mask in range(1 << len(pairs))
+            if _new_vertex_has_top_degree(_extend(parent, mask, pairs))
+        ]
+        assert list(_attachment_orbit_reps(6, (), parent.degrees)) == want
 
 
 def test_root_passes_the_family_filter():
@@ -249,15 +276,17 @@ def test_root_passes_the_family_filter():
 
 
 def test_pre_checks_are_implied_by_the_orbit_test():
-    # Every child the generator forms up to m=6 from the empty family.
+    # Every child the generator could form up to m=6 from the empty family.
     degree_rejects = colour_rejects = 0
     for k in range(6):
         pairs = list(combinations(range(k), 2))
         for parent in enumerate_free(k):
-            for mask in _attachment_orbit_reps(k, parent.canonical.automorphisms):
+            auts = parent.canonical.automorphisms
+            kept = set(_attachment_orbit_reps(k, auts, parent.degrees))
+            for mask in _attachment_orbit_reps(k, auts):
                 child = _extend(parent, mask, pairs)
                 in_top_cell = _in_top_cell(child)
-                if not _has_top_degree(child):
+                if mask not in kept:
                     degree_rejects += 1
                     assert not in_top_cell
                 if not in_top_cell:

@@ -195,6 +195,50 @@ def test_refine_colors_matches_the_oracle_on_larger_graphs():
         )
 
 
+def _labelling_hosts(rng):
+    """Random graphs on 7 to 12 vertices, and random relabellings of
+    blow-ups, whose refined colourings leave cells for the search."""
+    for _ in range(60):
+        n = rng.randint(7, 12)
+        yield random_graph(n, rng.random() * 0.5, rng)
+    for base, sizes in [
+        ("K4_3", [2, 2, 2, 1]),
+        ("K4_3", [3, 3, 2, 2]),
+        ("F5", [2, 2, 1, 1, 2]),
+        ("C5_3", [2, 2, 2, 2, 2]),
+        ("C5_3_MINUS", [2, 1, 2, 1, 2]),
+        ("F32", [1, 2, 2, 2, 3]),
+    ]:
+        h = blow_up(named_graph(base), sizes)
+        for g in (h, complement(h)):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            yield relabel(g, perm)
+
+
+def test_triple_bits_rise_with_the_triple_code():
+    for n in (3, 7, 12):
+        codes = sorted(sum(1 << x for x in t) for t in combinations(range(n), 3))
+        assert [graphs._TRIPLE_BIT[code] for code in codes] == [1 << r for r in range(len(codes))]
+    top = (1 << 254) | (1 << 253) | (1 << 252)
+    assert graphs._TRIPLE_BIT[top] == 1 << (comb(255, 3) - 1)
+
+
+def test_canonical_search_matches_the_sorted_leaf_oracle():
+    # Best tuple, perm and generators, in the same order, with and without
+    # roots pinned by a seed colouring.
+    rng = random.Random(37)
+    for h in _labelling_hosts(rng):
+        colourings = [list(h.refined_colors)]
+        for _ in range(2):
+            roots = rng.sample(range(h.n), rng.randint(1, 3))
+            seed = [roots.index(v) if v in roots else len(roots) for v in range(h.n)]
+            colourings.append(graphs._refine_colors(h.n, h.edges, seed))
+        for colors in colourings:
+            got = graphs._canonical_search(h.n, h.edges, colors)
+            assert got == oracles.canonical_search_sorted_leaves(h.n, h.edges, colors)
+
+
 @pytest.mark.parametrize(
     "h,key",
     [
