@@ -99,19 +99,30 @@ def cmd_enumerate(args, parser) -> int:
     return 0
 
 
+def _integers(text: str, what: str) -> list[int]:
+    """The comma-separated integers of text; a bad item is named as what."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise ValueError(f"{what} {item!r} is not an integer") from None
+    return values
+
+
 def _construction_spec(args) -> constructions.ConstructionSpec:
     kind = args.kind
     if kind == "brec":
         if args.n is None:
             raise ValueError("brec needs --n")
         if args.splits:
-            splits = tuple(int(x) for x in args.splits.split(","))
+            splits = tuple(_integers(args.splits, "--splits value"))
         else:
             splits = constructions.b_rec(args.n)[1]
         return constructions.BRec(args.n, splits)
     if not args.parts:
         raise ValueError(f"{kind} needs --parts with comma-separated sizes")
-    parts = [int(x) for x in args.parts.split(",")]
+    parts = _integers(args.parts, "--parts value")
     if kind == "partite3":
         if len(parts) != 3:
             raise ValueError("partite3 needs exactly 3 part sizes")
@@ -188,13 +199,7 @@ def _parse_type_selection(selection: str, m: int, family) -> list | None:
         return []
     if selection == "default":
         return sdp.default_types(m, family)
-    sizes = []
-    for text in selection.split(","):
-        try:
-            sizes.append(int(text))
-        except ValueError:
-            raise ValueError(f"type size {text!r} is not an integer") from None
-    return sdp.types_of_sizes(m, sizes, family)
+    return sdp.types_of_sizes(m, _integers(selection, "type size"), family)
 
 
 def cmd_emit_sdp(args, parser) -> int:
@@ -250,7 +255,7 @@ def cmd_partition(args, parser) -> int:
     h = families.resolve_graph(args.graph)
     rows: list[tuple[str, str]] = []
     if args.v1 is not None:
-        v1 = {int(x) for x in args.v1.split(",")} if args.v1 else set()
+        v1 = set(_integers(args.v1, "--v1 vertex")) if args.v1 else set()
         v2 = set(range(h.n)) - v1
     else:
         best = partition.maxcut_local_search(h, restarts=args.restarts, seed=args.seed)

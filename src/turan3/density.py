@@ -56,7 +56,7 @@ from .enumeration import enumerate_flags, enumerate_free, rooted_canonical_key
 from .families import Family
 from .graphs import (
     Hypergraph3,
-    _spanning_subsets,
+    _subset_scan,
     from_edges,
     induced_subgraph,
     root_sets,
@@ -99,7 +99,7 @@ def p(f: Hypergraph3, h: Hypergraph3) -> Fraction:
     """Density of |V(f)|-subsets of V(h) spanning an induced copy of f."""
     if f.n > h.n:
         raise ValueError(f"pattern on {f.n} vertices cannot fit in {h.n}")
-    hits = sum(1 for _ in _spanning_subsets(h, f, True))
+    hits = sum(1 for _ in _subset_scan(h, f, True, False))
     return Fraction(hits, comb(h.n, f.n))
 
 

@@ -21,24 +21,25 @@ which the generator reads before it decides to label.
 _injections (backtracking over vertex images, pruned by degree and by every
 triple a placed vertex completes) decides containment: contains_sub,
 contains_induced and link_patterns (which lists, for the isomorph-free
-generator, the links of a new vertex that would complete a member) are
-single callers of it, and _spanning_subsets, the one k-subset scan behind
-density.p and exhaustive_containment_scan, runs it as a bijection search on
-each subset.
+generator, the links of a new vertex that would complete a member) run it
+on the host, and the subset scan runs it on small induced graphs.
 Canonical labeling never decides containment.
 
-Typed embeddings need no search.  root_sets codes each s-subset of a
-target by its induced graph, one bit per triple, and reads the orderings
-that make it induce the type sigma exactly from a per-(sigma, code) list
-computed once per process; type_embeddings sorts the tuples it gives, and
-density's pair-density tables read the root sets directly.
+There is one k-subset scan, _subset_scan.  It visits the k-subsets of a
+host in combinations order, drops those whose edge count rules out the
+pattern, codes each other subset by its induced graph, one bit per triple,
+and asks the injection search about each code once per (pattern, exact)
+and process.  density.p counts the subsets it yields,
+exhaustive_containment_scan returns the first, and root_sets, behind
+type_embeddings and density's pair-density tables, lists every exact
+injection of a type onto each root set's code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, compress, islice
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -419,23 +420,16 @@ def decode_key(raw: bytes) -> Hypergraph3:
 # Containment
 
 
-def _degree_order(f: Hypergraph3) -> list[int]:
-    """f's vertices by decreasing degree, ties by label."""
-    f_deg = f.degrees
-    return sorted(range(f.n), key=lambda v: -f_deg[v])
-
-
-def _injections(
-    f: Hypergraph3, h: Hypergraph3, order: Sequence[int], exact: bool
-) -> Iterator[tuple[int, ...]]:
+def _injections(f: Hypergraph3, h: Hypergraph3, exact: bool) -> Iterator[tuple[int, ...]]:
     """Each injection V(f) -> V(h) that maps f-edges to h-edges.
 
     With exact, non-edges must also land on non-edges (an induced copy).
     Each injection is yielded as the tuple of images of f's vertices
-    0..f.n-1.  f's vertices are placed in the given order; each takes the
-    unused h-vertices of at least its own degree in increasing order, and a
-    placed vertex must at once satisfy every f-triple it completes, so
-    injections come in the lexicographic order of their images along order.
+    0..f.n-1.  f's vertices are placed by decreasing degree, ties by label;
+    each takes the unused h-vertices of at least its own degree in
+    increasing order, and a placed vertex must at once satisfy every
+    f-triple it completes, so injections come in the lexicographic order of
+    their images along that vertex order.
     """
     if f.n > h.n:
         return
@@ -443,6 +437,7 @@ def _injections(
     h_deg = h.degrees
     h_edges = h.edge_set
     f_edges = f.edge_set
+    order = sorted(range(f.n), key=lambda v: -f_deg[v])
     pos_in_order = {v: i for i, v in enumerate(order)}
     # closing[i]: (a, b, c, is_edge) for each f-triple whose last vertex in
     # order is order[i]; non-edges only when exact.
@@ -480,61 +475,64 @@ def _injections(
 
 def contains_sub(h: Hypergraph3, f: Hypergraph3) -> bool:
     """Non-induced containment: some injection V(f) -> V(h) maps edges to edges."""
-    return next(_injections(f, h, _degree_order(f), False), None) is not None
+    return next(_injections(f, h, False), None) is not None
 
 
 def contains_induced(h: Hypergraph3, f: Hypergraph3) -> bool:
     """Induced containment: some injection maps edges to edges and non-edges to non-edges."""
-    return next(_injections(f, h, _degree_order(f), True), None) is not None
+    return next(_injections(f, h, True), None) is not None
 
 
-# Per labelled type sigma, the orderings of a root set whose induced graph
-# has a given code (see root_sets); filled lazily, a few entries per type.
-_orderings_memo: dict[Hypergraph3, dict[int, list[Perm]]] = {}
+# Per (pattern, exact, every), the injections the scan found for each
+# induced-graph code it met: all of them when every, else at most the first.
+# Filled lazily, at most one entry per code.
+_injections_by_code: dict[tuple[Hypergraph3, bool, bool], dict[int, list[Perm]]] = {}
+
+
+def _subset_scan(
+    h: Hypergraph3, f: Hypergraph3, exact: bool, every: bool
+) -> Iterator[tuple[tuple[int, ...], list[Perm]]]:
+    """Each f.n-subset S of V(h), in combinations order, that spans a copy
+    of f (an induced copy when exact), with injections p of f onto it:
+    f's vertex x goes to S[p[x]].
+
+    S is coded by its induced graph, one bit per triple of its sorted
+    positions in combinations order.  A subset is first filtered by its edge
+    count (== when exact, >= otherwise); the injection search then decides
+    its code once per (f, exact) and process.  With every, a code keeps all
+    its injections, in the search's order; without, only the first, so a
+    pattern with many automorphisms never lists them.
+    """
+    k = f.n
+    want = len(f.edges)
+    by_code = _injections_by_code.setdefault((f, exact, every), {})
+    local = list(combinations(range(k), 3))
+    bits = [1 << i for i in range(len(local))]
+    has_edge = h.edge_set.__contains__
+    for sub in combinations(range(h.n), k):
+        count = sum(map(has_edge, combinations(sub, 3)))
+        if count == want if exact else count >= want:
+            code = sum(compress(bits, map(has_edge, combinations(sub, 3))))
+            found = by_code.get(code)
+            if found is None:
+                g = Hypergraph3(k, tuple(t for bit, t in zip(bits, local) if code & bit))
+                search = _injections(f, g, exact)
+                found = by_code[code] = list(search if every else islice(search, 1))
+            if found:
+                yield sub, found
 
 
 def root_sets(
     target: Hypergraph3, sigma: Hypergraph3
 ) -> Iterator[tuple[tuple[int, ...], list[Perm]]]:
     """Each sigma.n-subset S of target's vertices that induces a copy of
-    sigma, in combinations order, with the orderings p for which
+    sigma, in combinations order, with every ordering p for which
     (S[p[0]], ..., S[p[s-1]]) induces sigma exactly.
 
-    S is coded by its induced graph, one bit per triple of its sorted
-    positions in combinations order, and the orderings depend only on that
-    code, so each (sigma, code) computes its list once per process.
+    These are the exact injections of sigma onto S's induced graph, which
+    the subset scan lists once per (sigma, code) and process.
     """
-    s = sigma.n
-    by_code = _orderings_memo.setdefault(sigma, {})
-    edge_set = target.edge_set
-    for sub in combinations(range(target.n), s):
-        code = 0
-        for bit, t in enumerate(combinations(sub, 3)):
-            if t in edge_set:
-                code |= 1 << bit
-        orderings = by_code.get(code)
-        if orderings is None:
-            orderings = by_code[code] = _orderings_of(sigma, code)
-        if orderings:
-            yield sub, orderings
-
-
-def _orderings_of(sigma: Hypergraph3, code: int) -> list[Perm]:
-    """The orderings p of range(s), in permutations order, that carry the
-    graph coded by code (see root_sets) onto sigma: label x goes to p[x]."""
-    s = sigma.n
-    triples = list(combinations(range(s), 3))
-    bit_of = {t: 1 << i for i, t in enumerate(triples)}
-    sigma_code = sum(bit_of[t] for t in sigma.edges)
-    out = []
-    for p in permutations(range(s)):
-        image = 0
-        for bit, (x, y, z) in enumerate(triples):
-            if code & bit_of[_sorted_triple(p[x], p[y], p[z])]:
-                image |= 1 << bit
-        if image == sigma_code:
-            out.append(p)
-    return out
+    return _subset_scan(target, sigma, True, True)
 
 
 def type_embeddings(target: Hypergraph3, sigma: Hypergraph3) -> list[tuple[int, ...]]:
@@ -563,33 +561,6 @@ def induced_subgraph(h: Hypergraph3, vertices: Sequence[int]) -> Hypergraph3:
         if a in vset and b in vset and c in vset
     ]
     return Hypergraph3(len(vertices), tuple(sorted(edges)))
-
-
-def _spanning_subsets(
-    h: Hypergraph3, f: Hypergraph3, induced: bool
-) -> Iterator[tuple[int, ...]]:
-    """Each |V(f)|-subset of V(h), in combinations order, that spans a copy of f.
-
-    A subset is first filtered by its edge count (== for induced, >=
-    otherwise); then a bijection search from f onto its induced graph,
-    exact when induced, decides it.
-    """
-    want = len(f.edges)
-    order = _degree_order(f)
-    h_edge_set = h.edge_set
-    local_triples = list(combinations(range(f.n), 3))
-    for sub in combinations(range(h.n), f.n):
-        count = 0
-        for t in combinations(sub, 3):
-            if t in h_edge_set:
-                count += 1
-        if count == want if induced else count >= want:
-            # sub's induced graph, relabeled 0..k-1 in sub's order
-            g = Hypergraph3(f.n, tuple(
-                e for e, t in zip(local_triples, combinations(sub, 3)) if t in h_edge_set
-            ))
-            if next(_injections(f, g, order, induced), None) is not None:
-                yield sub
 
 
 def is_family_free(
@@ -650,7 +621,7 @@ def link_patterns(
                 for (i, a), (j, b) in combinations(enumerate(rest), 2)
                 if _sorted_triple(w, a, b) in f.edge_set
             ]
-            for img in _injections(f_rest, parent, _degree_order(f_rest), ind):
+            for img in _injections(f_rest, parent, ind):
                 want = 0
                 for a, b in link:
                     x, y = img[a], img[b]
@@ -666,14 +637,17 @@ def link_patterns(
 def exhaustive_containment_scan(
     h: Hypergraph3, f: Hypergraph3, induced: bool = False
 ) -> tuple[bool, tuple[int, ...] | None]:
-    """Scan every |V(f)|-subset of V(h) for a copy of f; return (found, witness).
+    """(found, witness): the first |V(f)|-subset of V(h), in combinations
+    order, that spans a copy of f (an induced copy when induced).
 
-    This is the slow, direct check used to audit freeness claims: it visits
-    all C(n, k) subsets, filtering by induced edge count before attempting a
-    vertex bijection.
+    construct --check-free audits freeness claims with it.  It runs the
+    subset scan: every subset costs an edge-count test, but each induced
+    graph is searched once, so on a large host it can beat contains_sub (on
+    the optimal brec graph at n=40, C4_3 and F5_BAR take about an eighth of
+    contains_sub's time).
     """
-    witness = next(_spanning_subsets(h, f, induced), None)
-    return witness is not None, witness
+    found = next(_subset_scan(h, f, induced, False), None)
+    return (True, found[0]) if found else (False, None)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,9 @@ def _check_partition(h: Hypergraph3, v1, v2) -> tuple[frozenset[int], frozenset[
     s1, s2 = frozenset(v1), frozenset(v2)
     if s1 & s2:
         raise ValueError(f"parts overlap on {sorted(s1 & s2)}")
+    outside = [v for v in s1 | s2 if not 0 <= v < h.n]
+    if outside:
+        raise ValueError(f"vertex {min(outside)} is outside 0..{h.n - 1}")
     if s1 | s2 != frozenset(range(h.n)):
         raise ValueError("parts do not cover the vertex set")
     return s1, s2
@@ -76,23 +79,18 @@ def bad_missing(h: Hypergraph3, v1, v2) -> PartitionStats:
     )
 
 
-def cross_edge_count(h: Hypergraph3, s1: frozenset[int] | set[int]) -> int:
-    """Number of edges with exactly two vertices in s1."""
-    return sum(
-        1 for e in h.edges if (e[0] in s1) + (e[1] in s1) + (e[2] in s1) == 2
-    )
-
-
-def _move_deltas(h: Hypergraph3, in_v1: Sequence[bool]) -> list[int]:
-    """Change in cross count if each single vertex switched sides."""
+def _move_deltas(h: Hypergraph3, in_v1: Sequence[bool]) -> tuple[list[int], int]:
+    """(change in cross count if each single vertex switched sides, cross count)."""
     deltas = [0] * h.n
+    cross = 0
     for e in h.edges:
         k = in_v1[e[0]] + in_v1[e[1]] + in_v1[e[2]]
         gain_now = 1 if k == 2 else 0
+        cross += gain_now
         for v in e:
             k_after = k - 1 if in_v1[v] else k + 1
             deltas[v] += (1 if k_after == 2 else 0) - gain_now
-    return deltas
+    return deltas, cross
 
 
 def _flip(h: Hypergraph3, in_v1: list[bool], deltas: list[int], v: int) -> None:
@@ -125,7 +123,7 @@ def is_locally_maximal(h: Hypergraph3, v1, v2) -> bool:
     """True iff no single-vertex move increases the cross-edge count."""
     s1, _ = _check_partition(h, v1, v2)
     in_v1 = [v in s1 for v in range(h.n)]
-    return all(d <= 0 for d in _move_deltas(h, in_v1))
+    return all(d <= 0 for d in _move_deltas(h, in_v1)[0])
 
 
 @dataclass(frozen=True)
@@ -145,8 +143,9 @@ def maxcut_local_search(
     its start from random.Random(seed + i), and the first restart with the
     most cross edges wins.  The returned partition admits no improving
     single move, so 6*cross/n^3 is a certified lower bound on the max-cut
-    ratio.  The move deltas are computed in full once per restart and then
-    updated after each move (`_flip`).
+    ratio.  The move deltas and the cross count are computed in one pass
+    over the edges per restart, and the deltas are then updated after each
+    move (`_flip`).
     """
     if h.n < 1:
         raise ValueError("need at least one vertex")
@@ -157,8 +156,7 @@ def maxcut_local_search(
     for i in range(restarts):
         rng = random.Random(seed + i)
         in_v1 = [rng.random() < 0.5 for _ in range(h.n)]
-        cross = cross_edge_count(h, {v for v in range(h.n) if in_v1[v]})
-        deltas = _move_deltas(h, in_v1)
+        deltas, cross = _move_deltas(h, in_v1)
         while True:
             v_best = max(range(h.n), key=lambda v: (deltas[v], -v))
             if deltas[v_best] <= 0:

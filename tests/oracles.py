@@ -32,7 +32,6 @@ from turan3.enumeration import (
 )
 from turan3.graphs import (
     Hypergraph3,
-    _degree_order,
     _injections,
     _orbit_closure,
     _relabeled_edges,
@@ -164,7 +163,7 @@ def link_patterns_every_vertex(parent: Hypergraph3, family, induced_flags):
                 for (i, a), (j, b) in combinations(enumerate(rest), 2)
                 if sorted_triple(w, a, b) in f.edge_set
             ]
-            for img in _injections(f_rest, parent, _degree_order(f_rest), ind):
+            for img in _injections(f_rest, parent, ind):
                 want = 0
                 for a, b in link:
                     want |= 1 << index[tuple(sorted((img[a], img[b])))]

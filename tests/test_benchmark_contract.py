@@ -2,17 +2,27 @@
 
 The benchmark wraps each function its span list names and drives three
 entry points directly; renaming or re-signing any of them breaks it without
-failing any other test.
+failing any other test.  Its tracer also reads arguments and results of
+some wrapped calls, so one traced job of each kind is run as the benchmark
+runs it.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import turan3
 from turan3 import cli, families, graphs, sdp
 from turan3.constructions import BRec, b_rec, build
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
 
 
 def _spans():
@@ -57,3 +67,30 @@ def test_partition_accepts_analyze(capsys, tmp_path):
     rows = dict(line.split("\t", 1) for line in capsys.readouterr().out.splitlines())
     assert {"v1", "v2", "cross_present", "locally_maximal"} <= rows.keys()
     assert rows["locally_maximal"] == "yes"
+
+
+@pytest.mark.parametrize(
+    "name, argv, traced",
+    [
+        ("enumerate", ["enumerate", "--m", "4"], "enumeration.enumerate_free"),
+        ("emit-sdp", ["emit-sdp", "--m", "4", "--types", "default", "--out", "m4.sdp"],
+         "density.pair_density_table"),
+        ("is_family_free", ["brec12.txt", "C4_3,F5_BAR"], "graphs.contains_sub"),
+    ],
+    ids=["enumerate", "emit-sdp", "is_family_free"],
+)
+def test_traced_job_runs(tmp_path, name, argv, traced):
+    graphs.save_graph(build(BRec(12, b_rec(12)[1])), str(tmp_path / "brec12.txt"))
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(turan3.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    spec = json.dumps({"name": name, "argv": argv, "trace": True})
+    result_path = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "job.py"), spec, str(result_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(result_path.read_text(encoding="utf-8"))["trace"]
+    names = {span[1] for span in trace["spans"]} | {row[0] for row in trace["hot"]}
+    assert {f"cli.{name}", traced} <= names

@@ -406,6 +406,24 @@ def test_config_value_takes_the_option_type(capsys, tmp_path):
     assert_one_error_line(err)
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["construct", "--kind", "partite3", "--parts", "1,2,x", "--report"], "--parts value 'x'"),
+        (["construct", "--kind", "brec", "--n", "10", "--splits", "2,x", "--report"],
+         "--splits value 'x'"),
+        (["partition", "--graph", "C4_3", "--v1", "a"], "--v1 vertex 'a'"),
+        (["partition", "--graph", "C4_3", "--v1", "0,9"], "vertex 9 is outside 0..3"),
+    ],
+    ids=["parts", "splits", "v1-not-integer", "v1-outside"],
+)
+def test_bad_integer_lists_name_the_option_and_value(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert_one_error_line(err)
+    assert named in err
+
+
 def test_partition_zero_xi_denominator_is_domain_error(capsys, tmp_path):
     path = tmp_path / "h.txt"
     graphs.save_graph(graphs.named_graph("K4_3"), str(path))

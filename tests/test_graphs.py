@@ -305,6 +305,52 @@ def test_exhaustive_scan_matches_backtracking():
                     assert oracles.contains_brute(sub, f, induced=induced)
 
 
+def _scan_patterns():
+    rng = random.Random(23)
+    pats = [from_edges(0, []), from_edges(1, []), from_edges(3, [(0, 1, 2)]),
+            from_edges(4, []), named_graph("C4_3"), from_edges(4, [(0, 1, 2), (0, 1, 3)])]
+    pats += [named_graph(name) for name in ("F5", "F32", "F32_BAR", "C5_3_MINUS")]
+    pats += [from_edges(6, []), random_graph(6, 0.3, rng), random_graph(6, 0.7, rng)]
+    return pats
+
+
+def test_subset_scan_matches_brute_force():
+    rng = random.Random(29)
+    hosts = [random_graph(n, p, rng) for n in (6, 7, 8, 9) for p in (0.15, 0.85)]
+    hosts.append(blow_up(named_graph("K4_3"), [2, 2, 2, 2]))
+    for h in hosts:
+        for f in _scan_patterns():
+            if f.n > h.n or (f.n == 6 and h.n > 8):
+                continue
+            subsets = list(combinations(range(h.n), f.n))
+            for induced in (False, True):
+                accepted = [
+                    sub for sub in subsets
+                    if oracles.contains_brute(graphs.induced_subgraph(h, sub), f, induced)
+                ]
+                want = (True, accepted[0]) if accepted else (False, None)
+                assert exhaustive_containment_scan(h, f, induced) == want, (h, f, induced)
+                if induced:
+                    assert density.p(f, h) == Fraction(len(accepted), len(subsets)), (h, f)
+    assert not exhaustive_containment_scan(hosts[-1], named_graph("F32"))[0]
+
+
+def test_scan_memo_keeps_each_notion_apart():
+    # With the edge-count filter both notions decide a code alike, so the
+    # answers alone cannot show a memo that mixes them; read the memo.
+    f = named_graph("C5_3_MINUS")
+    h = random_graph(8, 0.8, random.Random(31))
+    exhaustive_containment_scan(h, f, False)
+    density.p(f, h)
+    local = list(combinations(range(f.n), 3))
+    for induced in (False, True):
+        decided = graphs._injections_by_code[(f, induced, False)]
+        assert decided
+        for code, found in decided.items():
+            g = Hypergraph3(f.n, tuple(t for i, t in enumerate(local) if code >> i & 1))
+            assert bool(found) == oracles.contains_brute(g, f, induced)
+
+
 def test_containment_never_labels(monkeypatch):
     def refuse(h):
         raise AssertionError("containment called canonical_data")
