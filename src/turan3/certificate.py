@@ -8,10 +8,11 @@ per-constraint: for every admissible m-vertex graph F it checks
 
 exactly, after checking every Q_t is positive semidefinite.  Those
 inequalities are authoritative; the supplied slacks are cross-checked (they
-must be nonnegative, and differences from the recomputed margins are
-reported as notes) so that rounding slop in the slacks never invalidates a
-sound bound.  A certificate that verifies proves the asymptotic statement:
-every family-free graph has edge density at most u + o(1).
+must be nonnegative, and one note counts those that differ from the
+recomputed margins and gives the largest difference) so that rounding slop
+in the slacks never invalidates a sound bound.  A certificate that verifies
+proves the asymptotic statement: every family-free graph has edge density
+at most u + o(1).
 
 The verifier trusts only the certificate and the code.  The family comes
 from the certificate's family key, whose members are built-in names or
@@ -205,7 +206,7 @@ def verify(cert: Certificate) -> VerifyResult:
             return _rejected(f"block {bi}: bad type key ({exc})")
         if (cert.m + sigma.n) % 2:
             return _rejected(f"block {bi}: type size {sigma.n} has wrong parity")
-        types.append((sigma, (cert.m + sigma.n) // 2))
+        types.append(sigma)
     try:
         model = assemble(cert.m, family, types)
     except ValueError as exc:
@@ -225,7 +226,7 @@ def verify(cert: Certificate) -> VerifyResult:
         if not psd_check(block.matrix):
             return _rejected(f"block {bi}: matrix not positive semidefinite")
 
-    notes = []
+    mismatches = []
     for idx, obj in enumerate(model.obj):
         margin = cert.bound - obj
         for block, matrices in zip(cert.blocks, model.pair_matrices):
@@ -240,11 +241,14 @@ def verify(cert: Certificate) -> VerifyResult:
         if cert.slacks[idx] != margin:
             # Cross-check only: stated slacks may carry rounding slop in
             # either direction without affecting the bound's validity.
-            notes.append(
-                f"graph {idx}: stated slack {cert.slacks[idx]} differs from "
-                f"recomputed margin {margin}"
-            )
-    return VerifyResult(ok=True, bound=cert.bound, notes=tuple(notes))
+            mismatches.append(abs(cert.slacks[idx] - margin))
+    notes = ()
+    if mismatches:
+        notes = (
+            f"{len(mismatches)} stated slacks differ from the recomputed margins, "
+            f"by at most {fraction_text(max(mismatches))}",
+        )
+    return VerifyResult(ok=True, bound=cert.bound, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -276,35 +280,9 @@ def certificate_from_text(text: str) -> Certificate:
     bound: Fraction | None = None
     family_key = ""
     m: int | None = None
-    blocks: list[CertificateBlock] = []
     slacks: list[Fraction] = []
-    pending_key: bytes | None = None
-    pending_dim = 0
-    pending_entries: list[Fraction] = []
-
-    def flush_block():
-        nonlocal pending_key, pending_entries
-        if pending_key is None:
-            return
-        want = pending_dim * (pending_dim + 1) // 2
-        if len(pending_entries) != want:
-            raise ValueError(
-                f"type block expects {want} upper-triangle entries, "
-                f"got {len(pending_entries)}"
-            )
-        mat = [[Fraction(0)] * pending_dim for _ in range(pending_dim)]
-        it = iter(pending_entries)
-        for i in range(pending_dim):
-            for j in range(i, pending_dim):
-                q = next(it)
-                mat[i][j] = q
-                mat[j][i] = q
-        blocks.append(
-            CertificateBlock(pending_key, tuple(tuple(row) for row in mat))
-        )
-        pending_key = None
-        pending_entries = []
-
+    raw_blocks: list[tuple[bytes, int, list[Fraction]]] = []
+    entries: list[Fraction] | None = None  # upper-triangle entries of the open block
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -321,26 +299,25 @@ def certificate_from_text(text: str) -> Certificate:
         elif parts[0] == "m":
             m = int(parts[1])
         elif parts[0] == "type":
-            flush_block()
             if parts[2] != "dim":
                 raise ValueError(f"malformed type line: {raw!r}")
-            pending_key = bytes.fromhex(parts[1])
-            pending_dim = int(parts[3])
+            entries = []
+            raw_blocks.append((bytes.fromhex(parts[1]), int(parts[3]), entries))
         elif parts[0] == "slack":
-            flush_block()
+            entries = None
             # in order, so a large index cannot make the parser allocate
             if int(parts[1]) != len(slacks):
                 raise ValueError(f"expected slack {len(slacks)}, got {raw!r}")
             slacks.append(parse_fraction(parts[2]))
         else:
-            if pending_key is None:
+            if entries is None:
                 raise ValueError(f"unexpected line outside a type block: {raw!r}")
-            pending_entries.extend(parse_fraction(tok) for tok in parts)
-    flush_block()
+            entries.extend(parse_fraction(tok) for tok in parts)
+    blocks = tuple(CertificateBlock.from_upper(*raw_block) for raw_block in raw_blocks)
     if bound is None or m is None:
         raise ValueError("certificate needs 'bound' and 'm' lines")
     return Certificate(
-        bound=bound, family_key=family_key, m=m, blocks=tuple(blocks), slacks=tuple(slacks)
+        bound=bound, family_key=family_key, m=m, blocks=blocks, slacks=tuple(slacks)
     )
 
 

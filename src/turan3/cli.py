@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from decimal import localcontext
 from fractions import Fraction
 
@@ -111,29 +112,20 @@ def _integers(text: str, what: str) -> list[int]:
 
 
 def _construction_spec(args) -> constructions.ConstructionSpec:
-    kind = args.kind
-    if kind == "brec":
+    cls = constructions.KINDS[args.kind]
+    if cls is constructions.BRec:
         if args.n is None:
             raise ValueError("brec needs --n")
-        if args.splits:
-            splits = tuple(_integers(args.splits, "--splits value"))
-        else:
-            splits = constructions.b_rec(args.n)[1]
-        return constructions.BRec(args.n, splits)
+        if not args.splits:
+            return constructions.optimal_brec(args.n)
+        return constructions.BRec(args.n, tuple(_integers(args.splits, "--splits value")))
     if not args.parts:
-        raise ValueError(f"{kind} needs --parts with comma-separated sizes")
+        raise ValueError(f"{args.kind} needs --parts with comma-separated sizes")
     parts = _integers(args.parts, "--parts value")
-    if kind == "partite3":
-        if len(parts) != 3:
-            raise ValueError("partite3 needs exactly 3 part sizes")
-        return constructions.Partite3(*parts)
-    if kind == "k4blowup":
-        if len(parts) != 4:
-            raise ValueError("k4blowup needs exactly 4 class sizes")
-        return constructions.K4Blowup(*parts)
-    if len(parts) != 2:
-        raise ValueError("semibipartite needs exactly 2 part sizes")
-    return constructions.SemiBipartite(*parts)
+    count = len(fields(cls))
+    if len(parts) != count:
+        raise ValueError(f"{args.kind} needs exactly {count} part sizes")
+    return cls(*parts)
 
 
 def cmd_construct(args, parser) -> int:
@@ -253,6 +245,8 @@ def cmd_partition(args, parser) -> int:
         parser.error(f"--restarts must be at least 1, got {args.restarts}")
     xi = parse_fraction(args.xi)
     h = families.resolve_graph(args.graph)
+    if h.n == 0:
+        raise ValueError("need at least one vertex")
     rows: list[tuple[str, str]] = []
     if args.v1 is not None:
         v1 = set(_integers(args.v1, "--v1 vertex")) if args.v1 else set()
@@ -307,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_enumerate, parser_ref=sub)
 
     sub = subs.add_parser("construct", help="build and report extremal constructions")
-    sub.add_argument("--kind", required=True, choices=["brec", "partite3", "k4blowup", "semibipartite"])
+    sub.add_argument("--kind", required=True, choices=list(constructions.KINDS))
     sub.add_argument("--n", type=int, help="vertex count (brec)")
     sub.add_argument("--splits", default="", help="comma-separated level splits (brec; default optimal)")
     sub.add_argument("--parts", default="", help="comma-separated part sizes (other kinds)")

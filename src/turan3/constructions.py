@@ -1,13 +1,17 @@
 """Lower-bound constructions and the simplex inequalities they optimize.
 
-Four generators are provided:
+Each construction kind is described once, by its `kind` name, its limiting
+density `limit`, and how it is built:
 
-  * BRec: recursive layered construction.  Each level splits the current
-    vertex set into V1 and V2, takes every triple with exactly two vertices
-    in V1, and recurses into V2; tails of at most 2 vertices are empty.
-  * SemiBipartite: a single such layer.
-  * Partite3: complete 3-partite (one vertex per part in every edge).
-  * K4Blowup: blow-up of the complete 3-graph on 4 vertices.
+  * a blow-up kind has a `pattern` graph and one part per pattern vertex;
+    its edges are the triples with one vertex in each part of a pattern
+    edge.  Partite3 blows up a single edge, K4Blowup the complete 3-graph
+    on 4 vertices.
+  * a layered kind has `levels` (n, splits): on n vertices, each split s
+    takes the next s vertices and adds every triple with two of them and
+    one vertex after them.  BRec is the recursive construction, whose tail
+    of at most 2 vertices stays empty; SemiBipartite is the single level
+    n1 on n1 + n2 vertices.
 
 The recursion value b_rec(n) is the maximum edge count over all split
 sequences; the exact DP below also returns the maximizing sequence, with
@@ -19,8 +23,9 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations
 from math import comb
-from typing import Union
+from typing import ClassVar, Union
 
 from .density import to_decimal
 from .graphs import Hypergraph3, blow_up, from_edges, named_graph
@@ -33,47 +38,82 @@ OPTIMAL_SPLIT_RATIO = "0.63397459621556135323627682924706381652859737309481"
 _PRECISION = 60
 
 
+class BlowUp:
+    """A blow-up of `pattern`: its fields are the part sizes, in vertex order."""
+
+    pattern: ClassVar[Hypergraph3]
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return astuple(self)
+
+
+class Layered:
+    """A layered construction, read as its `levels` (n, splits)."""
+
+    levels: tuple[int, tuple[int, ...]]
+
+
 @dataclass(frozen=True)
-class BRec:
+class BRec(Layered):
     """Recursive construction on n vertices with the given level splits."""
 
     n: int
     splits: tuple[int, ...]
 
+    kind = "brec"
+    limit = TWO_SQRT3_MINUS_3
+
+    @property
+    def levels(self) -> tuple[int, tuple[int, ...]]:
+        return self.n, self.splits
+
 
 @dataclass(frozen=True)
-class Partite3:
+class Partite3(BlowUp):
     n1: int
     n2: int
     n3: int
 
+    kind = "partite3"
+    limit = Fraction(2, 9)
+    pattern = from_edges(3, [(0, 1, 2)])
+
 
 @dataclass(frozen=True)
-class K4Blowup:
+class K4Blowup(BlowUp):
     s1: int
     s2: int
     s3: int
     s4: int
 
+    kind = "k4blowup"
+    limit = Fraction(3, 8)
+    pattern = named_graph("K4_3")
+
 
 @dataclass(frozen=True)
-class SemiBipartite:
+class SemiBipartite(Layered):
     n1: int
     n2: int
 
+    kind = "semibipartite"
+    limit = Fraction(4, 9)
 
-ConstructionSpec = Union[BRec, Partite3, K4Blowup, SemiBipartite]
+    @property
+    def levels(self) -> tuple[int, tuple[int, ...]]:
+        return self.n1 + self.n2, (self.n1,)
+
+
+ConstructionSpec = Union[BlowUp, Layered]
+
+# The construction kinds by name; every kind but brec is given by part sizes.
+KINDS = {cls.kind: cls for cls in (BRec, Partite3, K4Blowup, SemiBipartite)}
 
 
 def _validate(spec: ConstructionSpec) -> None:
-    """Reject negative sizes of every kind, and brec splits that do not fit n."""
-    if isinstance(spec, (Partite3, K4Blowup, SemiBipartite)):
-        sizes = astuple(spec)
-        if min(sizes) < 0:
-            raise ValueError(
-                f"part sizes must be nonnegative, got {','.join(map(str, sizes))}"
-            )
-    elif isinstance(spec, BRec):
+    """Reject negative part sizes, and brec splits that do not fit n."""
+    if isinstance(spec, BRec):
         if spec.n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {spec.n}")
         remaining = spec.n
@@ -87,42 +127,24 @@ def _validate(spec: ConstructionSpec) -> None:
             raise ValueError(
                 f"{remaining} vertices left unsplit; tails above 2 vertices need a split"
             )
-
-
-def semi_bipartite_edges(v1: range, v2: range) -> list[tuple[int, int, int]]:
-    out = []
-    v1_list = list(v1)
-    for i, a in enumerate(v1_list):
-        for b in v1_list[i + 1 :]:
-            for c in v2:
-                out.append((a, b, c))
-    return out
+    elif min(astuple(spec)) < 0:
+        sizes = ",".join(map(str, astuple(spec)))
+        raise ValueError(f"part sizes must be nonnegative, got {sizes}")
 
 
 def build(spec: ConstructionSpec) -> Hypergraph3:
     """Materialize a construction spec as a concrete graph."""
     _validate(spec)
-    if isinstance(spec, BRec):
-        edges = []
-        offset = 0
-        for s in spec.splits:
-            edges.extend(
-                semi_bipartite_edges(
-                    range(offset, offset + s), range(offset + s, spec.n)
-                )
-            )
-            offset += s
-        return from_edges(spec.n, edges)
-    if isinstance(spec, Partite3):
-        return blow_up(from_edges(3, [(0, 1, 2)]), [spec.n1, spec.n2, spec.n3])
-    if isinstance(spec, K4Blowup):
-        return blow_up(named_graph("K4_3"), [spec.s1, spec.s2, spec.s3, spec.s4])
-    if isinstance(spec, SemiBipartite):
-        return from_edges(
-            spec.n1 + spec.n2,
-            semi_bipartite_edges(range(spec.n1), range(spec.n1, spec.n1 + spec.n2)),
-        )
-    raise TypeError(f"unknown construction spec {spec!r}")
+    if isinstance(spec, BlowUp):
+        return blow_up(spec.pattern, spec.sizes)
+    n, splits = spec.levels
+    edges = []
+    offset = 0
+    for s in splits:
+        for a, b in combinations(range(offset, offset + s), 2):
+            edges.extend((a, b, c) for c in range(offset + s, n))
+        offset += s
+    return from_edges(n, edges)
 
 
 def b_rec(n: int) -> tuple[int, tuple[int, ...]]:
@@ -244,35 +266,21 @@ class DensityReport:
 
 
 def vertex_count(spec: ConstructionSpec) -> int:
-    if isinstance(spec, BRec):
-        return spec.n
-    if isinstance(spec, Partite3):
-        return spec.n1 + spec.n2 + spec.n3
-    if isinstance(spec, K4Blowup):
-        return spec.s1 + spec.s2 + spec.s3 + spec.s4
-    if isinstance(spec, SemiBipartite):
-        return spec.n1 + spec.n2
-    raise TypeError(f"unknown construction spec {spec!r}")
+    return sum(spec.sizes) if isinstance(spec, BlowUp) else spec.levels[0]
 
 
 def edge_count(spec: ConstructionSpec) -> int:
     """Closed-form edge count; never materializes the graph."""
     _validate(spec)
-    if isinstance(spec, BRec):
-        total = 0
-        remaining = spec.n
-        for s in spec.splits:
-            total += comb(s, 2) * (remaining - s)
-            remaining -= s
-        return total
-    if isinstance(spec, Partite3):
-        return spec.n1 * spec.n2 * spec.n3
-    if isinstance(spec, K4Blowup):
-        a, b, c, d = spec.s1, spec.s2, spec.s3, spec.s4
-        return a * b * c + a * b * d + a * c * d + b * c * d
-    if isinstance(spec, SemiBipartite):
-        return comb(spec.n1, 2) * spec.n2
-    raise TypeError(f"unknown construction spec {spec!r}")
+    if isinstance(spec, BlowUp):
+        sizes = spec.sizes
+        return sum(sizes[a] * sizes[b] * sizes[c] for a, b, c in spec.pattern.edges)
+    n, splits = spec.levels
+    total = 0
+    for s in splits:
+        n -= s
+        total += comb(s, 2) * n
+    return total
 
 
 def density_report(spec: ConstructionSpec) -> DensityReport:
@@ -286,16 +294,4 @@ def density_report(spec: ConstructionSpec) -> DensityReport:
     n = vertex_count(spec)
     edges = edge_count(spec)
     density = Fraction(edges, comb(n, 3)) if n >= 3 else Fraction(0)
-    if isinstance(spec, BRec):
-        limit: Union[Fraction, str] = TWO_SQRT3_MINUS_3
-        kind = "brec"
-    elif isinstance(spec, Partite3):
-        limit = Fraction(2, 9)
-        kind = "partite3"
-    elif isinstance(spec, K4Blowup):
-        limit = Fraction(3, 8)
-        kind = "k4blowup"
-    else:
-        limit = Fraction(4, 9)
-        kind = "semibipartite"
-    return DensityReport(kind=kind, n=n, edges=edges, density=density, limit=limit)
+    return DensityReport(kind=spec.kind, n=n, edges=edges, density=density, limit=spec.limit)

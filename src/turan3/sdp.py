@@ -12,12 +12,14 @@ summing, the Q terms become an averaged square (nonnegative up to o(1)) and
 the slacks are nonnegative, so edge density <= u + o(1) for every admissible
 H.  With no PSD blocks the optimum is simply max_F obj(F).
 
-A type block is given as a pair (sigma, m'): the type sigma, a labelled
-graph whose vertices are all roots, and the flag size m'.  Its rows are the
-flags over sigma in the order of their rooted keys, and the program names
-it by sigma's canonical key.  A Certificate is a rational solution of the
-program, one CertificateBlock per type block; certificate.verify checks it
-against the program assemble builds.
+A type block is given by its type sigma, a labelled graph whose vertices
+are all roots.  Its rows are the flags over sigma of size m' = (m + s) / 2,
+s = |sigma|, in the order of their rooted keys: two such flags over a shared
+root set exactly fill an m-vertex target.  The program names the block by
+sigma's canonical key, which is all a certificate records of it.  A
+Certificate is a rational solution of the program, one CertificateBlock per
+type block; certificate.verify checks it against the program assemble
+builds.
 
 File format (one entry per line, exact rationals, '#' comments):
 
@@ -50,7 +52,6 @@ from .enumeration import enumerate_free
 from .families import Family
 from .graphs import Hypergraph3
 
-TypeSpec = tuple[Hypergraph3, int]  # (sigma, m'), see above
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
@@ -62,6 +63,23 @@ class CertificateBlock:
     @property
     def dim(self) -> int:
         return len(self.matrix)
+
+    @classmethod
+    def from_upper(cls, type_key: bytes, dim: int, values: Sequence[Fraction]) -> CertificateBlock:
+        """The symmetric dim x dim block whose upper triangle, row by row, is values."""
+        if dim < 0:
+            raise ValueError(f"type block dimension {dim} is negative")
+        want = dim * (dim + 1) // 2
+        if len(values) != want:
+            raise ValueError(
+                f"type block expects {want} upper-triangle entries, got {len(values)}"
+            )
+        mat = [[Fraction(0)] * dim for _ in range(dim)]
+        it = iter(values)
+        for i in range(dim):
+            for j in range(i, dim):
+                mat[i][j] = mat[j][i] = next(it)
+        return cls(type_key, tuple(tuple(row) for row in mat))
 
 
 @dataclass(frozen=True)
@@ -99,12 +117,10 @@ class SdpModel:
         return 1 + sum(d * (d + 1) // 2 for d in self.type_dims) + self.n_constraints
 
 
-def types_of_sizes(m: int, sizes: Sequence[int], family: Family = ()) -> list[TypeSpec]:
-    """(sigma, (m + s) / 2) for each admissible type sigma of each size s in sizes.
+def types_of_sizes(m: int, sizes: Sequence[int], family: Family = ()) -> list[Hypergraph3]:
+    """Each admissible type sigma of each size s in sizes, in canonical form.
 
-    Each sigma is the canonical form of its class.  The flag size (m + s) / 2
-    makes two flags over a shared root set exactly fill an m-vertex target.  A
-    size that is negative, above m, repeated or of the wrong parity for m
+    A size that is negative, above m, repeated or of the wrong parity for m
     raises ValueError naming it.
     """
     for i, s in enumerate(sizes):
@@ -118,14 +134,10 @@ def types_of_sizes(m: int, sizes: Sequence[int], family: Family = ()) -> list[Ty
             raise ValueError(f"type size {s} has the wrong parity for m={m}")
     members = [fm.graph for fm in family]
     flags_ind = [fm.induced for fm in family]
-    out = []
-    for s in sizes:
-        for sigma in enumerate_free(s, members, flags_ind):
-            out.append((sigma, (m + s) // 2))
-    return out
+    return [sigma for s in sizes for sigma in enumerate_free(s, members, flags_ind)]
 
 
-def default_types(m: int, family: Family = ()) -> list[TypeSpec]:
+def default_types(m: int, family: Family = ()) -> list[Hypergraph3]:
     """Types of every size s matching m's parity with s <= m - 2."""
     return types_of_sizes(m, range(m % 2, max(m - 1, 0), 2), family)
 
@@ -133,13 +145,14 @@ def default_types(m: int, family: Family = ()) -> list[TypeSpec]:
 def assemble(
     m: int,
     family: Family = (),
-    types: Sequence[TypeSpec] | None = None,
+    types: Sequence[Hypergraph3] | None = None,
     use_default_types: bool = False,
 ) -> SdpModel:
     """Build the model for (m, family) with the given SOS types.
 
     types=None with use_default_types=False yields the LP relaxation (no PSD
     blocks); use_default_types=True selects the conventional full type set.
+    A type above m or of the wrong parity for m raises ValueError.
     """
     if m < 3:
         raise ValueError("m must be at least 3")
@@ -150,18 +163,15 @@ def assemble(
         raise ValueError("the family excludes every m-vertex graph")
     if types is None:
         types = default_types(m, family) if use_default_types else []
-    for sigma, m_prime in types:
-        if 2 * m_prime - sigma.n > m:
-            raise ValueError(
-                f"type of size {sigma.n} with flags of size {m_prime} "
-                f"does not fit in m={m}"
-            )
+    for sigma in types:
+        if sigma.n > m or (m + sigma.n) % 2:
+            raise ValueError(f"type of size {sigma.n} does not fit in m={m}")
     obj = tuple(edge_density(f) for f in targets)
     type_keys = []
     type_dims = []
     per_type_tables = []
-    for sigma, m_prime in types:
-        table = pair_density_table(sigma, m_prime, m, family)
+    for sigma in types:
+        table = pair_density_table(sigma, (m + sigma.n) // 2, m, family)
         assert [t.canon_key for t in table.targets] == [t.canon_key for t in targets]
         type_keys.append(sigma.canon_key)
         type_dims.append(len(table.flags))
@@ -357,23 +367,14 @@ def round_solution(
     expected = model.solution_length()
     if len(floats) != expected:
         raise ValueError(f"expected {expected} solution values, got {len(floats)}")
-    pos = 0
-    u = rational_upper_bound(floats[pos], denominator_bound)
-    pos += 1
+    u = rational_upper_bound(floats[0], denominator_bound)
+    pos = 1
     blocks = []
     for key, d in zip(model.type_keys, model.type_dims):
-        mat = [[Fraction(0)] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i, d):
-                q = best_rational(floats[pos], denominator_bound)
-                mat[i][j] = q
-                mat[j][i] = q
-                pos += 1
-        blocks.append(
-            CertificateBlock(
-                type_key=key, matrix=tuple(tuple(row) for row in mat)
-            )
-        )
+        size = d * (d + 1) // 2
+        upper = [best_rational(x, denominator_bound) for x in floats[pos : pos + size]]
+        blocks.append(CertificateBlock.from_upper(key, d, upper))
+        pos += size
     slacks = []
     for _ in range(model.n_constraints):
         q = best_rational(floats[pos], denominator_bound)

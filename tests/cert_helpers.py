@@ -17,8 +17,8 @@ def make_sos_certificate(m, family, scale=Fraction(1, 8)):
     types = default_types(m, family)
     blocks = []
     tables = []
-    for sigma, m_prime in types:
-        table = pair_density_table(sigma, m_prime, m, family)
+    for sigma in types:
+        table = pair_density_table(sigma, (m + sigma.n) // 2, m, family)
         d = len(table.flags)
         mat = tuple(
             tuple(scale if i == j else Fraction(0) for j in range(d))

@@ -170,6 +170,81 @@ def test_construct_negative_part_size_is_domain_error(capsys, kind, parts):
     assert "nonnegative" in err
 
 
+# SHA-256 of construct's stdout and of the emitted graph file, recorded
+# before the kinds were described by their blow-up pattern or their levels.
+CONSTRUCT_DIGESTS = {
+    ("brec", "--n", "25"): (
+        "8de6820fc58bcd9a8893d98abd578c94856749b8bb91950cf6be65519c83b118",
+        "296bcddad3b15d01dc893c7fb76e6ea320faaca424bd7f4ad16a3837f2006059",
+    ),
+    ("brec", "--n", "9", "--splits", "5,2"): (
+        "9ba766a555d9eeefcb5b0fcf67022ec10d8a919a9bf976f650ec713bebcdbfee",
+        "5f4bc83ab534bad0c797c6e0131772822171b7b0b9a14b42479b4f82341a66b5",
+    ),
+    ("partite3", "--parts", "5,4,6"): (
+        "cc58606eac9cbbe4ccf69c18aa22c27741efc8bd581cf6151f3ef1468d4cce6f",
+        "9ae10ff32a4a1828d1195a8ca0d20cef04a08a5a181d8d2d2f0a42ce1fcd0899",
+    ),
+    ("k4blowup", "--parts", "3,3,3,3"): (
+        "39953ae585a53ec1b1ad3cc60ebb95b8abe2c87383d6c66e2b87e3e0ee3b105f",
+        "05f3991add625b209af5b9748fad1cfbbbf5d1b59f7575d1fc629b34ce580e24",
+    ),
+    ("semibipartite", "--parts", "5,4"): (
+        "ccf2b92c0c84b4c96ac9bbafaca2f4d98fe653a1c5bf891c5c7fa3923e0a6940",
+        "122d47b7dad901e07fdbab8654aa3ae76c2c442d4afa870f1e1cdbb9c0c5c722",
+    ),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("spec", sorted(CONSTRUCT_DIGESTS))
+def test_construct_report_and_emit_are_pinned(capsys, tmp_path, monkeypatch, spec):
+    monkeypatch.chdir(tmp_path)  # the emitted path is part of stdout
+    code, out, _ = run(capsys, "construct", "--kind", *spec, "--report", "--emit", "g.txt")
+    assert code == 0
+    assert (sha256(out.encode()), sha256((tmp_path / "g.txt").read_bytes())) == (
+        CONSTRUCT_DIGESTS[spec]
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--kind", "partite3", "--parts", "5,4,6", "--check-free", "F32,C5_3_MINUS"],
+            "5f4b9218ef5f8a6b1a39d4dbfc1222c10634f14912e94e1b33be904708a69ae2",
+        ),
+        (
+            ["--kind", "k4blowup", "--parts", "3,3,3,3", "--check-free", "F32,C5_3_MINUS,C4_3"],
+            "2b737ff2eeca9cabfa33cdf30a9f6f0c3645a2139cdd8aed22bfc2ba24b26cc8",
+        ),
+        (
+            ["--kind", "semibipartite", "--parts", "0,0", "--report"],
+            "0901c83e6045bbc5b0107623464ed3ef2def1d848c3f4ba58a7e233e1511cb9d",
+        ),
+    ],
+    ids=["partite3-free", "k4blowup-witnesses", "semibipartite-empty"],
+)
+def test_construct_scans_and_empty_report_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "construct", *argv)
+    assert code == 0
+    assert sha256(out.encode()) == digest
+
+
+@pytest.mark.parametrize(
+    "kind, parts, count",
+    [("partite3", "1,2", 3), ("k4blowup", "3,3,3", 4), ("semibipartite", "3", 2)],
+)
+def test_construct_part_count_error_names_part_sizes(capsys, kind, parts, count):
+    code, out, err = run(capsys, "construct", "--kind", kind, "--parts", parts, "--report")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {kind} needs exactly {count} part sizes\n"
+
+
 def test_density_subcommand(capsys, tmp_path):
     path = tmp_path / "h.txt"
     graphs.save_graph(graphs.named_graph("K4_3"), str(path))
@@ -341,6 +416,14 @@ def test_partition_subcommand_given_v1(capsys, tmp_path):
     assert table["missing"] == "0"
     assert table["cross_present"] == "2"
     assert table["edge_bound_holds"] == "no"
+
+
+@pytest.mark.parametrize("extra", [[], ["--v1", ""]])
+def test_partition_of_the_empty_graph_is_domain_error(capsys, extra):
+    code, out, err = run(capsys, "partition", "--graph", "00", *extra)
+    assert code == 1
+    assert out == ""
+    assert err == "error: need at least one vertex\n"
 
 
 def test_partition_search_deterministic(capsys, tmp_path):

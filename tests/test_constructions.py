@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from turan3.constructions import (
+    KINDS,
     BRec,
     K4Blowup,
     LIMIT_BREC_SIXTH,
@@ -84,6 +85,19 @@ def test_build_semibipartite():
     for k in (1, 2, 4):
         h = build(SemiBipartite(2 * k, k))
         assert len(h.edges) == comb(2 * k, 2) * k
+
+
+def test_kinds_are_blow_ups_or_levels():
+    assert list(KINDS) == ["brec", "partite3", "k4blowup", "semibipartite"]
+    assert Partite3.pattern.edges == ((0, 1, 2),)
+    assert K4Blowup.pattern == named_graph("K4_3")
+    assert K4Blowup(1, 2, 3, 4).sizes == (1, 2, 3, 4)
+    assert BRec(9, (5, 2)).levels == (9, (5, 2))
+    assert SemiBipartite(5, 4).levels == (9, (5,))
+    # a semi-bipartite graph is the first level of a brec on the same vertices
+    first = set(build(SemiBipartite(5, 4)).edges)
+    whole = set(build(BRec(9, (5, 2))).edges)
+    assert first < whole and whole - first == {(5, 6, 7), (5, 6, 8)}
 
 
 @pytest.mark.parametrize(
@@ -231,6 +245,8 @@ def test_edge_count_closed_forms_match_builds():
         Partite3(2, 3, 4),
         K4Blowup(1, 2, 3, 4),
         SemiBipartite(5, 3),
+        SemiBipartite(0, 3),
+        SemiBipartite(4, 0),
     ]
     for spec in specs:
         assert edge_count(spec) == len(build(spec).edges)

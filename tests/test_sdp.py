@@ -83,17 +83,15 @@ def test_assemble_rejects_impossible_family():
 
 
 def test_assemble_rejects_oversized_types():
-    with pytest.raises(ValueError):
-        assemble(5, (), types=[(from_edges(1, []), 4)])  # 2*4 - 1 = 7 > 5
+    for size in (2, 7):  # wrong parity for m=5; above m
+        with pytest.raises(ValueError, match=f"type of size {size} does not fit in m=5"):
+            assemble(5, (), types=[from_edges(size, [])])
 
 
 def test_default_types_m5():
     family = fam("C4_3", "F5_BAR")
     types = default_types(5, family)
-    sizes = sorted(t.n for t, _ in types)
-    assert sizes == [1, 3, 3]
-    for t, m_prime in types:
-        assert 2 * m_prime - t.n == 5
+    assert sorted(t.n for t in types) == [1, 3, 3]
     model = assemble(5, family, use_default_types=True)
     assert model.type_dims == (2, 8, 7)
     assert model.n_constraints == 22
