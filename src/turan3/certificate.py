@@ -21,17 +21,27 @@ sdp.assemble builds for that family with the certificate's block types,
 the same program emit-sdp writes.  The certificate types themselves are
 defined in sdp, which rounds solutions into them.
 
+Both exact loops run on integers, each row of a block Q scaled by its own
+D_i, the lcm of that row's denominators: row i becomes the integers
+Q_ij * D_i (scale_rows).  A whole block's lcm grows with every entry, to
+tens of thousands of bits on a 64x64 block rounded at denominators up to
+2^32; a row's stays near the sum of its own denominators, and integers on
+that scale beat Fractions on either kind of certificate.
+
 PSD is first tried with an exact certificate.  A float Cholesky factor of
-Q - delta*I (delta = 2^-20 times the largest diagonal entry) is rounded to a
-rational L with denominator 2^40, and R = Q - L L^T is formed exactly.  If
-every row of R has R_ii >= sum_{j != i} |R_ij|, R is PSD by Gershgorin's
-theorem and so is Q = L L^T + R.  The floats only propose L; the proof is
-the exact check.  Any other outcome (an entry too large for a float, a float
-pivot <= 0, a row that is not dominant) falls back to rational LDL^T
-elimination with diagonal pivoting, which decides the question: a symmetric
-matrix is PSD iff elimination never meets a negative pivot and, whenever
-the largest remaining diagonal entry is zero, the whole remaining block
-vanishes.  Only the elimination ever answers "not PSD".
+Q - delta*I (delta = 2^-20 times the largest diagonal entry) is rounded to
+integers over 2^40, a rational L, and R = Q - L L^T is formed exactly, row i
+as the integers D_i * 2^80 * R_ij; the integer dot products of L L^T are
+computed once for each pair of rows.  If every row of R has
+R_ii >= sum_{j != i} |R_ij| (a positive row multiple keeps the answer), R is
+PSD by Gershgorin's theorem and so is Q = L L^T + R.  The floats only
+propose L; the proof is the exact check.  Any other outcome (an entry too
+large for a float, a float pivot <= 0, a row that is not dominant) falls
+back to rational LDL^T elimination with diagonal pivoting, which decides
+the question: a symmetric matrix is PSD iff elimination never meets a
+negative pivot and, whenever the largest remaining diagonal entry is zero,
+the whole remaining block vanishes.  Only the elimination ever answers
+"not PSD".
 
 The certificate exists only for blocks well inside the PSD cone: the
 smallest eigenvalue must exceed delta, about 2^-20 of the largest diagonal
@@ -39,6 +49,14 @@ entry.  A singular or nearly singular block, which is what a solver returns
 for a tight bound, always takes the elimination, whose cost grows with the
 bit length of the entries (minutes for a 64x64 block rounded at
 denominators up to 2^32).
+
+Margins.  Every pair-density entry of one type is an integer count over
+E_t, the lcm of the entries' denominators, found once per block.  A term
+<Q_t, P_t(F)> is then sum_i (sum_j Q_ij * D_i * c_ij) / D_i, over E_t: one
+integer dot product per row, each reduced before the rows are summed, so
+the sum's denominator holds only the denominators of the entries P_t(F)
+touches.  The margin is the same reduced Fraction as a sum of Fraction
+products would give, and the constraints are checked in order.
 """
 
 from __future__ import annotations
@@ -46,6 +64,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .density import PairMatrix, fraction_text, parse_fraction
@@ -84,6 +104,21 @@ DELTA_SHIFT = 20
 SCALE_SHIFT = 40
 
 
+# Q as the integers Q_ij * D_i, row by row, and the row scales D_i.
+RowScaled = tuple[list[list[int]], list[int]]
+
+
+def scale_rows(matrix: Sequence[Sequence[Fraction]]) -> RowScaled:
+    """Each row i as integers Q_ij * D_i, D_i the lcm of its denominators."""
+    rows = []
+    scales = []
+    for row in matrix:
+        d = lcm(*[x.denominator for x in row])
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+        scales.append(d)
+    return rows, scales
+
+
 def psd_check(matrix: Sequence[Sequence[Fraction]]) -> bool:
     """Exact positive-semidefiniteness of a symmetric rational matrix.
 
@@ -95,33 +130,36 @@ def psd_check(matrix: Sequence[Sequence[Fraction]]) -> bool:
     """
     if not is_symmetric(matrix):
         raise ValueError("matrix is not symmetric")
-    exact = [[Fraction(x) for x in row] for row in matrix]
-    return _cholesky_certifies(exact) or _psd_by_elimination(exact)
+    return _cholesky_certifies(matrix) or _psd_by_elimination(matrix)
 
 
 def _cholesky_certifies(matrix: Sequence[Sequence[Fraction]]) -> bool:
     """True when Q = L L^T + R with L rational and R diagonally dominant.
 
-    R is symmetric with R_ii >= sum_{j != i} |R_ij| for every row, so it is
-    PSD by Gershgorin's theorem, and then so is Q.  False means only that no
-    certificate was found.
+    False means only that no certificate was found.
     """
+    lint = _float_factor(matrix)
+    return lint is not None and _residual_dominant(matrix, lint)
+
+
+def _float_factor(matrix: Sequence[Sequence[Fraction]]) -> list[list[int]] | None:
+    """2**SCALE_SHIFT * L, rounded to integers, for a float Cholesky factor L
+    of Q - delta*I; None when the float factorization breaks down."""
     n = len(matrix)
     if n == 0:
-        return False
+        return None
     try:
         q = [[float(x) for x in row] for row in matrix]
         delta = math.ldexp(max(q[i][i] for i in range(n)), -DELTA_SHIFT)
         if not delta > 0:
-            return False
-        # Float Cholesky of Q - delta*I, each entry rounded to the grid.
+            return None
         lint = [[0] * n for _ in range(n)]
         lf = [[0.0] * n for _ in range(n)]
         for j in range(n):
             lj = lf[j]
             d = q[j][j] - delta - sum(x * x for x in lj[:j])
             if not d > 0:
-                return False
+                return None
             root = math.sqrt(d)
             lj[j] = root
             lint[j][j] = round(math.ldexp(root, SCALE_SHIFT))
@@ -132,22 +170,31 @@ def _cholesky_certifies(matrix: Sequence[Sequence[Fraction]]) -> bool:
                 lint[i][j] = round(math.ldexp(x, SCALE_SHIFT))
     except (OverflowError, ValueError):
         # an entry too large for a float, or an inf/nan reached round()
-        return False
-    scale = 1 << (2 * SCALE_SHIFT)
-    for i in range(n):
-        li = lint[i]
-        row = matrix[i]
-        dominance = Fraction(0)
-        diag = None
-        for j in range(n):
-            lj = lint[j]
-            k = min(i, j) + 1
-            r = row[j] - Fraction(sum(a * b for a, b in zip(li[:k], lj[:k])), scale)
-            if j == i:
-                diag = r
-            else:
-                dominance += abs(r)
-        if diag < dominance:
+        return None
+    return lint
+
+
+def _residual_dominant(
+    matrix: Sequence[Sequence[Fraction]], lint: Sequence[Sequence[int]]
+) -> bool:
+    """R_ii >= sum_{j != i} |R_ij| in every row of R = Q - lint lint^T / 2**80,
+    for symmetric Q and lower-triangular lint (80 = 2 * SCALE_SHIFT).
+
+    Row i is tested as D_i * 2**80 * R_i, all integers: a positive multiple
+    of a row keeps the test's answer.
+    """
+    shift = 2 * SCALE_SHIFT
+    # (lint lint^T)_ij once for each j <= i, and read as (j, i) in row j
+    gram = [
+        [sum(map(mul, li[: j + 1], lint[j][: j + 1])) for j in range(i + 1)]
+        for i, li in enumerate(lint)
+    ]
+    n = len(gram)
+    for i, (row, d) in enumerate(zip(*scale_rows(matrix))):
+        column = gram[i] + [gram[j][i] for j in range(i + 1, n)]
+        r = [(a << shift) - d * b for a, b in zip(row, column)]
+        diag = r[i]
+        if diag < 0 or 2 * diag < sum(map(abs, r)):
             return False
     return True
 
@@ -178,9 +225,30 @@ def _psd_by_elimination(matrix: Sequence[Sequence[Fraction]]) -> bool:
     return True
 
 
-def inner_product(q: Matrix, pmat: PairMatrix) -> Fraction:
-    """Exact sum of q[i][j] * pmat[i][j] over the stored entries of pmat."""
-    return sum(q[i][j] * x for i, row in enumerate(pmat) for j, x in row)
+def inner_product(q: RowScaled, pmat: PairMatrix, denominator: int) -> Fraction:
+    """Exact sum of Q_ij * P_ij over the stored entries of pmat.
+
+    q is Q as scale_rows gives it, and denominator is a multiple of every
+    entry's denominator in pmat, so each entry is an integer count over it.
+    Row i contributes an integer over D_i, reduced before the rows are
+    summed.
+    """
+    rows, scales = q
+    num = 0
+    den = 1
+    for qrow, d, prow in zip(rows, scales, pmat):
+        if not prow:
+            continue
+        total = sum(qrow[j] * (x.numerator * (denominator // x.denominator)) for j, x in prow)
+        if total:
+            # reduced, total / D_i keeps only the denominators of the entries
+            # pmat touches; D_i brings every entry of the row
+            g = gcd(total, d)
+            d //= g
+            h = gcd(den, d)
+            num = num * (d // h) + total // g * (den // h)
+            den = den // h * d
+    return Fraction(num, den * denominator)
 
 
 def verify(cert: Certificate) -> VerifyResult:
@@ -221,16 +289,28 @@ def verify(cert: Certificate) -> VerifyResult:
     for bi, (block, dim) in enumerate(zip(cert.blocks, model.type_dims)):
         if block.dim != dim:
             return _rejected(f"block {bi}: dimension {block.dim} but {dim} flags exist")
-        if not is_symmetric(block.matrix):
+        try:
+            psd = psd_check(block.matrix)
+        except ValueError:
             return _rejected(f"block {bi}: matrix not symmetric")
-        if not psd_check(block.matrix):
+        if not psd:
             return _rejected(f"block {bi}: matrix not positive semidefinite")
 
+    # Each block once: Q row-scaled, and the one denominator E_t over which
+    # every pair-density entry of its type is an integer.
+    scaled = [
+        (
+            scale_rows(block.matrix),
+            lcm(*{x.denominator for mat in matrices.values() for row in mat for _, x in row}),
+            matrices,
+        )
+        for block, matrices in zip(cert.blocks, model.pair_matrices)
+    ]
     mismatches = []
     for idx, obj in enumerate(model.obj):
         margin = cert.bound - obj
-        for block, matrices in zip(cert.blocks, model.pair_matrices):
-            margin -= inner_product(block.matrix, matrices.get(idx, ()))
+        for q, denominator, matrices in scaled:
+            margin -= inner_product(q, matrices.get(idx, ()), denominator)
         if margin < 0:
             members = [fm.graph for fm in family]
             target = enumerate_free(cert.m, members, [fm.induced for fm in family])[idx]

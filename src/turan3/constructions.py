@@ -39,7 +39,8 @@ _PRECISION = 60
 
 
 class BlowUp:
-    """A blow-up of `pattern`: its fields are the part sizes, in vertex order."""
+    """A blow-up of `pattern`: its fields are the part sizes, in vertex order,
+    each at least 1."""
 
     pattern: ClassVar[Hypergraph3]
 
@@ -112,7 +113,8 @@ KINDS = {cls.kind: cls for cls in (BRec, Partite3, K4Blowup, SemiBipartite)}
 
 
 def _validate(spec: ConstructionSpec) -> None:
-    """Reject negative part sizes, and brec splits that do not fit n."""
+    """Reject negative part sizes, empty blow-up parts, and brec splits that
+    do not fit n."""
     if isinstance(spec, BRec):
         if spec.n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {spec.n}")
@@ -130,6 +132,10 @@ def _validate(spec: ConstructionSpec) -> None:
     elif min(astuple(spec)) < 0:
         sizes = ",".join(map(str, astuple(spec)))
         raise ValueError(f"part sizes must be nonnegative, got {sizes}")
+    elif isinstance(spec, BlowUp) and 0 in spec.sizes:
+        # a blow-up part stands for a pattern vertex, which needs a vertex
+        part = spec.sizes.index(0) + 1
+        raise ValueError(f"{spec.kind} part {part} is empty; blow-up parts need at least 1 vertex")
 
 
 def build(spec: ConstructionSpec) -> Hypergraph3:

@@ -5,11 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from turan3.certificate import Certificate, CertificateBlock, inner_product
+from turan3.certificate import Certificate, CertificateBlock
 from turan3.density import SINGLE_EDGE, p, pair_density_table
 from turan3.enumeration import enumerate_free
 from turan3.graphs import decode_key
 from turan3.sdp import assemble, default_types
+
+from oracles import inner_product_fractions
 
 
 def make_sos_certificate(m, family, scale=Fraction(1, 8)):
@@ -31,7 +33,7 @@ def make_sos_certificate(m, family, scale=Fraction(1, 8)):
     for fi in range(model.n_constraints):
         total = model.obj[fi]
         for block, table in zip(blocks, tables):
-            total += inner_product(block.matrix, table.matrices[fi])
+            total += inner_product_fractions(block.matrix, table.matrices[fi])
         margins.append(total)
     u = max(margins)
     return Certificate(
@@ -54,7 +56,7 @@ def recompute_margins(cert, family):
         for block in cert.blocks:
             sigma = decode_key(block.type_key)
             table = pair_density_table(sigma, (cert.m + sigma.n) // 2, cert.m, family)
-            margin -= inner_product(block.matrix, table.matrices[idx])
+            margin -= inner_product_fractions(block.matrix, table.matrices[idx])
         out.append(margin)
     return out
 

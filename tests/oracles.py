@@ -12,7 +12,9 @@ shortcuts (one w per automorphism orbit; a discrete colouring returned at
 once, leaves valued as integers), so they share the injection search and
 the orbit closure, and audit only the shortcuts; pair_density_table_brute
 takes the flags, targets, rooted keys and sparse matrix form from the
-package, and audits how a table finds its thetas and flag slots.
+package, and audits how a table finds its thetas and flag slots;
+cholesky_certifies_fractions takes the package's float factor, which only
+proposes L, and audits the exact residual test.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from fractions import Fraction
 from itertools import chain, combinations, permutations, product
 from math import comb, perm
 
+from turan3.certificate import SCALE_SHIFT, _float_factor
 from turan3.density import PairDensityTable, pair_matrix
 from turan3.enumeration import (
     _attachment_orbit_reps,
@@ -403,6 +406,42 @@ def psd_elimination(matrix) -> bool:
                 for j in range(k, n):
                     a[i][j] -= factor * a[k][j]
     return True
+
+
+def residual_dominant_fractions(matrix, lint) -> bool:
+    """R_ii >= sum_{j != i} |R_ij| in every row of R = Q - lint lint^T / 2**(2 SCALE_SHIFT).
+
+    Every residual is a Fraction, formed entry by entry.
+    """
+    n = len(matrix)
+    scale = 1 << (2 * SCALE_SHIFT)
+    for i in range(n):
+        dominance = Fraction(0)
+        diag = None
+        for j in range(n):
+            k = min(i, j) + 1
+            gram = sum(a * b for a, b in zip(lint[i][:k], lint[j][:k]))
+            r = Fraction(matrix[i][j]) - Fraction(gram, scale)
+            if j == i:
+                diag = r
+            else:
+                dominance += abs(r)
+        if diag < dominance:
+            return False
+    return True
+
+
+def cholesky_certifies_fractions(matrix) -> bool:
+    """The package's PSD certificate with its residual test in Fractions."""
+    lint = _float_factor(matrix)
+    return lint is not None and residual_dominant_fractions(matrix, lint)
+
+
+def inner_product_fractions(q, pmat) -> Fraction:
+    """Sum of q[i][j] * pmat[i][j] over the stored entries, in Fractions."""
+    return sum(
+        (Fraction(q[i][j]) * x for i, row in enumerate(pmat) for j, x in row), Fraction(0)
+    )
 
 
 def maxcut_full_recompute(h: Hypergraph3, restarts: int, seed: int):

@@ -1,13 +1,18 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turan3 import families
 from turan3.certificate import (
+    SCALE_SHIFT,
     Certificate,
     CertificateBlock,
     _cholesky_certifies,
+    _residual_dominant,
     certificate_from_text,
     certificate_to_text,
     load_certificate,
@@ -17,7 +22,7 @@ from turan3.certificate import (
 )
 from turan3.enumeration import enumerate_free
 from turan3.graphs import from_edges, named_graph
-from turan3.sdp import assemble, lp_certificate
+from turan3.sdp import assemble, default_types, lp_certificate
 
 import oracles
 from cert_helpers import make_sos_certificate, minor_sign_psd_oracle, recompute_margins
@@ -138,6 +143,141 @@ def test_psd_check_matches_elimination_oracle():
                 seen.add(label)
     # the certificate path does fire, on well-conditioned matrices
     assert "definite" in seen
+
+
+# Rationals whose denominators mix small values with values up to 2**32.
+denominators = st.one_of(st.integers(1, 16), st.integers(1, 2**32))
+
+
+def rationals(bound=2**20):
+    return st.builds(Fraction, st.integers(-bound, bound), denominators)
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=6):
+    """A random symmetric matrix, a shifted Gram matrix or one pushed just
+    indefinite, with some rows and columns zeroed."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["random", "gram", "indefinite"]))
+    if kind == "random":
+        mat = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                mat[i][j] = mat[j][i] = draw(rationals())
+    else:
+        rows = [[draw(rationals(2**10)) for _ in range(n)] for _ in range(n)]
+        mat = _gram(rows)
+        shift = draw(st.builds(Fraction, st.integers(1, 2**10), denominators))
+        if kind == "indefinite":
+            shift = -shift
+        for i in range(n):
+            mat[i][i] += shift
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+        for j in range(n):
+            mat[i][j] = mat[j][i] = F(0)
+    return mat
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices())
+def test_psd_check_and_its_certificate_match_the_fraction_oracles(mat):
+    assert psd_check(mat) == oracles.psd_elimination(mat)
+    assert _cholesky_certifies(mat) == oracles.cholesky_certifies_fractions(mat)
+
+
+@st.composite
+def factors_and_residual_margins(draw, max_n=6):
+    """(Q, lint, margins): Q = lint lint^T / 2**(2 SCALE_SHIFT) + R, where row
+    i of R has R_ii - sum_{j != i} |R_ij| = margins[i], and some rows of Q
+    are zero."""
+    n = draw(st.integers(1, max_n))
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    big = 2 ** (SCALE_SHIFT + 1)
+    lint = [[0] * n for _ in range(n)]
+    for i in range(n):
+        if i not in zero:
+            lint[i][: i + 1] = [draw(st.integers(-big, big)) for _ in range(i + 1)]
+    r = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if i not in zero and j not in zero:
+                r[i][j] = r[j][i] = draw(rationals())
+    margins = []
+    for i in range(n):
+        if i in zero:
+            margins.append(F(0))
+            continue
+        # dominant with equality, by a hair, or short of it by a hair
+        margin = draw(st.just(F(0)) | st.builds(Fraction, st.sampled_from([-1, 1]), denominators))
+        r[i][i] = sum((abs(x) for j, x in enumerate(r[i]) if j != i), F(0)) + margin
+        margins.append(margin)
+    scale = 1 << (2 * SCALE_SHIFT)
+    q = [
+        [
+            Fraction(sum(a * b for a, b in zip(lint[i], lint[j])), scale) + r[i][j]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return q, lint, margins
+
+
+@settings(max_examples=200, deadline=None)
+@given(factors_and_residual_margins())
+def test_integer_residual_decision_matches_the_fraction_oracle(case):
+    q, lint, margins = case
+    want = all(x >= 0 for x in margins)
+    assert oracles.residual_dominant_fractions(q, lint) == want
+    assert _residual_dominant(q, lint) == want
+
+
+PROGRAM_FAMILIES = ["F32,C5_3_MINUS", "C4_3,F5_BAR", ""]
+
+
+@st.composite
+def m5_certificates(draw):
+    """A certificate over an m=5 default-type program with random positive
+    definite blocks, and each constraint's value obj(F) + sum_t <Q_t, P_t(F)>
+    summed in Fractions."""
+    family = families.parse_family(draw(st.sampled_from(PROGRAM_FAMILIES)))
+    model = assemble(5, family, use_default_types=True)
+    blocks = []
+    for sigma, d in zip(default_types(5, family), model.type_dims):
+        rows = [[draw(rationals(2**10)) for _ in range(d)] for _ in range(d)]
+        mat = _gram(rows)
+        shift = draw(st.builds(Fraction, st.integers(1, 2**10), denominators))
+        for i in range(d):
+            mat[i][i] += shift
+        blocks.append(CertificateBlock(sigma.canon_key, tuple(map(tuple, mat))))
+    values = []
+    for idx, obj in enumerate(model.obj):
+        total = obj
+        for block, matrices in zip(blocks, model.pair_matrices):
+            total += oracles.inner_product_fractions(block.matrix, matrices.get(idx, ()))
+        values.append(total)
+    cert = Certificate(F(0), model.family_key, 5, tuple(blocks), ())
+    return cert, values
+
+
+@settings(max_examples=40, deadline=None)
+@given(m5_certificates(), st.builds(Fraction, st.integers(0, 2**10), denominators))
+def test_verify_margins_equal_the_fraction_sums(case, below):
+    cert, values = case
+    # at u = the largest value every margin is >= 0; slacks that equal the
+    # Fraction margins draw no mismatch note, so the margins agree exactly
+    bound = max(values)
+    slacks = tuple(bound - v for v in values)
+    res = verify(replace(cert, bound=bound, slacks=slacks))
+    assert res.ok and res.notes == ()
+    # below it, the first negative margin is reported with its exact value
+    if below:
+        bound -= below
+        first = next(idx for idx, v in enumerate(values) if bound - v < 0)
+        slacks = tuple(max(F(0), s - below) for s in slacks)
+        res = verify(replace(cert, bound=bound, slacks=slacks))
+        assert not res.ok
+        assert res.reason.startswith(f"constraint fails at graph {first} ")
+        assert res.reason.endswith(f": margin {bound - values[first]}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import turan3
-from turan3 import certificate, families, graphs
+from turan3 import certificate, families, graphs, sdp
 from turan3.cli import main
 from turan3.sdp import assemble, lp_certificate
 
@@ -168,6 +170,24 @@ def test_construct_negative_part_size_is_domain_error(capsys, kind, parts):
     assert out == ""
     assert_one_error_line(err)
     assert "nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "action", [["--report"], ["--emit", "g.txt"], ["--check-free", "F32"]],
+    ids=["report", "emit", "check-free"],
+)
+@pytest.mark.parametrize(
+    "kind, parts, part", [("partite3", "0,2,3", 1), ("k4blowup", "2,2,0,0", 3)]
+)
+def test_construct_empty_blow_up_part_is_domain_error(
+    capsys, tmp_path, monkeypatch, kind, parts, part, action
+):
+    # every action refuses the spec the same way, before building anything
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "construct", "--kind", kind, "--parts", parts, *action)
+    assert (code, out) == (1, "")
+    assert err == f"error: {kind} part {part} is empty; blow-up parts need at least 1 vertex\n"
+    assert not (tmp_path / "g.txt").exists()
 
 
 # SHA-256 of construct's stdout and of the emitted graph file, recorded
@@ -402,6 +422,90 @@ def test_verify_rejects_bad_certificate(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--cert", str(path))
     assert code == 1
     assert out.startswith("REJECTED")
+
+
+# SHA-256 of verify's stdout, recorded before the verifier's exact loops ran
+# on integers, for certificates that round the benchmark's seeded solver
+# stand-in (perfbench/solution.py) on the m=6 program for F32,C5_3_MINUS:
+# (seed, --den-bound, block 3 broken) -> (first line's start, digest).
+VERIFY_DIGESTS = {
+    (0, 1024, False): (
+        "VERIFIED bound=68/121",
+        "b3ad11b4fc94e4f3111c82b52c71963a766652ea550d4ce305119eda48953954",
+    ),
+    (1, 1024, False): (
+        "VERIFIED bound=544/965",
+        "1f3e8edc1b19a350efec43459dd5876bd797b8e42e890155afc3e43cd6abfad5",
+    ),
+    (2, 1024, False): (
+        "VERIFIED bound=89/154",
+        "64ed2feb4ff22fd0ef4e9e056d6d3b00c6923af88aa553262c0fd66b7c6a5517",
+    ),
+    (0, 2**32, False): (
+        "VERIFIED bound=1181284135/2101999991",
+        "0e17dae40b63f4acfbaae774eaebcfa01b2244fb9a38096bbe7cdc579576f71c",
+    ),
+    (1, 2**32, False): (
+        "REJECTED constraint fails at graph 2",
+        "87aeb47ea89af95cc5b84f737e07b6775057823db041910faed6047f056dc2fa",
+    ),
+    (0, 1024, True): (
+        "REJECTED block 3: matrix not positive semidefinite",
+        "55c06f194f8cf639a5b873d46e7fb5cd19d473bcca2157560ab66dcdbcedf2b8",
+    ),
+}
+
+STAND_IN_SOLVER = Path(__file__).resolve().parents[1] / "perfbench" / "solution.py"
+
+
+@pytest.fixture(scope="module")
+def stand_in_solver():
+    """perfbench/solution.py, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_solution", STAND_IN_SOLVER)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def m6_program(tmp_path_factory):
+    path = tmp_path_factory.mktemp("prove-m6") / "m6.sdp"
+    family = families.parse_family("F32,C5_3_MINUS")
+    sdp.emit(assemble(6, family, use_default_types=True), str(path))
+    return path
+
+
+@pytest.mark.parametrize(
+    "seed, den_bound, broken",
+    list(VERIFY_DIGESTS),
+    ids=["1024-seed0", "1024-seed1", "1024-seed2", "2^32-seed0", "2^32-seed1", "not-psd"],
+)
+def test_verify_stdout_is_pinned(
+    capsys, tmp_path, stand_in_solver, m6_program, seed, den_bound, broken
+):
+    solution = tmp_path / "solution.txt"
+    synth = stand_in_solver.synthesize(m6_program.read_text(encoding="utf-8"), seed)
+    solution.write_text(synth.solution_text, encoding="utf-8")
+    cert_path = tmp_path / "cert.txt"
+    code, _, _ = run(
+        capsys, "round", "--model", str(m6_program), "--solution", str(solution),
+        "--den-bound", str(den_bound), "--out", str(cert_path),
+    )
+    assert code == 0
+    if broken:
+        # a 2x2 principal minor of block 3 made negative: q01 = q00 + q11
+        cert = certificate.load_certificate(str(cert_path))
+        q = [list(row) for row in cert.blocks[3].matrix]
+        q[0][1] = q[1][0] = q[0][0] + q[1][1]
+        blocks = list(cert.blocks)
+        blocks[3] = replace(blocks[3], matrix=tuple(map(tuple, q)))
+        certificate.save_certificate(replace(cert, blocks=tuple(blocks)), str(cert_path))
+    code, out, _ = run(capsys, "verify", "--cert", str(cert_path))
+    start, digest = VERIFY_DIGESTS[seed, den_bound, broken]
+    assert out.startswith(start)
+    assert code == (0 if start.startswith("VERIFIED") else 1)
+    assert sha256(out.encode()) == digest
 
 
 def test_partition_subcommand_given_v1(capsys, tmp_path):

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from turan3 import families
-from turan3.certificate import inner_product
+from turan3.certificate import inner_product, scale_rows
 from turan3.density import (
     SINGLE_EDGE,
     edge_density,
@@ -215,7 +215,8 @@ def test_pair_matrix_matches_dense_form():
             (i, j, want[i][j]) for i in range(n) for j in range(i, n) if want[i][j]
         ]
         q = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
-        assert inner_product(q, mat) == sum(
+        # entries have denominators 1..4, so each is an integer over 12
+        assert inner_product(scale_rows(q), mat, 12) == sum(
             q[i][j] * want[i][j] for i in range(n) for j in range(n)
         )
 
