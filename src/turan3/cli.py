@@ -112,20 +112,25 @@ def _integers(text: str, what: str) -> list[int]:
 
 
 def _construction_spec(args) -> constructions.ConstructionSpec:
+    """The validated spec, so a bad one is refused even with no action."""
     cls = constructions.KINDS[args.kind]
     if cls is constructions.BRec:
         if args.n is None:
             raise ValueError("brec needs --n")
-        if not args.splits:
-            return constructions.optimal_brec(args.n)
-        return constructions.BRec(args.n, tuple(_integers(args.splits, "--splits value")))
-    if not args.parts:
-        raise ValueError(f"{args.kind} needs --parts with comma-separated sizes")
-    parts = _integers(args.parts, "--parts value")
-    count = len(fields(cls))
-    if len(parts) != count:
-        raise ValueError(f"{args.kind} needs exactly {count} part sizes")
-    return cls(*parts)
+        if args.splits:
+            spec = constructions.BRec(args.n, tuple(_integers(args.splits, "--splits value")))
+        else:
+            spec = constructions.optimal_brec(args.n)
+    else:
+        if not args.parts:
+            raise ValueError(f"{args.kind} needs --parts with comma-separated sizes")
+        parts = _integers(args.parts, "--parts value")
+        count = len(fields(cls))
+        if len(parts) != count:
+            raise ValueError(f"{args.kind} needs exactly {count} part sizes")
+        spec = cls(*parts)
+    constructions.validate(spec)
+    return spec
 
 
 def cmd_construct(args, parser) -> int:

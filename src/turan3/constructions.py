@@ -112,7 +112,7 @@ ConstructionSpec = Union[BlowUp, Layered]
 KINDS = {cls.kind: cls for cls in (BRec, Partite3, K4Blowup, SemiBipartite)}
 
 
-def _validate(spec: ConstructionSpec) -> None:
+def validate(spec: ConstructionSpec) -> None:
     """Reject negative part sizes, empty blow-up parts, and brec splits that
     do not fit n."""
     if isinstance(spec, BRec):
@@ -140,7 +140,7 @@ def _validate(spec: ConstructionSpec) -> None:
 
 def build(spec: ConstructionSpec) -> Hypergraph3:
     """Materialize a construction spec as a concrete graph."""
-    _validate(spec)
+    validate(spec)
     if isinstance(spec, BlowUp):
         return blow_up(spec.pattern, spec.sizes)
     n, splits = spec.levels
@@ -277,7 +277,7 @@ def vertex_count(spec: ConstructionSpec) -> int:
 
 def edge_count(spec: ConstructionSpec) -> int:
     """Closed-form edge count; never materializes the graph."""
-    _validate(spec)
+    validate(spec)
     if isinstance(spec, BlowUp):
         sizes = spec.sizes
         return sum(sizes[a] * sizes[b] * sizes[c] for a, b, c in spec.pattern.edges)

@@ -11,22 +11,28 @@ members included, is hereditary under vertex deletion, so it prunes
 children at every level: the empty root is checked directly, and a child
 of a family-free parent by its attachment alone.
 
-Each attachment meets the cheapest checks first.  The first two read only
-the mask, before the child is built and before the orbit-minimality test;
-both are invariant under Aut(parent), so the orbit representatives kept
-are the same as without them:
+Each attachment meets the cheapest checks first.  The first three read
+only the mask, before the child is built.  Checks 1 and 2 are invariant
+under Aut(parent), so the orbit representatives kept are the same as
+without them:
 
 1. the new vertex has the child's largest degree: its degree is the
    mask's popcount, and old vertex v's is deg(v) plus the mask's pairs at
    v (refinement orders colour cells by degree first, so a vertex below
-   the largest degree is outside the top cell);
+   the largest degree is outside the top cell); two packed tables, one
+   per half of the mask, hold every vertex's count at once;
 2. the mask matches none of the parent's link patterns
-   (graphs.link_patterns), so the child is family-free;
-3. the new vertex lies in the top cell of the child's refined colouring,
+   (graphs.link_patterns), so the child is family-free; each pattern is
+   split into halves, a high half keeps only the patterns it matches, and
+   a high half that some pattern matches whatever the low bits is
+   skipped whole;
+3. the mask is the least in its Aut(parent)-orbit; an automorphism's
+   image of it is the OR of two half-table entries built once per parent;
+4. the new vertex lies in the top cell of the child's refined colouring,
    which is computed once and reused by the labelling;
-4. the child is labelled and the orbit test decides.
+5. the child is labelled and the orbit test decides.
 
-Checks 1 and 3 are implied by the orbit test, so the output is the same
+Checks 1 and 4 are implied by the orbit test, so the output is the same
 as without them.
 
 An accepted child is labelled once: its canonical form comes with its own
@@ -95,6 +101,14 @@ def _outrank_codes(k: int) -> tuple[int, list[int], list[int], int, int]:
     return found
 
 
+def _subset_images(images: Sequence[int]) -> list[int]:
+    """table[s] = the OR of images[i] over the set bits i of s."""
+    table = [0]
+    for image in images:
+        table += [t | image for t in table]
+    return table
+
+
 def _attachment_orbit_reps(
     k: int,
     auts: Sequence[tuple[int, ...]],
@@ -110,44 +124,56 @@ def _attachment_orbit_reps(
     pattern (mask & care == want) is dropped too.  Both filters must be
     Aut(parent)-invariant, so the kept masks are exactly the unfiltered
     representatives that pass them.
+
+    Masks are visited as a high half hi (the bits from split up) and a low
+    half lo, both in increasing order, so in increasing order of mask.  An
+    automorphism maps pairs to pairs, so its image of a mask is the OR of
+    the images of the two halves, read from two tables built once per call.
+    A pattern matches exactly when both halves match, so each high half
+    keeps only the patterns its bits match, and a kept pattern with no low
+    care and no low want matches every low half, so it drops the whole
+    high half.
     """
     pairs = list(combinations(range(k), 2))
-    npairs = len(pairs)
     index = {p: i for i, p in enumerate(pairs)}
     split, low_codes, high_codes, width, top = _outrank_codes(k)
     shift = sum(d << (width * v) for v, d in enumerate(degrees))
-    # pair image table per nontrivial automorphism
-    tables = []
+    low_bits = (1 << split) - 1
+    identity = [1 << i for i in range(len(pairs))]
+    # per nontrivial automorphism, the images of every low and every high half
+    halves: list[tuple[list[int], list[int]]] = []
     for a in auts:
-        tbl = [0] * npairs
-        changed = False
-        for i, (u, v) in enumerate(pairs):
+        img = []
+        for u, v in pairs:
             x, y = a[u], a[v]
-            j = index[(x, y) if x < y else (y, x)]
-            tbl[i] = j
-            changed = changed or j != i
-        if changed:
-            tables.append(tbl)
+            img.append(1 << index[(x, y) if x < y else (y, x)])
+        if img != identity:
+            halves.append((_subset_images(img[:split]), _subset_images(img[split:])))
+    split_patterns = [
+        (care & low_bits, want & low_bits, care >> split, want >> split)
+        for care, want in patterns
+    ]
     for hi, high_code in enumerate(high_codes):
+        kept = [
+            (care_lo, want_lo)
+            for care_lo, want_lo, care_hi, want_hi in split_patterns
+            if hi & care_hi == want_hi
+        ]
+        if (0, 0) in kept:
+            continue
         outer = high_code + shift
+        high_half = hi << split
+        images = [(low_table, high_table[hi]) for low_table, high_table in halves]
         for lo, low_code in enumerate(low_codes):
             if (low_code + outer) & top:
                 continue
-            mask = hi << split | lo
-            if any(mask & care == want for care, want in patterns):
+            if kept and any(lo & care == want for care, want in kept):
                 continue
-            minimal = True
-            for tbl in tables:
-                img = 0
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    img |= 1 << tbl[low.bit_length() - 1]
-                    rest ^= low
-                if img < mask:
-                    minimal = False
+            mask = high_half | lo
+            for low_table, high_image in images:
+                if low_table[lo] | high_image < mask:
                     break
-            if minimal:
+            else:
                 yield mask
 
 

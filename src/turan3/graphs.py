@@ -16,8 +16,12 @@ vertex, but a rigid graph whose colouring leaves large cells still costs
 a leaf per relabeling.  A discrete colouring is answered without a
 search, and a leaf is valued by an integer with one bit per relabeled
 edge, at the rank of the edge's triple, so a leaf costs one OR per edge
-and no sort.  A graph's refined colouring is its cached refined_colors,
-which the generator reads before it decides to label.
+and no sort.  The last vertex goes to its leaf without a loop, and a node
+looks for orbits of explored siblings only once the search has found an
+automorphism fixing its prefix.  A graph's refined colouring is its
+cached refined_colors, which the generator reads before it decides to
+label; refinement stops at the first round that splits no cell, and at
+once when the colouring is discrete.
 _injections (backtracking over vertex images, pruned by degree and by every
 triple a placed vertex completes) decides containment: contains_sub,
 contains_induced and link_patterns (which lists, for the isomorph-free
@@ -141,35 +145,42 @@ def _refine_colors(
     same color for corresponding vertices.  Distinctions present in the
     initial coloring persist, and their relative order is preserved.  With
     no initial colouring, refinement starts from the degree ranks, which is
-    exactly what the first round from all-equal colours gives.  A pair of
-    colours x <= y is coded as x*k + y with k above every colour, so the
-    sorted codes order vertices exactly as the sorted (x, y) pairs would.
+    exactly what the first round from all-equal colours gives.  Colours are
+    ranks 0..cells-1 throughout, so a pair of colours x <= y is coded as
+    x*cells + y, and the sorted codes order vertices exactly as the sorted
+    (x, y) pairs would.  A round that splits no cell leaves the colouring
+    stable, so refinement stops there, and a discrete colouring is stable
+    as soon as it is ranked.
     """
-    links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b, c in edges:
-        links[a].append((b, c))
-        links[b].append((a, c))
-        links[c].append((a, b))
     if initial is None:
-        rank = {d: i for i, d in enumerate(sorted({len(link) for link in links}))}
-        colors = [rank[len(link)] for link in links]
+        seeds = [0] * n
+        for a, b, c in edges:
+            seeds[a] += 1
+            seeds[b] += 1
+            seeds[c] += 1
     else:
-        colors = list(initial)
-    while True:
-        k = max(colors, default=0) + 1
+        seeds = list(initial)
+    rank = {s: i for i, s in enumerate(sorted(set(seeds)))}
+    colors = [rank[s] for s in seeds]
+    while len(rank) < n:
+        cells = len(rank)
+        # each edge gives each of its vertices the code of its other two
+        codes: list[list[int]] = [[] for _ in range(n)]
+        for a, b, c in edges:
+            ca, cb, cc = colors[a], colors[b], colors[c]
+            codes[a].append(cb * cells + cc if cb <= cc else cc * cells + cb)
+            codes[b].append(ca * cells + cc if ca <= cc else cc * cells + ca)
+            codes[c].append(ca * cells + cb if ca <= cb else cb * cells + ca)
         sigs = []
         for v in range(n):
-            codes = []
-            for x, y in links[v]:
-                cx, cy = colors[x], colors[y]
-                codes.append(cx * k + cy if cx <= cy else cy * k + cx)
-            codes.sort()
-            sigs.append((colors[v], tuple(codes)))
+            own = codes[v]
+            own.sort()
+            sigs.append((colors[v], tuple(own)))
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new_colors = [rank[s] for s in sigs]
-        if new_colors == colors:
-            return colors
-        colors = new_colors
+        colors = [rank[s] for s in sigs]
+        if len(rank) == cells:
+            break
+    return colors
 
 
 def _orbit_closure(start: Iterable[int], generators: Sequence[Perm]) -> set[int]:
@@ -231,6 +242,12 @@ def _canonical_search(
     A skipped subtree is an automorphic image of an explored one, so the
     least tuple and the first leaf reaching it are still visited, and the
     found automorphisms generate the whole group.
+
+    The bookkeeping per node is kept small without changing which nodes and
+    leaves are visited: a node at depth n-1 has one unused vertex and goes
+    straight to its leaf, and a node collects the generators that fix its
+    prefix only when the search has found new ones, and tests a child for
+    an explored sibling's orbit only once it holds such a generator.
     """
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
@@ -273,20 +290,31 @@ def _canonical_search(
 
     def explore(d: int) -> int:
         """Search below arrangement[:d]; return the depth to resume at."""
-        if d == n:
+        if d == n - 1:
+            # one vertex is left: place it and value the leaf
+            for x in cell_of_label[d]:
+                if not used[x]:
+                    break
+            arrangement[d] = x
+            code[x] = bit[d]
             return visit_leaf()
         explored: list[int] = []
-        covered: set[int] = set()  # orbits of explored under prefix-fixing generators
-        seen = (0, 0)  # (len(explored), len(generators)) when covered was computed
+        fixing: list[Perm] = []  # the generators that fix arrangement[:d]
+        checked = 0  # len(generators) when fixing was last extended
+        covered: set[int] = set()  # orbits of explored under fixing
+        seen = (0, 0)  # (len(explored), len(fixing)) when covered was computed
         for x in cell_of_label[d]:
             if used[x]:
                 continue
-            if explored and seen != (len(explored), len(generators)):
-                seen = (len(explored), len(generators))
+            if checked < len(generators):
                 prefix = arrangement[:d]
-                covered = _orbit_closure(
-                    explored, [g for g in generators if all(g[v] == v for v in prefix)]
-                )
+                fixing += [
+                    g for g in generators[checked:] if all(g[v] == v for v in prefix)
+                ]
+                checked = len(generators)
+            if fixing and explored and seen != (len(explored), len(fixing)):
+                seen = (len(explored), len(fixing))
+                covered = _orbit_closure(explored, fixing)
             if x in covered:
                 continue
             arrangement[d] = x

@@ -1,20 +1,23 @@
 """Brute-force oracles the test suite checks the package against.
 
 Everything here is deliberately naive: factorial-time isomorphism, full
-injection scans, classify-after-generate enumeration, colour refinement
-on tuples and a canonical search over every relabelling.  None of it shares
-code paths with the package implementations it audits, except four:
+injection scans, classify-after-generate enumeration, colour refinement on
+tuples and a canonical search over every relabelling. None of it shares
+code paths with the package implementations it audits, except these:
 generate_free_labelling_every_child is the package's generator with its
 shortcuts taken out, so it shares the orbit representatives and the
-canonical search, and audits only the shortcuts; link_patterns_every_vertex
-and canonical_search_sorted_leaves are the package's routines without their
+canonical search, and audits only the shortcuts;
+attachment_orbit_reps_brute builds each child with the package's _extend to
+read its degrees; link_patterns_every_vertex and
+canonical_search_sorted_leaves are the package's routines without their
 shortcuts (one w per automorphism orbit; a discrete colouring returned at
-once, leaves valued as integers), so they share the injection search and
-the orbit closure, and audit only the shortcuts; pair_density_table_brute
-takes the flags, targets, rooted keys and sparse matrix form from the
-package, and audits how a table finds its thetas and flag slots;
-cholesky_certifies_fractions takes the package's float factor, which only
-proposes L, and audits the exact residual test.
+once, leaves valued as integers, the last vertex placed without a loop,
+prefix-fixing generators collected only as new ones are found), so they
+share the injection search and the orbit closure, and audit only the
+shortcuts; pair_density_table_brute takes the flags, targets, rooted keys
+and sparse matrix form from the package, and audits how a table finds its
+thetas and flag slots; cholesky_certifies_fractions takes the package's
+float factor, which only proposes L, and audits the exact residual test.
 """
 
 from __future__ import annotations
@@ -149,6 +152,33 @@ def generate_free_labelling_every_child(m: int, members, induced_flags):
                     found.append((data.key, data.graph))
         level = [g for _, g in sorted(found, key=lambda kg: kg[0])]
     return level
+
+
+def attachment_orbit_reps_brute(parent: Hypergraph3, auts, patterns=(), degree_filter=True):
+    """enumeration._attachment_orbit_reps mask by mask, in increasing order.
+
+    Each mask is kept when the new vertex has the child's largest degree
+    (read from the degrees of the child _extend builds), when it matches no
+    (care, want) pattern, and when no automorphism's image of its pairs,
+    each pair relabelled and looked up afresh, is a smaller mask.
+    """
+    k = parent.n
+    pairs = list(combinations(range(k), 2))
+    position = {p: i for i, p in enumerate(pairs)}
+    for mask in range(1 << len(pairs)):
+        if degree_filter:
+            degrees = _extend(parent, mask, pairs).degrees
+            if degrees[-1] < max(degrees):
+                continue
+        if any(mask & care == want for care, want in patterns):
+            continue
+        chosen = [p for i, p in enumerate(pairs) if mask >> i & 1]
+        images = (
+            sum(1 << position[tuple(sorted((a[u], a[v])))] for u, v in chosen)
+            for a in auts
+        )
+        if all(image >= mask for image in images):
+            yield mask
 
 
 def link_patterns_every_vertex(parent: Hypergraph3, family, induced_flags):

@@ -190,6 +190,24 @@ def test_construct_empty_blow_up_part_is_domain_error(
     assert not (tmp_path / "g.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (["brec", "--n", "5", "--splits", "9"], "split 9 exceeds the 5 remaining vertices"),
+        (["brec", "--n", "7", "--splits", "2"], "5 vertices left unsplit"),
+        (["partite3", "--parts", "0,2,3"], "partite3 part 1 is empty"),
+        (["semibipartite", "--parts", "0,-5"], "part sizes must be nonnegative"),
+    ],
+    ids=["brec-split", "brec-tail", "partite3-empty", "semibipartite-negative"],
+)
+def test_construct_refuses_a_bad_spec_without_an_action(capsys, spec, message):
+    # no --report, --emit or --check-free: the spec is still validated
+    code, out, err = run(capsys, "construct", "--kind", *spec)
+    assert (code, out) == (1, "")
+    assert_one_error_line(err)
+    assert message in err
+
+
 # SHA-256 of construct's stdout and of the emitted graph file, recorded
 # before the kinds were described by their blow-up pattern or their levels.
 CONSTRUCT_DIGESTS = {

@@ -295,6 +295,63 @@ def test_pre_checks_are_implied_by_the_orbit_test():
     assert 0 < degree_rejects < colour_rejects
 
 
+@pytest.mark.parametrize("famname", ["C4_3,F5_BAR", "F32,C5_3_MINUS", "F32,induced:F32_BAR"])
+def test_orbit_reps_match_the_brute_force_oracle(famname):
+    # the real parents, degrees and link patterns of the paper's families
+    members, flags = GENERATOR_FAMILIES[famname]
+    for k in range(6):
+        for parent in enumerate_free(k, members, flags):
+            auts = parent.canonical.automorphisms
+            patterns = link_patterns(parent, members, flags)
+            got = list(_attachment_orbit_reps(k, auts, parent.degrees, patterns))
+            assert got == list(oracles.attachment_orbit_reps_brute(parent, auts, patterns))
+
+
+def _synthetic_patterns(k):
+    """(care, want) lists that meet the low and high halves of a mask
+    (the pair bits below and from _outrank_codes' split) in every way."""
+    split = len(list(combinations(range(k), 2))) // 2
+
+    def low(*bits):
+        return sum(1 << b for b in bits)
+
+    def high(*bits):
+        return sum(1 << (split + b) for b in bits)
+
+    cases = {
+        "care in the low half": [(low(0, 2), low(2))],
+        "care in the high half": [(high(0, 1), high(0))],
+        "care across the halves": [(low(1) | high(1), high(1)), (low(0) | high(2), low(0) | high(2))],
+        "no low care drops high halves": [(high(0), high(0))],
+        "care 0 drops every mask": [(0, 0)],
+        "want outside care never matches": [(0, low(0)), (high(1), high(1) | low(1))],
+    }
+    cases["all at once"] = [p for name, ps in cases.items() if "care 0" not in name for p in ps]
+    return cases
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_orbit_reps_with_synthetic_patterns_match_the_oracle(k):
+    parents = enumerate_free(k)
+    if k == 6:
+        # the oracle images every mask afresh: one parent with a group of
+        # order 2, and only with the degree filter the generator uses
+        parents = [next(g for g in parents if len(g.canonical.automorphisms) == 2)]
+    else:
+        parents = parents[:: max(1, len(parents) // 6)]
+    for parent in parents:
+        auts = parent.canonical.automorphisms
+        for name, patterns in _synthetic_patterns(k).items():
+            for degrees in ((), parent.degrees)[k == 6 :]:
+                got = list(_attachment_orbit_reps(k, auts, degrees, patterns))
+                want = oracles.attachment_orbit_reps_brute(
+                    parent, auts, patterns, degree_filter=bool(degrees)
+                )
+                assert got == list(want), name
+            if name == "care 0 drops every mask":
+                assert got == []
+
+
 @pytest.mark.parametrize("famname", ["empty", "C4_3,F5_BAR"])
 def test_enumerated_graphs_carry_their_own_labelling(famname):
     members, flags = GENERATOR_FAMILIES[famname]

@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turan3 import density, graphs
-from turan3.enumeration import enumerate_free
+from turan3.enumeration import _attachment_orbit_reps, _extend, enumerate_free
 from turan3.graphs import (
     Hypergraph3,
     blow_up,
@@ -193,6 +193,55 @@ def test_refine_colors_matches_the_oracle_on_larger_graphs():
         assert graphs._refine_colors(n, h.edges, seed) == oracles.refine_colors_by_pair_tuples(
             n, h.edges, seed
         )
+
+
+def test_refine_colors_ranks_seeds_that_are_not_ranks():
+    # Seeds with gaps, out of order or all distinct: the result must still
+    # be the ranks of the stable colouring, also when no round splits a
+    # cell or the seed is already discrete.
+    rng = random.Random(41)
+    c5 = named_graph("C5_3")
+    assert graphs._refine_colors(3, [], [5, 9, 2]) == [1, 2, 0]
+    assert graphs._refine_colors(5, c5.edges, [7] * 5) == [0] * 5
+    assert graphs._refine_colors(5, c5.edges, [40, 3, 3, 3, 3]) == [2, 1, 0, 0, 1]
+    for _ in range(120):
+        n = rng.randint(1, 14)
+        h = random_graph(n, rng.random() * 0.6, rng)
+        gapped = [rng.choice([2, 5, 9, 40]) for _ in range(n)]
+        discrete = rng.sample(range(3, 10 * n + 3, 10), n)
+        for seed in (gapped, discrete):
+            assert graphs._refine_colors(n, h.edges, seed) == oracles.refine_colors_by_pair_tuples(
+                n, h.edges, seed
+            )
+
+
+def _one_cell_hosts():
+    """Every 6-vertex graph with a one-cell refined colouring: the 35 of
+    enumerate_free(6), and the 66 children the generator labels on the way
+    there, in the labels they are searched in."""
+    yield from (g for g in enumerate_free(6) if len(set(g.refined_colors)) == 1)
+    pairs = list(combinations(range(5), 2))
+    for parent in enumerate_free(5):
+        for mask in _attachment_orbit_reps(5, parent.canonical.automorphisms, parent.degrees):
+            child = _extend(parent, mask, pairs)
+            if len(set(child.refined_colors)) == 1:
+                yield child
+
+
+def test_one_cell_searches_match_the_sorted_leaf_oracle():
+    # The searches that visit the most leaves, with no roots and with every
+    # choice of 1 or 2 roots pinned by a seed colouring.
+    hosts = list(_one_cell_hosts())
+    assert len(hosts) == 35 + 66
+    for h in hosts:
+        seeds = [None]
+        for s in (1, 2):
+            for roots in permutations(range(h.n), s):
+                seeds.append([roots.index(v) if v in roots else s for v in range(h.n)])
+        for seed in seeds:
+            colors = graphs._refine_colors(h.n, h.edges, seed)
+            got = graphs._canonical_search(h.n, h.edges, colors)
+            assert got == oracles.canonical_search_sorted_leaves(h.n, h.edges, colors)
 
 
 def _labelling_hosts(rng):
