@@ -363,6 +363,15 @@ def certificate_from_text(text: str) -> Certificate:
     slacks: list[Fraction] = []
     raw_blocks: list[tuple[bytes, int, list[Fraction]]] = []
     entries: list[Fraction] | None = None  # upper-triangle entries of the open block
+    # value token -> its Fraction, each distinct token parsed once per call
+    values: dict[str, Fraction] = {}
+
+    def value(token: str) -> Fraction:
+        q = values.get(token)
+        if q is None:
+            q = values[token] = parse_fraction(token)
+        return q
+
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -373,7 +382,7 @@ def certificate_from_text(text: str) -> Certificate:
                 f"{parts[0]} line needs {_FIELD_COUNTS[parts[0]]} fields: {raw!r}"
             )
         if parts[0] == "bound":
-            bound = parse_fraction(parts[1])
+            bound = value(parts[1])
         elif parts[0] == "family":
             family_key = "" if parts[1:2] == ["none"] else " ".join(parts[1:])
         elif parts[0] == "m":
@@ -388,11 +397,11 @@ def certificate_from_text(text: str) -> Certificate:
             # in order, so a large index cannot make the parser allocate
             if int(parts[1]) != len(slacks):
                 raise ValueError(f"expected slack {len(slacks)}, got {raw!r}")
-            slacks.append(parse_fraction(parts[2]))
+            slacks.append(value(parts[2]))
         else:
             if entries is None:
                 raise ValueError(f"unexpected line outside a type block: {raw!r}")
-            entries.extend(parse_fraction(tok) for tok in parts)
+            entries.extend(map(value, parts))
     blocks = tuple(CertificateBlock.from_upper(*raw_block) for raw_block in raw_blocks)
     if bound is None or m is None:
         raise ValueError("certificate needs 'bound' and 'm' lines")

@@ -33,9 +33,19 @@ File format (one entry per line, exact rationals, '#' comments):
 
 Block 1 is the scalar bound u, blocks 2..T+1 the PSD type blocks, the last
 block is the diagonal of slacks.  Block number 0 is reserved for the
-constant term of a constraint; constraint number 0 is the objective row.
-Solution files are whitespace-separated floats in block order, PSD blocks as
-upper triangles in row-major order.
+constant term of a constraint, always at (0, 0); constraint number 0 is the
+objective row.  No (constraint, block, i, j) appears twice.  Solution files
+are whitespace-separated floats in block order, PSD blocks as upper
+triangles in row-major order.
+
+Rationals are read and written once per distinct value.  An m=6 program has
+tens of thousands of entry lines but a few dozen distinct values, so
+model_from_text parses each distinct value token once per call, through a
+dict local to the call that maps it to the value and its negation; no entry
+builds or negates a Fraction of its own.  model_to_text formats each value
+object once.  Rounding walks a value's continued fraction on Python
+integers, one walk shared by best_rational and rational_upper_bound, and
+returns exactly what Fraction.limit_denominator returns.
 """
 
 from __future__ import annotations
@@ -208,13 +218,20 @@ def model_to_text(model: SdpModel) -> str:
     lines.append(f"nconstraints {k}")
     lines.append("0 1 0 0 1")  # objective: minimize the scalar bound
     slack_block = len(dims)
+    # id of a pair-density value -> its negation's text.  Tables and the
+    # parser share one object per distinct value, and the model keeps every
+    # value alive for the whole call, so no id is reused.
+    negated: dict[int, str] = {}
     for r in range(1, k + 1):
         fi = r - 1
         lines.append(f"{r} 0 0 0 {fraction_text(model.obj[fi])}")
         lines.append(f"{r} 1 0 0 1")
         for t, block in enumerate(model.pair_matrices):
             for i, j, q in upper_entries(block.get(fi, ())):
-                lines.append(f"{r} {t + 2} {i} {j} {fraction_text(-q)}")
+                text = negated.get(id(q))
+                if text is None:
+                    text = negated[id(q)] = fraction_text(-q)
+                lines.append(f"{r} {t + 2} {i} {j} {text}")
         lines.append(f"{r} {slack_block} {fi} {fi} -1")
     return "\n".join(lines) + "\n"
 
@@ -226,19 +243,25 @@ def emit(model: SdpModel, path: str) -> None:
 
 def model_from_text(text: str) -> SdpModel:
     header: dict[str, list[str]] = {}
-    entries: list[tuple[int, int, int, int, Fraction]] = []
+    entries: list[tuple[int, int, int, int, tuple[Fraction, Fraction]]] = []
+    # value token -> (value, -value), each distinct token parsed once per call
+    values: dict[str, tuple[Fraction, Fraction]] = {}
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if parts[0] in {"m", "family", "nblocks", "blockdims", "typekeys", "nconstraints"}:
             header[parts[0]] = parts[1:]
             continue
         if len(parts) != 5:
             raise ValueError(f"expected 5 fields per entry line, got {raw!r}")
-        r, b, i, j = (int(x) for x in parts[:4])
-        entries.append((r, b, i, j, parse_fraction(parts[4])))
+        r, b, i, j = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
+        token = parts[4]
+        value = values.get(token)
+        if value is None:
+            q = parse_fraction(token)
+            value = values[token] = (q, -q)
+        entries.append((r, b, i, j, value))
     for name in ("m", "family", "nblocks", "blockdims", "nconstraints"):
         if not header.get(name):
             raise ValueError(f"model has no {name!r} line")
@@ -263,27 +286,39 @@ def model_from_text(text: str) -> SdpModel:
     # per type block, the upper-triangle entries of each constraint's matrix
     uppers: list[dict[int, dict[tuple[int, int], Fraction]]] = [{} for _ in type_dims]
     slack_block = len(dims)
-    for r, b, i, j, value in entries:
+    # (constraint, block) of each objective, constant, bound and slack entry
+    # read; for these the pair fixes (i, j)
+    placed: set[tuple[int, int]] = set()
+    for r, b, i, j, (value, negated) in entries:
         if r == 0:
-            if (b, i, j, value) != (1, 0, 0, Fraction(1)):
+            if (b, i, j) != (1, 0, 0) or value != 1:
                 raise ValueError("unexpected objective row entry")
-            continue
-        fi = r - 1
-        if not 0 <= fi < k:
-            raise ValueError(f"constraint index {r} out of range")
-        if b == 0:
-            obj[fi] = value
-        elif b == 1:
-            if (i, j, value) != (0, 0, Fraction(1)):
-                raise ValueError("bound-block coefficient must be 1")
-        elif b == slack_block:
-            if i != fi or j != fi or value != Fraction(-1):
-                raise ValueError("slack coefficient must be -1 on own diagonal")
         else:
-            t = b - 2
-            if not 0 <= t < len(type_dims) or not (0 <= i <= j < type_dims[t]):
-                raise ValueError(f"entry outside declared block: {(r, b, i, j)}")
-            uppers[t].setdefault(fi, {})[i, j] = -value
+            fi = r - 1
+            if not 0 <= fi < k:
+                raise ValueError(f"constraint index {r} out of range")
+            if b == 0:
+                if i or j:
+                    raise ValueError(f"constant term not at (0, 0): entry {(r, b, i, j)}")
+                obj[fi] = value
+            elif b == 1:
+                if i or j or value != 1:
+                    raise ValueError("bound-block coefficient must be 1")
+            elif b == slack_block:
+                if i != fi or j != fi or value != -1:
+                    raise ValueError("slack coefficient must be -1 on own diagonal")
+            else:
+                t = b - 2
+                if not 0 <= t < len(type_dims) or not (0 <= i <= j < type_dims[t]):
+                    raise ValueError(f"entry outside declared block: {(r, b, i, j)}")
+                upper = uppers[t].setdefault(fi, {})
+                if (i, j) in upper:
+                    raise ValueError(f"repeated entry {(r, b, i, j)}")
+                upper[i, j] = negated
+                continue
+        if (r, b) in placed:
+            raise ValueError(f"repeated entry {(r, b, i, j)}")
+        placed.add((r, b))
     if any(o is None for o in obj):
         raise ValueError("missing constant term for some constraint")
     pair_matrices = tuple(
@@ -309,36 +344,68 @@ def parse_sdp(path: str) -> SdpModel:
 # Rounding floats to rationals
 
 
+def _integer_ratio(x) -> tuple[int, int]:
+    """x as coprime integers (n, d), d > 0; a float is read without a Fraction."""
+    if type(x) is not float:
+        x = Fraction(x)
+    return x.as_integer_ratio()
+
+
+def _neighbours(n: int, d: int, max_denominator: int) -> tuple[int, int, int, int, bool]:
+    """(r, s, p, q, convergent_closer) for n/d in lowest terms, d > max_denominator.
+
+    p/q is the last continued-fraction convergent of n/d with q <=
+    max_denominator, r/s the largest semiconvergent after it within the
+    bound.  Both are in lowest terms and they straddle n/d; among
+    denominators <= max_denominator each is the closest rational to n/d on
+    its side.  convergent_closer says p/q is at least as close as r/s (a tie
+    goes to the convergent).  This is the walk of Fraction.limit_denominator,
+    on Python integers only.
+    """
+    den = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_denominator - q0) // q1
+    s = q0 + k * q1
+    # with x the input and d the last remainder, |p1/q1 - x| = d / (q1 * den)
+    # and |r/s - p1/q1| = 1 / (q1 * s)
+    return p0 + k * p1, s, p1, q1, 2 * d * s <= den
+
+
 def best_rational(x, max_denominator: int) -> Fraction:
-    """Closest rational to x with denominator at most max_denominator."""
-    return Fraction(x).limit_denominator(max_denominator)
+    """Closest rational to x with denominator at most max_denominator.
+
+    Exactly Fraction(x).limit_denominator(max_denominator), ties included:
+    of two rationals equally close, the continued-fraction convergent wins.
+    """
+    n, d = _integer_ratio(x)
+    if max_denominator < 1:
+        raise ValueError(f"denominator bound must be at least 1, got {max_denominator}")
+    if d <= max_denominator:
+        return Fraction(n, d)
+    r, s, p, q, convergent_closer = _neighbours(n, d, max_denominator)
+    return Fraction(p, q) if convergent_closer else Fraction(r, s)
 
 
 def rational_upper_bound(x, max_denominator: int) -> Fraction:
     """Smallest rational >= x with denominator at most max_denominator.
 
-    Walks the continued-fraction convergents of x; the final convergent and
-    the best semiconvergent straddle x, and whichever lies above is optimal
-    on that side.
+    The convergent and semiconvergent that best_rational chooses between
+    straddle x, so the one above x is the answer.
     """
     if max_denominator < 1:
         raise ValueError(f"denominator bound must be at least 1, got {max_denominator}")
-    target = Fraction(x)
-    if target.denominator <= max_denominator:
-        return target
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = target.numerator, target.denominator
-    while True:
-        a = n // d
-        if q0 + a * q1 > max_denominator:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
-        n, d = d, n - a * d
-    k = (max_denominator - q0) // q1
-    semi = Fraction(p0 + k * p1, q0 + k * q1)
-    conv = Fraction(p1, q1)
-    above = [c for c in (semi, conv) if c >= target]
-    return min(above)
+    n, d = _integer_ratio(x)
+    if d <= max_denominator:
+        return Fraction(n, d)
+    r, s, p, q, _ = _neighbours(n, d, max_denominator)
+    return Fraction(p, q) if p * d > n * q else Fraction(r, s)
 
 
 def read_solution(path: str) -> list[float]:

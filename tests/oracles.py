@@ -18,6 +18,8 @@ shortcuts; pair_density_table_brute takes the flags, targets, rooted keys
 and sparse matrix form from the package, and audits how a table finds its
 thetas and flag slots; cholesky_certifies_fractions takes the package's
 float factor, which only proposes L, and audits the exact residual test.
+limit_denominator_stdlib is the standard library's Fraction.limit_denominator,
+which sdp.best_rational reimplements on integers.
 """
 
 from __future__ import annotations
@@ -502,3 +504,16 @@ def maxcut_full_recompute(h: Hypergraph3, restarts: int, seed: int):
             best_cross, best_assign = cross, list(in_v1)
     v1 = frozenset(v for v in range(h.n) if best_assign[v])
     return v1, frozenset(range(h.n)) - v1, best_cross
+
+
+def limit_denominator_stdlib(x, max_denominator: int) -> Fraction:
+    """best_rational's definition: the standard library's rounding."""
+    return Fraction(x).limit_denominator(max_denominator)
+
+
+def smallest_rational_above_brute(x, max_denominator: int) -> Fraction:
+    """Smallest p/q >= x, trying every denominator q <= max_denominator."""
+    x = Fraction(x)
+    return min(
+        Fraction(-(-x.numerator * q // x.denominator), q) for q in range(1, max_denominator + 1)
+    )

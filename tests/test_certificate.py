@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -462,6 +463,25 @@ def test_certificate_text_parse_errors():
     with pytest.raises(ValueError):
         certificate_from_text(good + "slack 100000000 0\n")  # index out of order
     assert certificate_from_text(good + "# trailing comment\n") == certificate_from_text(good)
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("1e5", "'1e5' is not a rational p/q"),
+        ("1/0", "'1/0' has a zero denominator"),
+        ("1.5.2", "Invalid literal for Fraction: '1.5.2'"),
+    ],
+)
+def test_certificate_reports_a_malformed_token_first_seen_late(token, message):
+    # the last block entry and the last slack of a certificate whose values repeat
+    lines = certificate_to_text(make_sos_certificate(5, fam("C4_3", "F5_BAR"))).splitlines()
+    last_entry = max(k for k, line in enumerate(lines) if line.split()[0][0] in "-0123456789")
+    for k in (last_entry, len(lines) - 1):
+        bad = list(lines)
+        bad[k] = " ".join(bad[k].split()[:-1] + [token])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            certificate_from_text("\n".join(bad) + "\n")
 
 
 def test_block_from_upper_triangle():

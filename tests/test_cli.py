@@ -526,6 +526,37 @@ def test_verify_stdout_is_pinned(
     assert sha256(out.encode()) == digest
 
 
+# SHA-256 of the certificate round writes for the same stand-in solutions,
+# recorded before the reader and the rounding kept one value per token:
+# (seed, --den-bound) -> digest of cert.txt.
+ROUND_DIGESTS = {
+    (0, 1024): "c62c54b8a3ad7d804625b2368badacd68d154d1180e9ea8c4d857af231e8ef74",
+    (1, 1024): "365e6f8ac27971f7d7d1b8a1f33b6bbb70157575e44eda10bf880826f5424120",
+    (2, 1024): "340eab3446b4b2f6db16486750b7ecbacb224a45a1c75e10219d2090a290cb11",
+    (0, 2**32): "f12678f5556f788f03144b9ed7acb2525143f5c297c4e94802426f20cfabd873",
+    (1, 2**32): "e35149f5c9265fbe8749c91ca9fb6d349731ec3a2c266ed99da5526f8a5df2af",
+    (2, 2**32): "914cb682aaef0f2f1e1d8d3d1bcc8f48d551d39cd934f6b78ff3ef6f9df88ab7",
+}
+
+
+@pytest.mark.parametrize(
+    "seed, den_bound", list(ROUND_DIGESTS), ids=[f"{d}-seed{s}" for s, d in ROUND_DIGESTS]
+)
+def test_round_certificate_is_pinned(capsys, tmp_path, stand_in_solver, m6_program, seed, den_bound):
+    solution = tmp_path / "solution.txt"
+    synth = stand_in_solver.synthesize(m6_program.read_text(encoding="utf-8"), seed)
+    solution.write_text(synth.solution_text, encoding="utf-8")
+    cert_path = tmp_path / "cert.txt"
+    code, _, _ = run(
+        capsys, "round", "--model", str(m6_program), "--solution", str(solution),
+        "--den-bound", str(den_bound), "--out", str(cert_path),
+    )
+    assert code == 0
+    assert sha256(cert_path.read_bytes()) == ROUND_DIGESTS[seed, den_bound]
+    if den_bound == stand_in_solver.DEN_BOUND:
+        assert cert_path.read_text(encoding="utf-8") == synth.certificate_text
+
+
 def test_partition_subcommand_given_v1(capsys, tmp_path):
     path = tmp_path / "h.txt"
     graphs.save_graph(graphs.named_graph("K4_3"), str(path))
@@ -811,6 +842,28 @@ def test_round_zero_denominator_entry_is_domain_error(capsys, tmp_path):
     )
     assert code == 1
     assert_one_error_line(err)
+
+
+def test_round_repeated_model_entry_is_domain_error(capsys, tmp_path):
+    model_path = tmp_path / "m.sdp"
+    code, _, _ = run(
+        capsys, "emit-sdp", "--m", "4", "--forbid", "C4_3", "--types", "default",
+        "--out", str(model_path),
+    )
+    assert code == 0
+    lines = model_path.read_text().splitlines()
+    first = next(line for line in lines if line.split()[1] == "3")
+    lines.insert(lines.index(first) + 1, " ".join(first.split()[:4] + ["-7/3"]))
+    model_path.write_text("\n".join(lines) + "\n")
+    sol_path = tmp_path / "sol.txt"
+    sol_path.write_text("0.75\n")
+    code, _, err = run(
+        capsys, "round", "--model", str(model_path), "--solution", str(sol_path),
+        "--out", str(tmp_path / "cert.txt"),
+    )
+    assert code == 1
+    assert_one_error_line(err)
+    assert err.startswith("error: repeated entry (")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -11,6 +13,7 @@ from turan3 import families
 from turan3.density import spanning_profile
 from turan3.enumeration import enumerate_free
 from turan3.graphs import from_edges, named_graph
+import oracles
 from turan3.sdp import (
     assemble,
     best_rational,
@@ -133,6 +136,14 @@ def test_default_program_text_is_pinned(m, spec):
     assert digest == PROGRAM_DIGESTS[m, spec]
 
 
+@pytest.mark.parametrize("m, spec", sorted(PROGRAM_DIGESTS))
+def test_default_program_text_reads_back(m, spec):
+    # assemble reuses the tables the digest test above built: pair-density
+    # tables are kept per process
+    model = assemble(m, families.parse_family(spec), use_default_types=True)
+    assert model_from_text(model_to_text(model)) == model
+
+
 def test_emit_parse_round_trip_lp(tmp_path):
     model = assemble(4, fam("C4_3"))
     path = tmp_path / "lp.sdp"
@@ -168,6 +179,66 @@ def test_parse_rejects_malformed():
         model_from_text(text.replace("blockdims -1 -4", "blockdims -1 2 -4"))
     with pytest.raises(ValueError):
         model_from_text(text.replace("0 1 0 0 1", "0 1 0 0 2"))
+
+
+def _lp_text_lines():
+    return model_to_text(assemble(4, fam("C4_3"))).splitlines()
+
+
+def _parse_lines(lines):
+    return model_from_text("\n".join(lines) + "\n")
+
+
+def test_parse_rejects_a_constant_term_off_the_corner():
+    lines = _lp_text_lines()
+    lines[lines.index("1 0 0 0 0")] = "1 0 3 5 0"
+    with pytest.raises(ValueError, match=r"^constant term not at \(0, 0\): entry \(1, 0, 3, 5\)$"):
+        _parse_lines(lines)
+
+
+@pytest.mark.parametrize(
+    "line, entry",
+    [
+        ("0 1 0 0 1", (0, 1, 0, 0)),  # the objective row
+        ("2 0 0 0 1/4", (2, 0, 0, 0)),  # a constant term: 3/4 is read first
+        ("2 0 0 0 3/4", (2, 0, 0, 0)),  # the same line again
+        ("3 1 0 0 1", (3, 1, 0, 0)),  # the bound block
+        ("4 2 3 3 -1", (4, 2, 3, 3)),  # a slack
+    ],
+)
+def test_parse_rejects_a_repeated_entry(line, entry):
+    lines = _lp_text_lines()
+    with pytest.raises(ValueError, match=rf"^repeated entry {re.escape(str(entry))}$"):
+        _parse_lines(lines + [line])
+
+
+def test_parse_rejects_a_repeated_pair_density_entry():
+    model = assemble(4, fam("C4_3"), use_default_types=True)
+    lines = model_to_text(model).splitlines()
+    first = next(line for line in lines if line.split()[1] == "3")
+    r, b, i, j, _ = first.split()
+    lines.insert(lines.index(first) + 1, f"{r} {b} {i} {j} -7/3")
+    with pytest.raises(ValueError, match=rf"^repeated entry \({r}, {b}, {i}, {j}\)$"):
+        _parse_lines(lines)
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("1e5", "'1e5' is not a rational p/q"),
+        ("1/0", "'1/0' has a zero denominator"),
+        ("1.5.2", "Invalid literal for Fraction: '1.5.2'"),
+    ],
+)
+def test_parse_reports_a_malformed_token_first_seen_late(token, message):
+    # the last pair-density entry of a program whose values repeat
+    model = assemble(5, fam("C4_3", "F5_BAR"), use_default_types=True)
+    lines = model_to_text(model).splitlines()
+    last = max(k for k, line in enumerate(lines) if line.split()[1] not in ("0", "1", "5"))
+    assert last > len(lines) - 5
+    lines[last] = " ".join(lines[last].split()[:4] + [token])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _parse_lines(lines)
 
 
 # Small files declaring large sizes: one 2000-dimensional block; a million
@@ -286,3 +357,66 @@ def test_lp_certificate_shape():
     assert cert.bound == Fraction(3, 5)
     assert min(cert.slacks) == 0  # the extremal graph is tight
     assert all(c >= 0 for c in cert.slacks)
+
+
+# ---------------------------------------------------------------------------
+# Rounding against the standard library
+
+
+ROUNDING_BOUNDS = [1, 2, 7, 100, 1024, 2**16, 2**32]
+
+
+def _rounding_values(rng, count):
+    """Seeded values of each kind rounding meets, both signs, zeros first."""
+    values = [0.0, -0.0, 0, Fraction(0)]
+    while len(values) < count:
+        kind = rng.randrange(5)
+        sign = rng.choice((-1, 1))
+        if kind == 0:  # a float of magnitude 1e-30 to 1e30
+            values.append(math.copysign(10.0 ** rng.uniform(-30, 30), sign))
+        elif kind == 1:  # a float near a small rational, as a solver returns it
+            values.append(sign * rng.randint(0, 60) / rng.randint(1, 60) + rng.gauss(0, 1e-9))
+        elif kind == 2:
+            values.append(rng.uniform(-1, 1))
+        elif kind == 3:
+            values.append(sign * rng.randint(0, 10**12))
+        else:  # a Fraction with 9-digit terms
+            values.append(Fraction(sign * rng.randint(0, 10**9), rng.randint(1, 10**9)))
+    return values
+
+
+@pytest.mark.parametrize("bound", ROUNDING_BOUNDS)
+def test_best_rational_matches_limit_denominator(bound):
+    # 20,000 values per bound, 140,000 in all
+    for x in _rounding_values(random.Random(bound), 20_000):
+        assert best_rational(x, bound) == oracles.limit_denominator_stdlib(x, bound), x
+
+
+def _farey(n):
+    """The fractions in [0, 1] with denominator at most n, in order."""
+    return sorted({Fraction(p, q) for q in range(1, n + 1) for p in range(q + 1)})
+
+
+def test_best_rational_breaks_ties_as_limit_denominator_does():
+    # the midpoint of two Farey neighbours of order n is equally far from
+    # both, and no other fraction with denominator <= n lies between them
+    ties = 0
+    for n in range(1, 41):
+        farey = _farey(n)
+        for a, b in zip(farey, farey[1:]):
+            for shift in (-3, 0, 2):
+                for lo, hi in ((a + shift, b + shift), (-b - shift, -a - shift)):
+                    mid = (lo + hi) / 2
+                    got = best_rational(mid, n)
+                    assert got == oracles.limit_denominator_stdlib(mid, n), (mid, n)
+                    if mid.denominator > n:
+                        assert got in (lo, hi)
+                        ties += 1
+    assert ties > 20_000
+
+
+@pytest.mark.parametrize("bound", [1, 2, 7, 100])
+def test_rational_upper_bound_matches_the_brute_force_oracle_on_signed_values(bound):
+    for x in _rounding_values(random.Random(100 + bound), 1000):
+        got = rational_upper_bound(x, bound)
+        assert got == oracles.smallest_rational_above_brute(x, bound), x
