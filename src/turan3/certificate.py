@@ -360,6 +360,7 @@ def certificate_from_text(text: str) -> Certificate:
     bound: Fraction | None = None
     family_key = ""
     m: int | None = None
+    header_seen: set[str] = set()
     slacks: list[Fraction] = []
     raw_blocks: list[tuple[bytes, int, list[Fraction]]] = []
     entries: list[Fraction] | None = None  # upper-triangle entries of the open block
@@ -381,12 +382,16 @@ def certificate_from_text(text: str) -> Certificate:
             raise ValueError(
                 f"{parts[0]} line needs {_FIELD_COUNTS[parts[0]]} fields: {raw!r}"
             )
-        if parts[0] == "bound":
-            bound = value(parts[1])
-        elif parts[0] == "family":
-            family_key = "" if parts[1:2] == ["none"] else " ".join(parts[1:])
-        elif parts[0] == "m":
-            m = int(parts[1])
+        if parts[0] in ("bound", "family", "m"):
+            if parts[0] in header_seen:
+                raise ValueError(f"repeated {parts[0]} line: {raw!r}")
+            header_seen.add(parts[0])
+            if parts[0] == "bound":
+                bound = value(parts[1])
+            elif parts[0] == "family":
+                family_key = "" if parts[1:2] == ["none"] else " ".join(parts[1:])
+            else:
+                m = int(parts[1])
         elif parts[0] == "type":
             if parts[2] != "dim":
                 raise ValueError(f"malformed type line: {raw!r}")

@@ -79,7 +79,6 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def cmd_enumerate(args, parser) -> int:
-    _merge_config(args, parser)
     family = families.parse_family(args.forbid)
     members = [fm.graph for fm in family]
     flags = [fm.induced for fm in family]
@@ -134,7 +133,6 @@ def _construction_spec(args) -> constructions.ConstructionSpec:
 
 
 def cmd_construct(args, parser) -> int:
-    _merge_config(args, parser)
     spec = _construction_spec(args)
     rows: list[tuple[str, str]] = []
     if args.report:
@@ -177,7 +175,6 @@ def cmd_construct(args, parser) -> int:
 
 
 def cmd_density(args, parser) -> int:
-    _merge_config(args, parser)
     h = families.resolve_graph(args.graph)
     rows = []
     if args.edge_density:
@@ -200,7 +197,6 @@ def _parse_type_selection(selection: str, m: int, family) -> list | None:
 
 
 def cmd_emit_sdp(args, parser) -> int:
-    _merge_config(args, parser)
     family = families.parse_family(args.forbid)
     types = _parse_type_selection(args.types, args.m, family)
     model = sdp.assemble(args.m, family, types=types)
@@ -218,7 +214,6 @@ def cmd_emit_sdp(args, parser) -> int:
 
 
 def cmd_round(args, parser) -> int:
-    _merge_config(args, parser)
     if args.den_bound < 1:
         parser.error(f"--den-bound must be at least 1, got {args.den_bound}")
     model = sdp.parse_sdp(args.model)
@@ -232,7 +227,6 @@ def cmd_round(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    _merge_config(args, parser)
     cert = certificate_mod.load_certificate(args.cert)
     result = certificate_mod.verify(cert)
     if result.ok:
@@ -245,7 +239,6 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_partition(args, parser) -> int:
-    _merge_config(args, parser)
     if args.restarts < 1:
         parser.error(f"--restarts must be at least 1, got {args.restarts}")
     xi = parse_fraction(args.xi)
@@ -361,6 +354,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _merge_config(args, args.parser_ref)
         return args.func(args, args.parser_ref)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Lower-bound constructions and the simplex inequalities they optimize.
+"""Lower-bound constructions.
 
 Each construction kind is described once, by its `kind` name, its limiting
 density `limit`, and how it is built:
@@ -21,21 +21,17 @@ ties broken toward a larger first part.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import ClassVar, Union
 
-from .density import to_decimal
 from .graphs import Hypergraph3, blow_up, from_edges, named_graph
 
 # Correctly rounded to 50 fractional digits.
 TWO_SQRT3_MINUS_3 = "0.46410161513775458705489268301174473388561050762076"
 LIMIT_BREC_SIXTH = "0.07735026918962576450914878050195745564760175127013"
 OPTIMAL_SPLIT_RATIO = "0.63397459621556135323627682924706381652859737309481"
-
-_PRECISION = 60
 
 
 class BlowUp:
@@ -183,79 +179,6 @@ def b_rec(n: int) -> tuple[int, tuple[int, ...]]:
 
 def optimal_brec(n: int) -> BRec:
     return BRec(n, b_rec(n)[1])
-
-
-# ---------------------------------------------------------------------------
-# Simplex inequalities
-
-
-@dataclass(frozen=True)
-class Fact21Result:
-    lhs1: Decimal
-    bound1: Decimal
-    holds1: bool
-    lhs2: Decimal | None
-    bound2: Decimal | None
-    holds2: bool | None
-
-    @property
-    def ok(self) -> bool:
-        return self.holds1 and (self.holds2 is not False)
-
-
-def fact21_check(x1, x2) -> Fact21Result:
-    """Evaluate both simplex inequalities at (x1, x2) with 60-digit precision.
-
-    Part 1: x1^2 x2 / (2 (1 - x2^3)) <= (2 sqrt(3) - 3) / 6, for x2 < 1.
-    Part 2 (only evaluated when x1 in [1/2, 1], as stated):
-      x1^2 x2 / 2 + c x2^3 <= c - (x1 - (3 - sqrt(3))/12)^2 / 4,
-    with c = (2 sqrt(3) - 3) / 6, written here with the quadratic centered at
-    (3 - sqrt(3))/12 exactly as stated.  That center makes part 2 false on
-    part of its domain (x1 = 1/2 and x1 = 1 are counterexamples), so callers
-    should treat part-2 reports as a diagnostic, not a theorem check.
-
-    Each inequality "holds" when lhs <= bound + 1e-30.
-    """
-    with localcontext() as ctx:
-        ctx.prec = _PRECISION
-        a = to_decimal(x1)
-        b = to_decimal(x2)
-        if a < 0 or b < 0 or a + b != 1:
-            raise ValueError(f"({x1}, {x2}) is not on the unit simplex")
-        if b >= 1:
-            raise ValueError("x2 must be below 1")
-        margin = Decimal("1e-30")
-        c = (2 * Decimal(3).sqrt() - 3) / 6
-        lhs1 = a * a * b / (2 * (1 - b**3))
-        holds1 = lhs1 <= c + margin
-        lhs2 = bound2 = holds2 = None
-        if Decimal("0.5") <= a <= 1:
-            center = (3 - Decimal(3).sqrt()) / 12
-            lhs2 = a * a * b / 2 + c * b**3
-            bound2 = c - (a - center) ** 2 / 4
-            holds2 = lhs2 <= bound2 + margin
-        return Fact21Result(+lhs1, +c, holds1, lhs2, bound2, holds2)
-
-
-def fact21_grid_max(steps: int = 10000) -> tuple[Decimal, Fraction]:
-    """Maximum of the part-1 expression on the grid x1 = k/steps, k = 0..steps.
-
-    Returns (max value, argmax x1).  The x1 = 0 endpoint is the limit 0, so
-    the scan starts at k = 1; the computation is inlined rather than calling
-    fact21_check per point to keep the full grid fast.
-    """
-    with localcontext() as ctx:
-        ctx.prec = _PRECISION
-        best = Decimal(0)
-        arg = 0
-        for k in range(1, steps + 1):
-            x1 = Decimal(k) / steps
-            x2 = 1 - x1
-            val = x1 * x1 * x2 / (2 * (1 - x2**3))
-            if val > best:
-                best = val
-                arg = k
-        return +best, Fraction(arg, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -103,20 +103,6 @@ def p(f: Hypergraph3, h: Hypergraph3) -> Fraction:
     return Fraction(hits, comb(h.n, f.n))
 
 
-def spanning_profile(h: Hypergraph3, m: int) -> dict[bytes, int]:
-    """Counts of m-subsets of V(h) keyed by induced canonical key.
-
-    The values sum to C(n, m); dividing by that gives every p(F, h) at once.
-    """
-    if m > h.n:
-        raise ValueError(f"profile size {m} exceeds {h.n} vertices")
-    out: dict[bytes, int] = {}
-    for sub in combinations(range(h.n), m):
-        key = induced_subgraph(h, sub).canon_key
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
 def edge_density(h: Hypergraph3) -> Fraction:
     """|H| / C(n, 3).  Requires n >= 3."""
     if h.n < 3:

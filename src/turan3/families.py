@@ -48,17 +48,6 @@ def builtin_name(g: Hypergraph3) -> str | None:
     return None
 
 
-def make_family(*members: Hypergraph3 | FamilyMember) -> Family:
-    out = []
-    for m in members:
-        if not isinstance(m, FamilyMember):
-            m = FamilyMember(m, False, builtin_name(m))
-        elif m.name is None:
-            m = FamilyMember(m.graph, m.induced, builtin_name(m.graph))
-        out.append(m)
-    return tuple(out)
-
-
 def family_key(family: Family) -> str:
     """Deterministic string identifying a family; parses back via parse_family."""
     return ",".join(m.label() for m in family)

@@ -125,13 +125,6 @@ def _relabeled_edges(edges: Sequence[Triple], perm: Sequence[int]) -> tuple[Trip
     return tuple(sorted(_sorted_triple(perm[a], perm[b], perm[c]) for a, b, c in edges))
 
 
-def relabel(h: Hypergraph3, perm: Sequence[int]) -> Hypergraph3:
-    """Apply the vertex relabeling v -> perm[v]."""
-    if sorted(perm) != list(range(h.n)):
-        raise ValueError("perm is not a permutation of the vertex set")
-    return Hypergraph3(h.n, _relabeled_edges(h.edges, perm))
-
-
 # ---------------------------------------------------------------------------
 # Canonical labeling
 
@@ -711,15 +704,6 @@ def blow_up(h: Hypergraph3, sizes: Sequence[int]) -> Hypergraph3:
                 for z in classes[c]:
                     edges.append(_sorted_triple(x, y, z))
     return Hypergraph3(pos, tuple(sorted(edges)))
-
-
-def degree_stats(h: Hypergraph3) -> tuple[int, int, int]:
-    """(min degree, max degree, gap)."""
-    if h.n == 0:
-        return (0, 0, 0)
-    d = h.degrees
-    lo, hi = min(d), max(d)
-    return (lo, hi, hi - lo)
 
 
 # ---------------------------------------------------------------------------

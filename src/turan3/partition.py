@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from decimal import Decimal, localcontext, ROUND_FLOOR
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .density import to_decimal
 from .graphs import Hypergraph3, Triple
 
 
@@ -176,25 +174,6 @@ def maxcut_local_search(
     )
 
 
-def maxcut_exact(h: Hypergraph3) -> tuple[int, frozenset[int]]:
-    """Exhaustive max over all 2^n choices of V1.  Guarded to n <= 14."""
-    if h.n > 14:
-        raise ValueError("exhaustive max-cut is limited to 14 vertices")
-    edge_masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in h.edges]
-    best = -1
-    best_mask = 0
-    for mask in range(1 << h.n):
-        cross = 0
-        for em in edge_masks:
-            if (mask & em).bit_count() == 2:
-                cross += 1
-        if cross > best:
-            best = cross
-            best_mask = mask
-    v1 = frozenset(v for v in range(h.n) if best_mask >> v & 1)
-    return best, v1
-
-
 # ---------------------------------------------------------------------------
 # Inequalities
 
@@ -221,30 +200,3 @@ def prop33_expr(h: Hypergraph3, v1, v2) -> Fraction:
     """|B| - (3999/4000) |M|, exactly."""
     stats = bad_missing(h, v1, v2)
     return Fraction(len(stats.bad)) - Fraction(3999, 4000) * len(stats.missing)
-
-
-def low_degree_set(h: Hypergraph3, delta, pi_val) -> tuple[tuple[int, ...], Decimal]:
-    """Vertices of degree at most (pi/2 - 4 sqrt(delta)) n^2, and that threshold.
-
-    The threshold is evaluated with 50-digit precision, rounding down at
-    every step, so the returned set can only err on the small side.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 50
-        ctx.rounding = ROUND_FLOOR
-        d = to_decimal(delta)
-        if d <= 0:
-            raise ValueError("delta must be positive")
-        pi = to_decimal(pi_val)
-        threshold = (pi / 2 - 4 * d.sqrt()) * h.n * h.n
-    degs = h.degrees
-    members = tuple(v for v in range(h.n) if degs[v] <= threshold)
-    return members, threshold
-
-
-def degree_gap_check(h: Hypergraph3) -> tuple[int, int, bool]:
-    """(max degree - min degree, n - 2, whether the gap is within the bound)."""
-    degs = h.degrees if h.n else (0,)
-    gap = max(degs) - min(degs)
-    bound = h.n - 2
-    return gap, bound, gap <= bound

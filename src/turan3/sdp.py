@@ -34,9 +34,9 @@ File format (one entry per line, exact rationals, '#' comments):
 Block 1 is the scalar bound u, blocks 2..T+1 the PSD type blocks, the last
 block is the diagonal of slacks.  Block number 0 is reserved for the
 constant term of a constraint, always at (0, 0); constraint number 0 is the
-objective row.  No (constraint, block, i, j) appears twice.  Solution files
-are whitespace-separated floats in block order, PSD blocks as upper
-triangles in row-major order.
+objective row.  No header line and no (constraint, block, i, j) appears
+twice.  Solution files are whitespace-separated floats in block order, PSD
+blocks as upper triangles in row-major order.
 
 Rationals are read and written once per distinct value.  An m=6 program has
 tens of thousands of entry lines but a few dozen distinct values, so
@@ -251,6 +251,8 @@ def model_from_text(text: str) -> SdpModel:
         if not parts:
             continue
         if parts[0] in {"m", "family", "nblocks", "blockdims", "typekeys", "nconstraints"}:
+            if parts[0] in header:
+                raise ValueError(f"repeated {parts[0]} line: {raw!r}")
             header[parts[0]] = parts[1:]
             continue
         if len(parts) != 5:
@@ -453,17 +455,4 @@ def round_solution(
         m=model.m,
         blocks=tuple(blocks),
         slacks=tuple(slacks),
-    )
-
-
-def lp_certificate(m: int, family: Family = ()) -> Certificate:
-    """The certificate realizing the LP bound: u = max obj, slacks u - obj(F)."""
-    model = assemble(m, family)
-    u = model.lp_value()
-    return Certificate(
-        bound=u,
-        family_key=model.family_key,
-        m=m,
-        blocks=(),
-        slacks=tuple(u - o for o in model.obj),
     )

@@ -8,10 +8,24 @@ from itertools import combinations
 from turan3.certificate import Certificate, CertificateBlock
 from turan3.density import SINGLE_EDGE, p, pair_density_table
 from turan3.enumeration import enumerate_free
+from turan3.families import Family
 from turan3.graphs import decode_key
 from turan3.sdp import assemble, default_types
 
 from oracles import inner_product_fractions
+
+
+def lp_certificate(m: int, family: Family = ()) -> Certificate:
+    """The certificate realizing the LP bound: u = max obj, slacks u - obj(F)."""
+    model = assemble(m, family)
+    u = model.lp_value()
+    return Certificate(
+        bound=u,
+        family_key=model.family_key,
+        m=m,
+        blocks=(),
+        slacks=tuple(u - o for o in model.obj),
+    )
 
 
 def make_sos_certificate(m, family, scale=Fraction(1, 8)):

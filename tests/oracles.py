@@ -20,6 +20,12 @@ thetas and flag slots; cholesky_certifies_fractions takes the package's
 float factor, which only proposes L, and audits the exact residual test.
 limit_denominator_stdlib is the standard library's Fraction.limit_denominator,
 which sdp.best_rational reimplements on integers.
+
+Three helpers the package no longer needs live here as test fixtures and
+references: relabel applies a vertex permutation, spanning_profile counts
+the m-subsets of a host by induced canonical key (every p(F, h) at once),
+and maxcut_exact is the exhaustive max-cut over every V1 that
+maxcut_local_search is measured against.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
 from math import comb, perm
+from typing import Sequence
 
 from turan3.certificate import SCALE_SHIFT, _float_factor
 from turan3.density import PairDensityTable, pair_matrix
@@ -52,6 +59,13 @@ from turan3.graphs import (
 
 def sorted_triple(a, b, c):
     return tuple(sorted((a, b, c)))
+
+
+def relabel(h: Hypergraph3, perm: Sequence[int]) -> Hypergraph3:
+    """Apply the vertex relabeling v -> perm[v]."""
+    if sorted(perm) != list(range(h.n)):
+        raise ValueError("perm is not a permutation of the vertex set")
+    return Hypergraph3(h.n, _relabeled_edges(h.edges, perm))
 
 
 def iso_brute(g: Hypergraph3, h: Hypergraph3) -> bool:
@@ -369,6 +383,20 @@ def type_embeddings_brute(target: Hypergraph3, sigma: Hypergraph3):
     return out
 
 
+def spanning_profile(h: Hypergraph3, m: int) -> dict[bytes, int]:
+    """Counts of m-subsets of V(h) keyed by induced canonical key.
+
+    The values sum to C(n, m); dividing by that gives every p(F, h) at once.
+    """
+    if m > h.n:
+        raise ValueError(f"profile size {m} exceeds {h.n} vertices")
+    out: dict[bytes, int] = {}
+    for sub in combinations(range(h.n), m):
+        key = induced_subgraph(h, sub).canon_key
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
 def pair_density_table_brute(sigma: Hypergraph3, m_prime: int, m: int, family):
     """The pair-density table counted directly: for each target, each theta
     of type_embeddings_brute and each ordered pair of disjoint
@@ -474,6 +502,25 @@ def inner_product_fractions(q, pmat) -> Fraction:
     return sum(
         (Fraction(q[i][j]) * x for i, row in enumerate(pmat) for j, x in row), Fraction(0)
     )
+
+
+def maxcut_exact(h: Hypergraph3) -> tuple[int, frozenset[int]]:
+    """Exhaustive max over all 2^n choices of V1.  Guarded to n <= 14."""
+    if h.n > 14:
+        raise ValueError("exhaustive max-cut is limited to 14 vertices")
+    edge_masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in h.edges]
+    best = -1
+    best_mask = 0
+    for mask in range(1 << h.n):
+        cross = 0
+        for em in edge_masks:
+            if (mask & em).bit_count() == 2:
+                cross += 1
+        if cross > best:
+            best = cross
+            best_mask = mask
+    v1 = frozenset(v for v in range(h.n) if best_mask >> v & 1)
+    return best, v1
 
 
 def maxcut_full_recompute(h: Hypergraph3, restarts: int, seed: int):

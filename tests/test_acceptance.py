@@ -17,24 +17,28 @@ from turan3 import families
 from turan3.certificate import Certificate, CertificateBlock, psd_check, verify
 from turan3.constructions import (
     K4Blowup,
-    LIMIT_BREC_SIXTH,
     OPTIMAL_SPLIT_RATIO,
     Partite3,
     TWO_SQRT3_MINUS_3,
     b_rec,
     build,
     density_report,
-    fact21_grid_max,
     optimal_brec,
 )
-from turan3.density import p, spanning_profile
+from turan3.density import p
 from turan3.enumeration import enumerate_free
 from turan3.graphs import exhaustive_containment_scan, from_edges, named_graph
-from turan3.partition import bad_missing, lemma22_gap, maxcut_exact, maxcut_local_search
-from turan3.sdp import assemble, best_rational, emit, lp_certificate, parse_sdp
+from turan3.partition import bad_missing, lemma22_gap, maxcut_local_search
+from turan3.sdp import assemble, best_rational, emit, parse_sdp
 
 import oracles
-from cert_helpers import make_sos_certificate, minor_sign_psd_oracle, recompute_margins
+from cert_helpers import (
+    lp_certificate,
+    make_sos_certificate,
+    minor_sign_psd_oracle,
+    recompute_margins,
+)
+from oracles import maxcut_exact, spanning_profile
 
 
 def report(number, summary):
@@ -263,12 +267,53 @@ def test_acceptance_10_rounding():
     report(10, "0.465560913085938 rounds to 30511/65536 at denominator bound 2^16")
 
 
-def test_acceptance_11_simplex_grid():
-    best, arg = fact21_grid_max(10000)
-    bound = Decimal(LIMIT_BREC_SIXTH)
-    assert best <= bound + Decimal("1e-6")
-    assert abs(float(arg) - 0.633975) < 1e-3
-    report(11, f"grid max {float(best):.6f} <= {float(bound):.6f} + 1e-6 at x1 = {float(arg):.4f}")
+def q3_mul(x, y):
+    """(a + b sqrt3)(c + d sqrt3), each held as a pair of Fractions."""
+    return (x[0] * y[0] + 3 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def q3_sign(x):
+    """Sign of a + b sqrt3, by squaring when a and b differ in sign."""
+    sa, sb = (x[0] > 0) - (x[0] < 0), (x[1] > 0) - (x[1] < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if x[0] * x[0] > 3 * x[1] * x[1] else sb
+
+
+def poly_mul(f, g):
+    """Product of polynomials in t, coefficients over Q(sqrt3), lowest first."""
+    out = [(Fraction(0), Fraction(0))] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            c = q3_mul(a, b)
+            out[i + j] = (out[i + j][0] + c[0], out[i + j][1] + c[1])
+    return out
+
+
+def test_acceptance_11_simplex_square():
+    # Fact 2.1, part 1: with x2 = t < 1 and x1 = 1 - t, dividing
+    # x1^2 x2 / (2 (1 - x2^3)) <= (2 sqrt3 - 3) / 6 by 1 - t > 0 leaves
+    # (2 sqrt3 - 3)(1 + t + t^2) - 3 t (1 - t) >= 0.  That quadratic is
+    # 2 sqrt3 (t - r)^2 with r = (sqrt3 - 1) / 2, so part 1 holds for every
+    # 0 <= x2 < 1, with equality only at x2 = r.
+    def q(a, b=0):
+        return (Fraction(a), Fraction(b))
+
+    c = q(-3, 2)
+    scaled = poly_mul([c], [q(1), q(1), q(1)])
+    lhs = [(u[0] + v[0], u[1] + v[1]) for u, v in zip(scaled, [q(0), q(-3), q(3)])]
+    r = (Fraction(-1, 2), Fraction(1, 2))
+    t_minus_r = [(-r[0], -r[1]), q(1)]
+    rhs = poly_mul([q(0, 2)], poly_mul(t_minus_r, t_minus_r))
+    assert lhs == rhs
+    # the tight point x1 = 1 - r is the optimal split ratio, correctly
+    # rounded to 50 digits: |x1 - OPTIMAL_SPLIT_RATIO| <= 10^-50 / 2
+    x1 = (1 - r[0], -r[1])
+    half_ulp = Fraction(1, 2 * 10**50)
+    stated = Fraction(OPTIMAL_SPLIT_RATIO)
+    assert q3_sign((x1[0] - stated + half_ulp, x1[1])) > 0
+    assert q3_sign((stated + half_ulp - x1[0], -x1[1])) > 0
+    report(11, "Fact 2.1 part 1 is 2 sqrt3 (x2 - (sqrt3 - 1)/2)^2 >= 0; tight at OPTIMAL_SPLIT_RATIO")
 
 
 def test_acceptance_12_partition_accounting_and_maxcut():

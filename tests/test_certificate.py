@@ -23,10 +23,15 @@ from turan3.certificate import (
 )
 from turan3.enumeration import enumerate_free
 from turan3.graphs import from_edges, named_graph
-from turan3.sdp import assemble, default_types, lp_certificate
+from turan3.sdp import assemble, default_types
 
 import oracles
-from cert_helpers import make_sos_certificate, minor_sign_psd_oracle, recompute_margins
+from cert_helpers import (
+    lp_certificate,
+    make_sos_certificate,
+    minor_sign_psd_oracle,
+    recompute_margins,
+)
 
 
 def fam(*names):
@@ -465,6 +470,16 @@ def test_certificate_text_parse_errors():
     assert certificate_from_text(good + "# trailing comment\n") == certificate_from_text(good)
 
 
+def test_certificate_rejects_a_repeated_header_line():
+    text = "bound 1/2\nfamily none\nm 4\n"
+    for line in ("bound 3/4", "family none", "family C4_3", "m 5"):
+        with pytest.raises(ValueError, match=f"^repeated {line.split()[0]} line: '{line}'$"):
+            certificate_from_text(text + line + "\n")
+    # two blocks of one type are two PSD terms, which is sound
+    cert = certificate_from_text(text + "type ff dim 1\n1\ntype ff dim 1\n2\n")
+    assert [block.type_key for block in cert.blocks] == [b"\xff", b"\xff"]
+
+
 @pytest.mark.parametrize(
     "token, message",
     [
@@ -525,7 +540,7 @@ def test_verify_reuses_the_tables_assemble_built(monkeypatch):
 
 def test_non_builtin_member_survives_the_certificate_text():
     g = from_edges(4, [(0, 1, 2), (0, 1, 3)])
-    family = families.make_family(g)
+    family = families.parse_family(g.canon_key.hex())
     cert = certificate_from_text(certificate_to_text(lp_certificate(4, family)))
     assert cert.family_key == g.canon_key.hex()
     assert verify(cert).ok

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 import turan3
 from turan3 import certificate, families, graphs, sdp
 from turan3.cli import main
-from turan3.sdp import assemble, lp_certificate
+from turan3.sdp import assemble
+
+from cert_helpers import lp_certificate
 
 
 def run(capsys, *argv):
@@ -864,6 +866,26 @@ def test_round_repeated_model_entry_is_domain_error(capsys, tmp_path):
     assert code == 1
     assert_one_error_line(err)
     assert err.startswith("error: repeated entry (")
+
+
+def test_repeated_header_line_is_domain_error(capsys, tmp_path):
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text(_good_certificate_text() + "m 5\n")
+    code, _, err = run(capsys, "verify", "--cert", str(cert_path))
+    assert (code, err) == (1, "error: repeated m line: 'm 5'\n")
+    model_path = tmp_path / "m.sdp"
+    code, _, _ = run(
+        capsys, "emit-sdp", "--m", "4", "--forbid", "C4_3", "--out", str(model_path)
+    )
+    assert code == 0
+    model_path.write_text(model_path.read_text() + "m 5\n")
+    sol_path = tmp_path / "sol.txt"
+    sol_path.write_text("0.75\n")
+    code, _, err = run(
+        capsys, "round", "--model", str(model_path), "--solution", str(sol_path),
+        "--out", str(tmp_path / "out.txt"),
+    )
+    assert (code, err) == (1, "error: repeated m line: 'm 5'\n")
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ from turan3.constructions import (
     b_rec,
     build,
     density_report,
-    fact21_check,
-    fact21_grid_max,
     optimal_brec,
 )
 from turan3.graphs import exhaustive_containment_scan, named_graph
@@ -131,68 +129,6 @@ def test_brec_freeness_small():
     for name in ("C4_3", "F5_BAR"):
         found, _ = exhaustive_containment_scan(h, named_graph(name))
         assert not found
-
-
-# ---------------------------------------------------------------------------
-# fact21
-
-
-def mp_eval(x1):
-    """Independent high-precision evaluation of both sides via mpmath."""
-    import mpmath
-
-    mpmath.mp.dps = 80
-    x1 = mpmath.mpf(x1)
-    x2 = 1 - x1
-    c = (2 * mpmath.sqrt(3) - 3) / 6
-    lhs1 = x1**2 * x2 / (2 * (1 - x2**3))
-    lhs2 = x1**2 * x2 / 2 + c * x2**3
-    bound2 = c - (x1 - (3 - mpmath.sqrt(3)) / 12) ** 2 / 4
-    return lhs1, c, lhs2, bound2
-
-
-def test_fact21_zero_case():
-    res = fact21_check(1, 0)
-    assert res.lhs1 == 0 and res.holds1
-
-
-def test_fact21_at_half():
-    res = fact21_check(Fraction(1, 2), Fraction(1, 2))
-    lhs1, c, lhs2, bound2 = mp_eval(0.5)
-    assert abs(float(res.lhs1) - float(lhs1)) < 1e-15
-    assert res.holds1
-    # Part 2 is evaluated exactly as stated, quadratic centered at
-    # (3 - sqrt(3))/12; at x1 = 1/2 the stated inequality is false.
-    assert abs(float(res.lhs2) - float(lhs2)) < 1e-15
-    assert abs(float(res.bound2) - float(bound2)) < 1e-15
-    assert float(lhs2) > float(bound2)
-    assert res.holds2 is False
-    assert res.ok is False
-
-
-def test_fact21_part2_only_on_half_one():
-    res = fact21_check(Fraction(1, 4), Fraction(3, 4))
-    assert res.lhs2 is None and res.holds2 is None and res.ok == res.holds1
-
-
-def test_fact21_simplex_violations():
-    with pytest.raises(ValueError):
-        fact21_check(Fraction(1, 2), Fraction(1, 3))
-    with pytest.raises(ValueError):
-        fact21_check(0, 1)
-    with pytest.raises(ValueError):
-        fact21_check(Fraction(3, 2), Fraction(-1, 2))
-
-
-def test_fact21_grid():
-    best, arg = fact21_grid_max(10000)
-    bound = Decimal(LIMIT_BREC_SIXTH)
-    assert best <= bound + Decimal("1e-6")
-    assert abs(float(arg) - 0.633975) < 1e-3
-    # grid value agrees with fact21_check at the argmax
-    res = fact21_check(arg, 1 - arg)
-    assert res.lhs1 == best
-    assert res.holds1
 
 
 def test_constants_against_live_computation():

@@ -13,7 +13,6 @@ from turan3.density import (
     p,
     pair_density_table,
     pair_matrix,
-    spanning_profile,
     upper_entries,
 )
 from turan3.enumeration import enumerate_free, rooted_canonical_key
@@ -21,6 +20,7 @@ from turan3.graphs import blow_up, from_edges, induced_subgraph, named_graph
 from turan3.sdp import default_types
 
 import oracles
+from oracles import spanning_profile
 
 
 def random_graph(n, prob, rng):
@@ -142,7 +142,7 @@ def test_empty_type_entries_sum_to_one():
 
 
 def test_matrices_symmetric():
-    fam = families.make_family(named_graph("C4_3"), named_graph("F5_BAR"))
+    fam = families.parse_family("C4_3,F5_BAR")
     table = pair_density_table(from_edges(1, []), 3, 5, fam)
     for sparse in table.matrices:
         mat = oracles.dense(sparse, len(table.flags))
@@ -155,7 +155,7 @@ def test_matrices_symmetric():
 
 def test_table_against_embedding_oracle():
     # single-vertex type, flags of size 3, targets of size 5
-    fam = families.make_family(named_graph("C4_3"), named_graph("F5_BAR"))
+    fam = families.parse_family("C4_3,F5_BAR")
     sigma = from_edges(1, [])
     table = pair_density_table(sigma, 3, 5, fam)
     t = 2

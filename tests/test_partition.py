@@ -1,5 +1,4 @@
 import random
-from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -8,7 +7,6 @@ import pytest
 
 from turan3.constructions import (
     SemiBipartite,
-    TWO_SQRT3_MINUS_3,
     b_rec,
     build,
     optimal_brec,
@@ -17,16 +15,14 @@ from turan3.enumeration import enumerate_free
 from turan3.graphs import from_edges, named_graph
 from turan3.partition import (
     bad_missing,
-    degree_gap_check,
     is_locally_maximal,
     lemma22_gap,
-    low_degree_set,
-    maxcut_exact,
     maxcut_local_search,
     prop33_expr,
 )
 
 import oracles
+from oracles import maxcut_exact
 
 
 def random_graph(n, prob, rng):
@@ -217,38 +213,6 @@ def test_prop33_values():
     empty = from_edges(6, [])
     v1, v2 = {0, 1, 2}, {3, 4, 5}
     assert prop33_expr(empty, v1, v2) == -Fraction(3999, 4000) * comb(3, 2) * 3
-
-
-def test_low_degree_set_cases():
-    # negative threshold leaves the set empty
-    members, threshold = low_degree_set(named_graph("K4_3"), Fraction(1, 4), 1)
-    assert members == () and threshold < 0
-    # empty graph with positive threshold contains every vertex
-    members, threshold = low_degree_set(from_edges(6, []), Fraction(1, 10000), 1)
-    assert threshold > 0 and members == tuple(range(6))
-
-
-def test_low_degree_set_brec():
-    n = 30
-    h = build(optimal_brec(n))
-    pi = Decimal(TWO_SQRT3_MINUS_3)
-    # the density precondition holds at n=30, so the size bound applies
-    assert len(h.edges) >= (float(pi) / 6 - 0.01) * n**3
-    members, _ = low_degree_set(h, Fraction(1, 100), pi)
-    assert len(members) <= 3  # sqrt(delta) * n
-
-
-def test_low_degree_set_rejects_nonpositive_delta():
-    with pytest.raises(ValueError):
-        low_degree_set(named_graph("K4_3"), 0, 1)
-
-
-def test_degree_gap():
-    assert degree_gap_check(named_graph("K4_3")) == (0, 2, True)
-    assert degree_gap_check(named_graph("F5")) == (1, 3, True)
-    star = from_edges(6, [(0, i, j) for i, j in combinations(range(1, 6), 2)])
-    gap, bound, within = degree_gap_check(star)
-    assert gap == comb(5, 2) - 4 and bound == 4 and not within
 
 
 # ---------------------------------------------------------------------------

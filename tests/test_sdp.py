@@ -10,16 +10,16 @@ from math import comb
 import pytest
 
 from turan3 import families
-from turan3.density import spanning_profile
 from turan3.enumeration import enumerate_free
 from turan3.graphs import from_edges, named_graph
 import oracles
+from cert_helpers import lp_certificate
+from oracles import spanning_profile
 from turan3.sdp import (
     assemble,
     best_rational,
     default_types,
     emit,
-    lp_certificate,
     model_from_text,
     model_to_text,
     parse_sdp,
@@ -80,9 +80,10 @@ def test_objective_expansion_identity():
 def test_assemble_rejects_impossible_family():
     only_edge = from_edges(3, [(0, 1, 2)])
     empty3 = from_edges(3, [])
+    family = families.parse_family(f"{only_edge.canon_key.hex()},{empty3.canon_key.hex()}")
     # forbidding both 3-vertex graphs leaves nothing on 3 vertices
     with pytest.raises(ValueError):
-        assemble(3, families.make_family(only_edge, empty3))
+        assemble(3, family)
 
 
 def test_assemble_rejects_oversized_types():
@@ -282,6 +283,17 @@ def test_parse_keeps_a_family_key_with_spaces():
     assert model_from_text(text).family_key == "C4_3,my f5.txt"
     text = model_to_text(model).replace("family C4_3", "family none")
     assert model_from_text(text).family_key == ""
+
+
+@pytest.mark.parametrize(
+    "keyword", ["m", "family", "nblocks", "blockdims", "typekeys", "nconstraints"]
+)
+def test_parse_rejects_a_repeated_header_line(keyword):
+    # a header line appended after the entries would otherwise replace the first
+    text = model_to_text(assemble(4, fam("C4_3"), use_default_types=True))
+    line = next(line for line in text.splitlines() if line.split()[0] == keyword)
+    with pytest.raises(ValueError, match=f"^repeated {keyword} line: {re.escape(repr(line))}$"):
+        model_from_text(text + line + "\n")
 
 
 # ---------------------------------------------------------------------------
