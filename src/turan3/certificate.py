@@ -50,13 +50,15 @@ for a tight bound, always takes the elimination, whose cost grows with the
 bit length of the entries (minutes for a 64x64 block rounded at
 denominators up to 2^32).
 
-Margins.  Every pair-density entry of one type is an integer count over
-E_t, the lcm of the entries' denominators, found once per block.  A term
-<Q_t, P_t(F)> is then sum_i (sum_j Q_ij * D_i * c_ij) / D_i, over E_t: one
-integer dot product per row, each reduced before the rows are summed, so
-the sum's denominator holds only the denominators of the entries P_t(F)
-touches.  The margin is the same reduced Fraction as a sum of Fraction
-products would give, and the constraints are checked in order.
+Margins.  Every stored pair-density entry of one type, the upper triangle
+of each P_t(F), is an integer count c_ij over E_t, the lcm of their
+denominators, found once per block.  Both matrices are symmetric, so a term
+<Q_t, P_t(F)> is sum_i (sum_{j >= i} w_ij * Q_ij * D_i * c_ij) / D_i, over
+E_t, with w_ij = 2 off the diagonal and 1 on it: one integer dot product per
+row, each reduced before the rows are summed, so the sum's denominator holds
+only the denominators of the entries P_t(F) touches.  The margin is the
+same reduced Fraction as a sum of Fraction products would give, and the
+constraints are checked in order.
 """
 
 from __future__ import annotations
@@ -226,20 +228,22 @@ def _psd_by_elimination(matrix: Sequence[Sequence[Fraction]]) -> bool:
 
 
 def inner_product(q: RowScaled, pmat: PairMatrix, denominator: int) -> Fraction:
-    """Exact sum of Q_ij * P_ij over the stored entries of pmat.
+    """Exact <Q, P> for symmetric Q and P, P given by its upper triangle pmat.
 
     q is Q as scale_rows gives it, and denominator is a multiple of every
     entry's denominator in pmat, so each entry is an integer count over it.
+    An entry off the diagonal stands for P_ij and P_ji, so it counts twice.
     Row i contributes an integer over D_i, reduced before the rows are
     summed.
     """
     rows, scales = q
     num = 0
     den = 1
-    for qrow, d, prow in zip(rows, scales, pmat):
+    for i, (qrow, d, prow) in enumerate(zip(rows, scales, pmat)):
         if not prow:
             continue
-        total = sum(qrow[j] * (x.numerator * (denominator // x.denominator)) for j, x in prow)
+        terms = [qrow[j] * (x.numerator * (denominator // x.denominator)) for j, x in prow]
+        total = 2 * sum(terms) - (terms[0] if prow[0][0] == i else 0)
         if total:
             # reduced, total / D_i keeps only the denominators of the entries
             # pmat touches; D_i brings every entry of the row
@@ -279,6 +283,10 @@ def verify(cert: Certificate) -> VerifyResult:
         model = assemble(cert.m, family, types)
     except ValueError as exc:
         return _rejected(f"no program: {exc}")
+    # assemble leaves out a type with no flags; the blocks must line up
+    for bi, sigma in enumerate(types):
+        if sigma.canon_key not in model.type_keys:
+            return _rejected(f"block {bi}: no flags lie over its type")
     if len(cert.slacks) != model.n_constraints:
         return _rejected(
             f"expected {model.n_constraints} slacks for m={cert.m}, got {len(cert.slacks)}"

@@ -24,11 +24,11 @@ because conditioning on the induced graph of a uniform random m-set through
 the pair (A1, A2) is exchangeable.
 
 Pair-density matrices are about 2% nonzero, so every layer holds them in one
-sparse form, PairMatrix: a tuple of rows, row i listing a (j, value) pair for
-each nonzero entry with j ascending.  Both triangles are stored, and rows
-after the last nonempty one are left out, so a zero matrix is ().
-pair_matrix builds one from upper-triangle entries; upper_entries reads them
-back in row-major order, the order of program text.
+sparse form, PairMatrix: the upper triangle as a tuple of rows, row i listing
+a (j, value) pair for each nonzero entry with j >= i, j ascending.  Rows
+after the last nonempty one are left out, so a zero matrix is ().  Read row
+by row, the entries come in the order of program text; pair_matrix builds
+one from {(i, j): value} with i <= j.
 
 How a table is built.  Each target is scanned by root sets
 (graphs.root_sets): an s-subset S that induces a copy of sigma comes with
@@ -118,23 +118,13 @@ PairMatrix = tuple[tuple[tuple[int, Fraction], ...], ...]
 
 
 def pair_matrix(upper: dict[tuple[int, int], Fraction]) -> PairMatrix:
-    """The symmetric matrix with entries {(i, j): value}, i <= j; zeros dropped."""
+    """The upper triangle {(i, j): value}, i <= j, as a PairMatrix; zeros dropped."""
     rows: dict[int, list[tuple[int, Fraction]]] = {}
-    for (i, j), q in upper.items():
+    for (i, j), q in sorted(upper.items()):
         if q:
             rows.setdefault(i, []).append((j, q))
-            if i != j:
-                rows.setdefault(j, []).append((i, q))
     size = max(rows) + 1 if rows else 0
-    return tuple(tuple(sorted(rows.get(i, ()))) for i in range(size))
-
-
-def upper_entries(mat: PairMatrix):
-    """(i, j, value) for each nonzero entry with j >= i, in row-major order."""
-    for i, row in enumerate(mat):
-        for j, q in row:
-            if j >= i:
-                yield i, j, q
+    return tuple(tuple(rows.get(i, ())) for i in range(size))
 
 
 @dataclass(frozen=True)
@@ -156,7 +146,8 @@ def _family_signature(family: Family) -> tuple:
 def pair_density_table(
     sigma: Hypergraph3, m_prime: int, m: int, family: Family = ()
 ) -> PairDensityTable:
-    """Symmetric rational pair-density matrices, one per admissible target.
+    """Symmetric rational pair-density matrices, one per admissible target,
+    each stored as its upper triangle.
 
     sigma is the type, a labelled graph whose vertices are all roots; row i
     of each matrix is the flag with rooted key flags[i].  Tables are memoised
@@ -258,11 +249,13 @@ def _build_table(
                 for x, y in disjoint:
                     pair = slots[x] * nflags + slots[y]
                     counts[pair] = counts.get(pair, 0) + 1
-        # counts is symmetric, since (A1, A2) and (A2, A1) are both counted,
-        # so its keys in order give each row of the PairMatrix, sorted.
+        # counts is symmetric, since (A1, A2) and (A2, A1) are both counted;
+        # its keys in order with j >= i give each row of the upper triangle.
         rows: list[list[tuple[int, Fraction]]] = [[] for _ in flags]
         for pair in sorted(counts):
             i, j = divmod(pair, nflags)
+            if j < i:
+                continue
             c = counts[pair]
             q = fractions.get(c)
             if q is None:

@@ -57,7 +57,7 @@ from typing import Sequence
 
 from . import families as families_mod
 from .density import PairMatrix, edge_density, fraction_text, pair_density_table, pair_matrix
-from .density import parse_fraction, upper_entries
+from .density import parse_fraction
 from .enumeration import enumerate_free
 from .families import Family
 from .graphs import Hypergraph3
@@ -155,14 +155,15 @@ def default_types(m: int, family: Family = ()) -> list[Hypergraph3]:
 def assemble(
     m: int,
     family: Family = (),
-    types: Sequence[Hypergraph3] | None = None,
+    types: Sequence[Hypergraph3] = (),
     use_default_types: bool = False,
 ) -> SdpModel:
     """Build the model for (m, family) with the given SOS types.
 
-    types=None with use_default_types=False yields the LP relaxation (no PSD
-    blocks); use_default_types=True selects the conventional full type set.
-    A type above m or of the wrong parity for m raises ValueError.
+    types=() yields the LP relaxation (no PSD blocks); use_default_types=True
+    uses default_types(m, family) instead.  A type with no flags over it is
+    left out: its block would constrain nothing.  A type above m or of the
+    wrong parity for m raises ValueError.
     """
     if m < 3:
         raise ValueError("m must be at least 3")
@@ -171,32 +172,26 @@ def assemble(
     targets = enumerate_free(m, members, flags_ind)
     if not targets:
         raise ValueError("the family excludes every m-vertex graph")
-    if types is None:
-        types = default_types(m, family) if use_default_types else []
+    if use_default_types:
+        types = default_types(m, family)
     for sigma in types:
         if sigma.n > m or (m + sigma.n) % 2:
             raise ValueError(f"type of size {sigma.n} does not fit in m={m}")
-    obj = tuple(edge_density(f) for f in targets)
-    type_keys = []
-    type_dims = []
-    per_type_tables = []
+    blocks = []  # (type key, table) for each type with flags
     for sigma in types:
         table = pair_density_table(sigma, (m + sigma.n) // 2, m, family)
         assert [t.canon_key for t in table.targets] == [t.canon_key for t in targets]
-        type_keys.append(sigma.canon_key)
-        type_dims.append(len(table.flags))
-        per_type_tables.append(table)
-    pair_matrices = tuple(
-        {fi: mat for fi, mat in enumerate(table.matrices) if mat}
-        for table in per_type_tables
-    )
+        if table.flags:
+            blocks.append((sigma.canon_key, table))
     return SdpModel(
         m=m,
         family_key=families_mod.family_key(family),
-        obj=obj,
-        type_keys=tuple(type_keys),
-        type_dims=tuple(type_dims),
-        pair_matrices=pair_matrices,
+        obj=tuple(edge_density(f) for f in targets),
+        type_keys=tuple(key for key, _ in blocks),
+        type_dims=tuple(len(table.flags) for _, table in blocks),
+        pair_matrices=tuple(
+            {fi: mat for fi, mat in enumerate(table.matrices) if mat} for _, table in blocks
+        ),
     )
 
 
@@ -227,11 +222,12 @@ def model_to_text(model: SdpModel) -> str:
         lines.append(f"{r} 0 0 0 {fraction_text(model.obj[fi])}")
         lines.append(f"{r} 1 0 0 1")
         for t, block in enumerate(model.pair_matrices):
-            for i, j, q in upper_entries(block.get(fi, ())):
-                text = negated.get(id(q))
-                if text is None:
-                    text = negated[id(q)] = fraction_text(-q)
-                lines.append(f"{r} {t + 2} {i} {j} {text}")
+            for i, row in enumerate(block.get(fi, ())):
+                for j, q in row:
+                    text = negated.get(id(q))
+                    if text is None:
+                        text = negated[id(q)] = fraction_text(-q)
+                    lines.append(f"{r} {t + 2} {i} {j} {text}")
         lines.append(f"{r} {slack_block} {fi} {fi} -1")
     return "\n".join(lines) + "\n"
 

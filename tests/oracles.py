@@ -433,11 +433,12 @@ def pair_density_table_brute(sigma: Hypergraph3, m_prime: int, m: int, family):
 
 
 def dense(mat, n):
-    """The n x n list-of-lists form of a sparse pair matrix, zeros filled in."""
+    """The n x n symmetric matrix whose stored upper triangle is mat, zeros
+    filled in."""
     out = [[Fraction(0)] * n for _ in range(n)]
     for i, row in enumerate(mat):
         for j, x in row:
-            out[i][j] = x
+            out[i][j] = out[j][i] = x
     return out
 
 
@@ -498,10 +499,10 @@ def cholesky_certifies_fractions(matrix) -> bool:
 
 
 def inner_product_fractions(q, pmat) -> Fraction:
-    """Sum of q[i][j] * pmat[i][j] over the stored entries, in Fractions."""
-    return sum(
-        (Fraction(q[i][j]) * x for i, row in enumerate(pmat) for j, x in row), Fraction(0)
-    )
+    """Sum of all q[i][j] * P[i][j], P the dense form of pmat, in Fractions."""
+    n = len(q)
+    p = dense(pmat, n)
+    return sum((Fraction(q[i][j]) * p[i][j] for i in range(n) for j in range(n)), Fraction(0))
 
 
 def maxcut_exact(h: Hypergraph3) -> tuple[int, frozenset[int]]:

@@ -16,7 +16,7 @@ from turan3 import certificate, families, graphs, sdp
 from turan3.cli import main
 from turan3.sdp import assemble
 
-from cert_helpers import lp_certificate
+from cert_helpers import lp_certificate, make_sos_certificate
 
 
 def run(capsys, *argv):
@@ -375,6 +375,45 @@ def test_family_file_with_a_space_survives_round(capsys, tmp_path):
     path = tmp_path / "my f5.txt"
     path.write_text(graphs.graph_to_text(graphs.named_graph("F5")))
     _emit_round_verify_lp(capsys, tmp_path, f"C4_3,{path}")
+
+
+def test_type_without_flags_is_left_out_of_the_program(capsys, tmp_path):
+    # K4_3 plus an isolated vertex: every 5-vertex graph on a K4_3 contains
+    # it, so no flag lies over the type K4_3 at m=6
+    model_path = tmp_path / "m.sdp"
+    code, out, _ = run(
+        capsys, "emit-sdp", "--m", "6", "--forbid", "05010203010204010304020304",
+        "--types", "default", "--out", str(model_path),
+    )
+    assert code == 0
+    assert rows(out)["block_dims"] == "2,12,64,45,50,56"
+
+    # the LP optimum with zero PSD blocks
+    model = sdp.parse_sdp(str(model_path))
+    bound = max(model.obj)
+    zeros = [0.0] * (model.solution_length() - 1 - model.n_constraints)
+    floats = [float(bound)] + zeros + [float(bound - o) for o in model.obj]
+    sol_path = tmp_path / "sol.txt"
+    sol_path.write_text(" ".join(str(x) for x in floats) + "\n")
+    cert_path = tmp_path / "cert.txt"
+    code, _, _ = run(
+        capsys, "round", "--model", str(model_path), "--solution", str(sol_path),
+        "--den-bound", "65536", "--out", str(cert_path),
+    )
+    assert code == 0
+    code, out, _ = run(capsys, "verify", "--cert", str(cert_path))
+    assert code == 0
+    assert out.splitlines()[0] == f"VERIFIED bound={bound}"
+
+    # a block for K4_3 has no block of the program to line up with
+    text = cert_path.read_text()
+    first_slack = text.index("slack 0 ")
+    cert_path.write_text(
+        text[:first_slack] + "type 04000102000103000203010203 dim 0\n" + text[first_slack:]
+    )
+    code, out, _ = run(capsys, "verify", "--cert", str(cert_path))
+    assert code == 1
+    assert out == "REJECTED block 6: no flags lie over its type\n"
 
 
 def test_verify_opens_no_family_file(capsys, tmp_path):
@@ -797,6 +836,27 @@ def test_cli_import_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_core_commands_import_only_the_standard_library(tmp_path):
+    certificate.save_certificate(
+        make_sos_certificate(4, families.parse_family("C4_3")), str(tmp_path / "cert.txt")
+    )
+    code = (
+        "import sys\n"
+        "from turan3.cli import main\n"
+        "assert main(['enumerate', '--m', '4', '--forbid', 'C4_3', '--out', 'g.txt']) == 0\n"
+        "assert main(['emit-sdp', '--m', '4', '--forbid', 'C4_3', '--types', 'default',"
+        " '--out', 'm.sdp']) == 0\n"
+        "assert main(['verify', '--cert', 'cert.txt']) == 0\n"
+        "print(sorted(m for m in ('numpy', 'scipy', 'sympy', 'networkx') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def _good_certificate_text():

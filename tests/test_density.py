@@ -13,7 +13,6 @@ from turan3.density import (
     p,
     pair_density_table,
     pair_matrix,
-    upper_entries,
 )
 from turan3.enumeration import enumerate_free, rooted_canonical_key
 from turan3.graphs import blow_up, from_edges, induced_subgraph, named_graph
@@ -145,6 +144,8 @@ def test_matrices_symmetric():
     fam = families.parse_family("C4_3,F5_BAR")
     table = pair_density_table(from_edges(1, []), 3, 5, fam)
     for sparse in table.matrices:
+        # one triangle is stored; the embedding oracle below checks both
+        assert all(j >= i for i, row in enumerate(sparse) for j, _ in row)
         mat = oracles.dense(sparse, len(table.flags))
         n = len(mat)
         for i in range(n):
@@ -207,18 +208,18 @@ def test_pair_matrix_matches_dense_form():
             want[i][j] = want[j][i] = q
         mat = pair_matrix(upper)
         assert oracles.dense(mat, n) == want
-        # the form: no zeros, columns ascending, no trailing empty row
-        assert all(x for row in mat for _, x in row)
+        # the form: the upper triangle without zeros, columns ascending, no
+        # trailing empty row
+        assert all(j >= i and x for i, row in enumerate(mat) for j, x in row)
         assert all([j for j, _ in row] == sorted({j for j, _ in row}) for row in mat)
         assert not mat or mat[-1]
-        assert list(upper_entries(mat)) == [
-            (i, j, want[i][j]) for i in range(n) for j in range(i, n) if want[i][j]
-        ]
-        q = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        # verify checks Q is symmetric before any margin
+        q = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                q[i][j] = q[j][i] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         # entries have denominators 1..4, so each is an integer over 12
-        assert inner_product(scale_rows(q), mat, 12) == sum(
-            q[i][j] * want[i][j] for i in range(n) for j in range(n)
-        )
+        assert inner_product(scale_rows(q), mat, 12) == oracles.inner_product_fractions(q, mat)
 
 
 def test_size_validation():
