@@ -32,27 +32,40 @@ one from {(i, j): value} with i <= j.
 
 How a table is built.  Each target is scanned by root sets
 (graphs.root_sets): an s-subset S that induces a copy of sigma comes with
-the orderings p for which theta = S o p induces sigma exactly.  A flag's
-labelled graph, on theta + sorted(A), is a bitmask over its triples; the
-triples inside theta are sigma's edges, one constant base mask per type,
-so only the triples that touch A are read, from a per-target table of
-every ordering of every edge.  Those are coded once per (S, A) with S
-sorted, and the flag slot of each theta = S o p is memoised by (p, code)
-across the table's targets.  A new (p, code) reads its mask on theta + A,
-and a new mask costs one rooted canonical search.  Ordered pairs of
-disjoint A's are counted per target under integer keys, and each count
-becomes one shared Fraction over the common denominator.
+the orderings p for which theta = S o p induces sigma exactly.  They form
+one coset p0 o Aut(sigma), since theta o gamma induces sigma exactly iff
+gamma is an automorphism of sigma, so only theta0 = S o p0, p0 the first
+ordering, is counted.  Relabelling the roots by gamma moves the flag of
+theta0 + A to its image under gamma (enumeration.flag_action).  So if C0
+counts the flag pairs of theta0 alone, the full count of a pair (i, j) is
+the sum over gamma in Aut(sigma) of C0 at the pair that gamma moves to
+(i, j).  By orbit-stabiliser each pair of the Aut(sigma)-orbit O of (i, j)
+is moved to (i, j) by |Aut sigma| / |O| of the gamma, so the count is
+|Aut sigma| * C0(O) / |O|, C0(O) being the sum of C0 over O: an exact
+integer, which the table checks.  Pair orbits are found only for the pairs
+met, once per table.
+
+The flag of theta0 + A, for a t-subset A of the other vertices, is fixed by
+the code of U = S | A (one bit per triple of sorted(U), computed once per
+target and flag size and shared by the tables of every type of that size)
+and the places S takes in sorted(U): these give S's code, so p0, and the
+labelled graph on theta0 + A.  Flag slots are memoised by (places, code)
+across the table's targets, and a new labelled graph costs one rooted
+canonical search.  Ordered pairs of disjoint A's are counted per target,
+and each count becomes one shared Fraction over the common denominator.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, compress, repeat
 from math import comb, perm
 
-from .enumeration import enumerate_flags, enumerate_free, rooted_canonical_key
+from .enumeration import enumerate_flags, enumerate_free, flag_action, rooted_canonical_key
 from .families import Family
 from .graphs import (
     Hypergraph3,
@@ -170,19 +183,54 @@ def pair_density_table(
     return table
 
 
+# Per (target, k), the code of each k-subset U of the target's vertices, in
+# combinations order: bit r is set when the r-th triple of U's positions, in
+# combinations order, is an edge.  Tables whose flags have k vertices share it.
+_subset_codes_memo: dict[tuple[Hypergraph3, int], list[int]] = {}
+
+
+def _subset_codes(target: Hypergraph3, k: int) -> list[int]:
+    found = _subset_codes_memo.get((target, k))
+    if found is None:
+        bits = [1 << r for r in range(comb(k, 3))]
+        has_edge = target.edge_set.__contains__
+        found = _subset_codes_memo[target, k] = [
+            sum(compress(bits, map(has_edge, combinations(u, 3))))
+            for u in combinations(range(target.n), k)
+        ]
+    return found
+
+
+def _pair_orbit(pair: int, action: tuple[tuple[int, ...], ...], nflags: int) -> set[int]:
+    """The orbit of the flag pair coded i * nflags + j under the diagonal
+    action of the flag permutations."""
+    orbit = {pair}
+    frontier = [pair]
+    while frontier:
+        i, j = divmod(frontier.pop(), nflags)
+        for moved in action:
+            image = moved[i] * nflags + moved[j]
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
 def _build_table(
     sigma: Hypergraph3, m_prime: int, m: int, family: Family
 ) -> PairDensityTable:
     members = [fm.graph for fm in family]
     flags_ind = [fm.induced for fm in family]
     flags = enumerate_flags(sigma, m_prime, members, flags_ind)
+    action = flag_action(sigma, m_prime, members, flags_ind)
+    order = len(sigma.canonical.automorphisms)
     targets = enumerate_free(m, members, flags_ind)
     flag_index = {key: i for i, key in enumerate(flags)}
     s = sigma.n
     t = m_prime - s
     denominator = perm(m, s) * comb(m - s, t) * comb(m - s - t, t)
     # t-subsets of the m - s non-root positions, and the ordered pairs of
-    # disjoint ones; the same for every theta of every target.
+    # disjoint ones; the same for every root set of every target.
     subsets = list(combinations(range(m - s), t))
     masks = [sum(1 << x for x in sub) for sub in subsets]
     disjoint = [
@@ -191,79 +239,91 @@ def _build_table(
         for y, my in enumerate(masks)
         if not mx & my
     ]
-    # A flag's vertices are theta + sorted(A), roots first, and its labelled
-    # edge set is a bitmask over flag_triples.  theta induces sigma, so the
-    # triples inside the roots are one base mask for every theta; only the
-    # open triples, those that touch A, are looked up.
-    flag_triples = list(combinations(range(m_prime), 3))
-    base = sum(1 << bit for bit, tri in enumerate(flag_triples) if tri in sigma.edge_set)
-    open_triples = [(1 << bit, tri) for bit, tri in enumerate(flag_triples) if tri[2] >= s]
-    # Flag index by mask: equal labelled graphs have equal rooted keys, so
-    # the canonical search runs once per mask.
-    slot_by_mask: dict[int, int] = {}
-    # A root set S and a subset A are coded once, by the open triples of
-    # S + sorted(A) with S sorted.  Each theta = S o p relabels that code, so
-    # its flag slot is slot_by_code[p][code], for every target.
-    slot_by_code: dict[tuple[int, ...], dict[int, int]] = {
-        order: {} for order in permutations(range(s))
-    }
+    # The flag of theta + A, theta = S o p for a root set S and A a t-subset
+    # of the others, is decided by the code of U = S | A (_subset_codes) and
+    # the places S takes in sorted(U): these give S's code, so p, and the
+    # labelled graph on theta + A.  plans[S] holds, for each A in subsets
+    # order, U's index among the m'-subsets, the slots by U code for S's
+    # places, and A.
+    u_index = {u: i for i, u in enumerate(combinations(range(m), m_prime))}
+    slot_by_code: dict[tuple[int, ...], dict[int, int]] = {}
+    plans: dict[tuple[int, ...], list[tuple[int, dict[int, int], list[int]]]] = {}
+    for roots in combinations(range(m), s):
+        others = [v for v in range(m) if v not in roots]
+        plan = plans[roots] = []
+        for sub in subsets:
+            group = [others[x] for x in sub]
+            u = tuple(sorted(roots + tuple(group)))
+            places = tuple(u.index(v) for v in roots)
+            plan.append((u_index[u], slot_by_code.setdefault(places, {}), group))
+    # Flag index by labelled graph: the canonical search runs once per graph.
+    slot_by_edges: dict[tuple[tuple[int, int, int], ...], int] = {}
     nflags = len(flags)
+    # Each pair orbit met, under its least member: its size, its members
+    # with i <= j as pair codes in order, and their columns j.
+    orbit_of: dict[int, int] = {}
+    orbit_upper: dict[int, tuple[int, list[int], list[int]]] = {}
     fractions: dict[int, Fraction] = {}  # count -> count / denominator
     matrices = []
     for target in targets:
-        # edge[a][b][c] for every ordering of every edge
-        edge = [[[False] * m for _ in range(m)] for _ in range(m)]
-        for tri in target.edges:
-            for a, b, c in permutations(tri):
-                edge[a][b][c] = True
-        counts: dict[int, int] = {}  # i * nflags + j -> count for flags (i, j)
+        u_codes = _subset_codes(target, m_prime)
+        pairs: list[int] = []  # i * nflags + j for each counted (A1, A2)
         for roots, orderings in root_sets(target, sigma):
-            others = [v for v in range(m) if v not in roots]
-            groups = [[others[x] for x in sub] for sub in subsets]
-            codes = []
-            for group in groups:
-                vertices = roots + tuple(group)
-                code = 0
-                for bit, (a, b, c) in open_triples:
-                    if edge[vertices[a]][vertices[b]][vertices[c]]:
-                        code |= bit
-                codes.append(code)
-            for order in orderings:
-                by_code = slot_by_code[order]
-                slots = []
-                for group, code in zip(groups, codes):
-                    slot = by_code.get(code)
-                    if slot is None:
-                        vertices = [roots[i] for i in order] + group
-                        mask = base
-                        for bit, (a, b, c) in open_triples:
-                            if edge[vertices[a]][vertices[b]][vertices[c]]:
-                                mask |= bit
-                        slot = slot_by_mask.get(mask)
+            plan = plans[roots]
+            slots = [by_code.get(u_codes[u]) for u, by_code, _ in plan]
+            if None in slots:
+                # orderings is a coset of Aut(sigma); only its first is counted
+                theta = [roots[i] for i in orderings[0]]
+                for x, (u, by_code, group) in enumerate(plan):
+                    if slots[x] is None:
+                        sub_graph = induced_subgraph(target, theta + group)
+                        slot = slot_by_edges.get(sub_graph.edges)
                         if slot is None:
-                            sub_graph = induced_subgraph(target, vertices)
                             slot = flag_index[rooted_canonical_key(sub_graph, range(s))]
-                            slot_by_mask[mask] = slot
-                        by_code[code] = slot
-                    slots.append(slot)
-                for x, y in disjoint:
-                    pair = slots[x] * nflags + slots[y]
-                    counts[pair] = counts.get(pair, 0) + 1
-        # counts is symmetric, since (A1, A2) and (A2, A1) are both counted;
-        # its keys in order with j >= i give each row of the upper triangle.
-        rows: list[list[tuple[int, Fraction]]] = [[] for _ in flags]
-        for pair in sorted(counts):
-            i, j = divmod(pair, nflags)
-            if j < i:
+                            slot_by_edges[sub_graph.edges] = slot
+                        slots[x] = by_code[u_codes[u]] = slot
+            pairs += [slots[x] * nflags + slots[y] for x, y in disjoint]
+        # pairs counts C0; each pair of an orbit O has the full count
+        # order * C0(O) / |O| (see the module docstring)
+        for pair in set(pairs).difference(orbit_of):
+            if pair in orbit_of:  # in an orbit found earlier in this loop
                 continue
-            c = counts[pair]
+            orbit = sorted(_pair_orbit(pair, action, nflags))
+            least = orbit[0]
+            for member in orbit:
+                orbit_of[member] = least
+            upper = [x for x in orbit if x // nflags <= x % nflags]
+            orbit_upper[least] = (len(orbit), upper, [x % nflags for x in upper])
+        totals = Counter(map(orbit_of.__getitem__, pairs))  # least member of O -> C0(O)
+        # Each nonzero entry with i <= j: its pair code and its (j, value).
+        # Sorting the codes orders the entries by row, then by column.
+        codes: list[int] = []
+        entries: list[tuple[int, Fraction]] = []
+        for least, total in totals.items():
+            size, upper, columns = orbit_upper[least]
+            if not upper:
+                continue
+            c, rest = divmod(order * total, size)
+            if rest:
+                raise RuntimeError(
+                    f"|Aut(sigma)| * C0(O) = {order * total} is not divisible by |O| = {size}"
+                )
             q = fractions.get(c)
             if q is None:
                 q = fractions[c] = Fraction(c, denominator)
-            rows[i].append((j, q))
-        while rows and not rows[-1]:
-            rows.pop()
-        matrices.append(tuple(map(tuple, rows)))
+            codes += upper
+            entries += zip(columns, repeat(q))
+        ranked = sorted(range(len(codes)), key=codes.__getitem__)
+        codes.sort()
+        matrix: list[tuple[tuple[int, Fraction], ...]] = []
+        start = 0
+        while start < len(codes):
+            i = codes[start] // nflags
+            end = bisect_left(codes, (i + 1) * nflags, start)
+            matrix += [()] * (i - len(matrix))
+            matrix.append(tuple(map(entries.__getitem__, ranked[start:end])))
+            start = end
+        matrices.append(tuple(matrix))
     return PairDensityTable(
         flags=tuple(flags), targets=tuple(targets), matrices=tuple(matrices)
     )

@@ -43,7 +43,10 @@ Typed flags need no wrapper types.  A type is a labelled graph sigma whose
 vertices are all roots, in label order.  A flag over sigma is a rooted
 isomorphism class, and it is its rooted key (graphs.rooted_canonical_key):
 the root count, then the key of the flag graph with root i at label i.
-Pair-density tables index their rows by these keys directly.
+Pair-density tables index their rows by these keys directly.  Flags are
+keyed one rooted search per Aut(g)-orbit of embeddings, and the same pass
+gives Aut(sigma)'s action on them (flag_action), which the tables use to
+count one ordering per root set.
 """
 
 from __future__ import annotations
@@ -276,6 +279,11 @@ def _generate_free(
 # Typed flags
 
 
+# Per labelled type, flag size and family: the sorted flag keys and, per
+# generator of Aut(sigma), the permutation of flag indices it induces.
+_flag_memo: dict[tuple, tuple[tuple[bytes, ...], tuple[tuple[int, ...], ...]]] = {}
+
+
 def enumerate_flags(
     sigma: Hypergraph3,
     m_prime: int,
@@ -289,15 +297,86 @@ def enumerate_flags(
     with the roots in that order.  The keys are returned sorted.  Raises if
     sigma itself is not family-free (no flags can exist and the inputs are
     contradictory).
+
+    A flag is an Aut(g)-orbit of the embeddings theta of sigma in a
+    family-free g on m_prime vertices: a rooted isomorphism of g with itself
+    is an automorphism of g.  So each orbit, closed under the generators of
+    Aut(g), is keyed by one rooted search.  The same pass gives Aut(sigma)'s
+    action on the flags (flag_action): each gamma in Aut(sigma) sends the
+    flag of theta to the flag of theta o gamma, another embedding in g whose
+    orbit is already keyed.  Results are memoised per process, like
+    enumerate_free's.
     """
-    if sigma.n > m_prime:
-        raise ValueError(f"type size {sigma.n} exceeds flag size {m_prime}")
-    if not is_family_free(sigma, family, induced_flags):
-        raise ValueError("type graph is not family-free; no flags exist")
-    return sorted(
-        {
-            rooted_canonical_key(g, theta)
-            for g in enumerate_free(m_prime, family, induced_flags)
-            for theta in type_embeddings(g, sigma)
-        }
+    return list(_flags(sigma, m_prime, family, induced_flags)[0])
+
+
+def flag_action(
+    sigma: Hypergraph3,
+    m_prime: int,
+    family: Sequence[Hypergraph3] = (),
+    induced_flags: Sequence[bool] | None = None,
+) -> tuple[tuple[int, ...], ...]:
+    """Aut(sigma)'s action on enumerate_flags' list: for each generator gamma
+    of sigma.canonical.generators, the permutation of flag indices that
+    sends flag i, rooted at theta, to the flag rooted at theta o gamma (root
+    k at theta[gamma[k]])."""
+    return _flags(sigma, m_prime, family, induced_flags)[1]
+
+
+def _flags(
+    sigma: Hypergraph3,
+    m_prime: int,
+    family: Sequence[Hypergraph3],
+    induced_flags: Sequence[bool] | None,
+) -> tuple[tuple[bytes, ...], tuple[tuple[int, ...], ...]]:
+    if induced_flags is None:
+        induced_flags = [False] * len(family)
+    if len(induced_flags) != len(family):
+        raise ValueError("induced_flags length must match family length")
+    # members above m_prime can be in neither sigma nor a flag
+    kept = frozenset(
+        (f.canon_key, ind) for f, ind in zip(family, induced_flags) if f.n <= m_prime
     )
+    memo_key = (sigma, m_prime, kept)
+    found = _flag_memo.get(memo_key)
+    if found is None:
+        if sigma.n > m_prime:
+            raise ValueError(f"type size {sigma.n} exceeds flag size {m_prime}")
+        if not is_family_free(sigma, family, induced_flags):
+            raise ValueError("type graph is not family-free; no flags exist")
+        graphs = enumerate_free(m_prime, family, induced_flags)
+        found = _flag_memo[memo_key] = _flag_classes(sigma, graphs)
+    return found
+
+
+def _flag_classes(
+    sigma: Hypergraph3, graphs: Sequence[Hypergraph3]
+) -> tuple[tuple[bytes, ...], tuple[tuple[int, ...], ...]]:
+    """(sorted flag keys, flag_action's permutations) over the given graphs."""
+    gammas = sigma.canonical.generators
+    images: dict[bytes, list[bytes]] = {}  # flag key -> its key under each gamma
+    for g in graphs:
+        auts = g.canonical.generators
+        key_of: dict[tuple[int, ...], bytes] = {}  # embedding -> its flag's key
+        keyed = []
+        for theta in type_embeddings(g, sigma):
+            if theta in key_of:
+                continue
+            key = key_of[theta] = rooted_canonical_key(g, theta)
+            keyed.append((theta, key))
+            frontier = [theta]
+            while frontier:
+                here = frontier.pop()
+                for a in auts:
+                    image = tuple([a[v] for v in here])
+                    if image not in key_of:
+                        key_of[image] = key
+                        frontier.append(image)
+        for theta, key in keyed:
+            images[key] = [key_of[tuple([theta[k] for k in gamma])] for gamma in gammas]
+    keys = sorted(images)
+    index = {key: i for i, key in enumerate(keys)}
+    action = tuple(
+        tuple(index[images[key][x]] for key in keys) for x in range(len(gammas))
+    )
+    return tuple(keys), action

@@ -14,10 +14,13 @@ shortcuts (one w per automorphism orbit; a discrete colouring returned at
 once, leaves valued as integers, the last vertex placed without a loop,
 prefix-fixing generators collected only as new ones are found), so they
 share the injection search and the orbit closure, and audit only the
-shortcuts; pair_density_table_brute takes the flags, targets, rooted keys
-and sparse matrix form from the package, and audits how a table finds its
-thetas and flag slots; cholesky_certifies_fractions takes the package's
-float factor, which only proposes L, and audits the exact residual test.
+shortcuts; enumerate_flags_brute takes the graphs from enumerate_free and
+one rooted key per embedding, and audits how flags are keyed one per orbit;
+pair_density_table_brute takes its flags from enumerate_flags_brute and
+the targets, rooted keys and sparse matrix form from the package, and
+audits how a table finds its thetas, flag slots and pair orbits;
+cholesky_certifies_fractions takes the package's float factor, which only
+proposes L, and audits the exact residual test.
 limit_denominator_stdlib is the standard library's Fraction.limit_denominator,
 which sdp.best_rational reimplements on integers.
 
@@ -42,7 +45,6 @@ from turan3.enumeration import (
     _attachment_orbit_reps,
     _extend,
     _new_vertex_is_canonical,
-    enumerate_flags,
     enumerate_free,
 )
 from turan3.graphs import (
@@ -397,6 +399,21 @@ def spanning_profile(h: Hypergraph3, m: int) -> dict[bytes, int]:
     return out
 
 
+def enumerate_flags_brute(
+    sigma: Hypergraph3, m_prime: int, family=(), induced_flags=None
+) -> list[bytes]:
+    """The sorted rooted keys of the flags over sigma: one rooted search for
+    every embedding of type_embeddings_brute in every family-free graph on
+    m_prime vertices, with no orbits."""
+    return sorted(
+        {
+            rooted_canonical_key(g, theta)
+            for g in enumerate_free(m_prime, family, induced_flags)
+            for theta in type_embeddings_brute(g, sigma)
+        }
+    )
+
+
 def pair_density_table_brute(sigma: Hypergraph3, m_prime: int, m: int, family):
     """The pair-density table counted directly: for each target, each theta
     of type_embeddings_brute and each ordered pair of disjoint
@@ -404,7 +421,7 @@ def pair_density_table_brute(sigma: Hypergraph3, m_prime: int, m: int, family):
     induced graph on theta + A, computed afresh for every subset."""
     members = [fm.graph for fm in family]
     flags_ind = [fm.induced for fm in family]
-    flags = enumerate_flags(sigma, m_prime, members, flags_ind)
+    flags = enumerate_flags_brute(sigma, m_prime, members, flags_ind)
     targets = enumerate_free(m, members, flags_ind)
     index = {key: i for i, key in enumerate(flags)}
     s = sigma.n

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from turan3 import families
+from turan3 import density, enumeration, families
 from turan3.certificate import inner_product, scale_rows
 from turan3.density import (
     SINGLE_EDGE,
@@ -14,12 +14,12 @@ from turan3.density import (
     pair_density_table,
     pair_matrix,
 )
-from turan3.enumeration import enumerate_free, rooted_canonical_key
-from turan3.graphs import blow_up, from_edges, induced_subgraph, named_graph
+from turan3.enumeration import enumerate_flags, enumerate_free, flag_action, rooted_canonical_key
+from turan3.graphs import blow_up, decode_key, from_edges, induced_subgraph, named_graph
 from turan3.sdp import default_types
 
 import oracles
-from oracles import spanning_profile
+from oracles import relabel, spanning_profile
 
 
 def random_graph(n, prob, rng):
@@ -261,6 +261,57 @@ def test_memo_keeps_labellings_of_one_type_apart(monkeypatch):
 
 
 PAPER_FAMILIES = ("C4_3,F5_BAR", "F32,C5_3_MINUS", "F32,induced:F32_BAR")
+
+
+@pytest.mark.parametrize("m, spec", [(m, spec) for m in (5, 6) for spec in PAPER_FAMILIES])
+def test_flag_action_and_pair_orbits_match_every_root_relabelling(m, spec):
+    fam = families.parse_family(spec)
+    members = [fm.graph for fm in fam]
+    induced = [fm.induced for fm in fam]
+    for sigma in default_types(m, fam):
+        s = sigma.n
+        m_prime = (m + s) // 2
+        # Aut(sigma) by trying every permutation of the labels
+        auts = [gamma for gamma in permutations(range(s)) if relabel(sigma, gamma) == sigma]
+        assert len(auts) == len(sigma.canonical.automorphisms)
+        flags = enumerate_flags(sigma, m_prime, members, induced)
+        index = {key: i for i, key in enumerate(flags)}
+        # gamma moves flag i, rooted at labels 0..s-1 of its graph, to the
+        # same graph rooted at gamma[0], ..., gamma[s-1], keyed afresh
+        moved = {
+            gamma: [index[rooted_canonical_key(decode_key(key[1:]), gamma)] for key in flags]
+            for gamma in auts
+        }
+        action = flag_action(sigma, m_prime, members, induced)
+        assert [list(perm) for perm in action] == [
+            moved[gamma] for gamma in sigma.canonical.generators
+        ]
+        n = len(flags)
+        for i in range(n):
+            for j in range(n):
+                orbit = {moved[gamma][i] * n + moved[gamma][j] for gamma in auts}
+                assert density._pair_orbit(i * n + j, action, n) == orbit
+                assert len(auts) % len(orbit) == 0
+
+
+def test_flag_action_follows_generators_that_are_not_involutions():
+    # The default types at m <= 6 have only involutions among their
+    # generators, where gamma and its inverse act alike.  This 6-vertex type
+    # is generated by a 6-cycle; its 7 flags come from two 7-vertex graphs.
+    sigma = from_edges(6, [
+        (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 5), (0, 4, 5), (1, 2, 4),
+        (1, 3, 5), (1, 4, 5), (2, 3, 4), (2, 3, 5), (3, 4, 5),
+    ])
+    gammas = sigma.canonical.generators
+    assert any(gamma[gamma[k]] != k for gamma in gammas for k in range(6))
+    graphs = [from_edges(7, sigma.edges), from_edges(7, sigma.edges + ((0, 1, 6), (2, 3, 6)))]
+    flags, action = enumeration._flag_classes(sigma, graphs)
+    assert len(flags) == 7
+    index = {key: i for i, key in enumerate(flags)}
+    for gamma, moved in zip(gammas, action):
+        assert list(moved) == [
+            index[rooted_canonical_key(decode_key(key[1:]), gamma)] for key in flags
+        ]
 
 
 @pytest.mark.parametrize(

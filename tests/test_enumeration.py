@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from turan3 import families
 from turan3.enumeration import (
     _attachment_orbit_reps,
     _extend,
@@ -22,6 +23,7 @@ from turan3.graphs import (
     link_patterns,
     named_graph,
 )
+from turan3.sdp import default_types
 
 import oracles
 from oracles import relabel
@@ -419,6 +421,26 @@ def test_flags_with_contradictory_type():
 def test_flag_type_too_big():
     with pytest.raises(ValueError):
         enumerate_flags(from_edges(4, []), 3)
+
+
+PAPER_FAMILIES = ("C4_3,F5_BAR", "F32,C5_3_MINUS", "F32,induced:F32_BAR")
+
+
+@pytest.mark.parametrize(
+    "m, spec",
+    [(5, spec) for spec in PAPER_FAMILIES] + [(6, "F32,C5_3_MINUS")],
+)
+def test_flags_match_one_key_per_embedding(m, spec):
+    # one rooted search per Aut(g)-orbit of embeddings finds every flag that
+    # one search per embedding finds
+    fam = families.parse_family(spec)
+    members = [fm.graph for fm in fam]
+    induced = [fm.induced for fm in fam]
+    for sigma in default_types(m, fam):
+        m_prime = (m + sigma.n) // 2
+        assert enumerate_flags(sigma, m_prime, members, induced) == (
+            oracles.enumerate_flags_brute(sigma, m_prime, members, induced)
+        )
 
 
 def test_rooted_key_respects_root_order():
