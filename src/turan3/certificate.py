@@ -276,8 +276,6 @@ def verify(cert: Certificate) -> VerifyResult:
             sigma = decode_key(block.type_key)
         except ValueError as exc:
             return _rejected(f"block {bi}: bad type key ({exc})")
-        if (cert.m + sigma.n) % 2:
-            return _rejected(f"block {bi}: type size {sigma.n} has wrong parity")
         types.append(sigma)
     try:
         model = assemble(cert.m, family, types)
@@ -366,7 +364,7 @@ _FIELD_COUNTS = {"bound": 2, "m": 2, "type": 4, "slack": 3}
 
 def certificate_from_text(text: str) -> Certificate:
     bound: Fraction | None = None
-    family_key = ""
+    family_key: str | None = None
     m: int | None = None
     header_seen: set[str] = set()
     slacks: list[Fraction] = []
@@ -397,7 +395,9 @@ def certificate_from_text(text: str) -> Certificate:
             if parts[0] == "bound":
                 bound = value(parts[1])
             elif parts[0] == "family":
-                family_key = "" if parts[1:2] == ["none"] else " ".join(parts[1:])
+                if len(parts) == 1:
+                    raise ValueError(f"family line needs a key, or 'none': {raw!r}")
+                family_key = "" if parts[1] == "none" else " ".join(parts[1:])
             else:
                 m = int(parts[1])
         elif parts[0] == "type":
@@ -416,8 +416,8 @@ def certificate_from_text(text: str) -> Certificate:
                 raise ValueError(f"unexpected line outside a type block: {raw!r}")
             entries.extend(map(value, parts))
     blocks = tuple(CertificateBlock.from_upper(*raw_block) for raw_block in raw_blocks)
-    if bound is None or m is None:
-        raise ValueError("certificate needs 'bound' and 'm' lines")
+    if bound is None or family_key is None or m is None:
+        raise ValueError("certificate needs 'bound', 'family' and 'm' lines")
     return Certificate(
         bound=bound, family_key=family_key, m=m, blocks=blocks, slacks=tuple(slacks)
     )

@@ -24,13 +24,9 @@ from .density import edge_density, fraction_text, p, parse_fraction, to_decimal
 from .enumeration import SOFT_VERTEX_LIMIT, enumerate_free
 
 
-def _emit_rows(rows: list[tuple[str, str]], human: bool, out=None) -> None:
-    out = out or sys.stdout
+def _emit_rows(rows: list[tuple[str, str]], human: bool) -> None:
     for key, value in rows:
-        if human:
-            print(f"{key}: {value}", file=out)
-        else:
-            print(f"{key}\t{value}", file=out)
+        print(f"{key}: {value}" if human else f"{key}\t{value}")
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -188,7 +184,7 @@ def cmd_density(args, parser) -> int:
     return 0
 
 
-def _parse_type_selection(selection: str, m: int, family) -> list | None:
+def _parse_type_selection(selection: str, m: int, family) -> list:
     if selection == "none":
         return []
     if selection == "default":

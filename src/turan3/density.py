@@ -27,8 +27,13 @@ Pair-density matrices are about 2% nonzero, so every layer holds them in one
 sparse form, PairMatrix: the upper triangle as a tuple of rows, row i listing
 a (j, value) pair for each nonzero entry with j >= i, j ascending.  Rows
 after the last nonempty one are left out, so a zero matrix is ().  Read row
-by row, the entries come in the order of program text; pair_matrix builds
-one from {(i, j): value} with i <= j.
+by row, the entries come in the order of program text.  pair_matrix is the
+one routine that builds one, from the entries' codes i * width + j in any
+order; the tables and the program reader both call it.
+
+A table is asked for by (sigma, m): its flags have m' = (m + s) / 2
+vertices, s = |sigma|, so two flags over a shared root set exactly fill an
+m-vertex target, and sigma fits m when s <= m and s = m mod 2.
 
 How a table is built.  Each target is scanned by root sets
 (graphs.root_sets): an s-subset S that induces a copy of sigma comes with
@@ -62,8 +67,9 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress
 from math import comb, perm
+from typing import Sequence
 
 from .enumeration import enumerate_flags, enumerate_free, flag_action, rooted_canonical_key
 from .families import Family
@@ -83,15 +89,9 @@ def fraction_text(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def to_decimal(x) -> Decimal:
-    """x as a Decimal rounded to the current context's precision."""
-    if isinstance(x, Decimal):
-        return +x
-    if isinstance(x, Fraction):
-        return Decimal(x.numerator) / Decimal(x.denominator)
-    if isinstance(x, int):
-        return Decimal(x)
-    return Decimal(str(x))
+def to_decimal(q: Fraction) -> Decimal:
+    """q as a Decimal rounded to the current context's precision."""
+    return Decimal(q.numerator) / Decimal(q.denominator)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -130,14 +130,24 @@ def edge_density(h: Hypergraph3) -> Fraction:
 PairMatrix = tuple[tuple[tuple[int, Fraction], ...], ...]
 
 
-def pair_matrix(upper: dict[tuple[int, int], Fraction]) -> PairMatrix:
-    """The upper triangle {(i, j): value}, i <= j, as a PairMatrix; zeros dropped."""
-    rows: dict[int, list[tuple[int, Fraction]]] = {}
-    for (i, j), q in sorted(upper.items()):
-        if q:
-            rows.setdefault(i, []).append((j, q))
-    size = max(rows) + 1 if rows else 0
-    return tuple(tuple(rows.get(i, ())) for i in range(size))
+def pair_matrix(codes: Sequence[int], values: Sequence[Fraction], width: int) -> PairMatrix:
+    """The PairMatrix with value values[k] at (i, j) = divmod(codes[k], width).
+
+    Each code appears once, with i <= j and a nonzero value; codes come in
+    any order.  Sorting them orders the entries by row, then by column.
+    """
+    ranked = sorted(range(len(codes)), key=codes.__getitem__)
+    codes = sorted(codes)
+    entries = [(code % width, values[k]) for code, k in zip(codes, ranked)]
+    matrix: list[tuple[tuple[int, Fraction], ...]] = []
+    start = 0
+    while start < len(codes):
+        i = codes[start] // width
+        end = bisect_left(codes, (i + 1) * width, start)
+        matrix += [()] * (i - len(matrix))
+        matrix.append(tuple(entries[start:end]))
+        start = end
+    return tuple(matrix)
 
 
 @dataclass(frozen=True)
@@ -156,29 +166,24 @@ def _family_signature(family: Family) -> tuple:
     return tuple((m.graph.canon_key, m.induced) for m in family)
 
 
-def pair_density_table(
-    sigma: Hypergraph3, m_prime: int, m: int, family: Family = ()
-) -> PairDensityTable:
-    """Symmetric rational pair-density matrices, one per admissible target,
-    each stored as its upper triangle.
+def pair_density_table(sigma: Hypergraph3, m: int, family: Family = ()) -> PairDensityTable:
+    """Symmetric rational pair-density matrices, one per admissible m-vertex
+    target, each stored as its upper triangle.
 
-    sigma is the type, a labelled graph whose vertices are all roots; row i
-    of each matrix is the flag with rooted key flags[i].  Tables are memoised
-    per process, and each was built here from the family and the code, so
-    the verifier's own assembly reuses the tables an earlier one built.
+    sigma is the type, a labelled graph whose vertices are all roots; the
+    flags have (m + s) / 2 vertices, s = |sigma|, and row i of each matrix
+    is the flag with rooted key flags[i].  A type with s > m or s of the
+    other parity from m raises ValueError.  Tables are memoised per process,
+    and each was built here from the family and the code, so the verifier's
+    own assembly reuses the tables an earlier one built.
     """
     s = sigma.n
-    if 2 * m_prime - s > m:
-        raise ValueError(
-            f"two flags of size {m_prime} over a type of size {s} need "
-            f"{2 * m_prime - s} vertices, more than m={m}"
-        )
-    if m_prime < s:
-        raise ValueError("flag size below type size")
-    cache_key = (sigma, m_prime, m, _family_signature(family))
+    if s > m or (m + s) % 2:
+        raise ValueError(f"type of size {s} does not fit in m={m}")
+    cache_key = (sigma, m, _family_signature(family))
     table = _memory_cache.get(cache_key)
     if table is None:
-        table = _build_table(sigma, m_prime, m, family)
+        table = _build_table(sigma, m, family)
         _memory_cache[cache_key] = table
     return table
 
@@ -216,9 +221,8 @@ def _pair_orbit(pair: int, action: tuple[tuple[int, ...], ...], nflags: int) -> 
     return orbit
 
 
-def _build_table(
-    sigma: Hypergraph3, m_prime: int, m: int, family: Family
-) -> PairDensityTable:
+def _build_table(sigma: Hypergraph3, m: int, family: Family) -> PairDensityTable:
+    m_prime = (m + sigma.n) // 2
     members = [fm.graph for fm in family]
     flags_ind = [fm.induced for fm in family]
     flags = enumerate_flags(sigma, m_prime, members, flags_ind)
@@ -259,10 +263,10 @@ def _build_table(
     # Flag index by labelled graph: the canonical search runs once per graph.
     slot_by_edges: dict[tuple[tuple[int, int, int], ...], int] = {}
     nflags = len(flags)
-    # Each pair orbit met, under its least member: its size, its members
-    # with i <= j as pair codes in order, and their columns j.
+    # Each pair orbit met, under its least member: its size and its members
+    # with i <= j as pair codes.
     orbit_of: dict[int, int] = {}
-    orbit_upper: dict[int, tuple[int, list[int], list[int]]] = {}
+    orbit_upper: dict[int, tuple[int, list[int]]] = {}
     fractions: dict[int, Fraction] = {}  # count -> count / denominator
     matrices = []
     for target in targets:
@@ -288,19 +292,17 @@ def _build_table(
         for pair in set(pairs).difference(orbit_of):
             if pair in orbit_of:  # in an orbit found earlier in this loop
                 continue
-            orbit = sorted(_pair_orbit(pair, action, nflags))
-            least = orbit[0]
+            orbit = _pair_orbit(pair, action, nflags)
+            least = min(orbit)
             for member in orbit:
                 orbit_of[member] = least
-            upper = [x for x in orbit if x // nflags <= x % nflags]
-            orbit_upper[least] = (len(orbit), upper, [x % nflags for x in upper])
+            orbit_upper[least] = (len(orbit), [x for x in orbit if x // nflags <= x % nflags])
         totals = Counter(map(orbit_of.__getitem__, pairs))  # least member of O -> C0(O)
-        # Each nonzero entry with i <= j: its pair code and its (j, value).
-        # Sorting the codes orders the entries by row, then by column.
+        # Each nonzero entry with i <= j: its pair code and its value.
         codes: list[int] = []
-        entries: list[tuple[int, Fraction]] = []
+        values: list[Fraction] = []
         for least, total in totals.items():
-            size, upper, columns = orbit_upper[least]
+            size, upper = orbit_upper[least]
             if not upper:
                 continue
             c, rest = divmod(order * total, size)
@@ -312,18 +314,8 @@ def _build_table(
             if q is None:
                 q = fractions[c] = Fraction(c, denominator)
             codes += upper
-            entries += zip(columns, repeat(q))
-        ranked = sorted(range(len(codes)), key=codes.__getitem__)
-        codes.sort()
-        matrix: list[tuple[tuple[int, Fraction], ...]] = []
-        start = 0
-        while start < len(codes):
-            i = codes[start] // nflags
-            end = bisect_left(codes, (i + 1) * nflags, start)
-            matrix += [()] * (i - len(matrix))
-            matrix.append(tuple(map(entries.__getitem__, ranked[start:end])))
-            start = end
-        matrices.append(tuple(matrix))
+            values += [q] * len(upper)
+        matrices.append(pair_matrix(codes, values, nflags))
     return PairDensityTable(
         flags=tuple(flags), targets=tuple(targets), matrices=tuple(matrices)
     )

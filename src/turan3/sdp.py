@@ -162,8 +162,8 @@ def assemble(
 
     types=() yields the LP relaxation (no PSD blocks); use_default_types=True
     uses default_types(m, family) instead.  A type with no flags over it is
-    left out: its block would constrain nothing.  A type above m or of the
-    wrong parity for m raises ValueError.
+    left out: its block would constrain nothing.  A type that does not fit
+    m (pair_density_table) raises ValueError.
     """
     if m < 3:
         raise ValueError("m must be at least 3")
@@ -174,12 +174,9 @@ def assemble(
         raise ValueError("the family excludes every m-vertex graph")
     if use_default_types:
         types = default_types(m, family)
-    for sigma in types:
-        if sigma.n > m or (m + sigma.n) % 2:
-            raise ValueError(f"type of size {sigma.n} does not fit in m={m}")
     blocks = []  # (type key, table) for each type with flags
     for sigma in types:
-        table = pair_density_table(sigma, (m + sigma.n) // 2, m, family)
+        table = pair_density_table(sigma, m, family)
         assert [t.canon_key for t in table.targets] == [t.canon_key for t in targets]
         if table.flags:
             blocks.append((sigma.canon_key, table))
@@ -281,8 +278,9 @@ def model_from_text(text: str) -> SdpModel:
     if len(type_keys) != len(type_dims):
         raise ValueError("typekeys count disagrees with PSD block count")
     obj: list[Fraction | None] = [None] * k
-    # per type block, the upper-triangle entries of each constraint's matrix
-    uppers: list[dict[int, dict[tuple[int, int], Fraction]]] = [{} for _ in type_dims]
+    # per type block, the upper-triangle entries of each constraint's matrix,
+    # keyed by i * dim + j
+    uppers: list[dict[int, dict[int, Fraction]]] = [{} for _ in type_dims]
     slack_block = len(dims)
     # (constraint, block) of each objective, constant, bound and slack entry
     # read; for these the pair fixes (i, j)
@@ -310,18 +308,24 @@ def model_from_text(text: str) -> SdpModel:
                 if not 0 <= t < len(type_dims) or not (0 <= i <= j < type_dims[t]):
                     raise ValueError(f"entry outside declared block: {(r, b, i, j)}")
                 upper = uppers[t].setdefault(fi, {})
-                if (i, j) in upper:
+                code = i * type_dims[t] + j
+                if code in upper:
                     raise ValueError(f"repeated entry {(r, b, i, j)}")
-                upper[i, j] = negated
+                upper[code] = negated
                 continue
         if (r, b) in placed:
             raise ValueError(f"repeated entry {(r, b, i, j)}")
         placed.add((r, b))
     if any(o is None for o in obj):
         raise ValueError("missing constant term for some constraint")
+    # program text may hold an explicit 0, which a PairMatrix leaves out
     pair_matrices = tuple(
-        {fi: mat for fi, upper in block.items() if (mat := pair_matrix(upper))}
-        for block in uppers
+        {
+            fi: pair_matrix(list(nonzero), list(nonzero.values()), dim)
+            for fi, upper in block.items()
+            if (nonzero := {code: q for code, q in upper.items() if q})
+        }
+        for block, dim in zip(uppers, type_dims)
     )
     return SdpModel(
         m=m,

@@ -34,7 +34,7 @@ def make_sos_certificate(m, family, scale=Fraction(1, 8)):
     blocks = []
     tables = []
     for sigma in types:
-        table = pair_density_table(sigma, (m + sigma.n) // 2, m, family)
+        table = pair_density_table(sigma, m, family)
         d = len(table.flags)
         mat = tuple(
             tuple(scale if i == j else Fraction(0) for j in range(d))
@@ -69,7 +69,7 @@ def recompute_margins(cert, family):
         margin = cert.bound - p(SINGLE_EDGE, target)
         for block in cert.blocks:
             sigma = decode_key(block.type_key)
-            table = pair_density_table(sigma, (cert.m + sigma.n) // 2, cert.m, family)
+            table = pair_density_table(sigma, cert.m, family)
             margin -= inner_product_fractions(block.matrix, table.matrices[idx])
         out.append(margin)
     return out

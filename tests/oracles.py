@@ -414,11 +414,13 @@ def enumerate_flags_brute(
     )
 
 
-def pair_density_table_brute(sigma: Hypergraph3, m_prime: int, m: int, family):
+def pair_density_table_brute(sigma: Hypergraph3, m: int, family):
     """The pair-density table counted directly: for each target, each theta
     of type_embeddings_brute and each ordered pair of disjoint
-    (m' - s)-subsets A1, A2 of the other vertices, the rooted key of the
-    induced graph on theta + A, computed afresh for every subset."""
+    (m' - s)-subsets A1, A2 of the other vertices, m' = (m + s) / 2, the
+    rooted key of the induced graph on theta + A, computed afresh for every
+    subset."""
+    m_prime = (m + sigma.n) // 2
     members = [fm.graph for fm in family]
     flags_ind = [fm.induced for fm in family]
     flags = enumerate_flags_brute(sigma, m_prime, members, flags_ind)
@@ -443,9 +445,8 @@ def pair_density_table_brute(sigma: Hypergraph3, m_prime: int, m: int, family):
                     if not set(a1) & set(a2):
                         pair = (slot[a1], slot[a2])
                         counts[pair] = counts.get(pair, 0) + 1
-        matrices.append(pair_matrix(
-            {(i, j): Fraction(c, denominator) for (i, j), c in counts.items() if i <= j}
-        ))
+        upper = {i * len(flags) + j: Fraction(c, denominator) for (i, j), c in counts.items() if i <= j}
+        matrices.append(pair_matrix(list(upper), list(upper.values()), len(flags)))
     return PairDensityTable(tuple(flags), tuple(targets), tuple(matrices))
 
 

@@ -470,6 +470,15 @@ def test_certificate_text_parse_errors():
     assert certificate_from_text(good + "# trailing comment\n") == certificate_from_text(good)
 
 
+@pytest.mark.parametrize("family_line", ["", "family\n"], ids=["no-family-line", "bare-family-line"])
+def test_certificate_needs_a_family_value(family_line):
+    # read as the empty family, this LP certificate would verify bound 1
+    text = certificate_to_text(lp_certificate(4)).replace("family none\n", family_line)
+    assert "bound 1\n" in text and "m 4\n" in text
+    with pytest.raises(ValueError, match="family"):
+        certificate_from_text(text)
+
+
 def test_certificate_rejects_a_repeated_header_line():
     text = "bound 1/2\nfamily none\nm 4\n"
     for line in ("bound 3/4", "family none", "family C4_3", "m 5"):

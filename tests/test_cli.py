@@ -467,6 +467,18 @@ def test_emit_sdp_type_sizes(capsys, tmp_path):
         assert not out_path.exists()
 
 
+@pytest.mark.parametrize("size", [3, 8])
+def test_verify_rejects_a_type_that_does_not_fit_m(capsys, tmp_path, size):
+    # flags of size (6 + s) / 2 over s roots exist only for s <= 6 of even size
+    cert = lp_certificate(6, families.parse_family("F32,C5_3_MINUS"))
+    block = sdp.CertificateBlock(graphs.from_edges(size, []).canon_key, ((Fraction(1),),))
+    path = tmp_path / "cert.txt"
+    certificate.save_certificate(replace(cert, blocks=(block,)), str(path))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert (code, err) == (1, "")
+    assert out == f"REJECTED no program: type of size {size} does not fit in m=6\n"
+
+
 def test_verify_rejects_bad_certificate(capsys, tmp_path):
     cert = lp_certificate(4, families.parse_family("C4_3"))
     bad = certificate.Certificate(
@@ -869,8 +881,10 @@ def _good_certificate_text():
         lambda text: _swap_line(text, "bound", "bound"),
         lambda text: text + "slack 0\n",
         lambda text: _swap_line(text, "bound", "bound 1/0"),
+        lambda text: _swap_line(text, "family", "family"),
+        lambda text: _swap_line(text, "family", ""),
     ],
-    ids=["bare-bound", "bare-slack", "zero-denominator-bound"],
+    ids=["bare-bound", "bare-slack", "zero-denominator-bound", "bare-family", "no-family"],
 )
 def test_verify_malformed_certificate_is_domain_error(capsys, tmp_path, change):
     path = tmp_path / "cert.txt"

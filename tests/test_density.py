@@ -135,14 +135,14 @@ def _pair_probability_in_host(host, sigma, t, flag_key_1, flag_key_2):
 
 
 def test_empty_type_entries_sum_to_one():
-    table = pair_density_table(from_edges(0, []), 3, 6)
+    table = pair_density_table(from_edges(0, []), 6)
     for mat in table.matrices:
         assert sum(sum(row) for row in oracles.dense(mat, len(table.flags))) == 1
 
 
 def test_matrices_symmetric():
     fam = families.parse_family("C4_3,F5_BAR")
-    table = pair_density_table(from_edges(1, []), 3, 5, fam)
+    table = pair_density_table(from_edges(1, []), 5, fam)
     for sparse in table.matrices:
         # one triangle is stored; the embedding oracle below checks both
         assert all(j >= i for i, row in enumerate(sparse) for j, _ in row)
@@ -158,7 +158,7 @@ def test_table_against_embedding_oracle():
     # single-vertex type, flags of size 3, targets of size 5
     fam = families.parse_family("C4_3,F5_BAR")
     sigma = from_edges(1, [])
-    table = pair_density_table(sigma, 3, 5, fam)
+    table = pair_density_table(sigma, 5, fam)
     t = 2
     for target_idx in (0, len(table.targets) // 2, len(table.targets) - 1):
         target = table.targets[target_idx]
@@ -175,7 +175,7 @@ def test_host_identity_from_docstring():
     # Pr[sigma and F1 and F2 in H] == sum_F entry(F1,F2;F) p(F,H), exactly.
     rng = random.Random(9)
     sigma = from_edges(1, [])
-    table = pair_density_table(sigma, 3, 5)
+    table = pair_density_table(sigma, 5)
     t = 2
     host = random_graph(6, 0.5, rng)
     prof = spanning_profile(host, 5)
@@ -197,16 +197,17 @@ def test_pair_matrix_matches_dense_form():
     rng = random.Random(5)
     for _ in range(300):
         n = rng.randint(0, 7)
-        upper = {
-            (i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 4))  # zero included
+        upper = [
+            (i, j, Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)))
             for i in range(n)
             for j in range(i, n)
             if rng.random() < 0.3
-        }
+        ]
+        rng.shuffle(upper)  # the builder takes entries in any order
         want = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), q in upper.items():
+        for i, j, q in upper:
             want[i][j] = want[j][i] = q
-        mat = pair_matrix(upper)
+        mat = pair_matrix([i * n + j for i, j, _ in upper], [q for _, _, q in upper], n)
         assert oracles.dense(mat, n) == want
         # the form: the upper triangle without zeros, columns ascending, no
         # trailing empty row
@@ -223,8 +224,10 @@ def test_pair_matrix_matches_dense_form():
 
 
 def test_size_validation():
-    with pytest.raises(ValueError):
-        pair_density_table(from_edges(1, []), 4, 5)  # 2*4-1 = 7 > 5
+    # a type fits m when s <= m and s has m's parity
+    for size in (3, 8):
+        with pytest.raises(ValueError, match=f"^type of size {size} does not fit in m=6$"):
+            pair_density_table(from_edges(size, []), 6)
 
 
 def test_p_matches_per_subset_iso_oracle():
@@ -253,9 +256,9 @@ def test_memo_keeps_labellings_of_one_type_apart(monkeypatch):
     fresh = []
     for edges in ([(0, 1, 2)], [(1, 2, 3)]):
         sigma = from_edges(4, edges)
-        fresh.append(density_mod._build_table(sigma, 5, 6, fam))
-        assert pair_density_table(sigma, 5, 6, fam) == fresh[-1]
-        assert fresh[-1] == oracles.pair_density_table_brute(sigma, 5, 6, fam)
+        fresh.append(density_mod._build_table(sigma, 6, fam))
+        assert pair_density_table(sigma, 6, fam) == fresh[-1]
+        assert fresh[-1] == oracles.pair_density_table_brute(sigma, 6, fam)
     assert fresh[0].flags != fresh[1].flags
     assert fresh[0].matrices != fresh[1].matrices
 
@@ -321,7 +324,6 @@ def test_flag_action_follows_generators_that_are_not_involutions():
 def test_tables_match_direct_count(m, spec):
     fam = families.parse_family(spec)
     for sigma in default_types(m, fam):
-        m_prime = (m + sigma.n) // 2
-        assert pair_density_table(sigma, m_prime, m, fam) == oracles.pair_density_table_brute(
-            sigma, m_prime, m, fam
+        assert pair_density_table(sigma, m, fam) == oracles.pair_density_table_brute(
+            sigma, m, fam
         )

@@ -277,6 +277,25 @@ def test_parse_rejects_more_constraints_than_entries():
         model_from_text(_LARGE_DECLARATIONS[1])
 
 
+def test_parse_drops_an_explicit_zero_pair_density_entry():
+    model = assemble(4, fam("C4_3"), use_default_types=True)
+    text = model_to_text(model)
+    lines = text.splitlines()
+    present = {tuple(map(int, line.split()[:4])) for line in lines if line[0].isdigit()}
+    b, dim = len(model.type_dims) + 1, model.type_dims[-1]
+    r, i, j = next(
+        (r, i, j)
+        for r in range(1, model.n_constraints + 1)
+        for i in range(dim)
+        for j in range(i, dim)
+        if (r, b, i, j) not in present
+    )
+    lines.insert(lines.index(f"{r} 1 0 0 1") + 1, f"{r} {b} {i} {j} 0")
+    read = model_from_text("\n".join(lines) + "\n")
+    assert read == model
+    assert model_to_text(read) == text
+
+
 def test_parse_keeps_a_family_key_with_spaces():
     model = assemble(4, fam("C4_3"))
     text = model_to_text(model).replace("family C4_3", "family C4_3,my f5.txt")
