@@ -50,12 +50,12 @@ for a tight bound, always takes the elimination, whose cost grows with the
 bit length of the entries (minutes for a 64x64 block rounded at
 denominators up to 2^32).
 
-Margins.  Every stored pair-density entry of one type, the upper triangle
-of each P_t(F), is an integer count c_ij over E_t, the lcm of their
-denominators, found once per block.  Both matrices are symmetric, so a term
-<Q_t, P_t(F)> is sum_i (sum_{j >= i} w_ij * Q_ij * D_i * c_ij) / D_i, over
-E_t, with w_ij = 2 off the diagonal and 1 on it: one integer dot product per
-row, each reduced before the rows are summed, so the sum's denominator holds
+Margins.  The program stores the upper triangle of each P_t(F) as integer
+counts c_ij over its block's one denominator D_t (density.pair_denominator).
+Both matrices are symmetric, so a term <Q_t, P_t(F)> is
+sum_i (sum_{j >= i} w_ij * Q_ij * D_i * c_ij) / D_i, over D_t, with
+w_ij = 2 off the diagonal and 1 on it: one integer dot product per row,
+each reduced before the rows are summed, so the sum's denominator holds
 only the denominators of the entries P_t(F) touches.  The margin is the
 same reduced Fraction as a sum of Fraction products would give, and the
 constraints are checked in order.
@@ -230,11 +230,10 @@ def _psd_by_elimination(matrix: Sequence[Sequence[Fraction]]) -> bool:
 def inner_product(q: RowScaled, pmat: PairMatrix, denominator: int) -> Fraction:
     """Exact <Q, P> for symmetric Q and P, P given by its upper triangle pmat.
 
-    q is Q as scale_rows gives it, and denominator is a multiple of every
-    entry's denominator in pmat, so each entry is an integer count over it.
-    An entry off the diagonal stands for P_ij and P_ji, so it counts twice.
-    Row i contributes an integer over D_i, reduced before the rows are
-    summed.
+    q is Q as scale_rows gives it, and pmat holds integer counts over
+    denominator.  An entry off the diagonal stands for P_ij and P_ji, so it
+    counts twice.  Row i contributes an integer over D_i, reduced before
+    the rows are summed.
     """
     rows, scales = q
     num = 0
@@ -242,7 +241,7 @@ def inner_product(q: RowScaled, pmat: PairMatrix, denominator: int) -> Fraction:
     for i, (qrow, d, prow) in enumerate(zip(rows, scales, pmat)):
         if not prow:
             continue
-        terms = [qrow[j] * (x.numerator * (denominator // x.denominator)) for j, x in prow]
+        terms = [qrow[j] * c for j, c in prow]
         total = 2 * sum(terms) - (terms[0] if prow[0][0] == i else 0)
         if total:
             # reduced, total / D_i keeps only the denominators of the entries
@@ -302,15 +301,10 @@ def verify(cert: Certificate) -> VerifyResult:
         if not psd:
             return _rejected(f"block {bi}: matrix not positive semidefinite")
 
-    # Each block once: Q row-scaled, and the one denominator E_t over which
-    # every pair-density entry of its type is an integer.
+    # Each block once: Q row-scaled, its type's denominator and its counts.
     scaled = [
-        (
-            scale_rows(block.matrix),
-            lcm(*{x.denominator for mat in matrices.values() for row in mat for _, x in row}),
-            matrices,
-        )
-        for block, matrices in zip(cert.blocks, model.pair_matrices)
+        (scale_rows(block.matrix), d, matrices)
+        for block, d, matrices in zip(cert.blocks, model.denominators, model.pair_matrices)
     ]
     mismatches = []
     for idx, obj in enumerate(model.obj):

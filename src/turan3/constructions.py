@@ -149,6 +149,9 @@ def build(spec: ConstructionSpec) -> Hypergraph3:
     return from_edges(n, edges)
 
 
+B_REC_LIMIT = 5000  # b_rec's DP is quadratic in n: seconds at this bound
+
+
 def b_rec(n: int) -> tuple[int, tuple[int, ...]]:
     """Maximum edge count over split sequences, and one maximizing sequence.
 
@@ -157,6 +160,8 @@ def b_rec(n: int) -> tuple[int, tuple[int, ...]]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > B_REC_LIMIT:
+        raise ValueError(f"n={n} exceeds {B_REC_LIMIT}, the largest n b_rec takes")
     values = [0] * (n + 1)
     first = [0] * (n + 1)
     for k in range(3, n + 1):

@@ -23,17 +23,20 @@ because conditioning on the induced graph of a uniform random m-set through
 (theta, A1, A2) is distribution-preserving.  Matrices are symmetric since
 the pair (A1, A2) is exchangeable.
 
-Pair-density matrices are about 2% nonzero, so every layer holds them in one
-sparse form, PairMatrix: the upper triangle as a tuple of rows, row i listing
-a (j, value) pair for each nonzero entry with j >= i, j ascending.  Rows
-after the last nonempty one are left out, so a zero matrix is ().  Read row
-by row, the entries come in the order of program text.  pair_matrix is the
-one routine that builds one, from the entries' codes i * width + j in any
-order; the tables and the program reader both call it.
+An entry is stored as the count c of the (theta, A1, A2) satisfying all
+three, over D, the count of all of them: one D per (sigma, m), computed
+only by pair_denominator.  The matrices are about 2% nonzero, so every
+layer holds them in one sparse form, PairMatrix: the upper triangle as a
+tuple of rows, row i listing a (j, count) pair of ints for each nonzero
+entry with j >= i, j ascending.  Rows after the last nonempty one are left
+out, so a zero matrix is ().  Read row by row, the entries come in the
+order of program text.  pair_matrix is the one routine that builds one,
+from the codes i * width + j in any order; tables and the reader call it.
 
 A table is asked for by (sigma, m): its flags have m' = (m + s) / 2
 vertices, s = |sigma|, so two flags over a shared root set exactly fill an
-m-vertex target, and sigma fits m when s <= m and s = m mod 2.
+m-vertex target, and sigma fits m when s <= m and s = m mod 2
+(pair_denominator checks this).
 
 How a table is built.  Each target is scanned by root sets
 (graphs.root_sets): an s-subset S that induces a copy of sigma comes with
@@ -57,7 +60,7 @@ and the places S takes in sorted(U): these give S's code, so p0, and the
 labelled graph on theta0 + A.  Flag slots are memoised by (places, code)
 across the table's targets, and a new labelled graph costs one rooted
 canonical search.  Ordered pairs of disjoint A's are counted per target,
-and each count becomes one shared Fraction over the common denominator.
+and each count is stored as it is.
 """
 
 from __future__ import annotations
@@ -73,13 +76,7 @@ from typing import Sequence
 
 from .enumeration import enumerate_flags, enumerate_free, flag_action, rooted_canonical_key
 from .families import Family
-from .graphs import (
-    Hypergraph3,
-    _subset_scan,
-    from_edges,
-    induced_subgraph,
-    root_sets,
-)
+from .graphs import Hypergraph3, _subset_scan, from_edges, induced_subgraph, root_sets
 
 SINGLE_EDGE = from_edges(3, [(0, 1, 2)])
 
@@ -127,19 +124,29 @@ def edge_density(h: Hypergraph3) -> Fraction:
 # Pair density tables
 
 
-PairMatrix = tuple[tuple[tuple[int, Fraction], ...], ...]
+PairMatrix = tuple[tuple[tuple[int, int], ...], ...]
 
 
-def pair_matrix(codes: Sequence[int], values: Sequence[Fraction], width: int) -> PairMatrix:
-    """The PairMatrix with value values[k] at (i, j) = divmod(codes[k], width).
+def pair_denominator(m: int, s: int) -> int:
+    """D = (m)_s * C(m - s, t) * C(m - s - t, t), t = (m - s) / 2, the
+    denominator of the pair densities of a type of size s; a type that does
+    not fit m raises ValueError."""
+    if s > m or (m + s) % 2:
+        raise ValueError(f"type of size {s} does not fit in m={m}")
+    t = (m - s) // 2
+    return perm(m, s) * comb(m - s, t) * comb(m - s - t, t)
 
-    Each code appears once, with i <= j and a nonzero value; codes come in
+
+def pair_matrix(codes: Sequence[int], counts: Sequence[int], width: int) -> PairMatrix:
+    """The PairMatrix with count counts[k] at (i, j) = divmod(codes[k], width).
+
+    Each code appears once, with i <= j and a nonzero count; codes come in
     any order.  Sorting them orders the entries by row, then by column.
     """
     ranked = sorted(range(len(codes)), key=codes.__getitem__)
     codes = sorted(codes)
-    entries = [(code % width, values[k]) for code, k in zip(codes, ranked)]
-    matrix: list[tuple[tuple[int, Fraction], ...]] = []
+    entries = [(code % width, counts[k]) for code, k in zip(codes, ranked)]
+    matrix: list[tuple[tuple[int, int], ...]] = []
     start = 0
     while start < len(codes):
         i = codes[start] // width
@@ -154,7 +161,8 @@ def pair_matrix(codes: Sequence[int], values: Sequence[Fraction], width: int) ->
 class PairDensityTable:
     flags: tuple[bytes, ...]  # rooted keys, the order of matrix rows
     targets: tuple[Hypergraph3, ...]
-    matrices: tuple[PairMatrix, ...]
+    matrices: tuple[PairMatrix, ...]  # counts over denominator
+    denominator: int  # pair_denominator(m, |sigma|)
 
 
 # Tables built by this process, keyed by the labelled type: a table's flags
@@ -162,29 +170,21 @@ class PairDensityTable:
 _memory_cache: dict[tuple, PairDensityTable] = {}
 
 
-def _family_signature(family: Family) -> tuple:
-    return tuple((m.graph.canon_key, m.induced) for m in family)
-
-
 def pair_density_table(sigma: Hypergraph3, m: int, family: Family = ()) -> PairDensityTable:
-    """Symmetric rational pair-density matrices, one per admissible m-vertex
-    target, each stored as its upper triangle.
+    """Symmetric pair-density matrices, one per admissible m-vertex target,
+    each stored as its upper triangle of counts over table.denominator.
 
     sigma is the type, a labelled graph whose vertices are all roots; the
     flags have (m + s) / 2 vertices, s = |sigma|, and row i of each matrix
-    is the flag with rooted key flags[i].  A type with s > m or s of the
-    other parity from m raises ValueError.  Tables are memoised per process,
+    is the flag with rooted key flags[i].  A type that does not fit m
+    (pair_denominator) raises ValueError.  Tables are memoised per process,
     and each was built here from the family and the code, so the verifier's
     own assembly reuses the tables an earlier one built.
     """
-    s = sigma.n
-    if s > m or (m + s) % 2:
-        raise ValueError(f"type of size {s} does not fit in m={m}")
-    cache_key = (sigma, m, _family_signature(family))
+    cache_key = (sigma, m, tuple((fm.graph.canon_key, fm.induced) for fm in family))
     table = _memory_cache.get(cache_key)
     if table is None:
-        table = _build_table(sigma, m, family)
-        _memory_cache[cache_key] = table
+        table = _memory_cache[cache_key] = _build_table(sigma, m, family)
     return table
 
 
@@ -222,6 +222,7 @@ def _pair_orbit(pair: int, action: tuple[tuple[int, ...], ...], nflags: int) -> 
 
 
 def _build_table(sigma: Hypergraph3, m: int, family: Family) -> PairDensityTable:
+    denominator = pair_denominator(m, sigma.n)
     m_prime = (m + sigma.n) // 2
     members = [fm.graph for fm in family]
     flags_ind = [fm.induced for fm in family]
@@ -232,7 +233,6 @@ def _build_table(sigma: Hypergraph3, m: int, family: Family) -> PairDensityTable
     flag_index = {key: i for i, key in enumerate(flags)}
     s = sigma.n
     t = m_prime - s
-    denominator = perm(m, s) * comb(m - s, t) * comb(m - s - t, t)
     # t-subsets of the m - s non-root positions, and the ordered pairs of
     # disjoint ones; the same for every root set of every target.
     subsets = list(combinations(range(m - s), t))
@@ -267,7 +267,6 @@ def _build_table(sigma: Hypergraph3, m: int, family: Family) -> PairDensityTable
     # with i <= j as pair codes.
     orbit_of: dict[int, int] = {}
     orbit_upper: dict[int, tuple[int, list[int]]] = {}
-    fractions: dict[int, Fraction] = {}  # count -> count / denominator
     matrices = []
     for target in targets:
         u_codes = _subset_codes(target, m_prime)
@@ -298,9 +297,9 @@ def _build_table(sigma: Hypergraph3, m: int, family: Family) -> PairDensityTable
                 orbit_of[member] = least
             orbit_upper[least] = (len(orbit), [x for x in orbit if x // nflags <= x % nflags])
         totals = Counter(map(orbit_of.__getitem__, pairs))  # least member of O -> C0(O)
-        # Each nonzero entry with i <= j: its pair code and its value.
+        # Each nonzero entry with i <= j: its pair code and its count.
         codes: list[int] = []
-        values: list[Fraction] = []
+        counts: list[int] = []
         for least, total in totals.items():
             size, upper = orbit_upper[least]
             if not upper:
@@ -310,12 +309,7 @@ def _build_table(sigma: Hypergraph3, m: int, family: Family) -> PairDensityTable
                 raise RuntimeError(
                     f"|Aut(sigma)| * C0(O) = {order * total} is not divisible by |O| = {size}"
                 )
-            q = fractions.get(c)
-            if q is None:
-                q = fractions[c] = Fraction(c, denominator)
             codes += upper
-            values += [q] * len(upper)
-        matrices.append(pair_matrix(codes, values, nflags))
-    return PairDensityTable(
-        flags=tuple(flags), targets=tuple(targets), matrices=tuple(matrices)
-    )
+            counts += [c] * len(upper)
+        matrices.append(pair_matrix(codes, counts, nflags))
+    return PairDensityTable(tuple(flags), tuple(targets), tuple(matrices), denominator)

@@ -38,14 +38,16 @@ objective row.  No header line and no (constraint, block, i, j) appears
 twice.  Solution files are whitespace-separated floats in block order, PSD
 blocks as upper triangles in row-major order.
 
-Rationals are read and written once per distinct value.  An m=6 program has
-tens of thousands of entry lines but a few dozen distinct values, so
-model_from_text parses each distinct value token once per call, through a
-dict local to the call that maps it to the value and its negation; no entry
-builds or negates a Fraction of its own.  model_to_text formats each value
-object once.  Rounding walks a value's continued fraction on Python
-integers, one walk shared by best_rational and rational_upper_bound, and
-returns exactly what Fraction.limit_denominator returns.
+A type block's entry is -c/D in lowest terms for a count c and the D of
+its type (density.pair_denominator); the model keeps c and one D per
+block, and the reader rejects any other value there and a type key that
+does not decode or fit m.  An m=6 program has tens of thousands of entry
+lines but a few dozen distinct values, so model_to_text formats -c/D once
+per distinct (block, count), and model_from_text turns each distinct token
+into a count once per block and parses any other value once per token.
+Rounding walks a value's continued fraction on Python integers, one walk
+shared by best_rational and rational_upper_bound, and returns exactly what
+Fraction.limit_denominator returns.
 """
 
 from __future__ import annotations
@@ -57,10 +59,10 @@ from typing import Sequence
 
 from . import families as families_mod
 from .density import PairMatrix, edge_density, fraction_text, pair_density_table, pair_matrix
-from .density import parse_fraction
+from .density import pair_denominator, parse_fraction
 from .enumeration import enumerate_free
 from .families import Family
-from .graphs import Hypergraph3
+from .graphs import Hypergraph3, decode_key
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -110,8 +112,10 @@ class SdpModel:
     obj: tuple[Fraction, ...]  # per admissible graph, its edge density
     type_keys: tuple[bytes, ...]
     type_dims: tuple[int, ...]
-    # per type block, its nonzero pair matrices by constraint index
+    # per type block, its nonzero pair matrices by constraint index, counts
+    # over the block's denominator
     pair_matrices: tuple[dict[int, PairMatrix], ...]
+    denominators: tuple[int, ...]
 
     @property
     def n_constraints(self) -> int:
@@ -189,6 +193,7 @@ def assemble(
         pair_matrices=tuple(
             {fi: mat for fi, mat in enumerate(table.matrices) if mat} for _, table in blocks
         ),
+        denominators=tuple(table.denominator for _, table in blocks),
     )
 
 
@@ -210,21 +215,20 @@ def model_to_text(model: SdpModel) -> str:
     lines.append(f"nconstraints {k}")
     lines.append("0 1 0 0 1")  # objective: minimize the scalar bound
     slack_block = len(dims)
-    # id of a pair-density value -> its negation's text.  Tables and the
-    # parser share one object per distinct value, and the model keeps every
-    # value alive for the whole call, so no id is reused.
-    negated: dict[int, str] = {}
+    # per type block: its matrices, its denominator D, and the text of -c/D
+    # for each count c met
+    blocks = [(matrices, d, {}) for matrices, d in zip(model.pair_matrices, model.denominators)]
     for r in range(1, k + 1):
         fi = r - 1
         lines.append(f"{r} 0 0 0 {fraction_text(model.obj[fi])}")
         lines.append(f"{r} 1 0 0 1")
-        for t, block in enumerate(model.pair_matrices):
-            for i, row in enumerate(block.get(fi, ())):
-                for j, q in row:
-                    text = negated.get(id(q))
+        for b, (matrices, denominator, texts) in enumerate(blocks, 2):
+            for i, row in enumerate(matrices.get(fi, ())):
+                for j, c in row:
+                    text = texts.get(c)
                     if text is None:
-                        text = negated[id(q)] = fraction_text(-q)
-                    lines.append(f"{r} {t + 2} {i} {j} {text}")
+                        text = texts[c] = fraction_text(Fraction(-c, denominator))
+                    lines.append(f"{r} {b} {i} {j} {text}")
         lines.append(f"{r} {slack_block} {fi} {fi} -1")
     return "\n".join(lines) + "\n"
 
@@ -236,9 +240,7 @@ def emit(model: SdpModel, path: str) -> None:
 
 def model_from_text(text: str) -> SdpModel:
     header: dict[str, list[str]] = {}
-    entries: list[tuple[int, int, int, int, tuple[Fraction, Fraction]]] = []
-    # value token -> (value, -value), each distinct token parsed once per call
-    values: dict[str, tuple[Fraction, Fraction]] = {}
+    entries: list[tuple[int, int, int, int, str]] = []
     for raw in text.splitlines():
         parts = raw.split("#", 1)[0].split()
         if not parts:
@@ -250,13 +252,7 @@ def model_from_text(text: str) -> SdpModel:
             continue
         if len(parts) != 5:
             raise ValueError(f"expected 5 fields per entry line, got {raw!r}")
-        r, b, i, j = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
-        token = parts[4]
-        value = values.get(token)
-        if value is None:
-            q = parse_fraction(token)
-            value = values[token] = (q, -q)
-        entries.append((r, b, i, j, value))
+        entries.append((int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]), parts[4]))
     for name in ("m", "family", "nblocks", "blockdims", "nconstraints"):
         if not header.get(name):
             raise ValueError(f"model has no {name!r} line")
@@ -277,42 +273,62 @@ def model_from_text(text: str) -> SdpModel:
     type_keys = tuple(bytes.fromhex(h) for h in header.get("typekeys", []))
     if len(type_keys) != len(type_dims):
         raise ValueError("typekeys count disagrees with PSD block count")
+    denominators = []
+    for key in type_keys:
+        try:
+            denominators.append(pair_denominator(m, decode_key(key).n))
+        except ValueError as exc:
+            raise ValueError(f"type key {key.hex()}: {exc}") from None
     obj: list[Fraction | None] = [None] * k
-    # per type block, the upper-triangle entries of each constraint's matrix,
-    # keyed by i * dim + j
-    uppers: list[dict[int, dict[int, Fraction]]] = [{} for _ in type_dims]
+    # per type block, the upper-triangle counts of each constraint's matrix,
+    # keyed by i * dim + j, and the count of each value token met
+    uppers: list[dict[int, dict[int, int]]] = [{} for _ in type_dims]
+    counts: list[dict[str, int]] = [{} for _ in type_dims]
+    # every other value token -> its value, each parsed once per call
+    values: dict[str, Fraction] = {}
     slack_block = len(dims)
     # (constraint, block) of each objective, constant, bound and slack entry
     # read; for these the pair fixes (i, j)
     placed: set[tuple[int, int]] = set()
-    for r, b, i, j, (value, negated) in entries:
+    for r, b, i, j, token in entries:
+        fi = r - 1
+        if r and not 0 <= fi < k:
+            raise ValueError(f"constraint index {r} out of range")
+        if r and 2 <= b < slack_block:
+            t = b - 2
+            if not 0 <= i <= j < type_dims[t]:
+                raise ValueError(f"entry outside declared block: {(r, b, i, j)}")
+            c = counts[t].get(token)
+            if c is None:
+                q = -parse_fraction(token) * denominators[t]
+                if q.denominator != 1 or q < 0:
+                    d = denominators[t]
+                    raise ValueError(f"pair-density value {token!r} is not -c/{d} for a count c")
+                c = counts[t][token] = q.numerator
+            upper = uppers[t].setdefault(fi, {})
+            code = i * type_dims[t] + j
+            if code in upper:
+                raise ValueError(f"repeated entry {(r, b, i, j)}")
+            upper[code] = c
+            continue
+        value = values.get(token)
+        if value is None:
+            value = values[token] = parse_fraction(token)
         if r == 0:
             if (b, i, j) != (1, 0, 0) or value != 1:
                 raise ValueError("unexpected objective row entry")
+        elif b == 0:
+            if i or j:
+                raise ValueError(f"constant term not at (0, 0): entry {(r, b, i, j)}")
+            obj[fi] = value
+        elif b == 1:
+            if i or j or value != 1:
+                raise ValueError("bound-block coefficient must be 1")
+        elif b == slack_block:
+            if i != fi or j != fi or value != -1:
+                raise ValueError("slack coefficient must be -1 on own diagonal")
         else:
-            fi = r - 1
-            if not 0 <= fi < k:
-                raise ValueError(f"constraint index {r} out of range")
-            if b == 0:
-                if i or j:
-                    raise ValueError(f"constant term not at (0, 0): entry {(r, b, i, j)}")
-                obj[fi] = value
-            elif b == 1:
-                if i or j or value != 1:
-                    raise ValueError("bound-block coefficient must be 1")
-            elif b == slack_block:
-                if i != fi or j != fi or value != -1:
-                    raise ValueError("slack coefficient must be -1 on own diagonal")
-            else:
-                t = b - 2
-                if not 0 <= t < len(type_dims) or not (0 <= i <= j < type_dims[t]):
-                    raise ValueError(f"entry outside declared block: {(r, b, i, j)}")
-                upper = uppers[t].setdefault(fi, {})
-                code = i * type_dims[t] + j
-                if code in upper:
-                    raise ValueError(f"repeated entry {(r, b, i, j)}")
-                upper[code] = negated
-                continue
+            raise ValueError(f"entry outside declared block: {(r, b, i, j)}")
         if (r, b) in placed:
             raise ValueError(f"repeated entry {(r, b, i, j)}")
         placed.add((r, b))
@@ -323,7 +339,7 @@ def model_from_text(text: str) -> SdpModel:
         {
             fi: pair_matrix(list(nonzero), list(nonzero.values()), dim)
             for fi, upper in block.items()
-            if (nonzero := {code: q for code, q in upper.items() if q})
+            if (nonzero := {code: c for code, c in upper.items() if c})
         }
         for block, dim in zip(uppers, type_dims)
     )
@@ -334,6 +350,7 @@ def model_from_text(text: str) -> SdpModel:
         type_keys=type_keys,
         type_dims=type_dims,
         pair_matrices=pair_matrices,
+        denominators=tuple(denominators),
     )
 
 

@@ -47,7 +47,7 @@ def make_sos_certificate(m, family, scale=Fraction(1, 8)):
     for fi in range(model.n_constraints):
         total = model.obj[fi]
         for block, table in zip(blocks, tables):
-            total += inner_product_fractions(block.matrix, table.matrices[fi])
+            total += inner_product_fractions(block.matrix, table.matrices[fi], table.denominator)
         margins.append(total)
     u = max(margins)
     return Certificate(
@@ -70,7 +70,9 @@ def recompute_margins(cert, family):
         for block in cert.blocks:
             sigma = decode_key(block.type_key)
             table = pair_density_table(sigma, cert.m, family)
-            margin -= inner_product_fractions(block.matrix, table.matrices[idx])
+            margin -= inner_product_fractions(
+                block.matrix, table.matrices[idx], table.denominator
+            )
         out.append(margin)
     return out
 

@@ -18,7 +18,8 @@ shortcuts; enumerate_flags_brute takes the graphs from enumerate_free and
 one rooted key per embedding, and audits how flags are keyed one per orbit;
 pair_density_table_brute takes its flags from enumerate_flags_brute and
 the targets, rooted keys and sparse matrix form from the package, and
-audits how a table finds its thetas, flag slots and pair orbits;
+audits how a table finds its thetas, flag slots and pair orbits, and its
+denominator (pair_denominator_formula);
 cholesky_certifies_fractions takes the package's float factor, which only
 proposes L, and audits the exact residual test.
 limit_denominator_stdlib is the standard library's Fraction.limit_denominator,
@@ -414,12 +415,20 @@ def enumerate_flags_brute(
     )
 
 
+def pair_denominator_formula(m: int, s: int) -> int:
+    """(m)_s * C(m - s, t) * C(m - s - t, t), t = (m - s) / 2: the number of
+    (theta, A1, A2) triples in an m-vertex target, for a type of size s."""
+    t = (m - s) // 2
+    return perm(m, s) * comb(m - s, t) * comb(m - s - t, t)
+
+
 def pair_density_table_brute(sigma: Hypergraph3, m: int, family):
     """The pair-density table counted directly: for each target, each theta
     of type_embeddings_brute and each ordered pair of disjoint
     (m' - s)-subsets A1, A2 of the other vertices, m' = (m + s) / 2, the
     rooted key of the induced graph on theta + A, computed afresh for every
-    subset."""
+    subset.  Entries are counts over pair_denominator_formula, not over
+    density.pair_denominator."""
     m_prime = (m + sigma.n) // 2
     members = [fm.graph for fm in family]
     flags_ind = [fm.induced for fm in family]
@@ -428,7 +437,6 @@ def pair_density_table_brute(sigma: Hypergraph3, m: int, family):
     index = {key: i for i, key in enumerate(flags)}
     s = sigma.n
     t = m_prime - s
-    denominator = perm(m, s) * comb(m - s, t) * comb(m - s - t, t)
     matrices = []
     for target in targets:
         counts = {}
@@ -445,18 +453,20 @@ def pair_density_table_brute(sigma: Hypergraph3, m: int, family):
                     if not set(a1) & set(a2):
                         pair = (slot[a1], slot[a2])
                         counts[pair] = counts.get(pair, 0) + 1
-        upper = {i * len(flags) + j: Fraction(c, denominator) for (i, j), c in counts.items() if i <= j}
+        upper = {i * len(flags) + j: c for (i, j), c in counts.items() if i <= j}
         matrices.append(pair_matrix(list(upper), list(upper.values()), len(flags)))
-    return PairDensityTable(tuple(flags), tuple(targets), tuple(matrices))
+    return PairDensityTable(
+        tuple(flags), tuple(targets), tuple(matrices), pair_denominator_formula(m, s)
+    )
 
 
-def dense(mat, n):
-    """The n x n symmetric matrix whose stored upper triangle is mat, zeros
-    filled in."""
+def dense(mat, n, denominator):
+    """The n x n symmetric matrix whose stored upper triangle is mat, counts
+    over denominator, as the rationals count / denominator, zeros filled in."""
     out = [[Fraction(0)] * n for _ in range(n)]
     for i, row in enumerate(mat):
-        for j, x in row:
-            out[i][j] = out[j][i] = x
+        for j, c in row:
+            out[i][j] = out[j][i] = Fraction(c, denominator)
     return out
 
 
@@ -516,10 +526,11 @@ def cholesky_certifies_fractions(matrix) -> bool:
     return lint is not None and residual_dominant_fractions(matrix, lint)
 
 
-def inner_product_fractions(q, pmat) -> Fraction:
-    """Sum of all q[i][j] * P[i][j], P the dense form of pmat, in Fractions."""
+def inner_product_fractions(q, pmat, denominator) -> Fraction:
+    """Sum of all q[i][j] * P[i][j], P the dense form of pmat over
+    denominator, in Fractions."""
     n = len(q)
-    p = dense(pmat, n)
+    p = dense(pmat, n, denominator)
     return sum((Fraction(q[i][j]) * p[i][j] for i in range(n) for j in range(n)), Fraction(0))
 
 

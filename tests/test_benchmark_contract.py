@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import turan3
-from turan3 import cli, families, graphs, sdp
+from turan3 import certificate, cli, families, graphs, sdp
 from turan3.constructions import BRec, b_rec, build
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -69,18 +69,37 @@ def test_partition_accepts_analyze(capsys, tmp_path):
     assert rows["locally_maximal"] == "yes"
 
 
+def _write_m4_proof(directory: Path) -> None:
+    """An m=4 default-type program (m4.sdp), a solution of it that verifies
+    (m4.sol: Q blocks zero, u the LP bound, slacks u - obj(F)) and the
+    certificate it rounds to (m4.cert)."""
+    model = sdp.assemble(4, use_default_types=True)
+    sdp.emit(model, str(directory / "m4.sdp"))
+    u = max(model.obj)
+    zeros = [0.0] * (model.solution_length() - 1 - model.n_constraints)
+    floats = [float(u)] + zeros + [float(u - obj) for obj in model.obj]
+    (directory / "m4.sol").write_text(" ".join(map(repr, floats)) + "\n", encoding="utf-8")
+    cert = sdp.round_solution(model, floats)
+    assert certificate.verify(cert).ok
+    certificate.save_certificate(cert, str(directory / "m4.cert"))
+
+
 @pytest.mark.parametrize(
     "name, argv, traced",
     [
         ("enumerate", ["enumerate", "--m", "4"], "enumeration.enumerate_free"),
         ("emit-sdp", ["emit-sdp", "--m", "4", "--types", "default", "--out", "m4.sdp"],
          "density.pair_density_table"),
+        ("round", ["round", "--model", "m4.sdp", "--solution", "m4.sol", "--out", "round.cert"],
+         "sdp.model_from_text"),
+        ("verify", ["verify", "--cert", "m4.cert"], "certificate.inner_product"),
         ("is_family_free", ["brec12.txt", "C4_3,F5_BAR"], "graphs.contains_sub"),
     ],
-    ids=["enumerate", "emit-sdp", "is_family_free"],
+    ids=["enumerate", "emit-sdp", "round", "verify", "is_family_free"],
 )
 def test_traced_job_runs(tmp_path, name, argv, traced):
     graphs.save_graph(build(BRec(12, b_rec(12)[1])), str(tmp_path / "brec12.txt"))
+    _write_m4_proof(tmp_path)
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(turan3.__file__))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
@@ -94,3 +113,5 @@ def test_traced_job_runs(tmp_path, name, argv, traced):
     trace = json.loads(result_path.read_text(encoding="utf-8"))["trace"]
     names = {span[1] for span in trace["spans"]} | {row[0] for row in trace["hot"]}
     assert {f"cli.{name}", traced} <= names
+    if name == "round":
+        assert (tmp_path / "round.cert").read_text() == (tmp_path / "m4.cert").read_text()

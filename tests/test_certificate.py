@@ -258,8 +258,10 @@ def m5_certificates(draw):
     values = []
     for idx, obj in enumerate(model.obj):
         total = obj
-        for block, matrices in zip(blocks, model.pair_matrices):
-            total += oracles.inner_product_fractions(block.matrix, matrices.get(idx, ()))
+        for block, matrices, denominator in zip(blocks, model.pair_matrices, model.denominators):
+            total += oracles.inner_product_fractions(
+                block.matrix, matrices.get(idx, ()), denominator
+            )
         values.append(total)
     cert = Certificate(F(0), model.family_key, 5, tuple(blocks), ())
     return cert, values

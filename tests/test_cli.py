@@ -199,8 +199,13 @@ def test_construct_empty_blow_up_part_is_domain_error(
         (["brec", "--n", "7", "--splits", "2"], "5 vertices left unsplit"),
         (["partite3", "--parts", "0,2,3"], "partite3 part 1 is empty"),
         (["semibipartite", "--parts", "0,-5"], "part sizes must be nonnegative"),
+        (["brec", "--n", "1000000000000"], "n=1000000000000 exceeds"),
+        (["brec", "--n", "1000000000000", "--report"], "n=1000000000000 exceeds"),
     ],
-    ids=["brec-split", "brec-tail", "partite3-empty", "semibipartite-negative"],
+    ids=[
+        "brec-split", "brec-tail", "partite3-empty", "semibipartite-negative",
+        "brec-huge-n", "brec-huge-n-report",
+    ],
 )
 def test_construct_refuses_a_bad_spec_without_an_action(capsys, spec, message):
     # no --report, --emit or --check-free: the spec is still validated
@@ -918,6 +923,36 @@ def test_round_zero_denominator_entry_is_domain_error(capsys, tmp_path):
     )
     assert code == 1
     assert_one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("0501", "error: type key 0501: malformed key body\n"),
+        ("05", "error: type key 05: type of size 5 does not fit in m=4\n"),
+    ],
+    ids=["not-a-key", "does-not-fit"],
+)
+def test_round_bad_type_key_is_domain_error(capsys, tmp_path, key, message):
+    model_path = tmp_path / "m.sdp"
+    code, _, _ = run(
+        capsys, "emit-sdp", "--m", "4", "--forbid", "C4_3", "--types", "default",
+        "--out", str(model_path),
+    )
+    assert code == 0
+    lines = model_path.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith("typekeys "))
+    lines[k] = " ".join(["typekeys", key] + lines[k].split()[2:])
+    model_path.write_text("\n".join(lines) + "\n")
+    sol_path = tmp_path / "sol.txt"
+    sol_path.write_text("0.75\n")
+    cert_path = tmp_path / "cert.txt"
+    code, out, err = run(
+        capsys, "round", "--model", str(model_path), "--solution", str(sol_path),
+        "--out", str(cert_path),
+    )
+    assert (code, out, err) == (1, "", message)
+    assert not cert_path.exists()
 
 
 def test_round_repeated_model_entry_is_domain_error(capsys, tmp_path):

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from turan3.constructions import (
+    B_REC_LIMIT,
     KINDS,
     BRec,
     K4Blowup,
@@ -44,6 +45,13 @@ def test_b_rec_small_values():
 def test_b_rec_matches_exhaustive_recursion():
     for n in range(0, 21):
         assert b_rec(n)[0] == b_rec_oracle(n)
+
+
+def test_b_rec_refuses_n_above_its_limit():
+    # the DP is quadratic in n; a huge n must not start it
+    for n in (B_REC_LIMIT + 1, 10**12):
+        with pytest.raises(ValueError, match=f"^n={n} exceeds {B_REC_LIMIT}, "):
+            b_rec(n)
 
 
 def test_b_rec_tie_break_and_consistency():

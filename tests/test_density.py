@@ -137,7 +137,8 @@ def _pair_probability_in_host(host, sigma, t, flag_key_1, flag_key_2):
 def test_empty_type_entries_sum_to_one():
     table = pair_density_table(from_edges(0, []), 6)
     for mat in table.matrices:
-        assert sum(sum(row) for row in oracles.dense(mat, len(table.flags))) == 1
+        probabilities = oracles.dense(mat, len(table.flags), table.denominator)
+        assert sum(sum(row) for row in probabilities) == 1
 
 
 def test_matrices_symmetric():
@@ -146,7 +147,7 @@ def test_matrices_symmetric():
     for sparse in table.matrices:
         # one triangle is stored; the embedding oracle below checks both
         assert all(j >= i for i, row in enumerate(sparse) for j, _ in row)
-        mat = oracles.dense(sparse, len(table.flags))
+        mat = oracles.dense(sparse, len(table.flags), table.denominator)
         n = len(mat)
         for i in range(n):
             for j in range(n):
@@ -162,7 +163,7 @@ def test_table_against_embedding_oracle():
     t = 2
     for target_idx in (0, len(table.targets) // 2, len(table.targets) - 1):
         target = table.targets[target_idx]
-        mat = oracles.dense(table.matrices[target_idx], len(table.flags))
+        mat = oracles.dense(table.matrices[target_idx], len(table.flags), table.denominator)
         for i in range(len(table.flags)):
             for j in range(len(table.flags)):
                 want = _pair_probability_in_host(
@@ -186,7 +187,7 @@ def test_host_identity_from_docstring():
                 host, sigma, t, table.flags[i], table.flags[j]
             )
             rhs = sum(
-                oracles.dense(table.matrices[fi], len(table.flags))[i][j]
+                oracles.dense(table.matrices[fi], len(table.flags), table.denominator)[i][j]
                 * Fraction(prof.get(g.canon_key, 0), total)
                 for fi, g in enumerate(table.targets)
             )
@@ -197,18 +198,19 @@ def test_pair_matrix_matches_dense_form():
     rng = random.Random(5)
     for _ in range(300):
         n = rng.randint(0, 7)
+        denominator = rng.randint(1, 12)
         upper = [
-            (i, j, Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)))
+            (i, j, rng.choice([-3, -2, -1, 1, 2, 3]))
             for i in range(n)
             for j in range(i, n)
             if rng.random() < 0.3
         ]
         rng.shuffle(upper)  # the builder takes entries in any order
         want = [[Fraction(0)] * n for _ in range(n)]
-        for i, j, q in upper:
-            want[i][j] = want[j][i] = q
-        mat = pair_matrix([i * n + j for i, j, _ in upper], [q for _, _, q in upper], n)
-        assert oracles.dense(mat, n) == want
+        for i, j, c in upper:
+            want[i][j] = want[j][i] = Fraction(c, denominator)
+        mat = pair_matrix([i * n + j for i, j, _ in upper], [c for _, _, c in upper], n)
+        assert oracles.dense(mat, n, denominator) == want
         # the form: the upper triangle without zeros, columns ascending, no
         # trailing empty row
         assert all(j >= i and x for i, row in enumerate(mat) for j, x in row)
@@ -219,8 +221,9 @@ def test_pair_matrix_matches_dense_form():
         for i in range(n):
             for j in range(i, n):
                 q[i][j] = q[j][i] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        # entries have denominators 1..4, so each is an integer over 12
-        assert inner_product(scale_rows(q), mat, 12) == oracles.inner_product_fractions(q, mat)
+        assert inner_product(scale_rows(q), mat, denominator) == oracles.inner_product_fractions(
+            q, mat, denominator
+        )
 
 
 def test_size_validation():

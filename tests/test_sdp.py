@@ -10,8 +10,9 @@ from math import comb
 import pytest
 
 from turan3 import families
+from turan3.density import pair_density_table
 from turan3.enumeration import enumerate_free
-from turan3.graphs import from_edges, named_graph
+from turan3.graphs import decode_key, from_edges, named_graph
 import oracles
 from cert_helpers import lp_certificate
 from oracles import spanning_profile
@@ -145,6 +146,24 @@ def test_default_program_text_reads_back(m, spec):
     assert model_from_text(model_to_text(model)) == model
 
 
+@pytest.mark.parametrize("m, spec", sorted(PROGRAM_DIGESTS))
+def test_default_program_holds_integer_counts(m, spec):
+    # every table, model and reader entry is an int count over its block's
+    # denominator, which is the oracle's formula for the block's type size
+    family = families.parse_family(spec)
+    model = assemble(m, family, use_default_types=True)
+    read = model_from_text(model_to_text(model))
+    sizes = [decode_key(key).n for key in model.type_keys]
+    want = [oracles.pair_denominator_formula(m, s) for s in sizes]
+    assert list(model.denominators) == list(read.denominators) == want
+    tables = [pair_density_table(sigma, m, family) for sigma in default_types(m, family)]
+    assert sorted(table.denominator for table in tables if table.flags) == sorted(want)
+    matrices = [mat for table in tables for mat in table.matrices] + [
+        mat for each in (model, read) for block in each.pair_matrices for mat in block.values()
+    ]
+    assert all(type(c) is int for mat in matrices for row in mat for _, c in row)
+
+
 def test_emit_parse_round_trip_lp(tmp_path):
     model = assemble(4, fam("C4_3"))
     path = tmp_path / "lp.sdp"
@@ -220,6 +239,36 @@ def test_parse_rejects_a_repeated_pair_density_entry():
     r, b, i, j, _ = first.split()
     lines.insert(lines.index(first) + 1, f"{r} {b} {i} {j} -7/3")
     with pytest.raises(ValueError, match=rf"^repeated entry \({r}, {b}, {i}, {j}\)$"):
+        _parse_lines(lines)
+
+
+@pytest.mark.parametrize("token", ["-1/7", "1/24", "-1/48"])
+def test_parse_rejects_a_pair_density_value_that_is_not_a_count(token):
+    # the 2-vertex type at m=4 has denominator 24: -1/7 is no count over it,
+    # 1/24 is the count -1, and -1/48 is half a count
+    model = assemble(4, fam("C4_3"), use_default_types=True)
+    assert model.denominators == (6, 24)
+    lines = model_to_text(model).splitlines()
+    last = max(k for k, line in enumerate(lines) if line.split()[1] == "3")
+    lines[last] = " ".join(lines[last].split()[:4] + [token])
+    message = f"pair-density value '{token}' is not -c/24 for a count c"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _parse_lines(lines)
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("0501", "type key 0501: malformed key body"),
+        ("05", "type key 05: type of size 5 does not fit in m=4"),
+        ("03", "type key 03: type of size 3 does not fit in m=4"),
+    ],
+)
+def test_parse_rejects_a_type_key_that_does_not_decode_or_fit(key, message):
+    lines = model_to_text(assemble(4, fam("C4_3"), use_default_types=True)).splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith("typekeys "))
+    lines[k] = " ".join(["typekeys", key] + lines[k].split()[2:])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _parse_lines(lines)
 
 
