@@ -1,8 +1,10 @@
 """Exact rational verification that a certificate proves a density bound.
 
 A certificate consists of a rational bound u, one symmetric rational matrix
-per type, and one nonnegative slack per admissible graph.  Verification is
-per-constraint: for every admissible m-vertex graph F it checks
+per type, stored as its upper triangle (so symmetric by construction, with
+no symmetry check), and one nonnegative slack per admissible graph.
+Verification is per-constraint: for every admissible m-vertex graph F it
+checks
 
     u - obj(F) - sum_t <Q_t, P_t(F)> >= 0
 
@@ -22,11 +24,13 @@ the same program emit-sdp writes.  The certificate types themselves are
 defined in sdp, which rounds solutions into them.
 
 Both exact loops run on integers, each row of a block Q scaled by its own
-D_i, the lcm of that row's denominators: row i becomes the integers
-Q_ij * D_i (scale_rows).  A whole block's lcm grows with every entry, to
-tens of thousands of bits on a 64x64 block rounded at denominators up to
-2^32; a row's stays near the sum of its own denominators, and integers on
-that scale beat Fractions on either kind of certificate.
+D_i, the lcm of that row's denominators: scale_rows reads row i of Q from
+the upper triangle as the integers Q_ij * D_i, once per block in verify,
+and the PSD check and the margins read those rows.  A whole block's lcm
+grows with every entry, to tens of thousands of bits on a 64x64 block
+rounded at denominators up to 2^32; a row's stays near the sum of its own
+denominators, and integers on that scale beat Fractions on either kind of
+certificate.
 
 PSD is first tried with an exact certificate.  A float Cholesky factor of
 Q - delta*I (delta = 2^-20 times the largest diagonal entry) is rounded to
@@ -74,7 +78,7 @@ from .density import PairMatrix, fraction_text, parse_fraction
 from .enumeration import SOFT_VERTEX_LIMIT, enumerate_free
 from .families import family_from_key
 from .graphs import decode_key
-from .sdp import Certificate, CertificateBlock, Matrix, assemble
+from .sdp import Certificate, CertificateBlock, assemble
 
 
 @dataclass(frozen=True)
@@ -92,13 +96,6 @@ def _rejected(reason: str) -> VerifyResult:
     return VerifyResult(ok=False, reason=reason)
 
 
-def is_symmetric(matrix: Sequence[Sequence[Fraction]]) -> bool:
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        return False
-    return all(matrix[i][j] == matrix[j][i] for i in range(n) for j in range(i))
-
-
 # delta = 2**-DELTA_SHIFT * max diagonal leaves room in R for the float and
 # rounding errors of the factor, which sit far below delta for the block
 # sizes here; the factor is rounded to integers over 2**SCALE_SHIFT.
@@ -110,19 +107,25 @@ SCALE_SHIFT = 40
 RowScaled = tuple[list[list[int]], list[int]]
 
 
-def scale_rows(matrix: Sequence[Sequence[Fraction]]) -> RowScaled:
-    """Each row i as integers Q_ij * D_i, D_i the lcm of its denominators."""
+def scale_rows(block: CertificateBlock) -> RowScaled:
+    """Row i of the symmetric Q as integers Q_ij * D_i, D_i the lcm of the
+    row's denominators, read from the block's upper triangle."""
+    n, upper = block.dim, block.upper
+    # upper[starts[i] + j - i] is Q_ij for i <= j
+    starts = [i * n - i * (i - 1) // 2 for i in range(n)]
     rows = []
     scales = []
-    for row in matrix:
+    for i, start in enumerate(starts):
+        row = [upper[starts[j] + i - j] for j in range(i)]
+        row += upper[start : start + n - i]
         d = lcm(*[x.denominator for x in row])
         rows.append([x.numerator * (d // x.denominator) for x in row])
         scales.append(d)
     return rows, scales
 
 
-def psd_check(matrix: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact positive-semidefiniteness of a symmetric rational matrix.
+def psd_check(q: RowScaled) -> bool:
+    """Exact positive-semidefiniteness of a block, row-scaled by scale_rows.
 
     True from the Cholesky certificate is a proof; every other outcome is
     decided by exact elimination.  The certificate is fast but succeeds only
@@ -130,36 +133,36 @@ def psd_check(matrix: Sequence[Sequence[Fraction]]) -> bool:
     diagonal entry; a singular or nearly singular PSD matrix pays for the
     failed attempt and then the full elimination.
     """
-    if not is_symmetric(matrix):
-        raise ValueError("matrix is not symmetric")
-    return _cholesky_certifies(matrix) or _psd_by_elimination(matrix)
+    return _cholesky_certifies(q) or _psd_by_elimination(q)
 
 
-def _cholesky_certifies(matrix: Sequence[Sequence[Fraction]]) -> bool:
+def _cholesky_certifies(q: RowScaled) -> bool:
     """True when Q = L L^T + R with L rational and R diagonally dominant.
 
     False means only that no certificate was found.
     """
-    lint = _float_factor(matrix)
-    return lint is not None and _residual_dominant(matrix, lint)
+    lint = _float_factor(q)
+    return lint is not None and _residual_dominant(q, lint)
 
 
-def _float_factor(matrix: Sequence[Sequence[Fraction]]) -> list[list[int]] | None:
+def _float_factor(q: RowScaled) -> list[list[int]] | None:
     """2**SCALE_SHIFT * L, rounded to integers, for a float Cholesky factor L
     of Q - delta*I; None when the float factorization breaks down."""
-    n = len(matrix)
+    rows, scales = q
+    n = len(rows)
     if n == 0:
         return None
     try:
-        q = [[float(x) for x in row] for row in matrix]
-        delta = math.ldexp(max(q[i][i] for i in range(n)), -DELTA_SHIFT)
+        # int true division is correctly rounded: these are float(Q_ij)
+        qf = [[a / d for a in row] for row, d in zip(rows, scales)]
+        delta = math.ldexp(max(qf[i][i] for i in range(n)), -DELTA_SHIFT)
         if not delta > 0:
             return None
         lint = [[0] * n for _ in range(n)]
         lf = [[0.0] * n for _ in range(n)]
         for j in range(n):
             lj = lf[j]
-            d = q[j][j] - delta - sum(x * x for x in lj[:j])
+            d = qf[j][j] - delta - sum(x * x for x in lj[:j])
             if not d > 0:
                 return None
             root = math.sqrt(d)
@@ -167,7 +170,7 @@ def _float_factor(matrix: Sequence[Sequence[Fraction]]) -> list[list[int]] | Non
             lint[j][j] = round(math.ldexp(root, SCALE_SHIFT))
             for i in range(j + 1, n):
                 li = lf[i]
-                x = (q[i][j] - sum(a * b for a, b in zip(li[:j], lj[:j]))) / root
+                x = (qf[i][j] - sum(a * b for a, b in zip(li[:j], lj[:j]))) / root
                 li[j] = x
                 lint[i][j] = round(math.ldexp(x, SCALE_SHIFT))
     except (OverflowError, ValueError):
@@ -176,9 +179,7 @@ def _float_factor(matrix: Sequence[Sequence[Fraction]]) -> list[list[int]] | Non
     return lint
 
 
-def _residual_dominant(
-    matrix: Sequence[Sequence[Fraction]], lint: Sequence[Sequence[int]]
-) -> bool:
+def _residual_dominant(q: RowScaled, lint: Sequence[Sequence[int]]) -> bool:
     """R_ii >= sum_{j != i} |R_ij| in every row of R = Q - lint lint^T / 2**80,
     for symmetric Q and lower-triangular lint (80 = 2 * SCALE_SHIFT).
 
@@ -192,7 +193,7 @@ def _residual_dominant(
         for i, li in enumerate(lint)
     ]
     n = len(gram)
-    for i, (row, d) in enumerate(zip(*scale_rows(matrix))):
+    for i, (row, d) in enumerate(zip(*q)):
         column = gram[i] + [gram[j][i] for j in range(i + 1, n)]
         r = [(a << shift) - d * b for a, b in zip(row, column)]
         diag = r[i]
@@ -201,10 +202,11 @@ def _residual_dominant(
     return True
 
 
-def _psd_by_elimination(matrix: Sequence[Sequence[Fraction]]) -> bool:
+def _psd_by_elimination(q: RowScaled) -> bool:
     """Rational LDL^T elimination with diagonal pivoting."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
+    rows, scales = q
+    n = len(rows)
+    a = [[Fraction(x, d) for x in row] for row, d in zip(rows, scales)]
     for k in range(n):
         pivot_row = max(range(k, n), key=lambda i: a[i][i])
         if a[pivot_row][pivot_row] < 0:
@@ -291,21 +293,15 @@ def verify(cert: Certificate) -> VerifyResult:
     for idx, c in enumerate(cert.slacks):
         if c < 0:
             return _rejected(f"negative slack at graph {idx}")
-    for bi, (block, dim) in enumerate(zip(cert.blocks, model.type_dims)):
+    scaled = []  # per block, scaled once: Q's rows, its type's denominator, its counts
+    per_block = zip(cert.blocks, model.type_dims, model.denominators, model.pair_matrices)
+    for bi, (block, dim, denominator, matrices) in enumerate(per_block):
         if block.dim != dim:
             return _rejected(f"block {bi}: dimension {block.dim} but {dim} flags exist")
-        try:
-            psd = psd_check(block.matrix)
-        except ValueError:
-            return _rejected(f"block {bi}: matrix not symmetric")
-        if not psd:
+        q = scale_rows(block)
+        if not psd_check(q):
             return _rejected(f"block {bi}: matrix not positive semidefinite")
-
-    # Each block once: Q row-scaled, its type's denominator and its counts.
-    scaled = [
-        (scale_rows(block.matrix), d, matrices)
-        for block, d, matrices in zip(cert.blocks, model.denominators, model.pair_matrices)
-    ]
+        scaled.append((q, denominator, matrices))
     mismatches = []
     for idx, obj in enumerate(model.obj):
         margin = cert.bound - obj
@@ -343,10 +339,10 @@ def certificate_to_text(cert: Certificate) -> str:
     ]
     for block in cert.blocks:
         lines.append(f"type {block.type_key.hex()} dim {block.dim}")
-        for i in range(block.dim):
-            lines.append(
-                " ".join(fraction_text(block.matrix[i][j]) for j in range(i, block.dim))
-            )
+        start = 0
+        for width in range(block.dim, 0, -1):
+            lines.append(" ".join(map(fraction_text, block.upper[start : start + width])))
+            start += width
     for idx, c in enumerate(cert.slacks):
         lines.append(f"slack {idx} {fraction_text(c)}")
     return "\n".join(lines) + "\n"
@@ -409,7 +405,9 @@ def certificate_from_text(text: str) -> Certificate:
             if entries is None:
                 raise ValueError(f"unexpected line outside a type block: {raw!r}")
             entries.extend(map(value, parts))
-    blocks = tuple(CertificateBlock.from_upper(*raw_block) for raw_block in raw_blocks)
+    blocks = tuple(
+        CertificateBlock(key, dim, tuple(entries)) for key, dim, entries in raw_blocks
+    )
     if bound is None or family_key is None or m is None:
         raise ValueError("certificate needs 'bound', 'family' and 'm' lines")
     return Certificate(

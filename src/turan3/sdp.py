@@ -19,7 +19,8 @@ root set exactly fill an m-vertex target.  The program names the block by
 sigma's canonical key, which is all a certificate records of it.  A
 Certificate is a rational solution of the program, one CertificateBlock per
 type block; certificate.verify checks it against the program assemble
-builds.
+builds.  A CertificateBlock is its upper triangle, row by row: the form a
+solution file gives, round_solution rounds and the certificate text stores.
 
 File format (one entry per line, exact rationals, '#' comments):
 
@@ -64,34 +65,22 @@ from .enumeration import enumerate_free
 from .families import Family
 from .graphs import Hypergraph3, decode_key
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-
-
 @dataclass(frozen=True)
 class CertificateBlock:
+    """A symmetric dim x dim block as its upper triangle, row by row."""
+
     type_key: bytes  # canonical key of the type graph
-    matrix: Matrix
+    dim: int
+    upper: tuple[Fraction, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
-
-    @classmethod
-    def from_upper(cls, type_key: bytes, dim: int, values: Sequence[Fraction]) -> CertificateBlock:
-        """The symmetric dim x dim block whose upper triangle, row by row, is values."""
-        if dim < 0:
-            raise ValueError(f"type block dimension {dim} is negative")
-        want = dim * (dim + 1) // 2
-        if len(values) != want:
+    def __post_init__(self) -> None:
+        if self.dim < 0:
+            raise ValueError(f"type block dimension {self.dim} is negative")
+        want = self.dim * (self.dim + 1) // 2
+        if len(self.upper) != want:
             raise ValueError(
-                f"type block expects {want} upper-triangle entries, got {len(values)}"
+                f"type block expects {want} upper-triangle entries, got {len(self.upper)}"
             )
-        mat = [[Fraction(0)] * dim for _ in range(dim)]
-        it = iter(values)
-        for i in range(dim):
-            for j in range(i, dim):
-                mat[i][j] = mat[j][i] = next(it)
-        return cls(type_key, tuple(tuple(row) for row in mat))
 
 
 @dataclass(frozen=True)
@@ -458,8 +447,8 @@ def round_solution(
     blocks = []
     for key, d in zip(model.type_keys, model.type_dims):
         size = d * (d + 1) // 2
-        upper = [best_rational(x, denominator_bound) for x in floats[pos : pos + size]]
-        blocks.append(CertificateBlock.from_upper(key, d, upper))
+        upper = tuple(best_rational(x, denominator_bound) for x in floats[pos : pos + size])
+        blocks.append(CertificateBlock(key, d, upper))
         pos += size
     slacks = []
     for _ in range(model.n_constraints):

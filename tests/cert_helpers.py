@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
-from turan3.certificate import Certificate, CertificateBlock
+from turan3.certificate import Certificate, CertificateBlock, RowScaled, scale_rows
 from turan3.density import SINGLE_EDGE, p, pair_density_table
 from turan3.enumeration import enumerate_free
 from turan3.families import Family
 from turan3.graphs import decode_key
 from turan3.sdp import assemble, default_types
 
-from oracles import inner_product_fractions
+from oracles import dense_block, inner_product_fractions, upper_block
 
 
 def lp_certificate(m: int, family: Family = ()) -> Certificate:
@@ -36,18 +37,17 @@ def make_sos_certificate(m, family, scale=Fraction(1, 8)):
     for sigma in types:
         table = pair_density_table(sigma, m, family)
         d = len(table.flags)
-        mat = tuple(
-            tuple(scale if i == j else Fraction(0) for j in range(d))
-            for i in range(d)
-        )
-        blocks.append(CertificateBlock(sigma.canon_key, mat))
+        upper = tuple(scale if i == j else Fraction(0) for i in range(d) for j in range(i, d))
+        blocks.append(CertificateBlock(sigma.canon_key, d, upper))
         tables.append(table)
     model = assemble(m, family)
     margins = []
     for fi in range(model.n_constraints):
         total = model.obj[fi]
         for block, table in zip(blocks, tables):
-            total += inner_product_fractions(block.matrix, table.matrices[fi], table.denominator)
+            total += inner_product_fractions(
+                dense_block(block), table.matrices[fi], table.denominator
+            )
         margins.append(total)
     u = max(margins)
     return Certificate(
@@ -71,10 +71,25 @@ def recompute_margins(cert, family):
             sigma = decode_key(block.type_key)
             table = pair_density_table(sigma, cert.m, family)
             margin -= inner_product_fractions(
-                block.matrix, table.matrices[idx], table.denominator
+                dense_block(block), table.matrices[idx], table.denominator
             )
         out.append(margin)
     return out
+
+
+def scaled_upper(matrix) -> RowScaled:
+    """A dense symmetric matrix as the checks read it: the block of its upper
+    triangle, row-scaled."""
+    return scale_rows(upper_block(matrix))
+
+
+def bump_entry(block: CertificateBlock, i: int, j: int, delta) -> CertificateBlock:
+    """The block with delta added to Q_ij, and so to Q_ji."""
+    i, j = min(i, j), max(i, j)
+    upper = list(block.upper)
+    # rows 0..i-1 of the triangle come first, then Q_ii, ..., Q_ij
+    upper[sum(block.dim - k for k in range(i)) + j - i] += delta
+    return replace(block, upper=tuple(upper))
 
 
 def minor_sign_psd_oracle(matrix):

@@ -21,7 +21,10 @@ the targets, rooted keys and sparse matrix form from the package, and
 audits how a table finds its thetas, flag slots and pair orbits, and its
 denominator (pair_denominator_formula);
 cholesky_certifies_fractions takes the package's float factor, which only
-proposes L, and audits the exact residual test.
+proposes L, and audits the exact residual test.  A certificate block is
+its upper triangle; upper_block builds one from a dense symmetric matrix,
+and dense_block and scale_rows_dense give the dense matrix and its per-row
+lcm scaling that the package's scale_rows is checked against.
 limit_denominator_stdlib is the standard library's Fraction.limit_denominator,
 which sdp.best_rational reimplements on integers.
 
@@ -37,7 +40,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
-from math import comb, perm
+from math import comb, gcd, perm
 from typing import Sequence
 
 from turan3.certificate import SCALE_SHIFT, _float_factor
@@ -58,6 +61,7 @@ from turan3.graphs import (
     is_family_free,
     rooted_canonical_key,
 )
+from turan3.sdp import CertificateBlock
 
 
 def sorted_triple(a, b, c):
@@ -470,6 +474,39 @@ def dense(mat, n, denominator):
     return out
 
 
+def upper_block(matrix, type_key: bytes = b"") -> CertificateBlock:
+    """The certificate block whose upper triangle is that of the symmetric
+    matrix."""
+    n = len(matrix)
+    return CertificateBlock(
+        type_key, n, tuple(Fraction(matrix[i][j]) for i in range(n) for j in range(i, n))
+    )
+
+
+def dense_block(block: CertificateBlock) -> list[list[Fraction]]:
+    """The dense symmetric matrix of a block's upper triangle."""
+    n = block.dim
+    out = [[Fraction(0)] * n for _ in range(n)]
+    values = iter(block.upper)
+    for i in range(n):
+        for j in range(i, n):
+            out[i][j] = out[j][i] = next(values)
+    return out
+
+
+def scale_rows_dense(matrix) -> tuple[list[list[int]], list[int]]:
+    """Each row of a dense matrix times D_i, the lcm of its denominators,
+    as integers, with the D_i."""
+    rows, scales = [], []
+    for row in matrix:
+        d = 1
+        for x in row:
+            d = d * x.denominator // gcd(d, x.denominator)
+        rows.append([int(x * d) for x in row])
+        scales.append(d)
+    return rows, scales
+
+
 def psd_elimination(matrix) -> bool:
     """PSD by rational LDL^T elimination with diagonal pivoting.
 
@@ -522,7 +559,7 @@ def residual_dominant_fractions(matrix, lint) -> bool:
 
 def cholesky_certifies_fractions(matrix) -> bool:
     """The package's PSD certificate with its residual test in Fractions."""
-    lint = _float_factor(matrix)
+    lint = _float_factor(scale_rows_dense(matrix))
     return lint is not None and residual_dominant_fractions(matrix, lint)
 
 

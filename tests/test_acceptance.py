@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 
 from turan3 import families
-from turan3.certificate import Certificate, CertificateBlock, psd_check, verify
+from turan3.certificate import Certificate, psd_check, verify
 from turan3.constructions import (
     K4Blowup,
     OPTIMAL_SPLIT_RATIO,
@@ -33,10 +33,12 @@ from turan3.sdp import assemble, best_rational, emit, parse_sdp
 
 import oracles
 from cert_helpers import (
+    bump_entry,
     lp_certificate,
     make_sos_certificate,
     minor_sign_psd_oracle,
     recompute_margins,
+    scaled_upper,
 )
 from oracles import maxcut_exact, spanning_profile
 
@@ -215,11 +217,8 @@ def test_acceptance_09_certificates():
             j = rng.randrange(block.dim)
             if i == j:
                 j = (j + 1) % block.dim
-            mat = [list(row) for row in block.matrix]
-            mat[i][j] += 1
-            mat[j][i] += 1
             blocks = list(base_sos.blocks)
-            blocks[bi] = CertificateBlock(block.type_key, tuple(tuple(r) for r in mat))
+            blocks[bi] = bump_entry(block, i, j, 1)
             tampered = Certificate(
                 base_sos.bound, base_sos.family_key, base_sos.m, tuple(blocks), base_sos.slacks
             )
@@ -238,7 +237,7 @@ def test_acceptance_09_certificates():
             assert all(v >= 0 for v in recompute_margins(tampered, family))
             assert all(c >= 0 for c in tampered.slacks)
             for block in tampered.blocks:
-                assert psd_check(block.matrix)
+                assert oracles.psd_elimination(oracles.dense_block(block))
         else:
             rejected += 1
 
@@ -252,7 +251,7 @@ def test_acceptance_09_certificates():
                 v = Fraction(rng.randint(-3, 3))
                 mat[i][j] = v
                 mat[j][i] = v
-        assert psd_check(mat) == minor_sign_psd_oracle(mat)
+        assert psd_check(scaled_upper(mat)) == minor_sign_psd_oracle(mat)
         agreements += 1
     report(
         9,

@@ -19,6 +19,7 @@ from turan3.certificate import (
     load_certificate,
     psd_check,
     save_certificate,
+    scale_rows,
     verify,
 )
 from turan3.enumeration import enumerate_free
@@ -27,10 +28,12 @@ from turan3.sdp import assemble, default_types
 
 import oracles
 from cert_helpers import (
+    bump_entry,
     lp_certificate,
     make_sos_certificate,
     minor_sign_psd_oracle,
     recompute_margins,
+    scaled_upper,
 )
 
 
@@ -46,19 +49,18 @@ def F(x):
 # PSD checks
 
 
+def psd(matrix):
+    return psd_check(scaled_upper(matrix))
+
+
 def test_psd_examples():
-    assert psd_check([[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]])
-    assert not psd_check([[F(1), F(2)], [F(2), F(1)]])
-    assert psd_check([[F(1), F(1)], [F(1), F(1)]])
-    assert psd_check([])
-    assert psd_check([[F(0)]])
-    assert not psd_check([[F(-1)]])
-    assert not psd_check([[F(0), F(1)], [F(1), F(0)]])
-
-
-def test_psd_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
-        psd_check([[F(1), F(2)], [F(3), F(1)]])
+    assert psd([[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]])
+    assert not psd([[F(1), F(2)], [F(2), F(1)]])
+    assert psd([[F(1), F(1)], [F(1), F(1)]])
+    assert psd([])
+    assert psd([[F(0)]])
+    assert not psd([[F(-1)]])
+    assert not psd([[F(0), F(1)], [F(1), F(0)]])
 
 
 def test_psd_against_minor_oracle():
@@ -71,7 +73,7 @@ def test_psd_against_minor_oracle():
                 v = F(rng.randint(-3, 3))
                 mat[i][j] = v
                 mat[j][i] = v
-        assert psd_check(mat) == minor_sign_psd_oracle(mat)
+        assert psd(mat) == minor_sign_psd_oracle(mat)
 
 
 def test_psd_structured_cases():
@@ -83,10 +85,10 @@ def test_psd_structured_cases():
             [sum(rows[i][k] * rows[j][k] for k in range(3)) for j in range(3)]
             for i in range(3)
         ]
-        assert psd_check(gram)
+        assert psd(gram)
         if any(gram[i][i] > 0 for i in range(3)):
             neg = [[-x for x in row] for row in gram]
-            assert not psd_check(neg)
+            assert not psd(neg)
 
 
 def _random_rational(rng, size=5):
@@ -142,9 +144,9 @@ def test_psd_check_matches_elimination_oracle():
     for _ in range(6):
         for label, mat in _psd_cases(rng):
             want = oracles.psd_elimination(mat)
-            assert psd_check(mat) == want, label
+            assert psd(mat) == want, label
             # the certificate may only ever confirm PSD
-            if _cholesky_certifies(mat):
+            if _cholesky_certifies(scaled_upper(mat)):
                 assert want, label
                 seen.add(label)
     # the certificate path does fire, on well-conditioned matrices
@@ -187,8 +189,23 @@ def symmetric_matrices(draw, max_n=6):
 @settings(max_examples=150, deadline=None)
 @given(symmetric_matrices())
 def test_psd_check_and_its_certificate_match_the_fraction_oracles(mat):
-    assert psd_check(mat) == oracles.psd_elimination(mat)
-    assert _cholesky_certifies(mat) == oracles.cholesky_certifies_fractions(mat)
+    q = scaled_upper(mat)
+    assert psd_check(q) == oracles.psd_elimination(mat)
+    assert _cholesky_certifies(q) == oracles.cholesky_certifies_fractions(mat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices(), st.binary(max_size=3))
+def test_scale_rows_reads_the_upper_triangle_as_the_dense_matrix(mat, type_key):
+    n = len(mat)
+    block = CertificateBlock(
+        type_key, n, tuple(mat[i][j] for i in range(n) for j in range(i, n))
+    )
+    dense = oracles.dense_block(block)
+    assert dense == mat
+    q = scale_rows(block)
+    assert q == oracles.scale_rows_dense(dense)
+    assert psd_check(q) == oracles.psd_elimination(dense)
 
 
 @st.composite
@@ -234,7 +251,7 @@ def test_integer_residual_decision_matches_the_fraction_oracle(case):
     q, lint, margins = case
     want = all(x >= 0 for x in margins)
     assert oracles.residual_dominant_fractions(q, lint) == want
-    assert _residual_dominant(q, lint) == want
+    assert _residual_dominant(scaled_upper(q), lint) == want
 
 
 PROGRAM_FAMILIES = ["F32,C5_3_MINUS", "C4_3,F5_BAR", ""]
@@ -254,13 +271,13 @@ def m5_certificates(draw):
         shift = draw(st.builds(Fraction, st.integers(1, 2**10), denominators))
         for i in range(d):
             mat[i][i] += shift
-        blocks.append(CertificateBlock(sigma.canon_key, tuple(map(tuple, mat))))
+        blocks.append(oracles.upper_block(mat, sigma.canon_key))
     values = []
     for idx, obj in enumerate(model.obj):
         total = obj
         for block, matrices, denominator in zip(blocks, model.pair_matrices, model.denominators):
             total += oracles.inner_product_fractions(
-                block.matrix, matrices.get(idx, ()), denominator
+                oracles.dense_block(block), matrices.get(idx, ()), denominator
             )
         values.append(total)
     cert = Certificate(F(0), model.family_key, 5, tuple(blocks), ())
@@ -389,11 +406,8 @@ def test_tamper_fuzz():
             j = rng.randrange(d)
             if i == j:
                 j = (j + 1) % d
-            mat = [list(row) for row in block.matrix]
-            mat[i][j] += 1
-            mat[j][i] += 1
             blocks = list(cert.blocks)
-            blocks[bi] = CertificateBlock(block.type_key, tuple(tuple(r) for r in mat))
+            blocks[bi] = bump_entry(block, i, j, 1)
             tampered = Certificate(cert.bound, cert.family_key, cert.m, tuple(blocks), cert.slacks)
         else:
             cert = rng.choice((base_lp, base_sos))
@@ -412,7 +426,7 @@ def test_tamper_fuzz():
             assert all(v >= 0 for v in margins)
             assert all(c >= 0 for c in tampered.slacks)
             for block in tampered.blocks:
-                assert psd_check(block.matrix)
+                assert oracles.psd_elimination(oracles.dense_block(block))
 
 
 def test_perturbed_off_diagonal_small_identity_rejected_psd():
@@ -420,11 +434,8 @@ def test_perturbed_off_diagonal_small_identity_rejected_psd():
     cert = make_sos_certificate(4, family, scale=Fraction(1, 8))
     bi = next(i for i, b in enumerate(cert.blocks) if b.dim >= 2)
     block = cert.blocks[bi]
-    mat = [list(row) for row in block.matrix]
-    mat[0][1] += 1
-    mat[1][0] += 1
     blocks = list(cert.blocks)
-    blocks[bi] = CertificateBlock(block.type_key, tuple(tuple(r) for r in mat))
+    blocks[bi] = bump_entry(block, 0, 1, 1)
     res = verify(
         Certificate(cert.bound, cert.family_key, cert.m, tuple(blocks), cert.slacks)
     )
@@ -511,9 +522,12 @@ def test_certificate_reports_a_malformed_token_first_seen_late(token, message):
 
 
 def test_block_from_upper_triangle():
-    block = CertificateBlock.from_upper(b"\x01", 3, [F(n) for n in range(1, 7)])
-    assert block.matrix == ((1, 2, 3), (2, 4, 5), (3, 5, 6))
-    assert CertificateBlock.from_upper(b"", 0, []).matrix == ()
+    block = CertificateBlock(b"\x01", 3, tuple(F(n) for n in range(1, 7)))
+    assert scale_rows(block) == ([[1, 2, 3], [2, 4, 5], [3, 5, 6]], [1, 1, 1])
+    # each row over the lcm of its own denominators
+    block = CertificateBlock(b"", 2, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)))
+    assert scale_rows(block) == ([[3, 2], [4, 3]], [6, 12])
+    assert scale_rows(CertificateBlock(b"", 0, ())) == ([], [])
 
 
 @pytest.mark.parametrize(
@@ -526,7 +540,7 @@ def test_block_from_upper_triangle():
 )
 def test_block_from_upper_checks_the_count_first(dim, count, message):
     with pytest.raises(ValueError, match=message):
-        CertificateBlock.from_upper(b"", dim, [F(0)] * count)
+        CertificateBlock(b"", dim, (F(0),) * count)
     text = f"bound 1/2\nfamily none\nm 4\ntype ff dim {dim}\n" + "0 " * count + "\n"
     with pytest.raises(ValueError, match=message):
         certificate_from_text(text)
@@ -547,6 +561,21 @@ def test_verify_reuses_the_tables_assemble_built(monkeypatch):
     )
     assert verify(cert).ok
     assert built == []
+
+
+def test_verify_scales_each_block_once(monkeypatch):
+    import turan3.certificate as certificate_mod
+
+    cert = make_sos_certificate(5, fam("C4_3", "F5_BAR"))
+    assert len(cert.blocks) > 1
+    scaled = []
+    scale = certificate_mod.scale_rows
+    monkeypatch.setattr(
+        certificate_mod, "scale_rows", lambda block: scaled.append(block) or scale(block)
+    )
+    assert verify(cert).ok
+    assert len(scaled) == len(cert.blocks)
+    assert all(a is b for a, b in zip(scaled, cert.blocks))
 
 
 def test_non_builtin_member_survives_the_certificate_text():

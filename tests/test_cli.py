@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import turan3
-from turan3 import certificate, families, graphs, sdp
+from turan3 import certificate, constructions, families, graphs, sdp
 from turan3.cli import main
 from turan3.sdp import assemble
 
-from cert_helpers import lp_certificate, make_sos_certificate
+from cert_helpers import bump_entry, lp_certificate, make_sos_certificate
+from oracles import dense_block
 
 
 def run(capsys, *argv):
@@ -189,6 +190,22 @@ def test_construct_empty_blow_up_part_is_domain_error(
     code, out, err = run(capsys, "construct", "--kind", kind, "--parts", parts, *action)
     assert (code, out) == (1, "")
     assert err == f"error: {kind} part {part} is empty; blow-up parts need at least 1 vertex\n"
+    assert not (tmp_path / "g.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "action", [["--emit", "g.txt"], ["--check-free", "F32"]], ids=["emit", "check-free"]
+)
+def test_construct_refuses_a_huge_construction_before_building_it(
+    capsys, tmp_path, monkeypatch, action
+):
+    # 10**15 edges: the closed-form count refuses the spec, nothing is built
+    monkeypatch.chdir(tmp_path)
+    parts = "100000,100000,100000"
+    code, out, err = run(capsys, "construct", "--kind", "partite3", "--parts", parts, *action)
+    assert (code, out) == (1, "")
+    limit = constructions.BUILD_EDGE_LIMIT
+    assert err == f"error: partite3 has {10**15} edges; build takes at most {limit}\n"
     assert not (tmp_path / "g.txt").exists()
 
 
@@ -476,7 +493,7 @@ def test_emit_sdp_type_sizes(capsys, tmp_path):
 def test_verify_rejects_a_type_that_does_not_fit_m(capsys, tmp_path, size):
     # flags of size (6 + s) / 2 over s roots exist only for s <= 6 of even size
     cert = lp_certificate(6, families.parse_family("F32,C5_3_MINUS"))
-    block = sdp.CertificateBlock(graphs.from_edges(size, []).canon_key, ((Fraction(1),),))
+    block = sdp.CertificateBlock(graphs.from_edges(size, []).canon_key, 1, (Fraction(1),))
     path = tmp_path / "cert.txt"
     certificate.save_certificate(replace(cert, blocks=(block,)), str(path))
     code, out, err = run(capsys, "verify", "--cert", str(path))
@@ -572,10 +589,9 @@ def test_verify_stdout_is_pinned(
     if broken:
         # a 2x2 principal minor of block 3 made negative: q01 = q00 + q11
         cert = certificate.load_certificate(str(cert_path))
-        q = [list(row) for row in cert.blocks[3].matrix]
-        q[0][1] = q[1][0] = q[0][0] + q[1][1]
+        q = dense_block(cert.blocks[3])
         blocks = list(cert.blocks)
-        blocks[3] = replace(blocks[3], matrix=tuple(map(tuple, q)))
+        blocks[3] = bump_entry(blocks[3], 0, 1, q[0][0] + q[1][1] - q[0][1])
         certificate.save_certificate(replace(cert, blocks=tuple(blocks)), str(cert_path))
     code, out, _ = run(capsys, "verify", "--cert", str(cert_path))
     start, digest = VERIFY_DIGESTS[seed, den_bound, broken]

@@ -194,3 +194,17 @@ def test_edge_count_closed_forms_match_builds():
     ]
     for spec in specs:
         assert edge_count(spec) == len(build(spec).edges)
+
+
+def test_build_refuses_a_spec_above_the_edge_limit(monkeypatch):
+    import turan3.constructions as constructions_mod
+
+    monkeypatch.setattr(constructions_mod, "BUILD_EDGE_LIMIT", 1000)
+    assert len(build(Partite3(10, 10, 10)).edges) == 1000
+    assert len(build(optimal_brec(24)).edges) == 991
+    for spec, edges in ((Partite3(10, 10, 11), 1100), (optimal_brec(25), 1126)):
+        message = f"^{spec.kind} has {edges} edges; build takes at most 1000$"
+        with pytest.raises(ValueError, match=message):
+            build(spec)
+        # the report reads the closed form and still answers
+        assert density_report(spec).edges == edges

@@ -216,12 +216,13 @@ def test_pair_matrix_matches_dense_form():
         assert all(j >= i and x for i, row in enumerate(mat) for j, x in row)
         assert all([j for j, _ in row] == sorted({j for j, _ in row}) for row in mat)
         assert not mat or mat[-1]
-        # verify checks Q is symmetric before any margin
+        # Q symmetric, as a certificate block's upper triangle makes it
         q = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 q[i][j] = q[j][i] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        assert inner_product(scale_rows(q), mat, denominator) == oracles.inner_product_fractions(
+        q_scaled = scale_rows(oracles.upper_block(q))
+        assert inner_product(q_scaled, mat, denominator) == oracles.inner_product_fractions(
             q, mat, denominator
         )
 
