@@ -33,14 +33,21 @@ There is one k-subset scan, _subset_scan.  It visits the k-subsets of a
 host in combinations order, drops those whose edge count rules out the
 pattern, codes each other subset by its induced graph, one bit per triple,
 and asks the injection search about each code once per (pattern, exact)
-and process.  density.p counts the subsets it yields,
+and process; a host with fewer edges than the pattern is answered at
+once.  density.p counts the subsets it yields,
 exhaustive_containment_scan returns the first, and root_sets, behind
 type_embeddings and density's pair-density tables, lists every exact
 injection of a type onto each root set's code.
+
+A graph's cached pair_links hold, for each vertex u and each vertex a
+sharing an edge with it, the bitmask of the third vertices of the edges
+through u and a.  The max-cut search in partition reads its move gains
+from them with popcounts.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress, islice
@@ -80,6 +87,24 @@ class Hypergraph3:
             d[b] += 1
             d[c] += 1
         return tuple(d)
+
+    @cached_property
+    def pair_links(self) -> tuple[dict[int, int], ...]:
+        """links[u][a]: the bitmask of the b with {u, a, b} an edge.
+
+        A pair in no edge has no entry, so the size grows with the pairs
+        that lie in an edge, not with n^2.
+        """
+        third: defaultdict[tuple[int, int], int] = defaultdict(int)
+        for a, b, c in self.edges:
+            third[a, b] |= 1 << c
+            third[a, c] |= 1 << b
+            third[b, c] |= 1 << a
+        links: list[dict[int, int]] = [{} for _ in range(self.n)]
+        for (a, b), t in third.items():
+            links[a][b] = t
+            links[b][a] = t
+        return tuple(links)
 
     @cached_property
     def refined_colors(self) -> tuple[int, ...]:
@@ -522,10 +547,13 @@ def _subset_scan(
     count (== when exact, >= otherwise); the injection search then decides
     its code once per (f, exact) and process.  With every, a code keeps all
     its injections, in the search's order; without, only the first, so a
-    pattern with many automorphisms never lists them.
+    pattern with many automorphisms never lists them.  A host with fewer
+    edges than f yields nothing, without visiting a subset.
     """
     k = f.n
     want = len(f.edges)
+    if len(h.edges) < want:
+        return  # a copy needs at least want edges, an induced copy exactly want
     by_code = _injections_by_code.setdefault((f, exact, every), {})
     local = list(combinations(range(k), 3))
     bits = [1 << i for i in range(len(local))]

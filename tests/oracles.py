@@ -32,7 +32,8 @@ Three helpers the package no longer needs live here as test fixtures and
 references: relabel applies a vertex permutation, spanning_profile counts
 the m-subsets of a host by induced canonical key (every p(F, h) at once),
 and maxcut_exact is the exhaustive max-cut over every V1 that
-maxcut_local_search is measured against.
+maxcut_local_search is measured against.  move_deltas_edges is the
+edge walk the package's move gains from pair links are checked against.
 """
 
 from __future__ import annotations
@@ -590,6 +591,22 @@ def maxcut_exact(h: Hypergraph3) -> tuple[int, frozenset[int]]:
     return best, v1
 
 
+def move_deltas_edges(h: Hypergraph3, in_v1) -> tuple[list[int], int]:
+    """(change in cross count if each single vertex switched sides, cross
+    count), by one walk over the edges: the reference for
+    partition._move_deltas and _flip, which read the gains from pair links."""
+    deltas = [0] * h.n
+    cross = 0
+    for e in h.edges:
+        k = in_v1[e[0]] + in_v1[e[1]] + in_v1[e[2]]
+        gain_now = 1 if k == 2 else 0
+        cross += gain_now
+        for v in e:
+            k_after = k - 1 if in_v1[v] else k + 1
+            deltas[v] += (1 if k_after == 2 else 0) - gain_now
+    return deltas, cross
+
+
 def maxcut_full_recompute(h: Hypergraph3, restarts: int, seed: int):
     """Steepest-ascent max-cut that recomputes every move delta at every step.
 
@@ -601,14 +618,9 @@ def maxcut_full_recompute(h: Hypergraph3, restarts: int, seed: int):
     for i in range(restarts):
         rng = random.Random(seed + i)
         in_v1 = [rng.random() < 0.5 for _ in range(h.n)]
-        cross = sum(1 for e in h.edges if in_v1[e[0]] + in_v1[e[1]] + in_v1[e[2]] == 2)
+        cross = move_deltas_edges(h, in_v1)[1]
         while True:
-            deltas = [0] * h.n
-            for e in h.edges:
-                k = in_v1[e[0]] + in_v1[e[1]] + in_v1[e[2]]
-                for v in e:
-                    k_after = k - 1 if in_v1[v] else k + 1
-                    deltas[v] += (k_after == 2) - (k == 2)
+            deltas = move_deltas_edges(h, in_v1)[0]
             v_best = max(range(h.n), key=lambda v: (deltas[v], -v))
             if deltas[v_best] <= 0:
                 break

@@ -94,8 +94,10 @@ def _write_m4_proof(directory: Path) -> None:
          "sdp.model_from_text"),
         ("verify", ["verify", "--cert", "m4.cert"], "certificate.inner_product"),
         ("is_family_free", ["brec12.txt", "C4_3,F5_BAR"], "graphs.contains_sub"),
+        ("partition", ["partition", "--graph", "brec12.txt", "--analyze", "--restarts", "4",
+                       "--seed", "1", "--xi", "1/100"], "partition.maxcut_local_search"),
     ],
-    ids=["enumerate", "emit-sdp", "round", "verify", "is_family_free"],
+    ids=["enumerate", "emit-sdp", "round", "verify", "is_family_free", "partition"],
 )
 def test_traced_job_runs(tmp_path, name, argv, traced):
     graphs.save_graph(build(BRec(12, b_rec(12)[1])), str(tmp_path / "brec12.txt"))

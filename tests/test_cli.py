@@ -153,6 +153,16 @@ def test_construct_check_free(capsys, tmp_path):
     assert g.n == 12
 
 
+def test_construct_check_free_of_a_large_edgeless_host_is_immediate(capsys):
+    # 100,001 vertices and no edge: no 5-subset is visited
+    code, out, err = run(
+        capsys, "construct", "--kind", "semibipartite", "--parts", "1,100000",
+        "--check-free", "F32",
+    )
+    assert (code, err) == (0, "")
+    assert out == "free of F32\tyes\nfamily_free\tyes\n"
+
+
 def test_construct_partite_report(capsys):
     code, out, _ = run(
         capsys, "construct", "--kind", "partite3", "--parts", "10,10,10", "--report"
@@ -629,6 +639,27 @@ def test_round_certificate_is_pinned(capsys, tmp_path, stand_in_solver, m6_progr
     assert sha256(cert_path.read_bytes()) == ROUND_DIGESTS[seed, den_bound]
     if den_bound == stand_in_solver.DEN_BOUND:
         assert cert_path.read_text(encoding="utf-8") == synth.certificate_text
+
+
+# SHA-256 of partition's stdout on the optimal brec graph at n=60 (16,225
+# edges) with 64 restarts, per seed, recorded before the move gains were
+# read from pair links.
+PARTITION_DIGESTS = {
+    0: "81e0302a1518112b915d26c882d3b0b1ea375831efc8d5cfb2d8f249b88ba10c",
+    1: "81e0302a1518112b915d26c882d3b0b1ea375831efc8d5cfb2d8f249b88ba10c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PARTITION_DIGESTS))
+def test_partition_search_is_pinned(capsys, tmp_path, seed):
+    path = str(tmp_path / "brec60.txt")
+    assert run(capsys, "construct", "--kind", "brec", "--n", "60", "--emit", path)[0] == 0
+    code, out, _ = run(
+        capsys, "partition", "--graph", path, "--analyze", "--restarts", "64",
+        "--seed", str(seed), "--xi", "1/100",
+    )
+    assert code == 0
+    assert sha256(out.encode()) == PARTITION_DIGESTS[seed]
 
 
 def test_partition_subcommand_given_v1(capsys, tmp_path):

@@ -383,6 +383,27 @@ def test_subset_scan_matches_brute_force():
     assert not exhaustive_containment_scan(hosts[-1], named_graph("F32"))[0]
 
 
+def test_scan_of_a_host_with_too_few_edges_visits_no_subset(monkeypatch):
+    # SemiBipartite(1, 100) is edgeless: its 79M 5-subsets once took a minute
+    def refuse(*args):
+        raise AssertionError("the scan visited subsets")
+
+    f32, k4 = named_graph("F32"), named_graph("K4_3")
+    edgeless = from_edges(101, [])
+    three = from_edges(101, [(0, 1, 2), (0, 3, 4), (1, 3, 4)])  # F32 less an edge
+    monkeypatch.setattr(graphs, "combinations", refuse)
+    for h in (edgeless, three):
+        for induced in (False, True):
+            assert exhaustive_containment_scan(h, f32, induced) == (False, None)
+        assert density.p(f32, h) == 0
+    assert graphs.type_embeddings(three, k4) == []
+    monkeypatch.undo()
+    # as many edges as the pattern: the scan runs and finds the copy
+    four = from_edges(101, list(f32.edges))
+    assert exhaustive_containment_scan(four, f32) == (True, (0, 1, 2, 3, 4))
+    assert density.p(f32, from_edges(6, f32.edges)) == Fraction(1, 6)
+
+
 def test_scan_memo_keeps_each_notion_apart():
     # With the edge-count filter both notions decide a code alike, so the
     # answers alone cannot show a memo that mixes them; read the memo.
@@ -463,6 +484,19 @@ def small_graphs(draw, max_n=7):
     triples = list(combinations(range(n), 3))
     mask = draw(st.integers(min_value=0, max_value=(1 << len(triples)) - 1))
     return Hypergraph3(n, tuple(t for i, t in enumerate(triples) if mask >> i & 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_pair_links_hold_the_third_vertices(h):
+    links = h.pair_links
+    assert len(links) == h.n
+    for u in range(h.n):
+        want = {}
+        for a, b in permutations([v for v in range(h.n) if v != u], 2):
+            if tuple(sorted((u, a, b))) in h.edge_set:
+                want[a] = want.get(a, 0) | 1 << b
+        assert links[u] == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,10 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import turan3.partition as partition_mod
 from turan3.constructions import (
     SemiBipartite,
     b_rec,
@@ -127,21 +130,39 @@ def test_maxcut_vs_exhaustive():
     assert agree >= 27
 
 
-def test_flip_keeps_the_move_deltas_exact():
-    import turan3.partition as partition_mod
-
+def _check_flips(h, in_v1, moves):
     # a wrong update can make the ascent cycle forever, so check each
-    # step against the full recount before running whole searches
+    # step against the edge walk before running whole searches
+    deltas, cross = partition_mod._move_deltas(h, in_v1)
+    assert (deltas, cross) == oracles.move_deltas_edges(h, in_v1)
+    for v in moves:
+        partition_mod._flip(h, in_v1, deltas, v)
+        expected = oracles.move_deltas_edges(h, in_v1)
+        assert deltas == expected[0]
+        assert partition_mod._move_deltas(h, in_v1) == expected
+        v1 = {u for u in range(h.n) if in_v1[u]}
+        assert bad_missing(h, v1, set(range(h.n)) - v1).cross_present == expected[1]
+
+
+def test_flip_keeps_the_move_deltas_exact():
     rng = random.Random(53)
-    for n in range(3, 16):
+    for n in range(1, 16):
         h = random_graph(n, rng.random(), rng)
+        if n > 4:  # isolated vertices: edges only among the first n - 2
+            h = from_edges(n, [e for e in h.edges if e[2] < n - 2])
         in_v1 = [rng.random() < 0.5 for _ in range(n)]
-        deltas, _ = partition_mod._move_deltas(h, in_v1)
-        for _ in range(20):
-            partition_mod._flip(h, in_v1, deltas, rng.randrange(n))
-            v1 = {v for v in range(n) if in_v1[v]}
-            cross = bad_missing(h, v1, set(range(n)) - v1).cross_present
-            assert partition_mod._move_deltas(h, in_v1) == (deltas, cross)
+        _check_flips(h, in_v1, [rng.randrange(n) for _ in range(20)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flip_and_move_deltas_match_the_edge_walk(data):
+    n = data.draw(st.integers(1, 12))
+    triples = list(combinations(range(n), 3))
+    edges = data.draw(st.lists(st.sampled_from(triples), unique=True)) if triples else []
+    in_v1 = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    moves = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
+    _check_flips(from_edges(n, edges), in_v1, moves)
 
 
 def test_maxcut_matches_full_recompute_oracle():
@@ -154,6 +175,10 @@ def test_maxcut_matches_full_recompute_oracle():
             res = maxcut_local_search(h, restarts=restarts, seed=seed)
             v1, v2, cross = oracles.maxcut_full_recompute(h, restarts, seed)
             assert (res.v1, res.v2, res.cross_present) == (v1, v2, cross)
+    brec = build(optimal_brec(60))  # the partition job's host, 16,225 edges
+    res = maxcut_local_search(brec, restarts=2, seed=0)
+    v1, v2, cross = oracles.maxcut_full_recompute(brec, 2, 0)
+    assert (res.v1, res.v2, res.cross_present) == (v1, v2, cross)
 
 
 def test_maxcut_restart_i_is_seeded_with_seed_plus_i():
