@@ -16,7 +16,6 @@ import argparse
 import sys
 from dataclasses import fields
 from decimal import localcontext
-from fractions import Fraction
 
 from . import certificate as certificate_mod
 from . import constructions, families, graphs, partition, sdp
@@ -241,26 +240,22 @@ def cmd_partition(args, parser) -> int:
     h = families.resolve_graph(args.graph)
     if h.n == 0:
         raise ValueError("need at least one vertex")
-    rows: list[tuple[str, str]] = []
     if args.v1 is not None:
         v1 = set(_integers(args.v1, "--v1 vertex")) if args.v1 else set()
-        v2 = set(range(h.n)) - v1
+        stats = partition.bad_missing(h, v1, set(range(h.n)) - v1)
     else:
-        best = partition.maxcut_local_search(h, restarts=args.restarts, seed=args.seed)
-        v1, v2 = set(best.v1), set(best.v2)
-    stats = partition.bad_missing(h, v1, v2)
-    mu_lower = Fraction(6 * stats.cross_present, h.n**3)
-    lhs, rhs, holds = partition.lemma22_gap(h, v1, v2, xi)
-    rows += [
-        ("v1", ",".join(map(str, sorted(v1)))),
-        ("v2", ",".join(map(str, sorted(v2)))),
+        stats = partition.maxcut_local_search(h, restarts=args.restarts, seed=args.seed)
+    lhs, rhs, holds = partition.lemma22_gap(stats, xi)
+    rows = [
+        ("v1", ",".join(map(str, sorted(stats.v1)))),
+        ("v2", ",".join(map(str, sorted(stats.v2)))),
         ("cross_present", str(stats.cross_present)),
-        ("bad", str(len(stats.bad))),
-        ("missing", str(len(stats.missing))),
+        ("bad", str(stats.bad)),
+        ("missing", str(stats.missing)),
         ("inner2", str(stats.inner2)),
-        ("mu_lower", fraction_text(mu_lower)),
-        ("locally_maximal", "yes" if partition.is_locally_maximal(h, v1, v2) else "no"),
-        ("bad_minus_scaled_missing", fraction_text(partition.prop33_expr(h, v1, v2))),
+        ("mu_lower", fraction_text(stats.mu_lower)),
+        ("locally_maximal", "yes" if partition.is_locally_maximal(h, stats.v1, stats.v2) else "no"),
+        ("bad_minus_scaled_missing", fraction_text(partition.prop33_expr(stats))),
         ("xi", args.xi),
         ("edge_bound_lhs", str(lhs)),
         ("edge_bound_rhs", fraction_text(rhs)),

@@ -33,7 +33,9 @@ references: relabel applies a vertex permutation, spanning_profile counts
 the m-subsets of a host by induced canonical key (every p(F, h) at once),
 and maxcut_exact is the exhaustive max-cut over every V1 that
 maxcut_local_search is measured against.  move_deltas_edges is the
-edge walk the package's move gains from pair links are checked against.
+edge walk the package's move gains from pair links are checked against,
+and bad_missing_brute lists the bad edges and every missing cross triple
+that partition.bad_missing only counts.
 """
 
 from __future__ import annotations
@@ -589,6 +591,20 @@ def maxcut_exact(h: Hypergraph3) -> tuple[int, frozenset[int]]:
             best_mask = mask
     v1 = frozenset(v for v in range(h.n) if best_mask >> v & 1)
     return best, v1
+
+
+def bad_missing_brute(h: Hypergraph3, v1, v2) -> tuple[set, set]:
+    """(B, M): the bad edges, with 1 or 3 vertices in V1, and the absent
+    triples with 2 vertices in V1, found by walking every cross triple."""
+    s1 = set(v1)
+    bad = {e for e in h.edges if sum(v in s1 for v in e) in (1, 3)}
+    missing = set()
+    for a, b in combinations(sorted(s1), 2):
+        for c in sorted(v2):
+            t = tuple(sorted((a, b, c)))
+            if t not in h.edge_set:
+                missing.add(t)
+    return bad, missing
 
 
 def move_deltas_edges(h: Hypergraph3, in_v1) -> tuple[list[int], int]:

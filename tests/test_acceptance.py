@@ -324,8 +324,10 @@ def test_acceptance_12_partition_accounting_and_maxcut():
             v1 = {v for v in range(n) if mask >> v & 1}
             v2 = set(range(n)) - v1
             stats = bad_missing(h, v1, v2)
-            assert len(h.edges) == stats.cross_present + len(stats.bad) + stats.inner2
-            assert stats.cross_present + len(stats.missing) == comb(len(v1), 2) * len(v2)
+            bad, missing = oracles.bad_missing_brute(h, v1, v2)
+            assert (stats.bad, stats.missing) == (len(bad), len(missing))
+            assert len(h.edges) == stats.cross_present + stats.bad + stats.inner2
+            assert stats.cross_present + len(missing) == comb(len(v1), 2) * len(v2)
 
     matches = 0
     for i in range(100):
@@ -350,8 +352,9 @@ def test_acceptance_13_brec_top_split_identity():
         n1 = spec.splits[0]
         v1, v2 = set(range(n1)), set(range(n1, n))
         stats = bad_missing(h, v1, v2)
-        assert stats.bad == () and stats.missing == ()
-        lhs, rhs, holds = lemma22_gap(h, v1, v2, 0)
+        assert oracles.bad_missing_brute(h, v1, v2) == (set(), set())
+        assert stats.bad == stats.missing == 0
+        lhs, rhs, holds = lemma22_gap(stats, 0)
         assert holds and lhs == rhs
     report(13, "top split has no bad or missing edges and the bound is tight at xi=0 for n<=40")
 

@@ -662,6 +662,39 @@ def test_partition_search_is_pinned(capsys, tmp_path, seed):
     assert sha256(out.encode()) == PARTITION_DIGESTS[seed]
 
 
+# SHA-256 of partition's stdout on the optimal brec graph at n=60 with the
+# even vertices as V1, recorded while the missing triples were still listed
+# one by one.  That partition is far from a max cut (bad 8114, missing 6906,
+# locally_maximal no), so every count and inequality row is nonzero.
+PARTITION_V1_DIGEST = "215126dfa3781d0f5893b2939fedfd27c387ad85535af6b6191a81aaea2dd26e"
+
+
+def test_partition_given_v1_is_pinned(capsys, tmp_path):
+    path = str(tmp_path / "brec60.txt")
+    assert run(capsys, "construct", "--kind", "brec", "--n", "60", "--emit", path)[0] == 0
+    v1 = ",".join(map(str, range(0, 60, 2)))
+    code, out, _ = run(capsys, "partition", "--graph", path, "--v1", v1, "--xi", "1/100")
+    assert code == 0
+    assert sha256(out.encode()) == PARTITION_V1_DIGEST
+
+
+@pytest.mark.parametrize("extra", [["--v1", "0,2"], ["--restarts", "3"]])
+def test_partition_classifies_the_edges_once(capsys, monkeypatch, extra):
+    from turan3 import partition
+
+    calls = []
+    count = partition.bad_missing
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(partition, "bad_missing", counted)
+    code, out, _ = run(capsys, "partition", "--graph", "C5_3", *extra)
+    assert code == 0 and rows(out)["missing"]
+    assert len(calls) == 1
+
+
 def test_partition_subcommand_given_v1(capsys, tmp_path):
     path = tmp_path / "h.txt"
     graphs.save_graph(graphs.named_graph("K4_3"), str(path))

@@ -45,8 +45,9 @@ def random_partition(n, rng):
 def test_bad_missing_k4():
     h = named_graph("K4_3")
     stats = bad_missing(h, {0, 1}, {2, 3})
-    assert set(stats.bad) == {(0, 2, 3), (1, 2, 3)}
-    assert stats.missing == ()
+    bad, missing = oracles.bad_missing_brute(h, {0, 1}, {2, 3})
+    assert bad == {(0, 2, 3), (1, 2, 3)} and missing == set()
+    assert (stats.bad, stats.missing) == (len(bad), len(missing))
     assert stats.cross_present == 2
     assert stats.inner2 == 0
 
@@ -54,7 +55,7 @@ def test_bad_missing_k4():
 def test_bad_missing_semibipartite_defining_partition():
     h = build(SemiBipartite(5, 3))
     stats = bad_missing(h, set(range(5)), set(range(5, 8)))
-    assert stats.bad == () and stats.missing == ()
+    assert stats.bad == stats.missing == 0
     assert stats.cross_present == comb(5, 2) * 3
 
 
@@ -64,7 +65,7 @@ def test_bad_missing_brec_top_split():
     h = build(spec)
     n1 = spec.splits[0]
     stats = bad_missing(h, set(range(n1)), set(range(n1, n)))
-    assert stats.bad == () and stats.missing == ()
+    assert stats.bad == stats.missing == 0
     assert stats.inner2 == b_rec(n - n1)[0]
 
 
@@ -76,15 +77,21 @@ def test_partition_validation():
         bad_missing(h, {0, 1}, {2})
 
 
+def _check_counts(h, v1, v2):
+    stats = bad_missing(h, v1, v2)
+    bad, missing = oracles.bad_missing_brute(h, v1, v2)
+    assert (stats.bad, stats.missing) == (len(bad), len(missing))
+    assert len(h.edges) == stats.cross_present + stats.bad + stats.inner2
+    assert stats.cross_present + len(missing) == comb(len(v1), 2) * len(v2)
+
+
 def test_accounting_invariants_random():
     rng = random.Random(21)
     for _ in range(60):
         n = rng.randint(3, 7)
         h = random_graph(n, rng.random(), rng)
         v1, v2 = random_partition(n, rng)
-        stats = bad_missing(h, v1, v2)
-        assert len(h.edges) == stats.cross_present + len(stats.bad) + stats.inner2
-        assert stats.cross_present + len(stats.missing) == comb(len(v1), 2) * len(v2)
+        _check_counts(h, v1, v2)
 
 
 def test_accounting_invariants_exhaustive_n5():
@@ -93,9 +100,24 @@ def test_accounting_invariants_exhaustive_n5():
     for mask in range(1 << 5):
         v1 = {v for v in range(5) if mask >> v & 1}
         v2 = set(range(5)) - v1
-        stats = bad_missing(h, v1, v2)
-        assert len(h.edges) == stats.cross_present + len(stats.bad) + stats.inner2
-        assert stats.cross_present + len(stats.missing) == comb(len(v1), 2) * len(v2)
+        _check_counts(h, v1, v2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_counts_match_the_triple_walk(data):
+    n = data.draw(st.integers(1, 9))
+    triples = list(combinations(range(n), 3))
+    edges = data.draw(st.lists(st.sampled_from(triples), unique=True)) if triples else []
+    v1 = set(data.draw(st.lists(st.integers(0, n - 1), unique=True)))  # either side may be empty
+    _check_counts(from_edges(n, edges), v1, set(range(n)) - v1)
+
+
+def test_missing_is_counted_not_listed():
+    # C(1500, 2) * 1500 absent cross triples: a walk over them would not finish
+    stats = bad_missing(from_edges(3000, []), range(1500), range(1500, 3000))
+    assert stats.missing == 1686375000
+    assert (stats.cross_present, stats.bad, stats.inner2) == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +155,16 @@ def test_maxcut_vs_exhaustive():
 def _check_flips(h, in_v1, moves):
     # a wrong update can make the ascent cycle forever, so check each
     # step against the edge walk before running whole searches
-    deltas, cross = partition_mod._move_deltas(h, in_v1)
+    s = partition_mod._mask(in_v1)
+    assert s == sum(1 << v for v in range(h.n) if in_v1[v])
+    deltas, cross = partition_mod._move_deltas(h, in_v1, s)
     assert (deltas, cross) == oracles.move_deltas_edges(h, in_v1)
     for v in moves:
-        partition_mod._flip(h, in_v1, deltas, v)
+        s = partition_mod._flip(h, in_v1, deltas, s, v)
+        assert s == partition_mod._mask(in_v1)
         expected = oracles.move_deltas_edges(h, in_v1)
         assert deltas == expected[0]
-        assert partition_mod._move_deltas(h, in_v1) == expected
+        assert partition_mod._move_deltas(h, in_v1, s) == expected
         v1 = {u for u in range(h.n) if in_v1[u]}
         assert bad_missing(h, v1, set(range(h.n)) - v1).cross_present == expected[1]
 
@@ -213,31 +238,31 @@ def test_lemma22_brec_exact_at_xi_zero():
         spec = optimal_brec(n)
         h = build(spec)
         n1 = spec.splits[0]
-        lhs, rhs, holds = lemma22_gap(h, set(range(n1)), set(range(n1, n)), 0)
+        lhs, rhs, holds = lemma22_gap(bad_missing(h, set(range(n1)), set(range(n1, n))), 0)
         assert holds
         assert lhs == rhs  # B = M = 0 and |H| = C(n1,2) n2 + b_rec(n2)
 
 
 def test_lemma22_large_xi_trivial():
     h = named_graph("K4_3")
-    lhs, rhs, holds = lemma22_gap(h, {0, 1, 2}, {3}, 1)
+    lhs, rhs, holds = lemma22_gap(bad_missing(h, {0, 1, 2}, {3}), 1)
     assert holds and rhs - lhs >= 60
 
 
 def test_lemma22_reports_failure():
     h = named_graph("K4_3")
-    lhs, rhs, holds = lemma22_gap(h, {0, 1, 2, 3}, set(), 0)
+    lhs, rhs, holds = lemma22_gap(bad_missing(h, {0, 1, 2, 3}, set()), 0)
     assert not holds
     assert rhs == -Fraction(4, 3999)
 
 
 def test_prop33_values():
     h = build(SemiBipartite(4, 3))
-    assert prop33_expr(h, set(range(4)), set(range(4, 7))) == 0
-    assert prop33_expr(named_graph("K4_3"), {0, 1}, {2, 3}) == 2
+    assert prop33_expr(bad_missing(h, set(range(4)), set(range(4, 7)))) == 0
+    assert prop33_expr(bad_missing(named_graph("K4_3"), {0, 1}, {2, 3})) == 2
     empty = from_edges(6, [])
     v1, v2 = {0, 1, 2}, {3, 4, 5}
-    assert prop33_expr(empty, v1, v2) == -Fraction(3999, 4000) * comb(3, 2) * 3
+    assert prop33_expr(bad_missing(empty, v1, v2)) == -Fraction(3999, 4000) * comb(3, 2) * 3
 
 
 # ---------------------------------------------------------------------------
