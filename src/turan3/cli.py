@@ -38,15 +38,24 @@ def _read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"config line without '=': {raw.rstrip()!r}")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise ValueError(f"config key {key!r} is given twice")
+            values[key] = value.strip()
     return values
+
+
+_SWITCH_WORDS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
 
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fill values from --config for options the command line left at default.
 
     A value is converted by its option's type, as argparse would convert
-    the flag; a switch (store_true) reads yes/no words.
+    the flag; a switch (store_true) reads 1/true/yes/on or 0/false/no/off.
     """
     if not getattr(args, "config", None):
         return
@@ -59,7 +68,9 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         if getattr(args, key) != action.default:
             continue  # explicit flag wins
         if isinstance(action.default, bool):
-            setattr(args, key, text.lower() in {"1", "true", "yes", "on"})
+            if text.lower() not in _SWITCH_WORDS:
+                raise ValueError(f"config key {key!r}: {text!r} is not a yes/no word")
+            setattr(args, key, _SWITCH_WORDS[text.lower()])
         elif action.type is not None:
             try:
                 setattr(args, key, action.type(text))

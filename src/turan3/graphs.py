@@ -13,15 +13,21 @@ visits the relabelings depth first and prunes them by the automorphisms it
 finds on the way (first-path pruning, McKay and Piperno, J. Symbolic
 Comput. 60, 2014): the edgeless and the complete graph cost one leaf per
 vertex, but a rigid graph whose colouring leaves large cells still costs
-a leaf per relabeling.  A discrete colouring is answered without a
-search, and a leaf is valued by an integer with one bit per relabeled
-edge, at the rank of the edge's triple, so a leaf costs one OR per edge
-and no sort.  The last vertex goes to its leaf without a loop, and a node
-looks for orbits of explored siblings only once the search has found an
-automorphism fixing its prefix.  A graph's refined colouring is its
-cached refined_colors, which the generator reads before it decides to
-label; refinement stops at the first round that splits no cell, and at
-once when the colouring is discrete.
+a leaf per relabeling.  A one-cell colouring with an edge starts the
+search at a pair of largest codegree c: labels 0 and 1 take such a pair
+and labels 2..c+1 its common neighbours.  The triples (0, 1, x) are the
+most significant in a leaf's value, and a pair of codegree c' can make at
+most c' of them edges, the first c' only with its common neighbours at
+labels 2..c'+1; so every leaf reaching the least edge tuple obeys the
+rule, and no key or first perm reaching it is lost.  A discrete colouring
+is answered without a search, and a leaf is valued by an integer with one
+bit per relabeled edge, at the rank of the edge's triple, so a leaf costs
+one OR per edge and no sort.  The last vertex goes to its leaf without a
+loop, and a node looks for orbits of explored siblings only once the
+search has found an automorphism fixing its prefix.  A graph's refined
+colouring is its cached refined_colors, which the generator reads before
+it decides to label; refinement stops at the first round that splits no
+cell, and at once when the colouring is discrete.
 _injections (backtracking over vertex images, pruned by degree and by every
 triple a placed vertex completes) decides containment: contains_sub,
 contains_induced and link_patterns (which lists, for the isomorph-free
@@ -249,6 +255,17 @@ def _canonical_search(
     A discrete colouring leaves one candidate and a trivial group, so it is
     returned without a search.
 
+    A one-cell colouring with at least one edge keeps only the candidates
+    that put a pair of largest codegree c at labels 0 and 1 and its common
+    neighbours at labels 2..c+1, each in increasing order.  The dropped
+    candidates cannot reach the least tuple: edges containing labels 0 and
+    1 have the greatest codes, (0, 1, 2) first and (0, 1, n-1) last, so a
+    least tuple has c of them, (0, 1, 2) to (0, 1, c+1), and only a
+    candidate obeying the rule has those.  The rule is kept by every
+    automorphism, so the pruning below and the group the found
+    automorphisms generate are as without it; only the list of generators
+    can differ.  Other colourings search every candidate.
+
     The candidates form a tree: a node at depth d fixes the vertices of
     labels 0..d-1, and its children take the unused vertices of label d's
     cell in increasing order, so leaves come in the order of
@@ -274,6 +291,15 @@ def _canonical_search(
     if len(cells) == n:
         best, perm = _relabeled_to(edges, [cell[0] for cell in cell_of_label])
         return best, perm, []
+    narrow = 0  # labels 1..narrow take their cells from the labels placed before them
+    if len(cells) == 1 and edges:
+        links = Hypergraph3(n, tuple(edges)).pair_links  # common-neighbour masks
+        codegree = max(t.bit_count() for link in links for t in link.values())
+        partners = [
+            [v for v in sorted(link) if link[v].bit_count() == codegree] for link in links
+        ]
+        cell_of_label[0] = [u for u in range(n) if partners[u]]
+        narrow = 2
     # A relabeled edge is coded as the OR of bit[label] over its vertices,
     # and a leaf's value sets one bit per edge, at the rank of its code
     # (_TRIPLE_BIT).  One edge tuple is less than another exactly when its
@@ -308,6 +334,14 @@ def _canonical_search(
 
     def explore(d: int) -> int:
         """Search below arrangement[:d]; return the depth to resume at."""
+        if 0 < d <= narrow:
+            if d == 1:
+                cell_of_label[1] = partners[arrangement[0]]
+            else:
+                mask = links[arrangement[0]][arrangement[1]]
+                inside = [v for v in range(n) if mask >> v & 1]
+                outside = [v for v in range(n) if not mask >> v & 1]
+                cell_of_label[2:] = [inside] * codegree + [outside] * (n - 2 - codegree)
         if d == n - 1:
             # one vertex is left: place it and value the leaf
             for x in cell_of_label[d]:

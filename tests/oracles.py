@@ -12,7 +12,8 @@ read its degrees; link_patterns_every_vertex and
 canonical_search_sorted_leaves are the package's routines without their
 shortcuts (one w per automorphism orbit; a discrete colouring returned at
 once, leaves valued as integers, the last vertex placed without a loop,
-prefix-fixing generators collected only as new ones are found), so they
+prefix-fixing generators collected only as new ones are found, a one-cell
+search started only at a pair of largest codegree), so they
 share the injection search and the orbit closure, and audit only the
 shortcuts; enumerate_flags_brute takes the graphs from enumerate_free and
 one rooted key per embedding, and audits how flags are keyed one per orbit;
@@ -284,8 +285,9 @@ def canonical_search_exhaustive(n: int, edges, colors):
 
 def canonical_search_sorted_leaves(n: int, edges, colors):
     """graphs._canonical_search with each leaf valued by its sorted list of
-    edge codes and no shortcut for a discrete colouring: the same
-    (best, perm, generators) must come back."""
+    edge codes, no shortcut for a discrete colouring and every relabelling of
+    a one-cell colouring a candidate: the same best and perm must come back,
+    with generators of the same group."""
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
@@ -348,14 +350,35 @@ def canonical_search_sorted_leaves(n: int, edges, colors):
     return _relabeled_edges(edges, perm), tuple(perm), generators
 
 
+def automorphisms_from_perms(perms) -> set[tuple[int, ...]]:
+    """{p^-1 o q} for p the first of perms and q each of them: every
+    automorphism, when perms are all the relabellings reaching one graph."""
+    n = len(perms[0])
+    inv0 = [0] * n
+    for v, img in enumerate(perms[0]):
+        inv0[img] = v
+    return {tuple(inv0[q[v]] for v in range(n)) for q in perms}
+
+
 def automorphisms_exhaustive(h: Hypergraph3) -> set[tuple[int, ...]]:
     """Every automorphism of h, from the perms reaching the exhaustive minimum."""
     colors = refine_colors_by_pair_tuples(h.n, h.edges)
     _, perms = canonical_search_exhaustive(h.n, h.edges, colors)
-    inv0 = [0] * h.n
-    for v, img in enumerate(perms[0]):
-        inv0[img] = v
-    return {tuple(inv0[q[v]] for v in range(h.n)) for q in perms}
+    return automorphisms_from_perms(perms)
+
+
+def generated_group(generators, n: int) -> set[tuple[int, ...]]:
+    """Every product of the generators (permutations of 0..n-1), the identity included."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        a = frontier.pop()
+        for g in generators:
+            b = tuple(g[x] for x in a)
+            if b not in group:
+                group.add(b)
+                frontier.append(b)
+    return group
 
 
 def rooted_iso_brute(g1: Hypergraph3, roots1, g2: Hypergraph3, roots2) -> bool:

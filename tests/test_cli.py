@@ -753,6 +753,35 @@ def test_config_file_and_flag_override(capsys, tmp_path):
         assert_one_error_line(err)
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("forbid = C4_3\nforbid = none\n", "config key 'forbid' is given twice"),
+        ("allow-large = yes\nallow_large = no\n", "config key 'allow_large' is given twice"),
+        ("human = maybe\n", "config key 'human': 'maybe' is not a yes/no word"),
+        ("human =\n", "config key 'human': '' is not a yes/no word"),
+    ],
+    ids=["repeated", "repeated-spelling", "switch-word", "switch-empty"],
+)
+def test_config_rejects_repeated_keys_and_unknown_switch_words(capsys, tmp_path, text, named):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "enumerate", "--m", "4", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert_one_error_line(err)
+    assert named in err
+
+
+@pytest.mark.parametrize("word, human", [("ON", True), ("1", True), ("off", False), ("No", False)])
+def test_config_switch_reads_both_word_sets(capsys, tmp_path, word, human):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"human = {word}\n")
+    argv = ["construct", "--kind", "partite3", "--parts", "2,2,2", "--report"]
+    code, out, _ = run(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    assert ("edges: 8" if human else "edges\t8") in out.splitlines()
+
+
 def test_human_mode(capsys):
     code, out, _ = run(
         capsys, "construct", "--kind", "partite3", "--parts", "2,2,2",

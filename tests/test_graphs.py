@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turan3 import density, graphs
+from turan3 import density, families, graphs
 from turan3.enumeration import _attachment_orbit_reps, _extend, enumerate_free
 from turan3.graphs import (
     Hypergraph3,
@@ -214,17 +214,55 @@ def test_refine_colors_ranks_seeds_that_are_not_ranks():
             )
 
 
-def _one_cell_hosts():
-    """Every 6-vertex graph with a one-cell refined colouring: the 35 of
-    enumerate_free(6), and the 66 children the generator labels on the way
-    there, in the labels they are searched in."""
-    yield from (g for g in enumerate_free(6) if len(set(g.refined_colors)) == 1)
-    pairs = list(combinations(range(5), 2))
-    for parent in enumerate_free(5):
-        for mask in _attachment_orbit_reps(5, parent.canonical.automorphisms, parent.degrees):
+def one_cell_children(m, family=""):
+    """The children with a one-cell refined colouring that the generator
+    labels when it extends enumerate_free(m, family), in the labels they are
+    searched in."""
+    members = families.parse_family(family) if family else []
+    forbidden, flags = [f.graph for f in members], [f.induced for f in members]
+    pairs = list(combinations(range(m), 2))
+    for parent in enumerate_free(m, forbidden, flags):
+        masks = _attachment_orbit_reps(
+            m,
+            parent.canonical.automorphisms,
+            parent.degrees,
+            graphs.link_patterns(parent, forbidden, flags),
+        )
+        for mask in masks:
             child = _extend(parent, mask, pairs)
             if len(set(child.refined_colors)) == 1:
                 yield child
+
+
+def _one_cell_hosts():
+    """Every 6-vertex graph with a one-cell refined colouring: the 35 of
+    enumerate_free(6), and the 66 children the generator labels on the way
+    there."""
+    yield from (g for g in enumerate_free(6) if len(set(g.refined_colors)) == 1)
+    yield from one_cell_children(5)
+
+
+def assert_search_matches_sorted_leaves(n, edges, colors):
+    """The same best tuple and perm as the oracle; with one cell, generators
+    of the same group, else the same generators in the same order."""
+    got = graphs._canonical_search(n, edges, colors)
+    want = oracles.canonical_search_sorted_leaves(n, edges, colors)
+    if len(set(colors)) > 1:
+        assert got == want
+    else:
+        assert got[:2] == want[:2]
+        assert oracles.generated_group(got[2], n) == oracles.generated_group(want[2], n)
+
+
+def assert_labelling_matches_exhaustive(h):
+    """canonical_data's key, perm and group against every relabelling: the
+    least edge tuple, the first perm reaching it and every p^-1 o q."""
+    colors = oracles.refine_colors_by_pair_tuples(h.n, h.edges)
+    best, perms = oracles.canonical_search_exhaustive(h.n, h.edges, colors)
+    data = graphs.canonical_data(h)
+    assert data.key == graphs._encode(h.n, best)
+    assert data.to_canonical == perms[0]
+    assert oracles.generated_group(data.generators, h.n) == oracles.automorphisms_from_perms(perms)
 
 
 def test_one_cell_searches_match_the_sorted_leaf_oracle():
@@ -239,8 +277,19 @@ def test_one_cell_searches_match_the_sorted_leaf_oracle():
                 seeds.append([roots.index(v) if v in roots else s for v in range(h.n)])
         for seed in seeds:
             colors = graphs._refine_colors(h.n, h.edges, seed)
-            got = graphs._canonical_search(h.n, h.edges, colors)
-            assert got == oracles.canonical_search_sorted_leaves(h.n, h.edges, colors)
+            assert_search_matches_sorted_leaves(h.n, h.edges, colors)
+
+
+def test_one_cell_labelling_matches_the_exhaustive_oracle():
+    # A one-cell search starts only at a pair of largest codegree: the key,
+    # the perm reaching it first and the group must be those of the search
+    # over every relabelling.  A CI step runs the same check on the 180
+    # one-cell children of enumerate_free(6, F32,induced:F32_BAR).
+    hosts = list(_one_cell_hosts())
+    children = list(one_cell_children(6, "F32,C5_3_MINUS"))
+    assert len(children) == 27
+    for h in hosts + children:
+        assert_labelling_matches_exhaustive(h)
 
 
 def _labelling_hosts(rng):
@@ -273,8 +322,8 @@ def test_triple_bits_rise_with_the_triple_code():
 
 
 def test_canonical_search_matches_the_sorted_leaf_oracle():
-    # Best tuple, perm and generators, in the same order, with and without
-    # roots pinned by a seed colouring.
+    # Best tuple, perm and generators (the same group for one cell, else the
+    # same list), with and without roots pinned by a seed colouring.
     rng = random.Random(37)
     for h in _labelling_hosts(rng):
         colourings = [list(h.refined_colors)]
@@ -283,8 +332,7 @@ def test_canonical_search_matches_the_sorted_leaf_oracle():
             seed = [roots.index(v) if v in roots else len(roots) for v in range(h.n)]
             colourings.append(graphs._refine_colors(h.n, h.edges, seed))
         for colors in colourings:
-            got = graphs._canonical_search(h.n, h.edges, colors)
-            assert got == oracles.canonical_search_sorted_leaves(h.n, h.edges, colors)
+            assert_search_matches_sorted_leaves(h.n, h.edges, colors)
 
 
 @pytest.mark.parametrize(
