@@ -261,9 +261,10 @@ def verify(cert: Certificate) -> VerifyResult:
 
     The family is read from the certificate's key alone, and the program is
     the one assemble builds for it with one type per certificate block.
-    Pair-density tables come from the per-process memo of
-    pair_density_table, so a table built for an earlier program in the same
-    process is not built again.
+    Pair-density tables come from density._build_table, a functools.cache
+    function keyed on the labelled type, m and the family's (canonical
+    graph, induced) members, so a table built for an earlier program in the
+    same process is not built again.
     """
     try:
         family = family_from_key(cert.family_key)

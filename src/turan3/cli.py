@@ -51,33 +51,30 @@ _SWITCH_WORDS = {
 }
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill values from --config for options the command line left at default.
+def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict[str, object]:
+    """The --config file's values, converted, as defaults for parser.
 
     A value is converted by its option's type, as argparse would convert
     the flag; a switch (store_true) reads 1/true/yes/on or 0/false/no/off.
     """
-    if not getattr(args, "config", None):
-        return
-    file_values = _read_config(args.config)
     actions = {a.dest: a for a in parser._actions if a.default is not argparse.SUPPRESS}
-    for key, text in file_values.items():
+    defaults: dict[str, object] = {}
+    for key, text in _read_config(path).items():
         if key not in actions:
             raise ValueError(f"unknown config key {key!r}")
         action = actions[key]
-        if getattr(args, key) != action.default:
-            continue  # explicit flag wins
         if isinstance(action.default, bool):
             if text.lower() not in _SWITCH_WORDS:
                 raise ValueError(f"config key {key!r}: {text!r} is not a yes/no word")
-            setattr(args, key, _SWITCH_WORDS[text.lower()])
+            defaults[key] = _SWITCH_WORDS[text.lower()]
         elif action.type is not None:
             try:
-                setattr(args, key, action.type(text))
+                defaults[key] = action.type(text)
             except ValueError:
                 raise ValueError(f"config key {key!r}: invalid value {text!r}") from None
         else:
-            setattr(args, key, text)
+            defaults[key] = text
+    return defaults
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +251,11 @@ def cmd_partition(args, parser) -> int:
     if args.v1 is not None:
         v1 = set(_integers(args.v1, "--v1 vertex")) if args.v1 else set()
         stats = partition.bad_missing(h, v1, set(range(h.n)) - v1)
+        locally_maximal = partition.is_locally_maximal(h, stats.v1, stats.v2)
     else:
+        # the search stops only when no single move gains
         stats = partition.maxcut_local_search(h, restarts=args.restarts, seed=args.seed)
+        locally_maximal = True
     lhs, rhs, holds = partition.lemma22_gap(stats, xi)
     rows = [
         ("v1", ",".join(map(str, sorted(stats.v1)))),
@@ -265,7 +265,7 @@ def cmd_partition(args, parser) -> int:
         ("missing", str(stats.missing)),
         ("inner2", str(stats.inner2)),
         ("mu_lower", fraction_text(stats.mu_lower)),
-        ("locally_maximal", "yes" if partition.is_locally_maximal(h, stats.v1, stats.v2) else "no"),
+        ("locally_maximal", "yes" if locally_maximal else "no"),
         ("bad_minus_scaled_missing", fraction_text(partition.prop33_expr(stats))),
         ("xi", args.xi),
         ("edge_bound_lhs", str(lhs)),
@@ -356,7 +356,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args, args.parser_ref)
+        if args.config:
+            # the file's values become defaults, so a flag given on the
+            # command line wins whatever its value
+            args.parser_ref.set_defaults(**_config_defaults(args.config, args.parser_ref))
+            args = parser.parse_args(argv)
         return args.func(args, args.parser_ref)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

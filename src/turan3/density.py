@@ -70,12 +70,13 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, compress
 from math import comb, perm
 from typing import Sequence
 
 from .enumeration import enumerate_flags, enumerate_free, flag_action, rooted_canonical_key
-from .families import Family
+from .families import Family, FamilyMember
 from .graphs import Hypergraph3, _subset_scan, from_edges, induced_subgraph, root_sets
 
 SINGLE_EDGE = from_edges(3, [(0, 1, 2)])
@@ -165,11 +166,6 @@ class PairDensityTable:
     denominator: int  # pair_denominator(m, |sigma|)
 
 
-# Tables built by this process, keyed by the labelled type: a table's flags
-# and matrices depend on how sigma is labelled, not only on its class.
-_memory_cache: dict[tuple, PairDensityTable] = {}
-
-
 def pair_density_table(sigma: Hypergraph3, m: int, family: Family = ()) -> PairDensityTable:
     """Symmetric pair-density matrices, one per admissible m-vertex target,
     each stored as its upper triangle of counts over table.denominator.
@@ -177,33 +173,29 @@ def pair_density_table(sigma: Hypergraph3, m: int, family: Family = ()) -> PairD
     sigma is the type, a labelled graph whose vertices are all roots; the
     flags have (m + s) / 2 vertices, s = |sigma|, and row i of each matrix
     is the flag with rooted key flags[i].  A type that does not fit m
-    (pair_denominator) raises ValueError.  Tables are memoised per process,
-    and each was built here from the family and the code, so the verifier's
-    own assembly reuses the tables an earlier one built.
+    (pair_denominator) raises ValueError.  Tables are memoised per process
+    by _build_table, a functools.cache function keyed on the labelled type
+    (a table's flags and matrices depend on how sigma is labelled, not only
+    on its class), m and the family's (canonical graph, induced) members in
+    order.  Each table was built here from the family and the code, so the
+    verifier's own assembly reuses the tables an earlier one built.
     """
-    cache_key = (sigma, m, tuple((fm.graph.canon_key, fm.induced) for fm in family))
-    table = _memory_cache.get(cache_key)
-    if table is None:
-        table = _memory_cache[cache_key] = _build_table(sigma, m, family)
-    return table
+    members = tuple(FamilyMember(fm.graph.canonical.graph, fm.induced) for fm in family)
+    return _build_table(sigma, m, members)
 
 
-# Per (target, k), the code of each k-subset U of the target's vertices, in
-# combinations order: bit r is set when the r-th triple of U's positions, in
-# combinations order, is an edge.  Tables whose flags have k vertices share it.
-_subset_codes_memo: dict[tuple[Hypergraph3, int], list[int]] = {}
-
-
+@cache
 def _subset_codes(target: Hypergraph3, k: int) -> list[int]:
-    found = _subset_codes_memo.get((target, k))
-    if found is None:
-        bits = [1 << r for r in range(comb(k, 3))]
-        has_edge = target.edge_set.__contains__
-        found = _subset_codes_memo[target, k] = [
-            sum(compress(bits, map(has_edge, combinations(u, 3))))
-            for u in combinations(range(target.n), k)
-        ]
-    return found
+    """The code of each k-subset U of the target's vertices, in combinations
+    order: bit r is set when the r-th triple of U's positions, in
+    combinations order, is an edge.  Tables whose flags have k vertices
+    share it."""
+    bits = [1 << r for r in range(comb(k, 3))]
+    has_edge = target.edge_set.__contains__
+    return [
+        sum(compress(bits, map(has_edge, combinations(u, 3))))
+        for u in combinations(range(target.n), k)
+    ]
 
 
 def _pair_orbit(pair: int, action: tuple[tuple[int, ...], ...], nflags: int) -> set[int]:
@@ -221,6 +213,7 @@ def _pair_orbit(pair: int, action: tuple[tuple[int, ...], ...], nflags: int) -> 
     return orbit
 
 
+@cache
 def _build_table(sigma: Hypergraph3, m: int, family: Family) -> PairDensityTable:
     denominator = pair_denominator(m, sigma.n)
     m_prime = (m + sigma.n) // 2

@@ -51,6 +51,7 @@ count one ordering per root set.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -66,10 +67,7 @@ from .graphs import (
 SOFT_VERTEX_LIMIT = 7
 
 
-# Per k, the packed link degrees _attachment_orbit_reps tests degrees with.
-_outrank_memo: dict[int, tuple[int, list[int], list[int], int, int]] = {}
-
-
+@cache
 def _outrank_codes(k: int) -> tuple[int, list[int], list[int], int, int]:
     """(split, low, high, width, top) for the degree test of _attachment_orbit_reps.
 
@@ -82,26 +80,23 @@ def _outrank_codes(k: int) -> tuple[int, list[int], list[int], int, int]:
     split bits] and high[mask's other bits]; two tables of about
     2 ** (pairs / 2) entries stand for one of 2 ** pairs.
     """
-    found = _outrank_memo.get(k)
-    if found is None:
-        pairs = list(combinations(range(k), 2))
-        split = len(pairs) // 2
-        width = len(pairs).bit_length() + 1
-        half = 1 << (width - 1)
-        stars = [sum(1 << i for i, p in enumerate(pairs) if v in p) for v in range(k)]
+    pairs = list(combinations(range(k), 2))
+    split = len(pairs) // 2
+    width = len(pairs).bit_length() + 1
+    half = 1 << (width - 1)
+    stars = [sum(1 << i for i, p in enumerate(pairs) if v in p) for v in range(k)]
 
-        def pack(mask: int, offset: int) -> int:
-            size = mask.bit_count()
-            return sum(
-                ((mask & star).bit_count() - size + offset) << (width * v)
-                for v, star in enumerate(stars)
-            )
+    def pack(mask: int, offset: int) -> int:
+        size = mask.bit_count()
+        return sum(
+            ((mask & star).bit_count() - size + offset) << (width * v)
+            for v, star in enumerate(stars)
+        )
 
-        low = [pack(lo, 0) for lo in range(1 << split)]
-        high = [pack(hi << split, half - 1) for hi in range(1 << (len(pairs) - split))]
-        top = sum(half << (width * v) for v in range(k))
-        found = _outrank_memo[k] = (split, low, high, width, top)
-    return found
+    low = [pack(lo, 0) for lo in range(1 << split)]
+    high = [pack(hi << split, half - 1) for hi in range(1 << (len(pairs) - split))]
+    top = sum(half << (width * v) for v in range(k))
+    return split, low, high, width, top
 
 
 def _subset_images(images: Sequence[int]) -> list[int]:
@@ -214,9 +209,6 @@ def _new_vertex_is_canonical(child: Hypergraph3, data: CanonicalData) -> bool:
     return last in data.orbit(target)
 
 
-_free_memo: dict[tuple, tuple[Hypergraph3, ...]] = {}
-
-
 def enumerate_free(
     m: int,
     family: Sequence[Hypergraph3] = (),
@@ -227,31 +219,39 @@ def enumerate_free(
 
     Output is sorted by canonical key and is exhaustive: every family-free
     m-vertex graph is isomorphic to exactly one member.  Results are
-    memoised per process by m and the class and induced flag of each member
-    on at most m vertices (larger members cannot occur, so they are never
-    labelled); each call returns a new list, so callers may mutate it.
+    memoised per process by _generate_free, a functools.cache function
+    keyed on m and the frozenset of (canonical graph, induced flag) of the
+    members on at most m vertices (larger members cannot occur, so they are
+    never labelled); two members are one key exactly when their canonical
+    keys are equal.  Each call returns a new list, so callers may mutate it.
     m above SOFT_VERTEX_LIMIT raises unless allow_large is set.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > SOFT_VERTEX_LIMIT and not allow_large:
         raise ValueError(f"m={m} exceeds the soft limit {SOFT_VERTEX_LIMIT}")
+    return list(_generate_free(m, _kept_members(m, family, induced_flags)))
+
+
+def _kept_members(
+    m: int, family: Sequence[Hypergraph3], induced_flags: Sequence[bool] | None
+) -> frozenset[tuple[Hypergraph3, bool]]:
+    """(canonical graph, induced flag) of each member on at most m vertices."""
     if induced_flags is None:
         induced_flags = [False] * len(family)
     if len(induced_flags) != len(family):
         raise ValueError("induced_flags length must match family length")
-    kept = [(f, ind) for f, ind in zip(family, induced_flags) if f.n <= m]
-    memo_key = (m, frozenset((f.canon_key, ind) for f, ind in kept))
-    found = _free_memo.get(memo_key)
-    if found is None:
-        found = tuple(_generate_free(m, [f for f, _ in kept], [ind for _, ind in kept]))
-        _free_memo[memo_key] = found
-    return list(found)
+    return frozenset(
+        (f.canonical.graph, ind) for f, ind in zip(family, induced_flags) if f.n <= m
+    )
 
 
+@cache
 def _generate_free(
-    m: int, family: Sequence[Hypergraph3], induced_flags: Sequence[bool]
-) -> list[Hypergraph3]:
+    m: int, kept: frozenset[tuple[Hypergraph3, bool]]
+) -> tuple[Hypergraph3, ...]:
+    family = [f for f, _ in kept]
+    induced_flags = [ind for _, ind in kept]
     root = Hypergraph3(0, ())
     level = [root] if is_family_free(root, family, induced_flags) else []
     for k in range(m):
@@ -272,16 +272,11 @@ def _generate_free(
                 if _new_vertex_is_canonical(child, data):
                     next_level.append(data.graph)
         level = sorted(next_level, key=lambda g: g.canon_key)
-    return level
+    return tuple(level)
 
 
 # ---------------------------------------------------------------------------
 # Typed flags
-
-
-# Per labelled type, flag size and family: the sorted flag keys and, per
-# generator of Aut(sigma), the permutation of flag indices it induces.
-_flag_memo: dict[tuple, tuple[tuple[bytes, ...], tuple[tuple[int, ...], ...]]] = {}
 
 
 def enumerate_flags(
@@ -304,10 +299,12 @@ def enumerate_flags(
     Aut(g), is keyed by one rooted search.  The same pass gives Aut(sigma)'s
     action on the flags (flag_action): each gamma in Aut(sigma) sends the
     flag of theta to the flag of theta o gamma, another embedding in g whose
-    orbit is already keyed.  Results are memoised per process, like
-    enumerate_free's.
+    orbit is already keyed.  Results are memoised per process by
+    _flag_data, a functools.cache function keyed on the labelled type,
+    m_prime and the members on at most m_prime vertices, each as
+    enumerate_free keys it.
     """
-    return list(_flags(sigma, m_prime, family, induced_flags)[0])
+    return list(_flag_data(sigma, m_prime, _kept_members(m_prime, family, induced_flags))[0])
 
 
 def flag_action(
@@ -320,33 +317,22 @@ def flag_action(
     of sigma.canonical.generators, the permutation of flag indices that
     sends flag i, rooted at theta, to the flag rooted at theta o gamma (root
     k at theta[gamma[k]])."""
-    return _flags(sigma, m_prime, family, induced_flags)[1]
+    return _flag_data(sigma, m_prime, _kept_members(m_prime, family, induced_flags))[1]
 
 
-def _flags(
-    sigma: Hypergraph3,
-    m_prime: int,
-    family: Sequence[Hypergraph3],
-    induced_flags: Sequence[bool] | None,
+@cache
+def _flag_data(
+    sigma: Hypergraph3, m_prime: int, kept: frozenset[tuple[Hypergraph3, bool]]
 ) -> tuple[tuple[bytes, ...], tuple[tuple[int, ...], ...]]:
-    if induced_flags is None:
-        induced_flags = [False] * len(family)
-    if len(induced_flags) != len(family):
-        raise ValueError("induced_flags length must match family length")
-    # members above m_prime can be in neither sigma nor a flag
-    kept = frozenset(
-        (f.canon_key, ind) for f, ind in zip(family, induced_flags) if f.n <= m_prime
-    )
-    memo_key = (sigma, m_prime, kept)
-    found = _flag_memo.get(memo_key)
-    if found is None:
-        if sigma.n > m_prime:
-            raise ValueError(f"type size {sigma.n} exceeds flag size {m_prime}")
-        if not is_family_free(sigma, family, induced_flags):
-            raise ValueError("type graph is not family-free; no flags exist")
-        graphs = enumerate_free(m_prime, family, induced_flags)
-        found = _flag_memo[memo_key] = _flag_classes(sigma, graphs)
-    return found
+    """_flag_classes over the family-free graphs on m_prime vertices; the
+    members above m_prime, in neither sigma nor a flag, are not kept."""
+    if sigma.n > m_prime:
+        raise ValueError(f"type size {sigma.n} exceeds flag size {m_prime}")
+    family = [f for f, _ in kept]
+    induced_flags = [ind for _, ind in kept]
+    if not is_family_free(sigma, family, induced_flags):
+        raise ValueError("type graph is not family-free; no flags exist")
+    return _flag_classes(sigma, enumerate_free(m_prime, family, induced_flags))
 
 
 def _flag_classes(

@@ -39,11 +39,12 @@ There is one k-subset scan, _subset_scan.  It visits the k-subsets of a
 host in combinations order, drops those whose edge count rules out the
 pattern, codes each other subset by its induced graph, one bit per triple,
 and asks the injection search about each code once per (pattern, exact)
-and process; a host with fewer edges than the pattern is answered at
-once.  density.p counts the subsets it yields,
-exhaustive_containment_scan returns the first, and root_sets, behind
-type_embeddings and density's pair-density tables, lists every exact
-injection of a type onto each root set's code.
+and process: _code_injections is a functools.cache function keyed on the
+labelled pattern, exact, every and the code.  A host with fewer edges
+than the pattern is answered at once.  density.p counts the subsets it
+yields, exhaustive_containment_scan returns the first, and root_sets,
+behind type_embeddings and density's pair-density tables, lists every
+exact injection of a type onto each root set's code.
 
 A graph's cached pair_links hold, for each vertex u and each vertex a
 sharing an edge with it, the bitmask of the third vertices of the edges
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, compress, islice
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -563,10 +564,15 @@ def contains_induced(h: Hypergraph3, f: Hypergraph3) -> bool:
     return next(_injections(f, h, True), None) is not None
 
 
-# Per (pattern, exact, every), the injections the scan found for each
-# induced-graph code it met: all of them when every, else at most the first.
-# Filled lazily, at most one entry per code.
-_injections_by_code: dict[tuple[Hypergraph3, bool, bool], dict[int, list[Perm]]] = {}
+@cache
+def _code_injections(f: Hypergraph3, exact: bool, every: bool, code: int) -> list[Perm]:
+    """The injections of f onto the f.n-vertex graph whose edges are the
+    set bits of code, bit r for the r-th triple in combinations order: all
+    of them, in the search's order, when every, else at most the first."""
+    local = combinations(range(f.n), 3)
+    g = Hypergraph3(f.n, tuple(t for r, t in enumerate(local) if code >> r & 1))
+    search = _injections(f, g, exact)
+    return list(search if every else islice(search, 1))
 
 
 def _subset_scan(
@@ -579,28 +585,23 @@ def _subset_scan(
     S is coded by its induced graph, one bit per triple of its sorted
     positions in combinations order.  A subset is first filtered by its edge
     count (== when exact, >= otherwise); the injection search then decides
-    its code once per (f, exact) and process.  With every, a code keeps all
-    its injections, in the search's order; without, only the first, so a
-    pattern with many automorphisms never lists them.  A host with fewer
-    edges than f yields nothing, without visiting a subset.
+    its code once per (f, exact, every) and process (_code_injections).
+    With every, a code keeps all its injections, in the search's order;
+    without, only the first, so a pattern with many automorphisms never
+    lists them.  A host with fewer edges than f yields nothing, without
+    visiting a subset.
     """
     k = f.n
     want = len(f.edges)
     if len(h.edges) < want:
         return  # a copy needs at least want edges, an induced copy exactly want
-    by_code = _injections_by_code.setdefault((f, exact, every), {})
-    local = list(combinations(range(k), 3))
-    bits = [1 << i for i in range(len(local))]
+    bits = [1 << i for i in range(comb(k, 3))]
     has_edge = h.edge_set.__contains__
     for sub in combinations(range(h.n), k):
         count = sum(map(has_edge, combinations(sub, 3)))
         if count == want if exact else count >= want:
             code = sum(compress(bits, map(has_edge, combinations(sub, 3))))
-            found = by_code.get(code)
-            if found is None:
-                g = Hypergraph3(k, tuple(t for bit, t in zip(bits, local) if code & bit))
-                search = _injections(f, g, exact)
-                found = by_code[code] = list(search if every else islice(search, 1))
+            found = _code_injections(f, exact, every, code)
             if found:
                 yield sub, found
 
@@ -804,6 +805,10 @@ def named_graph(name: str) -> Hypergraph3:
 # ---------------------------------------------------------------------------
 # Text format: first line "n <count>", one edge per line, '#' comments.
 
+# The reader refuses a larger vertex count: every command that reads a
+# graph holds per-vertex lists, and a one-line file must not exhaust memory.
+READ_VERTEX_LIMIT = 10**6
+
 
 def graph_to_text(h: Hypergraph3) -> str:
     lines = [f"n {h.n}"]
@@ -823,6 +828,8 @@ def parse_graph_text(text: str) -> Hypergraph3:
             if len(parts) != 2 or parts[0] != "n":
                 raise ValueError(f"expected header 'n <count>', got {raw!r}")
             n = int(parts[1])
+            if n > READ_VERTEX_LIMIT:
+                raise ValueError(f"vertex count {n} exceeds the limit {READ_VERTEX_LIMIT}")
             continue
         if len(parts) != 3:
             raise ValueError(f"expected 3 vertex ids per edge line, got {raw!r}")

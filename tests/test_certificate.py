@@ -22,6 +22,7 @@ from turan3.certificate import (
     scale_rows,
     verify,
 )
+from turan3.cli import main
 from turan3.enumeration import enumerate_free
 from turan3.graphs import from_edges, named_graph
 from turan3.sdp import assemble, default_types
@@ -546,21 +547,27 @@ def test_block_from_upper_checks_the_count_first(dim, count, message):
         certificate_from_text(text)
 
 
-def test_verify_reuses_the_tables_assemble_built(monkeypatch):
-    import turan3.density as density_mod
+def test_verify_reuses_the_tables_assemble_built(tmp_path, capsys):
+    # emit-sdp, then verify, in one process: verify builds no table and
+    # enumerates no level that emit-sdp did not.
+    from turan3.density import _build_table
+    from turan3.enumeration import _generate_free
 
-    family = fam("C4_3", "F5_BAR")
-    monkeypatch.setattr(density_mod, "_memory_cache", {})
-    assemble(5, family, use_default_types=True)
-    cert = make_sos_certificate(5, family)
+    def misses():
+        return _build_table.cache_info().misses, _generate_free.cache_info().misses
+
+    _build_table.cache_clear()
+    argv = ["--m", "5", "--forbid", "C4_3,F5_BAR", "--types", "default"]
+    assert main(["emit-sdp", *argv, "--out", str(tmp_path / "m5.sdp")]) == 0
+    capsys.readouterr()
+    built = misses()
+    assert built[0] > 0
+    cert = make_sos_certificate(5, fam("C4_3", "F5_BAR"))
     assert cert.blocks
-    built = []
-    build = density_mod._build_table
-    monkeypatch.setattr(
-        density_mod, "_build_table", lambda *args: built.append(args) or build(*args)
-    )
-    assert verify(cert).ok
-    assert built == []
+    save_certificate(cert, str(tmp_path / "cert.txt"))
+    assert main(["verify", "--cert", str(tmp_path / "cert.txt")]) == 0
+    assert capsys.readouterr().out.startswith("VERIFIED")
+    assert misses() == built
 
 
 def test_verify_scales_each_block_once(monkeypatch):

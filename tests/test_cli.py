@@ -220,6 +220,29 @@ def test_construct_refuses_a_huge_construction_before_building_it(
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition", "--graph", "{}"],
+        ["density", "--graph", "{}", "--edge-density"],
+        ["construct", "--kind", "brec", "--n", "6", "--check-free", "{}"],
+    ],
+    ids=["partition", "density", "check-free"],
+)
+def test_graph_reader_refuses_a_vertex_count_over_its_limit(capsys, tmp_path, argv):
+    # one header line would otherwise make every per-vertex list 10**10 long
+    huge = tmp_path / "huge.txt"
+    huge.write_text("n 10000000000\n")
+    code, out, err = run(capsys, *(arg.format(huge) for arg in argv))
+    assert (code, out) == (1, "")
+    limit = graphs.READ_VERTEX_LIMIT
+    assert err == f"error: vertex count 10000000000 exceeds the limit {limit}\n"
+    # the limit itself is read
+    huge.write_text(f"n {limit}\n")
+    code, out, _ = run(capsys, "density", "--graph", str(huge), "--edge-density")
+    assert (code, out) == (0, "edge_density\t0\n")
+
+
+@pytest.mark.parametrize(
     "spec, message",
     [
         (["brec", "--n", "5", "--splits", "9"], "split 9 exceeds the 5 remaining vertices"),
@@ -695,6 +718,24 @@ def test_partition_classifies_the_edges_once(capsys, monkeypatch, extra):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("extra, checks", [(["--v1", "0,2"], 1), (["--restarts", "3"], 0)])
+def test_partition_checks_local_maximality_only_of_a_given_v1(capsys, monkeypatch, extra, checks):
+    # The search stops only when no single move gains, so its answer is
+    # printed as locally maximal without a second pass over the links.
+    from turan3 import partition
+
+    calls = []
+    check = partition.is_locally_maximal
+    monkeypatch.setattr(
+        partition, "is_locally_maximal", lambda *args: calls.append(args) or check(*args)
+    )
+    code, out, _ = run(capsys, "partition", "--graph", "C5_3", *extra)
+    assert code == 0
+    assert len(calls) == checks
+    if not checks:
+        assert rows(out)["locally_maximal"] == "yes"
+
+
 def test_partition_subcommand_given_v1(capsys, tmp_path):
     path = tmp_path / "h.txt"
     graphs.save_graph(graphs.named_graph("K4_3"), str(path))
@@ -751,6 +792,15 @@ def test_config_file_and_flag_override(capsys, tmp_path):
         code, _, err = run(capsys, "enumerate", "--m", "4", "--config", str(bad))
         assert code == 1 and "unknown config key" in err
         assert_one_error_line(err)
+
+
+def test_config_yields_to_a_flag_given_at_its_default(capsys, tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("forbid = C4_3\n")
+    assert run(capsys, "enumerate", "--m", "4", "--config", str(cfg))[1].endswith("count 4\n")
+    code, out, _ = run(capsys, "enumerate", "--m", "4", "--forbid", "", "--config", str(cfg))
+    assert code == 0
+    assert out.endswith("count 5\n")
 
 
 @pytest.mark.parametrize(

@@ -250,21 +250,47 @@ def test_p_matches_per_subset_iso_oracle():
         assert p(f, h) == Fraction(hits, comb(n, k))
 
 
-def test_memo_keeps_labellings_of_one_type_apart(monkeypatch):
-    import turan3.density as density_mod
-
+def test_memo_keeps_labellings_of_one_type_apart():
     # Two labellings of the one-edge 4-vertex type have different tables,
     # each equal to the direct count.
     fam = families.parse_family("F32,C5_3_MINUS")
-    monkeypatch.setattr(density_mod, "_memory_cache", {})
+    density._build_table.cache_clear()
     fresh = []
     for edges in ([(0, 1, 2)], [(1, 2, 3)]):
         sigma = from_edges(4, edges)
-        fresh.append(density_mod._build_table(sigma, 6, fam))
-        assert pair_density_table(sigma, 6, fam) == fresh[-1]
+        fresh.append(pair_density_table(sigma, 6, fam))
+        assert pair_density_table(sigma, 6, fam) is fresh[-1]
         assert fresh[-1] == oracles.pair_density_table_brute(sigma, 6, fam)
+    info = density._build_table.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
     assert fresh[0].flags != fresh[1].flags
     assert fresh[0].matrices != fresh[1].matrices
+
+
+def test_memos_key_a_member_by_its_class_and_notion():
+    # A member given by built-in name, by hex key or relabelled is one key
+    # of each memo; the same member induced is another.
+    f32 = named_graph("F32")
+    by_name = families.parse_family("F32")
+    by_key = families.parse_family(f32.canon_key.hex())
+    relabelled = (families.FamilyMember(relabel(f32, [1, 3, 0, 4, 2])),)
+    induced = families.parse_family("induced:F32")
+    assert relabelled[0].graph != f32
+    sigma = from_edges(3, [(0, 1, 2)])
+    memos = (enumeration._generate_free, enumeration._flag_data, density._build_table)
+
+    def misses_after(fam):
+        members = [fm.graph for fm in fam]
+        flags = [fm.induced for fm in fam]
+        enumerate_free(5, members, flags)
+        enumerate_flags(sigma, 5, members, flags)
+        pair_density_table(sigma, 5, fam)
+        return [memo.cache_info().misses for memo in memos]
+
+    before = misses_after(by_name)
+    assert misses_after(by_key) == before
+    assert misses_after(relabelled) == before
+    assert misses_after(induced) == [x + 1 for x in before]
 
 
 PAPER_FAMILIES = ("C4_3,F5_BAR", "F32,C5_3_MINUS", "F32,induced:F32_BAR")

@@ -517,12 +517,12 @@ def test_enumerate_free_memo_returns_fresh_lists():
     assert [g.edges for g in enumerate_free(5, members)] == want
 
 
-def test_enumerate_free_memo_separates_induced_members(monkeypatch):
-    import turan3.enumeration as enumeration_mod
+def test_enumerate_free_memo_separates_induced_members():
+    from turan3.enumeration import _generate_free
 
-    monkeypatch.setattr(enumeration_mod, "_free_memo", {})
+    _generate_free.cache_clear()
     members = [named_graph("F32_BAR")]
     got_ind = enumerate_free(5, members, [True])
     got_non = enumerate_free(5, members, [False])
-    assert len(enumeration_mod._free_memo) == 2
+    assert _generate_free.cache_info().currsize == 2
     assert len(got_non) < len(got_ind)

@@ -454,18 +454,28 @@ def test_scan_of_a_host_with_too_few_edges_visits_no_subset(monkeypatch):
 
 def test_scan_memo_keeps_each_notion_apart():
     # With the edge-count filter both notions decide a code alike, so the
-    # answers alone cannot show a memo that mixes them; read the memo.
+    # answers alone cannot show a memo that mixes them; count its misses.
     f = named_graph("C5_3_MINUS")
+    decide = graphs._code_injections
+    decide.cache_clear()
+    assert exhaustive_containment_scan(f, f, False) == (True, (0, 1, 2, 3, 4))
+    assert density.p(f, f) == 1
+    assert decide.cache_info().misses == 2  # one code, decided once per notion
     h = random_graph(8, 0.8, random.Random(31))
-    exhaustive_containment_scan(h, f, False)
-    density.p(f, h)
-    local = list(combinations(range(f.n), 3))
     for induced in (False, True):
-        decided = graphs._injections_by_code[(f, induced, False)]
-        assert decided
-        for code, found in decided.items():
-            g = Hypergraph3(f.n, tuple(t for i, t in enumerate(local) if code >> i & 1))
-            assert bool(found) == oracles.contains_brute(g, f, induced)
+        before = decide.cache_info().misses
+        exhaustive_containment_scan(h, f, induced)
+        assert decide.cache_info().misses > before
+    density.p(f, h)
+    # every code of h under each notion, those the scans memoised included
+    local = list(combinations(range(f.n), 3))
+    for sub in combinations(range(h.n), f.n):
+        code = sum(
+            1 << r for r, (a, b, c) in enumerate(local) if (sub[a], sub[b], sub[c]) in h.edge_set
+        )
+        g = Hypergraph3(f.n, tuple(t for r, t in enumerate(local) if code >> r & 1))
+        for induced in (False, True):
+            assert bool(decide(f, induced, False, code)) == oracles.contains_brute(g, f, induced)
 
 
 def test_containment_never_labels(monkeypatch):
