@@ -77,7 +77,7 @@ from typing import Sequence
 from .density import PairMatrix, fraction_text, parse_fraction
 from .enumeration import SOFT_VERTEX_LIMIT, enumerate_free
 from .families import family_from_key
-from .graphs import decode_key
+from .graphs import decode_key, read_text
 from .sdp import Certificate, CertificateBlock, assemble
 
 
@@ -422,5 +422,4 @@ def save_certificate(cert: Certificate, path: str) -> None:
 
 
 def load_certificate(path: str) -> Certificate:
-    with open(path, "r", encoding="utf-8") as fh:
-        return certificate_from_text(fh.read())
+    return certificate_from_text(read_text(path))

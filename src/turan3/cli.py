@@ -30,18 +30,17 @@ def _emit_rows(rows: list[tuple[str, str]], human: bool) -> None:
 
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line without '=': {raw.rstrip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key in values:
-                raise ValueError(f"config key {key!r} is given twice")
-            values[key] = value.strip()
+    for raw in graphs.read_text(path).split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line without '=': {raw.rstrip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise ValueError(f"config key {key!r} is given twice")
+        values[key] = value.strip()
     return values
 
 

@@ -51,7 +51,7 @@ the sum over gamma in Aut(sigma) of C0 at the pair that gamma moves to
 is moved to (i, j) by |Aut sigma| / |O| of the gamma, so the count is
 |Aut sigma| * C0(O) / |O|, C0(O) being the sum of C0 over O: an exact
 integer, which the table checks.  Pair orbits are found only for the pairs
-met, once per table.
+met, once per table: graphs.orbit of (i, j) under flag_action's permutations.
 
 The flag of theta0 + A, for a t-subset A of the other vertices, is fixed by
 the code of U = S | A (one bit per triple of sorted(U), computed once per
@@ -75,9 +75,10 @@ from itertools import combinations, compress
 from math import comb, perm
 from typing import Sequence
 
-from .enumeration import enumerate_flags, enumerate_free, flag_action, rooted_canonical_key
-from .families import Family, FamilyMember
-from .graphs import Hypergraph3, _subset_scan, from_edges, induced_subgraph, root_sets
+from .enumeration import enumerate_flags, enumerate_free, flag_action, kept_members
+from .enumeration import rooted_canonical_key
+from .families import Family
+from .graphs import Hypergraph3, _subset_scan, from_edges, induced_subgraph, orbit, root_sets
 
 SINGLE_EDGE = from_edges(3, [(0, 1, 2)])
 
@@ -176,12 +177,13 @@ def pair_density_table(sigma: Hypergraph3, m: int, family: Family = ()) -> PairD
     (pair_denominator) raises ValueError.  Tables are memoised per process
     by _build_table, a functools.cache function keyed on the labelled type
     (a table's flags and matrices depend on how sigma is labelled, not only
-    on its class), m and the family's (canonical graph, induced) members in
-    order.  Each table was built here from the family and the code, so the
+    on its class), m and kept_members(m, ...), the (canonical graph,
+    induced) of the members on at most m vertices, as enumeration keys
+    them.  Each table was built here from the family and the code, so the
     verifier's own assembly reuses the tables an earlier one built.
     """
-    members = tuple(FamilyMember(fm.graph.canonical.graph, fm.induced) for fm in family)
-    return _build_table(sigma, m, members)
+    kept = kept_members(m, [fm.graph for fm in family], [fm.induced for fm in family])
+    return _build_table(sigma, m, kept)
 
 
 @cache
@@ -198,27 +200,12 @@ def _subset_codes(target: Hypergraph3, k: int) -> list[int]:
     ]
 
 
-def _pair_orbit(pair: int, action: tuple[tuple[int, ...], ...], nflags: int) -> set[int]:
-    """The orbit of the flag pair coded i * nflags + j under the diagonal
-    action of the flag permutations."""
-    orbit = {pair}
-    frontier = [pair]
-    while frontier:
-        i, j = divmod(frontier.pop(), nflags)
-        for moved in action:
-            image = moved[i] * nflags + moved[j]
-            if image not in orbit:
-                orbit.add(image)
-                frontier.append(image)
-    return orbit
-
-
 @cache
-def _build_table(sigma: Hypergraph3, m: int, family: Family) -> PairDensityTable:
+def _build_table(sigma: Hypergraph3, m: int, kept: frozenset) -> PairDensityTable:
     denominator = pair_denominator(m, sigma.n)
     m_prime = (m + sigma.n) // 2
-    members = [fm.graph for fm in family]
-    flags_ind = [fm.induced for fm in family]
+    members = [f for f, _ in kept]
+    flags_ind = [ind for _, ind in kept]
     flags = enumerate_flags(sigma, m_prime, members, flags_ind)
     action = flag_action(sigma, m_prime, members, flags_ind)
     order = len(sigma.canonical.automorphisms)
@@ -284,11 +271,10 @@ def _build_table(sigma: Hypergraph3, m: int, family: Family) -> PairDensityTable
         for pair in set(pairs).difference(orbit_of):
             if pair in orbit_of:  # in an orbit found earlier in this loop
                 continue
-            orbit = _pair_orbit(pair, action, nflags)
-            least = min(orbit)
-            for member in orbit:
-                orbit_of[member] = least
-            orbit_upper[least] = (len(orbit), [x for x in orbit if x // nflags <= x % nflags])
+            images = [i * nflags + j for i, j in orbit([divmod(pair, nflags)], action)]
+            least = min(images)
+            orbit_of |= dict.fromkeys(images, least)
+            orbit_upper[least] = (len(images), [x for x in images if x // nflags <= x % nflags])
         totals = Counter(map(orbit_of.__getitem__, pairs))  # least member of O -> C0(O)
         # Each nonzero entry with i <= j: its pair code and its count.
         codes: list[int] = []

@@ -46,7 +46,9 @@ the root count, then the key of the flag graph with root i at label i.
 Pair-density tables index their rows by these keys directly.  Flags are
 keyed one rooted search per Aut(g)-orbit of embeddings, and the same pass
 gives Aut(sigma)'s action on them (flag_action), which the tables use to
-count one ordering per root set.
+count one ordering per root set.  Automorphism groups and embedding
+orbits come from graphs.orbit, the orbit test's vertex orbit from
+graphs._orbit_closure.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .graphs import (
     Hypergraph3,
     is_family_free,
     link_patterns,
+    orbit,
     rooted_canonical_key,
     type_embeddings,
 )
@@ -230,10 +233,10 @@ def enumerate_free(
         raise ValueError("m must be nonnegative")
     if m > SOFT_VERTEX_LIMIT and not allow_large:
         raise ValueError(f"m={m} exceeds the soft limit {SOFT_VERTEX_LIMIT}")
-    return list(_generate_free(m, _kept_members(m, family, induced_flags)))
+    return list(_generate_free(m, kept_members(m, family, induced_flags)))
 
 
-def _kept_members(
+def kept_members(
     m: int, family: Sequence[Hypergraph3], induced_flags: Sequence[bool] | None
 ) -> frozenset[tuple[Hypergraph3, bool]]:
     """(canonical graph, induced flag) of each member on at most m vertices."""
@@ -304,7 +307,7 @@ def enumerate_flags(
     m_prime and the members on at most m_prime vertices, each as
     enumerate_free keys it.
     """
-    return list(_flag_data(sigma, m_prime, _kept_members(m_prime, family, induced_flags))[0])
+    return list(_flag_data(sigma, m_prime, kept_members(m_prime, family, induced_flags))[0])
 
 
 def flag_action(
@@ -317,7 +320,7 @@ def flag_action(
     of sigma.canonical.generators, the permutation of flag indices that
     sends flag i, rooted at theta, to the flag rooted at theta o gamma (root
     k at theta[gamma[k]])."""
-    return _flag_data(sigma, m_prime, _kept_members(m_prime, family, induced_flags))[1]
+    return _flag_data(sigma, m_prime, kept_members(m_prime, family, induced_flags))[1]
 
 
 @cache
@@ -342,22 +345,14 @@ def _flag_classes(
     gammas = sigma.canonical.generators
     images: dict[bytes, list[bytes]] = {}  # flag key -> its key under each gamma
     for g in graphs:
-        auts = g.canonical.generators
         key_of: dict[tuple[int, ...], bytes] = {}  # embedding -> its flag's key
         keyed = []
         for theta in type_embeddings(g, sigma):
             if theta in key_of:
                 continue
-            key = key_of[theta] = rooted_canonical_key(g, theta)
+            key = rooted_canonical_key(g, theta)
             keyed.append((theta, key))
-            frontier = [theta]
-            while frontier:
-                here = frontier.pop()
-                for a in auts:
-                    image = tuple([a[v] for v in here])
-                    if image not in key_of:
-                        key_of[image] = key
-                        frontier.append(image)
+            key_of |= dict.fromkeys(orbit([theta], g.canonical.generators), key)
         for theta, key in keyed:
             images[key] = [key_of[tuple([theta[k] for k in gamma])] for gamma in gammas]
     keys = sorted(images)

@@ -46,6 +46,9 @@ yields, exhaustive_containment_scan returns the first, and root_sets,
 behind type_embeddings and density's pair-density tables, lists every
 exact injection of a type onto each root set's code.
 
+One closure, orbit, serves every orbit of tuples: automorphism groups,
+flag embeddings and flag pairs.  Vertex orbits use the faster _orbit_closure.
+
 A graph's cached pair_links hold, for each vertex u and each vertex a
 sharing an edge with it, the bitmask of the third vertices of the edges
 through u and a.  The max-cut search in partition reads its move gains
@@ -54,6 +57,8 @@ from them with popcounts.
 
 from __future__ import annotations
 
+import os
+import stat
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -209,7 +214,10 @@ def _refine_colors(
 
 
 def _orbit_closure(start: Iterable[int], generators: Sequence[Perm]) -> set[int]:
-    """The union of the orbits of the start vertices under the generated group."""
+    """The union of the orbits of the start vertices: orbit on 1-tuples, but
+    faster.  With 1-tuples, enumerate_free(6) for the enumerate-m6 families
+    took 353 ms, not 329 ms (median of 5 processes, one CPU of a 2-core
+    x86-64 VM); enumerate-m6 wall_s read 0.833 s, not 0.800 s (10 pairs)."""
     seen = set(start)
     frontier = list(seen)
     while frontier:
@@ -219,6 +227,22 @@ def _orbit_closure(start: Iterable[int], generators: Sequence[Perm]) -> set[int]
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
+    return seen
+
+
+def orbit(start: Iterable[Perm], generators: Sequence[Perm]) -> dict[Perm, None]:
+    """Every tuple reached from the start tuples when a generator acts on
+    each entry (x -> tuple(g[v] for v in x)), as dict keys in the order
+    first reached: the union of their orbits under the generated group."""
+    seen = dict.fromkeys(start)
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = tuple([g[v] for v in x])
+            if y not in seen:
+                seen[y] = None
+                frontier.append(y)
     return seen
 
 
@@ -413,18 +437,8 @@ class CanonicalData:
 
     @cached_property
     def automorphisms(self) -> tuple[Perm, ...]:
-        """The full automorphism group, closed from the generators on first use."""
-        identity = tuple(range(self.graph.n))
-        group = {identity: None}
-        frontier = [identity]
-        while frontier:
-            a = frontier.pop()
-            for g in self.generators:
-                b = tuple([g[x] for x in a])
-                if b not in group:
-                    group[b] = None
-                    frontier.append(b)
-        return tuple(group)
+        """The full automorphism group, the orbit of the identity, on first use."""
+        return tuple(orbit([tuple(range(self.graph.n))], self.generators))
 
     def orbit(self, v: int) -> set[int]:
         """The automorphism orbit of vertex v."""
@@ -839,9 +853,17 @@ def parse_graph_text(text: str) -> Hypergraph3:
     return from_edges(n, triples)
 
 
-def load_graph(path: str) -> Hypergraph3:
+def read_text(path: str) -> str:
+    """The text of a regular file; any other path (a device such as /dev/zero,
+    a FIFO, a directory) raises ValueError unopened."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError(f"{path} is not a regular file")
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_text(fh.read())
+        return fh.read()
+
+
+def load_graph(path: str) -> Hypergraph3:
+    return parse_graph_text(read_text(path))
 
 
 def save_graph(h: Hypergraph3, path: str) -> None:

@@ -63,7 +63,7 @@ from .density import PairMatrix, edge_density, fraction_text, pair_density_table
 from .density import pair_denominator, parse_fraction
 from .enumeration import enumerate_free
 from .families import Family
-from .graphs import Hypergraph3, decode_key
+from .graphs import Hypergraph3, decode_key, read_text
 
 @dataclass(frozen=True)
 class CertificateBlock:
@@ -344,8 +344,7 @@ def model_from_text(text: str) -> SdpModel:
 
 
 def parse_sdp(path: str) -> SdpModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_text(fh.read())
+    return model_from_text(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +416,14 @@ def rational_upper_bound(x, max_denominator: int) -> Fraction:
 
 
 def read_solution(path: str) -> list[float]:
-    with open(path, "r", encoding="utf-8") as fh:
-        values = []
-        for raw in fh:
-            line = raw.split("#", 1)[0]
-            for tok in line.split():
-                value = float(tok)
-                if not math.isfinite(value):
-                    raise ValueError(f"solution value {tok!r} is not finite")
-                values.append(value)
+    values = []
+    for raw in read_text(path).split("\n"):
+        line = raw.split("#", 1)[0]
+        for tok in line.split():
+            value = float(tok)
+            if not math.isfinite(value):
+                raise ValueError(f"solution value {tok!r} is not finite")
+            values.append(value)
     return values
 
 

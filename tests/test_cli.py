@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import replace
@@ -1033,6 +1034,43 @@ def test_core_commands_import_only_the_standard_library(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (500_000_000, 500_000_000))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--m", "4", "--forbid", "/dev/zero"],
+        ["construct", "--kind", "brec", "--n", "6", "--check-free", "/dev/zero"],
+        ["density", "--graph", "/dev/zero", "--edge-density"],
+        ["density", "--graph", "F5", "--sub", "/dev/zero"],
+        ["round", "--model", "/dev/zero", "--solution", "/dev/zero", "--out", "c.txt"],
+        ["round", "--model", "m.sdp", "--solution", "/dev/zero", "--out", "c.txt"],
+        ["verify", "--cert", "/dev/zero"],
+        ["verify", "--cert", "c.txt", "--config", "/dev/zero"],
+    ],
+    ids=["forbid", "check-free", "graph", "sub", "model", "solution", "cert", "config"],
+)
+def test_device_input_is_refused_in_bounded_memory(tmp_path, argv):
+    # /dev/zero never ends: each file flag refuses it as not a regular file
+    # under 0.5 GB of address space, instead of reading until memory runs out.
+    model = str(tmp_path / "m.sdp")
+    assert main(["emit-sdp", "--m", "4", "--forbid", "C4_3", "--out", model]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "turan3.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        cwd=tmp_path,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: /dev/zero is not a regular file\n"
 
 
 def _good_certificate_text():

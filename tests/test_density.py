@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from turan3 import density, enumeration, families
+from turan3 import density, enumeration, families, graphs
 from turan3.certificate import inner_product, scale_rows
 from turan3.density import (
     SINGLE_EDGE,
@@ -293,6 +293,28 @@ def test_memos_key_a_member_by_its_class_and_notion():
     assert misses_after(induced) == [x + 1 for x in before]
 
 
+def test_tables_share_the_members_that_fit_m():
+    # A table depends only on the members on at most m vertices, each by its
+    # class and notion: another order, an isomorphic repeat (K4_3 is C4_3)
+    # or a 7-vertex member builds no new m=5 table.
+    base = families.parse_family("C4_3,F5_BAR")
+    seven = families.FamilyMember(from_edges(7, [(0, 1, 2), (3, 4, 5)]))
+    fams = [
+        base,
+        families.parse_family("F5_BAR,C4_3"),
+        families.parse_family("C4_3,F5_BAR,K4_3"),
+        base + (seven,),
+    ]
+    types = default_types(5, base)
+    assert types
+    density._build_table.cache_clear()
+    for sigma in types:
+        tables = [pair_density_table(sigma, 5, fam) for fam in fams]
+        assert all(table is tables[0] for table in tables)
+    info = density._build_table.cache_info()
+    assert (info.misses, info.hits) == (len(types), 3 * len(types))
+
+
 PAPER_FAMILIES = ("C4_3,F5_BAR", "F32,C5_3_MINUS", "F32,induced:F32_BAR")
 
 
@@ -323,7 +345,7 @@ def test_flag_action_and_pair_orbits_match_every_root_relabelling(m, spec):
         for i in range(n):
             for j in range(n):
                 orbit = {moved[gamma][i] * n + moved[gamma][j] for gamma in auts}
-                assert density._pair_orbit(i * n + j, action, n) == orbit
+                assert {a * n + b for a, b in graphs.orbit([(i, j)], action)} == orbit
                 assert len(auts) % len(orbit) == 0
 
 

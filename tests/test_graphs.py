@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import chain, combinations, permutations
@@ -148,6 +149,39 @@ def test_automorphisms_are_automorphisms():
             assert relabel(h, a).edges == h.edges
     # C5_3 is the tight 5-cycle; its symmetry group is dihedral of order 10.
     assert len(named_graph("C5_3").canonical.automorphisms) == 10
+
+
+def test_orbit_is_the_generated_group_acting_on_the_start():
+    # Seeded permutation sets of 0 to 3 generators on at most 7 points,
+    # against the group the oracle closes on its own.
+    rng = random.Random(32)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
+        group = oracles.generated_group(gens, n)
+        for width in (1, 2, 3):
+            start = [
+                tuple(rng.randrange(n) for _ in range(width)) for _ in range(rng.randint(1, 3))
+            ]
+            found = graphs.orbit(start, gens)
+            assert set(found) == {tuple(g[v] for v in x) for g in group for x in start}
+            # the start tuples are reached first, in their order
+            assert list(found)[: len(set(start))] == list(dict.fromkeys(start))
+
+
+def test_identity_orbit_keeps_the_automorphism_order():
+    # The automorphism group is the identity's orbit, listed in a pinned
+    # order: the first-reached order of the closure, generators in turn.
+    c5 = named_graph("C5_3").canonical
+    assert c5.generators == ((0, 4, 3, 2, 1), (1, 0, 4, 3, 2))
+    assert c5.automorphisms == tuple(graphs.orbit([tuple(range(5))], c5.generators)) == (
+        (0, 1, 2, 3, 4), (0, 4, 3, 2, 1), (1, 0, 4, 3, 2), (4, 0, 1, 2, 3), (2, 1, 0, 4, 3),
+        (3, 4, 0, 1, 2), (3, 2, 1, 0, 4), (2, 3, 4, 0, 1), (4, 3, 2, 1, 0), (1, 2, 3, 4, 0),
+    )
+    every = repr([g.canonical.automorphisms for g in enumerate_free(5)])
+    assert hashlib.sha256(every.encode()).hexdigest() == (
+        "f6a79336d918a5982febdb3e49af022edaca4f4073887692311f834b8738658d"
+    )
 
 
 def _every_graph_up_to_6_relabelled(rng):
