@@ -54,9 +54,9 @@ integer, which the table checks.  Pair orbits are found only for the pairs
 met, once per table: graphs.orbit of (i, j) under flag_action's permutations.
 
 The flag of theta0 + A, for a t-subset A of the other vertices, is fixed by
-the code of U = S | A (one bit per triple of sorted(U), computed once per
-target and flag size and shared by the tables of every type of that size)
-and the places S takes in sorted(U): these give S's code, so p0, and the
+the code of U = S | A (graphs.subset_codes, computed once per target and
+flag size and shared by the tables of every type of that size) and the
+places S takes in sorted(U): these give S's code, so p0, and the
 labelled graph on theta0 + A.  Flag slots are memoised by (places, code)
 across the table's targets, and a new labelled graph costs one rooted
 canonical search.  Ordered pairs of disjoint A's are counted per target,
@@ -71,16 +71,14 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, compress
+from itertools import combinations
 from math import comb, perm
 from typing import Sequence
 
 from .enumeration import enumerate_flags, enumerate_free, flag_action, kept_members
 from .enumeration import rooted_canonical_key
 from .families import Family
-from .graphs import Hypergraph3, _subset_scan, from_edges, induced_subgraph, orbit, root_sets
-
-SINGLE_EDGE = from_edges(3, [(0, 1, 2)])
+from .graphs import Hypergraph3, _subset_scan, induced_subgraph, orbit, root_sets, subset_codes
 
 
 def fraction_text(q: Fraction) -> str:
@@ -111,7 +109,7 @@ def p(f: Hypergraph3, h: Hypergraph3) -> Fraction:
     """Density of |V(f)|-subsets of V(h) spanning an induced copy of f."""
     if f.n > h.n:
         raise ValueError(f"pattern on {f.n} vertices cannot fit in {h.n}")
-    hits = sum(1 for _ in _subset_scan(h, f, True, False))
+    hits = sum(1 for _ in _subset_scan(h, f, True))
     return Fraction(hits, comb(h.n, f.n))
 
 
@@ -187,20 +185,6 @@ def pair_density_table(sigma: Hypergraph3, m: int, family: Family = ()) -> PairD
 
 
 @cache
-def _subset_codes(target: Hypergraph3, k: int) -> list[int]:
-    """The code of each k-subset U of the target's vertices, in combinations
-    order: bit r is set when the r-th triple of U's positions, in
-    combinations order, is an edge.  Tables whose flags have k vertices
-    share it."""
-    bits = [1 << r for r in range(comb(k, 3))]
-    has_edge = target.edge_set.__contains__
-    return [
-        sum(compress(bits, map(has_edge, combinations(u, 3))))
-        for u in combinations(range(target.n), k)
-    ]
-
-
-@cache
 def _build_table(sigma: Hypergraph3, m: int, kept: frozenset) -> PairDensityTable:
     denominator = pair_denominator(m, sigma.n)
     m_prime = (m + sigma.n) // 2
@@ -224,7 +208,7 @@ def _build_table(sigma: Hypergraph3, m: int, kept: frozenset) -> PairDensityTabl
         if not mx & my
     ]
     # The flag of theta + A, theta = S o p for a root set S and A a t-subset
-    # of the others, is decided by the code of U = S | A (_subset_codes) and
+    # of the others, is decided by the code of U = S | A (subset_codes) and
     # the places S takes in sorted(U): these give S's code, so p, and the
     # labelled graph on theta + A.  plans[S] holds, for each A in subsets
     # order, U's index among the m'-subsets, the slots by U code for S's
@@ -249,7 +233,7 @@ def _build_table(sigma: Hypergraph3, m: int, kept: frozenset) -> PairDensityTabl
     orbit_upper: dict[int, tuple[int, list[int]]] = {}
     matrices = []
     for target in targets:
-        u_codes = _subset_codes(target, m_prime)
+        u_codes = subset_codes(target, m_prime)
         pairs: list[int] = []  # i * nflags + j for each counted (A1, A2)
         for roots, orderings in root_sets(target, sigma):
             plan = plans[roots]

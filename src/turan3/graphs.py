@@ -35,16 +35,17 @@ generator, the links of a new vertex that would complete a member) run it
 on the host, and the subset scan runs it on small induced graphs.
 Canonical labeling never decides containment.
 
-There is one k-subset scan, _subset_scan.  It visits the k-subsets of a
-host in combinations order, drops those whose edge count rules out the
-pattern, codes each other subset by its induced graph, one bit per triple,
-and asks the injection search about each code once per (pattern, exact)
-and process: _code_injections is a functools.cache function keyed on the
-labelled pattern, exact, every and the code.  A host with fewer edges
-than the pattern is answered at once.  density.p counts the subsets it
-yields, exhaustive_containment_scan returns the first, and root_sets,
-behind type_embeddings and density's pair-density tables, lists every
-exact injection of a type onto each root set's code.
+A k-subset is coded by its induced graph, one bit per triple of its
+sorted positions in combinations order; only this module writes a code
+(subset_codes, _subset_scan) or reads one (_code_injections, a
+functools.cache function keyed on the labelled pattern, exact, every and
+the code).  Hosts stream through _subset_scan, which drops the subsets
+whose edge count rules out the pattern: density.p counts what it yields,
+exhaustive_containment_scan takes the first.  Small graphs are coded once
+per size by the cached subset_codes, which root_sets reads for
+type_embeddings and density's tables, so every type of one size shares
+one walk of each graph.  A host with fewer edges than the pattern is
+answered at once.
 
 One closure, orbit, serves every orbit of tuples: automorphism groups,
 flag embeddings and flag pairs.  Vertex orbits use the faster _orbit_closure.
@@ -130,9 +131,6 @@ class Hypergraph3:
     @property
     def canon_key(self) -> bytes:
         return self.canonical.key
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Hypergraph3(n={self.n}, edges={list(self.edges)})"
@@ -589,21 +587,14 @@ def _code_injections(f: Hypergraph3, exact: bool, every: bool, code: int) -> lis
     return list(search if every else islice(search, 1))
 
 
-def _subset_scan(
-    h: Hypergraph3, f: Hypergraph3, exact: bool, every: bool
-) -> Iterator[tuple[tuple[int, ...], list[Perm]]]:
+def _subset_scan(h: Hypergraph3, f: Hypergraph3, exact: bool) -> Iterator[tuple[int, ...]]:
     """Each f.n-subset S of V(h), in combinations order, that spans a copy
-    of f (an induced copy when exact), with injections p of f onto it:
-    f's vertex x goes to S[p[x]].
+    of f (an induced copy when exact).
 
-    S is coded by its induced graph, one bit per triple of its sorted
-    positions in combinations order.  A subset is first filtered by its edge
-    count (== when exact, >= otherwise); the injection search then decides
-    its code once per (f, exact, every) and process (_code_injections).
-    With every, a code keeps all its injections, in the search's order;
-    without, only the first, so a pattern with many automorphisms never
-    lists them.  A host with fewer edges than f yields nothing, without
-    visiting a subset.
+    A subset whose edge count passes (== when exact, >= otherwise) is coded
+    as subset_codes codes it, and each code is decided once per (f, exact)
+    and process (_code_injections).  A host with fewer edges than f yields
+    nothing, without visiting a subset.
     """
     k = f.n
     want = len(f.edges)
@@ -615,9 +606,21 @@ def _subset_scan(
         count = sum(map(has_edge, combinations(sub, 3)))
         if count == want if exact else count >= want:
             code = sum(compress(bits, map(has_edge, combinations(sub, 3))))
-            found = _code_injections(f, exact, every, code)
-            if found:
-                yield sub, found
+            if _code_injections(f, exact, False, code):
+                yield sub
+
+
+@cache
+def subset_codes(h: Hypergraph3, k: int) -> list[int]:
+    """The code of each k-subset U of V(h), in combinations order: bit r is
+    set when the r-th triple of U's positions, in combinations order, is an
+    edge.  Root sets and pair-density tables of every type share it."""
+    bits = [1 << r for r in range(comb(k, 3))]
+    has_edge = h.edge_set.__contains__
+    return [
+        sum(compress(bits, map(has_edge, combinations(u, 3))))
+        for u in combinations(range(h.n), k)
+    ]
 
 
 def root_sets(
@@ -625,12 +628,17 @@ def root_sets(
 ) -> Iterator[tuple[tuple[int, ...], list[Perm]]]:
     """Each sigma.n-subset S of target's vertices that induces a copy of
     sigma, in combinations order, with every ordering p for which
-    (S[p[0]], ..., S[p[s-1]]) induces sigma exactly.
-
-    These are the exact injections of sigma onto S's induced graph, which
-    the subset scan lists once per (sigma, code) and process.
-    """
-    return _subset_scan(target, sigma, True, True)
+    (S[p[0]], ..., S[p[s-1]]) induces sigma exactly: the exact injections
+    of sigma onto S's code (subset_codes), decided once per code."""
+    want = len(sigma.edges)
+    if len(target.edges) < want:
+        return
+    subsets = combinations(range(target.n), sigma.n)
+    for sub, code in zip(subsets, subset_codes(target, sigma.n)):
+        if code.bit_count() == want:
+            found = _code_injections(sigma, True, True, code)
+            if found:
+                yield sub, found
 
 
 def type_embeddings(target: Hypergraph3, sigma: Hypergraph3) -> list[tuple[int, ...]]:
@@ -744,8 +752,8 @@ def exhaustive_containment_scan(
     the optimal brec graph at n=40, C4_3 and F5_BAR take about an eighth of
     contains_sub's time).
     """
-    found = next(_subset_scan(h, f, induced, False), None)
-    return (True, found[0]) if found else (False, None)
+    found = next(_subset_scan(h, f, induced), None)
+    return found is not None, found
 
 
 # ---------------------------------------------------------------------------
@@ -822,6 +830,8 @@ def named_graph(name: str) -> Hypergraph3:
 # The reader refuses a larger vertex count: every command that reads a
 # graph holds per-vertex lists, and a one-line file must not exhaust memory.
 READ_VERTEX_LIMIT = 10**6
+# read_text refuses a larger file; the m=7 programs (about 43 MB) fit.
+READ_BYTE_LIMIT = 2**27
 
 
 def graph_to_text(h: Hypergraph3) -> str:
@@ -854,10 +864,14 @@ def parse_graph_text(text: str) -> Hypergraph3:
 
 
 def read_text(path: str) -> str:
-    """The text of a regular file; any other path (a device such as /dev/zero,
-    a FIFO, a directory) raises ValueError unopened."""
-    if not stat.S_ISREG(os.stat(path).st_mode):
+    """The text of a regular file of at most READ_BYTE_LIMIT bytes; any other
+    path (a device such as /dev/zero, a FIFO, a directory, a larger file)
+    raises ValueError unopened."""
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
         raise ValueError(f"{path} is not a regular file")
+    if info.st_size > READ_BYTE_LIMIT:
+        raise ValueError(f"{path} has {info.st_size} bytes, over the limit {READ_BYTE_LIMIT}")
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 

@@ -7,13 +7,15 @@ from fractions import Fraction
 from itertools import combinations
 
 from turan3.certificate import Certificate, CertificateBlock, RowScaled, scale_rows
-from turan3.density import SINGLE_EDGE, p, pair_density_table
+from turan3.density import p, pair_density_table
 from turan3.enumeration import enumerate_free
 from turan3.families import Family
-from turan3.graphs import decode_key
+from turan3.graphs import decode_key, from_edges
 from turan3.sdp import assemble, default_types
 
 from oracles import dense_block, inner_product_fractions, upper_block
+
+SINGLE_EDGE = from_edges(3, [(0, 1, 2)])
 
 
 def lp_certificate(m: int, family: Family = ()) -> Certificate:

@@ -1055,22 +1055,32 @@ def _limit_address_space():
     ids=["forbid", "check-free", "graph", "sub", "model", "solution", "cert", "config"],
 )
 def test_device_input_is_refused_in_bounded_memory(tmp_path, argv):
-    # /dev/zero never ends: each file flag refuses it as not a regular file
-    # under 0.5 GB of address space, instead of reading until memory runs out.
+    # /dev/zero never ends, and a sparse file one byte over the read limit
+    # would not fit: each file flag refuses both unread, under 0.5 GB of
+    # address space, instead of reading until memory runs out.
     model = str(tmp_path / "m.sdp")
     assert main(["emit-sdp", "--m", "4", "--forbid", "C4_3", "--out", model]) == 0
-    proc = subprocess.run(
-        [sys.executable, "-m", "turan3.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-        cwd=tmp_path,
-        timeout=60,
-        preexec_fn=_limit_address_space,
-    )
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == "error: /dev/zero is not a regular file\n"
+    big = tmp_path / "big.txt"
+    with open(big, "wb") as fh:
+        fh.truncate(graphs.READ_BYTE_LIMIT + 1)
+    refusals = {
+        "/dev/zero": "error: /dev/zero is not a regular file\n",
+        str(big): f"error: {big} has {graphs.READ_BYTE_LIMIT + 1} bytes,"
+        f" over the limit {graphs.READ_BYTE_LIMIT}\n",
+    }
+    for path, error in refusals.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "turan3.cli", *(path if a == "/dev/zero" else a for a in argv)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            cwd=tmp_path,
+            timeout=60,
+            preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == error
 
 
 def _good_certificate_text():

@@ -7,13 +7,7 @@ import pytest
 
 from turan3 import density, enumeration, families, graphs
 from turan3.certificate import inner_product, scale_rows
-from turan3.density import (
-    SINGLE_EDGE,
-    edge_density,
-    p,
-    pair_density_table,
-    pair_matrix,
-)
+from turan3.density import edge_density, p, pair_density_table, pair_matrix
 from turan3.enumeration import enumerate_flags, enumerate_free, flag_action, rooted_canonical_key
 from turan3.graphs import blow_up, decode_key, from_edges, induced_subgraph, named_graph
 from turan3.sdp import default_types
@@ -41,7 +35,7 @@ def test_p_on_complete_graph():
     k4 = named_graph("K4_3")
     # every 3-subset of K4_3 spans an edge, so the single-edge pattern is
     # induced everywhere and the empty pattern nowhere
-    assert p(SINGLE_EDGE, k4) == 1
+    assert p(from_edges(3, [(0, 1, 2)]), k4) == 1
     assert p(from_edges(3, []), k4) == 0
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turan3 import density, families, graphs
-from turan3.enumeration import _attachment_orbit_reps, _extend, enumerate_free
+from turan3.enumeration import _attachment_orbit_reps, _extend, _flag_data, enumerate_free
 from turan3.graphs import (
     Hypergraph3,
     blow_up,
@@ -510,6 +510,49 @@ def test_scan_memo_keeps_each_notion_apart():
         g = Hypergraph3(f.n, tuple(t for r, t in enumerate(local) if code >> r & 1))
         for induced in (False, True):
             assert bool(decide(f, induced, False, code)) == oracles.contains_brute(g, f, induced)
+
+
+def test_root_sets_match_the_permutation_oracle():
+    # Each root set in combinations order, with the orderings that induce
+    # sigma exactly, against every ordered tuple the oracle accepts; the
+    # sparse hosts have fewer edges than the larger types.
+    rng = random.Random(37)
+    hosts = [from_edges(5, []), from_edges(6, [(0, 1, 2)]), from_edges(2, [])]
+    hosts += [random_graph(n, p, rng) for n in (4, 6, 7, 8) for p in (0.1, 0.5, 0.9)]
+    types = [sigma for s in range(5) for sigma in enumerate_free(s)]
+    types += [relabel(sigma, rng.sample(range(sigma.n), sigma.n)) for sigma in types]
+    for h in hosts:
+        for sigma in types:
+            grouped = {}
+            for theta in oracles.type_embeddings_brute(h, sigma):
+                sub = tuple(sorted(theta))
+                grouped.setdefault(sub, set()).add(tuple(sub.index(v) for v in theta))
+            got = list(graphs.root_sets(h, sigma))
+            assert [sub for sub, _ in got] == sorted(grouped), (h, sigma)
+            for sub, orderings in got:
+                assert len(orderings) == len(set(orderings))
+                assert set(orderings) == grouped[sub], (h, sigma, sub)
+
+
+def test_root_sets_code_each_graph_once_per_size():
+    # Types of one size share each graph's subset codes: listing root sets
+    # of one target for two types of size 3 codes it once, and a table codes
+    # each (graph, size) pair once, its flags' graphs for the type's size
+    # and its targets for the type's and the flags' sizes.
+    codes = graphs.subset_codes
+    edgeless, edge = from_edges(3, []), from_edges(3, [(0, 1, 2)])
+    targets = enumerate_free(5)
+    codes.cache_clear()
+    for sigma in (edgeless, edge):
+        list(graphs.root_sets(targets[7], sigma))
+    assert codes.cache_info().misses == 1
+    density._build_table.cache_clear()
+    _flag_data.cache_clear()
+    density.pair_density_table(edgeless, 5)
+    pairs = len(enumerate_free(4)) + 2 * len(targets)
+    assert codes.cache_info().misses == pairs
+    density.pair_density_table(edge, 5)
+    assert codes.cache_info().misses == pairs
 
 
 def test_containment_never_labels(monkeypatch):
