@@ -68,11 +68,10 @@ constraints are checked in order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .density import PairMatrix, fraction_text, parse_fraction
 from .enumeration import SOFT_VERTEX_LIMIT, enumerate_free
@@ -81,8 +80,7 @@ from .graphs import decode_key, read_text
 from .sdp import Certificate, CertificateBlock, assemble
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     reason: str = ""
     bound: Fraction | None = None

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from decimal import localcontext
 
 from . import certificate as certificate_mod
@@ -126,7 +125,7 @@ def _construction_spec(args) -> constructions.ConstructionSpec:
         if not args.parts:
             raise ValueError(f"{args.kind} needs --parts with comma-separated sizes")
         parts = _integers(args.parts, "--parts value")
-        count = len(fields(cls))
+        count = len(cls._fields)
         if len(parts) != count:
             raise ValueError(f"{args.kind} needs exactly {count} part sizes")
         spec = cls(*parts)

@@ -20,11 +20,11 @@ ties broken toward a larger first part.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import ClassVar, Union
+from typing import ClassVar, NamedTuple, Union
 
 from .graphs import Hypergraph3, blow_up, from_edges, named_graph
 
@@ -42,7 +42,7 @@ class BlowUp:
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return astuple(self)
+        return tuple(self)
 
 
 class Layered:
@@ -51,12 +51,8 @@ class Layered:
     levels: tuple[int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class BRec(Layered):
+class BRec(Layered, namedtuple("BRec", "n splits")):
     """Recursive construction on n vertices with the given level splits."""
-
-    n: int
-    splits: tuple[int, ...]
 
     kind = "brec"
     limit = TWO_SQRT3_MINUS_3
@@ -66,34 +62,19 @@ class BRec(Layered):
         return self.n, self.splits
 
 
-@dataclass(frozen=True)
-class Partite3(BlowUp):
-    n1: int
-    n2: int
-    n3: int
-
+class Partite3(BlowUp, namedtuple("Partite3", "n1 n2 n3")):
     kind = "partite3"
     limit = Fraction(2, 9)
     pattern = from_edges(3, [(0, 1, 2)])
 
 
-@dataclass(frozen=True)
-class K4Blowup(BlowUp):
-    s1: int
-    s2: int
-    s3: int
-    s4: int
-
+class K4Blowup(BlowUp, namedtuple("K4Blowup", "s1 s2 s3 s4")):
     kind = "k4blowup"
     limit = Fraction(3, 8)
     pattern = named_graph("K4_3")
 
 
-@dataclass(frozen=True)
-class SemiBipartite(Layered):
-    n1: int
-    n2: int
-
+class SemiBipartite(Layered, namedtuple("SemiBipartite", "n1 n2")):
     kind = "semibipartite"
     limit = Fraction(4, 9)
 
@@ -125,8 +106,8 @@ def validate(spec: ConstructionSpec) -> None:
             raise ValueError(
                 f"{remaining} vertices left unsplit; tails above 2 vertices need a split"
             )
-    elif min(astuple(spec)) < 0:
-        sizes = ",".join(map(str, astuple(spec)))
+    elif min(spec) < 0:
+        sizes = ",".join(map(str, spec))
         raise ValueError(f"part sizes must be nonnegative, got {sizes}")
     elif isinstance(spec, BlowUp) and 0 in spec.sizes:
         # a blow-up part stands for a pattern vertex, which needs a vertex
@@ -196,8 +177,7 @@ def optimal_brec(n: int) -> BRec:
 # Density reports
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     kind: str
     n: int
     edges: int

@@ -67,13 +67,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import comb, perm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .enumeration import enumerate_flags, enumerate_free, flag_action, kept_members
 from .enumeration import rooted_canonical_key
@@ -157,8 +156,7 @@ def pair_matrix(codes: Sequence[int], counts: Sequence[int], width: int) -> Pair
     return tuple(matrix)
 
 
-@dataclass(frozen=True)
-class PairDensityTable:
+class PairDensityTable(NamedTuple):
     flags: tuple[bytes, ...]  # rooted keys, the order of matrix rows
     targets: tuple[Hypergraph3, ...]
     matrices: tuple[PairMatrix, ...]  # counts over denominator

@@ -12,14 +12,13 @@ without opening one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import graphs
 from .graphs import Hypergraph3
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(NamedTuple):
     graph: Hypergraph3
     induced: bool = False
     name: str | None = None

@@ -1,8 +1,10 @@
 """3-uniform hypergraphs: exact construction, canonical labeling, containment.
 
 Vertices are always 0-based integers 0..n-1.  Edges are 3-element subsets
-stored as sorted triples in a sorted tuple, so two equal graphs compare equal
-as values.  Graphs are immutable; every operation returns a new graph.
+stored as sorted triples in a sorted tuple.  Hypergraph3 is a plain class
+whose equality and hash are those of its (n, edges), so two equal graphs
+compare equal as values and hash as the tuple does.  Graphs are not changed
+once built; every operation returns a new graph.
 
 This is the only module that searches a small graph, and it has two
 searches.  _canonical_search (the least edge tuple over the relabelings
@@ -61,7 +63,6 @@ from __future__ import annotations
 import os
 import stat
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, compress, islice
 from math import comb
@@ -81,12 +82,23 @@ def _sorted_triple(a: int, b: int, c: int) -> Triple:
     return (a, b, c)
 
 
-@dataclass(frozen=True)
 class Hypergraph3:
-    """An n-vertex 3-uniform hypergraph with a deterministic edge order."""
+    """An n-vertex 3-uniform hypergraph with a deterministic edge order.
 
-    n: int
-    edges: tuple[Triple, ...]
+    Equality and hash are those of the value (n, edges).
+    """
+
+    def __init__(self, n: int, edges: tuple[Triple, ...]) -> None:
+        self.n = n
+        self.edges = edges
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
 
     @cached_property
     def edge_set(self) -> frozenset[Triple]:
@@ -417,7 +429,6 @@ def _relabeled_to(
     return _relabeled_edges(edges, perm), tuple(perm)
 
 
-@dataclass(frozen=True)
 class CanonicalData:
     """Canonical representative plus the symmetry data the generator needs.
 
@@ -428,10 +439,14 @@ class CanonicalData:
     and any later canon_key of it search nothing again.
     """
 
-    key: bytes
-    graph: Hypergraph3
-    to_canonical: Perm  # some relabeling v -> to_canonical[v] that reaches the key
-    generators: tuple[Perm, ...]  # automorphisms that generate the group
+    def __init__(
+        self, key: bytes, graph: Hypergraph3, to_canonical: Perm, generators: tuple[Perm, ...]
+    ) -> None:
+        self.key = key
+        self.graph = graph
+        # some relabeling v -> to_canonical[v] that reaches the key
+        self.to_canonical = to_canonical
+        self.generators = generators  # automorphisms that generate the group
 
     @cached_property
     def automorphisms(self) -> tuple[Perm, ...]:
@@ -460,14 +475,13 @@ def canonical_data(h: Hypergraph3) -> CanonicalData:
     key = _encode(h.n, best)
     graph = Hypergraph3(h.n, best)
     # p0 maps h onto graph, so p0 a p0^-1 is an automorphism of graph for
-    # each automorphism a of h.  Writing graph's cached_property slot
-    # directly is how a frozen instance takes a precomputed value.
-    object.__setattr__(graph, "canonical", CanonicalData(
+    # each automorphism a of h.  Assigning graph's cached_property primes it.
+    graph.canonical = CanonicalData(
         key=key,
         graph=graph,
         to_canonical=tuple(range(h.n)),
         generators=tuple(tuple(p0[g[inv0[x]]] for x in range(h.n)) for g in generators),
-    ))
+    )
     return CanonicalData(key=key, graph=graph, to_canonical=p0, generators=tuple(generators))
 
 

@@ -26,16 +26,14 @@ edge with it, so O(n) popcounts per move.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import Hypergraph3
 
 
-@dataclass(frozen=True)
-class PartitionStats:
+class PartitionStats(NamedTuple):
     """The parts and the edge counts of a bipartition (module docstring)."""
 
     v1: frozenset[int]

@@ -54,37 +54,35 @@ Fraction.limit_denominator returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import families as families_mod
 from .density import PairMatrix, edge_density, fraction_text, pair_density_table, pair_matrix
 from .density import pair_denominator, parse_fraction
 from .enumeration import enumerate_free
 from .families import Family
-from .graphs import Hypergraph3, decode_key, read_text
-
-@dataclass(frozen=True)
-class CertificateBlock:
-    """A symmetric dim x dim block as its upper triangle, row by row."""
-
-    type_key: bytes  # canonical key of the type graph
-    dim: int
-    upper: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.dim < 0:
-            raise ValueError(f"type block dimension {self.dim} is negative")
-        want = self.dim * (self.dim + 1) // 2
-        if len(self.upper) != want:
-            raise ValueError(
-                f"type block expects {want} upper-triangle entries, got {len(self.upper)}"
-            )
+from .graphs import Hypergraph3, decode_key, read_text, subset_codes
 
 
-@dataclass(frozen=True)
-class Certificate:
+class CertificateBlock(NamedTuple(
+    "CertificateBlock", [("type_key", bytes), ("dim", int), ("upper", tuple[Fraction, ...])]
+)):
+    """A symmetric dim x dim block as its upper triangle, row by row;
+    type_key is the canonical key of the type graph."""
+
+    __slots__ = ()
+
+    def __new__(cls, type_key: bytes, dim: int, upper: tuple[Fraction, ...]) -> CertificateBlock:
+        if dim < 0:
+            raise ValueError(f"type block dimension {dim} is negative")
+        want = dim * (dim + 1) // 2
+        if len(upper) != want:
+            raise ValueError(f"type block expects {want} upper-triangle entries, got {len(upper)}")
+        return super().__new__(cls, type_key, dim, upper)
+
+
+class Certificate(NamedTuple):
     """A rational solution of the program; certificate.verify checks it."""
 
     bound: Fraction
@@ -94,8 +92,7 @@ class Certificate:
     slacks: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class SdpModel:
+class SdpModel(NamedTuple):
     m: int
     family_key: str
     obj: tuple[Fraction, ...]  # per admissible graph, its edge density
@@ -173,6 +170,8 @@ def assemble(
         assert [t.canon_key for t in table.targets] == [t.canon_key for t in targets]
         if table.flags:
             blocks.append((sigma.canon_key, table))
+    # the tables are memoised, so a later assembly reads no subset codes
+    subset_codes.cache_clear()
     return SdpModel(
         m=m,
         family_key=families_mod.family_key(family),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -91,7 +90,7 @@ def bump_entry(block: CertificateBlock, i: int, j: int, delta) -> CertificateBlo
     upper = list(block.upper)
     # rows 0..i-1 of the triangle come first, then Q_ii, ..., Q_ij
     upper[sum(block.dim - k for k in range(i)) + j - i] += delta
-    return replace(block, upper=tuple(upper))
+    return block._replace(upper=tuple(upper))
 
 
 def minor_sign_psd_oracle(matrix):

@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -293,14 +292,14 @@ def test_verify_margins_equal_the_fraction_sums(case, below):
     # Fraction margins draw no mismatch note, so the margins agree exactly
     bound = max(values)
     slacks = tuple(bound - v for v in values)
-    res = verify(replace(cert, bound=bound, slacks=slacks))
+    res = verify(cert._replace(bound=bound, slacks=slacks))
     assert res.ok and res.notes == ()
     # below it, the first negative margin is reported with its exact value
     if below:
         bound -= below
         first = next(idx for idx, v in enumerate(values) if bound - v < 0)
         slacks = tuple(max(F(0), s - below) for s in slacks)
-        res = verify(replace(cert, bound=bound, slacks=slacks))
+        res = verify(cert._replace(bound=bound, slacks=slacks))
         assert not res.ok
         assert res.reason.startswith(f"constraint fails at graph {first} ")
         assert res.reason.endswith(f": margin {bound - values[first]}")

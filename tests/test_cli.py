@@ -1,10 +1,11 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import os
 import resource
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -486,7 +487,7 @@ def test_verify_rejects_a_family_key_that_names_a_file(capsys, tmp_path, monkeyp
     monkeypatch.chdir(tmp_path)
     graphs.save_graph(graphs.named_graph("C4_3"), "mine.txt")
     cert = lp_certificate(4, families.parse_family("C4_3"))
-    certificate.save_certificate(replace(cert, family_key="mine.txt"), "cert.txt")
+    certificate.save_certificate(cert._replace(family_key="mine.txt"), "cert.txt")
 
     def no_file(path):
         raise AssertionError(f"verify opened {path}")
@@ -529,7 +530,7 @@ def test_verify_rejects_a_type_that_does_not_fit_m(capsys, tmp_path, size):
     cert = lp_certificate(6, families.parse_family("F32,C5_3_MINUS"))
     block = sdp.CertificateBlock(graphs.from_edges(size, []).canon_key, 1, (Fraction(1),))
     path = tmp_path / "cert.txt"
-    certificate.save_certificate(replace(cert, blocks=(block,)), str(path))
+    certificate.save_certificate(cert._replace(blocks=(block,)), str(path))
     code, out, err = run(capsys, "verify", "--cert", str(path))
     assert (code, err) == (1, "")
     assert out == f"REJECTED no program: type of size {size} does not fit in m=6\n"
@@ -626,7 +627,7 @@ def test_verify_stdout_is_pinned(
         q = dense_block(cert.blocks[3])
         blocks = list(cert.blocks)
         blocks[3] = bump_entry(blocks[3], 0, 1, q[0][0] + q[1][1] - q[0][1])
-        certificate.save_certificate(replace(cert, blocks=tuple(blocks)), str(cert_path))
+        certificate.save_certificate(cert._replace(blocks=tuple(blocks)), str(cert_path))
     code, out, _ = run(capsys, "verify", "--cert", str(cert_path))
     start, digest = VERIFY_DIGESTS[seed, den_bound, broken]
     assert out.startswith(start)
@@ -1015,6 +1016,19 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S: site's .pth files may import either module themselves
+    code = (
+        "import sys, turan3.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_core_commands_import_only_the_standard_library(tmp_path):
     certificate.save_certificate(
         make_sos_certificate(4, families.parse_family("C4_3")), str(tmp_path / "cert.txt")
@@ -1295,10 +1309,15 @@ def test_fuzz_file_arguments_never_escape(kind, data, tmp_path_factory):
     os.chdir(work)
     try:
         for argv in _commands(kind, str(path), work):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            # hypothesis refuses the function-scoped capsys
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
             assert code in (0, 1, 2), (argv, text)
+            errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+            assert len(errors) <= 1, (argv, text, errors)
     finally:
         os.chdir(cwd)

@@ -54,6 +54,16 @@ def test_from_edges_empty_and_dedup():
     assert len(from_edges(5, [(2, 1, 0), (0, 1, 2)]).edges) == 1
 
 
+def test_graphs_compare_and_hash_as_their_n_and_edges():
+    edges = ((0, 1, 2), (1, 2, 3))
+    h = Hypergraph3(4, edges)
+    # the tuple's hash, on which set and frozenset orders, and so outputs, depend
+    assert hash(h) == hash((4, edges))
+    assert h == from_edges(4, [(3, 2, 1), (0, 1, 2)])
+    assert h != Hypergraph3(5, edges) and h != Hypergraph3(4, edges[:1])
+    assert h != (4, edges)
+
+
 @pytest.mark.parametrize(
     "n,bad",
     [

@@ -12,11 +12,12 @@ import pytest
 from turan3 import families
 from turan3.density import pair_density_table
 from turan3.enumeration import enumerate_free
-from turan3.graphs import decode_key, from_edges, named_graph
+from turan3.graphs import decode_key, from_edges, named_graph, subset_codes
 import oracles
 from cert_helpers import lp_certificate
 from oracles import spanning_profile
 from turan3.sdp import (
+    SdpModel,
     assemble,
     best_rational,
     default_types,
@@ -85,6 +86,13 @@ def test_assemble_rejects_impossible_family():
     # forbidding both 3-vertex graphs leaves nothing on 3 vertices
     with pytest.raises(ValueError):
         assemble(3, family)
+
+
+def test_assemble_clears_the_subset_codes():
+    # the tables are memoised, so the codes serve no later assembly
+    subset_codes(named_graph("F5"), 3)
+    assemble(4, fam("C4_3"), use_default_types=True)
+    assert subset_codes.cache_info().currsize == 0
 
 
 def test_assemble_rejects_oversized_types():
@@ -430,6 +438,12 @@ def test_round_solution_rounds_bound_upward():
     cert = round_solution(model, floats, 100)
     assert cert.bound >= Fraction(7499999999, 10**10)
     assert cert.bound.denominator <= 100
+
+
+def test_round_solution_refuses_a_negative_type_dimension():
+    model = SdpModel(4, "", (Fraction(1, 2),), (b"",), (-2,), ({},), (1,))
+    with pytest.raises(ValueError, match="type block dimension -2 is negative"):
+        round_solution(model, [0.5, 0.0, 0.0])
 
 
 def test_lp_certificate_shape():
