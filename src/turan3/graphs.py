@@ -38,16 +38,16 @@ on the host, and the subset scan runs it on small induced graphs.
 Canonical labeling never decides containment.
 
 A k-subset is coded by its induced graph, one bit per triple of its
-sorted positions in combinations order; only this module writes a code
-(subset_codes, _subset_scan) or reads one (_code_injections, a
-functools.cache function keyed on the labelled pattern, exact, every and
-the code).  Hosts stream through _subset_scan, which drops the subsets
-whose edge count rules out the pattern: density.p counts what it yields,
-exhaustive_containment_scan takes the first.  Small graphs are coded once
-per size by the cached subset_codes, which root_sets reads for
-type_embeddings and density's tables, so every type of one size shares
-one walk of each graph.  A host with fewer edges than the pattern is
-answered at once.
+sorted positions in combinations order.  _subset_code alone writes one and
+_code_injections (cached on the labelled pattern, exact, every and the
+code) alone reads one, both through its binary digits, in time and memory
+linear in its C(k, 3) bits.  Hosts stream through _subset_scan, which
+answers a host with fewer edges than the pattern at once, refuses a
+pattern over SMALL_VERTEX_LIMIT vertices and codes each subset whose edge
+count fits: density.p counts what it yields, exhaustive_containment_scan
+takes the first.  Small graphs are coded once per size by the cached
+subset_codes, which root_sets reads for type_embeddings and density's
+tables, so every type of one size shares one walk of each graph.
 
 One closure, orbit, serves every orbit of tuples: automorphism groups,
 flag embeddings and flag pairs.  Vertex orbits use the faster _orbit_closure.
@@ -64,12 +64,15 @@ import os
 import stat
 from collections import defaultdict
 from functools import cache, cached_property
-from itertools import combinations, compress, islice
+from itertools import combinations, compress, groupby, islice
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Triple = tuple[int, int, int]
 Perm = tuple[int, ...]
+# The vertex count a key's one byte holds, and the subset scan's largest pattern.
+SMALL_VERTEX_LIMIT = 255
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _sorted_triple(a: int, b: int, c: int) -> Triple:
@@ -151,11 +154,12 @@ class Hypergraph3:
 def from_edges(n: int, triples: Iterable[Sequence[int]]) -> Hypergraph3:
     """Build a graph on n vertices from vertex triples, deduplicating.
 
-    Rejects triples with repeated vertices or vertices outside 0..n-1.
+    Rejects triples with repeated vertices or vertices outside 0..n-1.  A
+    list sort is linear on sorted input, such as save_graph's lines.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    seen: set[Triple] = set()
+    edges: list[Triple] = []
     for t in triples:
         if len(t) != 3:
             raise ValueError(f"edge {tuple(t)} does not have 3 vertices")
@@ -164,8 +168,8 @@ def from_edges(n: int, triples: Iterable[Sequence[int]]) -> Hypergraph3:
             raise ValueError(f"edge {tuple(t)} repeats a vertex")
         if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
             raise ValueError(f"edge {tuple(t)} has a vertex outside 0..{n - 1}")
-        seen.add(_sorted_triple(a, b, c))
-    return Hypergraph3(n, tuple(sorted(seen)))
+        edges.append(_sorted_triple(a, b, c))
+    return Hypergraph3(n, tuple(t for t, _ in groupby(sorted(edges))))
 
 
 def _relabeled_edges(edges: Sequence[Triple], perm: Sequence[int]) -> tuple[Triple, ...]:
@@ -315,9 +319,9 @@ def _canonical_search(
 
     The bookkeeping per node is kept small without changing which nodes and
     leaves are visited: a node at depth n-1 has one unused vertex and goes
-    straight to its leaf, and a node collects the generators that fix its
-    prefix only when the search has found new ones, and tests a child for
-    an explored sibling's orbit only once it holds such a generator.
+    straight to its leaf, a node collects the generators that fix its prefix
+    (by one AND of bitmasks each) only when the search has found new ones,
+    and tests a child for an explored sibling's orbit only once it holds one.
     """
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
@@ -343,8 +347,8 @@ def _canonical_search(
     bit = [1 << (n - 1 - label) for label in range(n)]
     arrangement = [0] * n  # arrangement[label] = vertex
     code = [0] * n  # code[v] = bit[label of v]
-    used = [False] * n
     generators: list[Perm] = []
+    moved: list[int] = []  # moved[i]: the bitmask of the vertices generators[i] moves
     # (value, arrangement) of the first leaf, then of the best leaf if it differs
     leaves: list[tuple[int, list[int]]] = []
 
@@ -361,14 +365,15 @@ def _canonical_search(
                 for u, w in zip(ref, arrangement):
                     g[u] = w
                 generators.append(tuple(g))
+                moved.append(sum(1 << u for u, w in zip(ref, arrangement) if u != w))
                 return next(i for i in range(n) if ref[i] != arrangement[i])
         if value > leaves[-1][0]:
             del leaves[1:]
             leaves.append((value, arrangement[:]))
         return n - 1
 
-    def explore(d: int) -> int:
-        """Search below arrangement[:d]; return the depth to resume at."""
+    def explore(d: int, placed: int) -> int:
+        """Search below arrangement[:d] (vertex bitmask placed); return the depth to resume at."""
         if 0 < d <= narrow:
             if d == 1:
                 cell_of_label[1] = partners[arrangement[0]]
@@ -378,10 +383,7 @@ def _canonical_search(
                 outside = [v for v in range(n) if not mask >> v & 1]
                 cell_of_label[2:] = [inside] * codegree + [outside] * (n - 2 - codegree)
         if d == n - 1:
-            # one vertex is left: place it and value the leaf
-            for x in cell_of_label[d]:
-                if not used[x]:
-                    break
+            x = (placed ^ ((1 << n) - 1)).bit_length() - 1  # the one vertex left
             arrangement[d] = x
             code[x] = bit[d]
             return visit_leaf()
@@ -391,12 +393,12 @@ def _canonical_search(
         covered: set[int] = set()  # orbits of explored under fixing
         seen = (0, 0)  # (len(explored), len(fixing)) when covered was computed
         for x in cell_of_label[d]:
-            if used[x]:
+            if placed >> x & 1:
                 continue
             if checked < len(generators):
-                prefix = arrangement[:d]
                 fixing += [
-                    g for g in generators[checked:] if all(g[v] == v for v in prefix)
+                    g for g, mask in zip(generators[checked:], moved[checked:])
+                    if not mask & placed
                 ]
                 checked = len(generators)
             if fixing and explored and seen != (len(explored), len(fixing)):
@@ -406,15 +408,13 @@ def _canonical_search(
                 continue
             arrangement[d] = x
             code[x] = bit[d]
-            used[x] = True
-            back = explore(d + 1)
-            used[x] = False
+            back = explore(d + 1, placed | 1 << x)
             if back < d:
                 return back
             explored.append(x)
         return d - 1
 
-    explore(0)
+    explore(0, 0)
     best, perm = _relabeled_to(edges, leaves[-1][1])
     return best, perm, generators
 
@@ -466,8 +466,8 @@ def _encode(n: int, edges: Sequence[Triple]) -> bytes:
 
 
 def canonical_data(h: Hypergraph3) -> CanonicalData:
-    if h.n > 255:
-        raise ValueError("canonical labeling supports at most 255 vertices")
+    if h.n > SMALL_VERTEX_LIMIT:
+        raise ValueError(f"canonical labeling supports at most {SMALL_VERTEX_LIMIT} vertices")
     best, p0, generators = _canonical_search(h.n, h.edges, h.refined_colors)
     inv0 = [0] * h.n
     for v, img in enumerate(p0):
@@ -590,13 +590,18 @@ def contains_induced(h: Hypergraph3, f: Hypergraph3) -> bool:
     return next(_injections(f, h, True), None) is not None
 
 
+def _subset_code(has_edge: Callable[[Triple], bool], sub: Sequence[int]) -> int:
+    """The code of sub, bit r set when has_edge holds for the r-th triple of
+    sub in combinations order, written as binary digits, last triple first."""
+    return int(bytes(map(has_edge, combinations(sub, 3)))[::-1].translate(_DIGITS) or b"0", 2)
+
+
 @cache
 def _code_injections(f: Hypergraph3, exact: bool, every: bool, code: int) -> list[Perm]:
     """The injections of f onto the f.n-vertex graph whose edges are the
-    set bits of code, bit r for the r-th triple in combinations order: all
-    of them, in the search's order, when every, else at most the first."""
-    local = combinations(range(f.n), 3)
-    g = Hypergraph3(f.n, tuple(t for r, t in enumerate(local) if code >> r & 1))
+    set bits of code (_subset_code), read from its binary digits: all of
+    them, in the search's order, when every, else at most the first."""
+    g = Hypergraph3(f.n, tuple(compress(combinations(range(f.n), 3), map(int, bin(code)[:1:-1]))))
     search = _injections(f, g, exact)
     return list(search if every else islice(search, 1))
 
@@ -606,35 +611,30 @@ def _subset_scan(h: Hypergraph3, f: Hypergraph3, exact: bool) -> Iterator[tuple[
     of f (an induced copy when exact).
 
     A subset whose edge count passes (== when exact, >= otherwise) is coded
-    as subset_codes codes it, and each code is decided once per (f, exact)
-    and process (_code_injections).  A host with fewer edges than f yields
-    nothing, without visiting a subset.
+    (_subset_code) and decided once per (f, exact) and process
+    (_code_injections).  A host with fewer edges than f yields nothing,
+    without visiting a subset; f over SMALL_VERTEX_LIMIT raises ValueError.
     """
     k = f.n
+    if k > SMALL_VERTEX_LIMIT:
+        raise ValueError(f"pattern on {k} vertices exceeds the limit {SMALL_VERTEX_LIMIT}")
     want = len(f.edges)
     if len(h.edges) < want:
         return  # a copy needs at least want edges, an induced copy exactly want
-    bits = [1 << i for i in range(comb(k, 3))]
     has_edge = h.edge_set.__contains__
     for sub in combinations(range(h.n), k):
         count = sum(map(has_edge, combinations(sub, 3)))
         if count == want if exact else count >= want:
-            code = sum(compress(bits, map(has_edge, combinations(sub, 3))))
-            if _code_injections(f, exact, False, code):
+            if _code_injections(f, exact, False, _subset_code(has_edge, sub)):
                 yield sub
 
 
 @cache
 def subset_codes(h: Hypergraph3, k: int) -> list[int]:
-    """The code of each k-subset U of V(h), in combinations order: bit r is
-    set when the r-th triple of U's positions, in combinations order, is an
-    edge.  Root sets and pair-density tables of every type share it."""
-    bits = [1 << r for r in range(comb(k, 3))]
+    """The code of each k-subset of V(h) (_subset_code), in combinations
+    order.  Root sets and pair-density tables of every type share it."""
     has_edge = h.edge_set.__contains__
-    return [
-        sum(compress(bits, map(has_edge, combinations(u, 3))))
-        for u in combinations(range(h.n), k)
-    ]
+    return [_subset_code(has_edge, u) for u in combinations(range(h.n), k)]
 
 
 def root_sets(

@@ -1097,6 +1097,36 @@ def test_device_input_is_refused_in_bounded_memory(tmp_path, argv):
         assert proc.stderr == error
 
 
+def test_a_pattern_of_255_vertices_is_scanned_in_bounded_memory(tmp_path):
+    # A pattern's code has one bit per triple, C(255, 3) of them here: the
+    # scan must code it in memory linear in that count, within 0.5 GB of
+    # address space. One vertex more is refused with one error line.
+    def child(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "turan3.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=120,
+            preexec_fn=_limit_address_space,
+        )
+
+    edge, over = tmp_path / "edge255.txt", tmp_path / "edge256.txt"
+    edge.write_text("n 255\n0 1 2\n")
+    over.write_text("n 256\n0 1 2\n")
+    proc = child("density", "--graph", str(edge), "--sub", str(edge))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"p {edge}\t1\n"
+    for argv in (
+        ["density", "--graph", str(over), "--sub", str(over)],
+        ["construct", "--kind", "brec", "--n", "12", "--check-free", str(over)],
+    ):
+        proc = child(*argv)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == "error: pattern on 256 vertices exceeds the limit 255\n"
+
+
 def _good_certificate_text():
     return certificate.certificate_to_text(lp_certificate(4, families.parse_family("C4_3")))
 

@@ -532,6 +532,12 @@ def test_root_sets_match_the_permutation_oracle():
     types = [sigma for s in range(5) for sigma in enumerate_free(s)]
     types += [relabel(sigma, rng.sample(range(sigma.n), sigma.n)) for sigma in types]
     for h in hosts:
+        for k in range(7):
+            # the code format: bit r for the r-th triple of the subset
+            assert graphs.subset_codes(h, k) == [
+                sum(1 << r for r, t in enumerate(combinations(u, 3)) if t in h.edge_set)
+                for u in combinations(range(h.n), k)
+            ], (h, k)
         for sigma in types:
             grouped = {}
             for theta in oracles.type_embeddings_brute(h, sigma):
