@@ -72,11 +72,16 @@ def graph_of_label(label: str) -> Hypergraph3:
 
 
 def resolve_graph(spec: str) -> Hypergraph3:
-    """The graph a spec names: a member label (graph_of_label), else a file path."""
+    """The graph a spec names: a member label (graph_of_label), else a file
+    path.  A spec that is neither raises FileNotFoundError naming all three."""
     try:
         return graph_of_label(spec)
     except ValueError:
-        return graphs.load_graph(spec)
+        try:
+            return graphs.load_graph(spec)
+        except FileNotFoundError:
+            msg = f"{spec!r} is neither a built-in name, a canonical key nor a file"
+            raise FileNotFoundError(msg) from None
 
 
 def _parse_members(spec: str, resolve) -> Family:

@@ -31,23 +31,26 @@ colouring is its cached refined_colors, which the generator reads before
 it decides to label; refinement stops at the first round that splits no
 cell, and at once when the colouring is discrete.
 _injections (backtracking over vertex images, pruned by degree and by every
-triple a placed vertex completes) decides containment: contains_sub,
-contains_induced and link_patterns (which lists, for the isomorph-free
+edge a placed vertex completes) checks only that edges land on edges:
+contains_sub and link_patterns (which lists, for the isomorph-free
 generator, the links of a new vertex that would complete a member) run it
-on the host, and the subset scan runs it on small induced graphs.
+on the host, and the subset scan runs it on small induced graphs.  An
+induced copy is one on a subset spanning exactly |E(f)| edges: the
+injection then maps E(f) onto them, so non-edges land on non-edges.
 Canonical labeling never decides containment.
 
 A k-subset is coded by its induced graph, one bit per triple of its
 sorted positions in combinations order.  _subset_code alone writes one and
-_code_injections (cached on the labelled pattern, exact, every and the
-code) alone reads one, both through its binary digits, in time and memory
+_code_injections (cached on the labelled pattern, every and the code)
+alone reads one, both through its binary digits, in time and memory
 linear in its C(k, 3) bits.  Hosts stream through _subset_scan, which
 answers a host with fewer edges than the pattern at once, refuses a
 pattern over SMALL_VERTEX_LIMIT vertices and codes each subset whose edge
-count fits: density.p counts what it yields, exhaustive_containment_scan
-takes the first.  Small graphs are coded once per size by the cached
-subset_codes, which root_sets reads for type_embeddings and density's
-tables, so every type of one size shares one walk of each graph.
+count fits: density.p counts what it yields, contains_induced and
+exhaustive_containment_scan take the first.  Small graphs are coded once
+per size by the cached subset_codes, which root_sets reads for
+type_embeddings, link_patterns and density's tables, so every type of one
+size shares one walk of each graph.
 
 One closure, orbit, serves every orbit of tuples: automorphism groups,
 flag embeddings and flag pairs.  Vertex orbits use the faster _orbit_closure.
@@ -527,33 +530,27 @@ def decode_key(raw: bytes) -> Hypergraph3:
 # Containment
 
 
-def _injections(f: Hypergraph3, h: Hypergraph3, exact: bool) -> Iterator[tuple[int, ...]]:
+def _injections(f: Hypergraph3, h: Hypergraph3) -> Iterator[tuple[int, ...]]:
     """Each injection V(f) -> V(h) that maps f-edges to h-edges.
 
-    With exact, non-edges must also land on non-edges (an induced copy).
     Each injection is yielded as the tuple of images of f's vertices
     0..f.n-1.  f's vertices are placed by decreasing degree, ties by label;
     each takes the unused h-vertices of at least its own degree in
-    increasing order, and a placed vertex must at once satisfy every
-    f-triple it completes, so injections come in the lexicographic order of
-    their images along that vertex order.
+    increasing order, and a placed vertex must at once land every f-edge it
+    completes on an h-edge, so injections come in the lexicographic order
+    of their images along that vertex order.
     """
     if f.n > h.n:
         return
     f_deg = f.degrees
     h_deg = h.degrees
     h_edges = h.edge_set
-    f_edges = f.edge_set
     order = sorted(range(f.n), key=lambda v: -f_deg[v])
     pos_in_order = {v: i for i, v in enumerate(order)}
-    # closing[i]: (a, b, c, is_edge) for each f-triple whose last vertex in
-    # order is order[i]; non-edges only when exact.
-    closing: list[list[tuple[int, int, int, bool]]] = [[] for _ in range(f.n)]
-    for t in combinations(range(f.n), 3) if exact else f.edges:
-        a, b, c = t
-        closing[max(pos_in_order[a], pos_in_order[b], pos_in_order[c])].append(
-            (a, b, c, t in f_edges)
-        )
+    # closing[i]: the f-edges whose last vertex in order is order[i]
+    closing: list[list[Triple]] = [[] for _ in range(f.n)]
+    for a, b, c in f.edges:
+        closing[max(pos_in_order[a], pos_in_order[b], pos_in_order[c])].append((a, b, c))
     assignment: dict[int, int] = {}
     used = [False] * h.n
 
@@ -567,10 +564,8 @@ def _injections(f: Hypergraph3, h: Hypergraph3, exact: bool) -> Iterator[tuple[i
             if used[cand] or h_deg[cand] < need:
                 continue
             assignment[v] = cand
-            for a, b, c, is_edge in closing[i]:
-                if (
-                    _sorted_triple(assignment[a], assignment[b], assignment[c]) in h_edges
-                ) is not is_edge:
+            for a, b, c in closing[i]:
+                if _sorted_triple(assignment[a], assignment[b], assignment[c]) not in h_edges:
                     break
             else:
                 used[cand] = True
@@ -582,12 +577,13 @@ def _injections(f: Hypergraph3, h: Hypergraph3, exact: bool) -> Iterator[tuple[i
 
 def contains_sub(h: Hypergraph3, f: Hypergraph3) -> bool:
     """Non-induced containment: some injection V(f) -> V(h) maps edges to edges."""
-    return next(_injections(f, h, False), None) is not None
+    return next(_injections(f, h), None) is not None
 
 
 def contains_induced(h: Hypergraph3, f: Hypergraph3) -> bool:
-    """Induced containment: some injection maps edges to edges and non-edges to non-edges."""
-    return next(_injections(f, h, True), None) is not None
+    """Induced containment, by the subset scan: f over SMALL_VERTEX_LIMIT
+    vertices raises its ValueError."""
+    return next(_subset_scan(h, f, True), None) is not None
 
 
 def _subset_code(has_edge: Callable[[Triple], bool], sub: Sequence[int]) -> int:
@@ -597,12 +593,12 @@ def _subset_code(has_edge: Callable[[Triple], bool], sub: Sequence[int]) -> int:
 
 
 @cache
-def _code_injections(f: Hypergraph3, exact: bool, every: bool, code: int) -> list[Perm]:
-    """The injections of f onto the f.n-vertex graph whose edges are the
+def _code_injections(f: Hypergraph3, every: bool, code: int) -> list[Perm]:
+    """The injections of f into the f.n-vertex graph whose edges are the
     set bits of code (_subset_code), read from its binary digits: all of
     them, in the search's order, when every, else at most the first."""
     g = Hypergraph3(f.n, tuple(compress(combinations(range(f.n), 3), map(int, bin(code)[:1:-1]))))
-    search = _injections(f, g, exact)
+    search = _injections(f, g)
     return list(search if every else islice(search, 1))
 
 
@@ -611,9 +607,9 @@ def _subset_scan(h: Hypergraph3, f: Hypergraph3, exact: bool) -> Iterator[tuple[
     of f (an induced copy when exact).
 
     A subset whose edge count passes (== when exact, >= otherwise) is coded
-    (_subset_code) and decided once per (f, exact) and process
-    (_code_injections).  A host with fewer edges than f yields nothing,
-    without visiting a subset; f over SMALL_VERTEX_LIMIT raises ValueError.
+    (_subset_code) and decided once per f and process (_code_injections;
+    with equal counts a copy is induced).  A host with fewer edges than f
+    yields nothing unvisited; f over SMALL_VERTEX_LIMIT raises ValueError.
     """
     k = f.n
     if k > SMALL_VERTEX_LIMIT:
@@ -625,7 +621,7 @@ def _subset_scan(h: Hypergraph3, f: Hypergraph3, exact: bool) -> Iterator[tuple[
     for sub in combinations(range(h.n), k):
         count = sum(map(has_edge, combinations(sub, 3)))
         if count == want if exact else count >= want:
-            if _code_injections(f, exact, False, _subset_code(has_edge, sub)):
+            if _code_injections(f, False, _subset_code(has_edge, sub)):
                 yield sub
 
 
@@ -642,15 +638,15 @@ def root_sets(
 ) -> Iterator[tuple[tuple[int, ...], list[Perm]]]:
     """Each sigma.n-subset S of target's vertices that induces a copy of
     sigma, in combinations order, with every ordering p for which
-    (S[p[0]], ..., S[p[s-1]]) induces sigma exactly: the exact injections
-    of sigma onto S's code (subset_codes), decided once per code."""
+    (S[p[0]], ..., S[p[s-1]]) induces sigma exactly: the injections of
+    sigma into a code of S (subset_codes) with as many edges, once per code."""
     want = len(sigma.edges)
     if len(target.edges) < want:
         return
     subsets = combinations(range(target.n), sigma.n)
     for sub, code in zip(subsets, subset_codes(target, sigma.n)):
         if code.bit_count() == want:
-            found = _code_injections(sigma, True, True, code)
+            found = _code_injections(sigma, True, code)
             if found:
                 yield sub, found
 
@@ -691,20 +687,16 @@ def is_family_free(
     """True iff h contains no family member, each under its own notion.
 
     induced_flags[i] selects induced containment for family[i]; default is
-    non-induced for every member.
+    non-induced for every member.  An induced member over
+    SMALL_VERTEX_LIMIT vertices raises contains_induced's ValueError.
     """
     if induced_flags is None:
         induced_flags = [False] * len(family)
     if len(induced_flags) != len(family):
         raise ValueError("induced_flags length must match family length")
-    for f, ind in zip(family, induced_flags):
-        if ind:
-            if contains_induced(h, f):
-                return False
-        else:
-            if contains_sub(h, f):
-                return False
-    return True
+    return not any(
+        (contains_induced if ind else contains_sub)(h, f) for f, ind in zip(family, induced_flags)
+    )
 
 
 def link_patterns(
@@ -716,13 +708,14 @@ def link_patterns(
 
     Bit i of a mask is the i-th pair of combinations(range(parent.n), 2).
     For each member f, vertex w of f and injection of f - w into parent
-    (exact for an induced member), want is the image of w's link and care
-    is want, or for an induced member every pair inside the image.  When
-    parent is family-free, the graph parent plus a new vertex with link
-    mask contains a member exactly when mask & care == want for some
-    pattern: any copy uses the new vertex, as the image of some w.  One w
-    per orbit of Aut(f) is enough: an automorphism carrying w to w' carries
-    the injections of f - w onto those of f - w', with the same masks.
+    (for an induced member, an induced copy: type_embeddings), want is the
+    image of w's link and care is want, or for an induced member every pair
+    inside the image.  When parent is family-free, the graph parent plus a
+    new vertex with link mask contains a member exactly when mask & care ==
+    want for some pattern: any copy uses the new vertex, as the image of
+    some w.  One w per orbit of Aut(f) is enough: an automorphism carrying w
+    to w' carries the injections of f - w onto those of f - w', with the
+    same masks.
     """
     k = parent.n
     index = {p: i for i, p in enumerate(combinations(range(k), 2))}
@@ -741,7 +734,7 @@ def link_patterns(
                 for (i, a), (j, b) in combinations(enumerate(rest), 2)
                 if _sorted_triple(w, a, b) in f.edge_set
             ]
-            for img in _injections(f_rest, parent, ind):
+            for img in type_embeddings(parent, f_rest) if ind else _injections(f_rest, parent):
                 want = 0
                 for a, b in link:
                     x, y = img[a], img[b]

@@ -8,15 +8,16 @@ generate_free_labelling_every_child is the package's generator with its
 shortcuts taken out, so it shares the orbit representatives and the
 canonical search, and audits only the shortcuts;
 attachment_orbit_reps_brute builds each child with the package's _extend to
-read its degrees; link_patterns_every_vertex and
-canonical_search_sorted_leaves are the package's routines without their
-shortcuts (one w per automorphism orbit; a discrete colouring returned at
-once, leaves valued as integers, the last vertex placed without a loop,
-prefix-fixing generators collected only as new ones are found, a one-cell
-search started only at a pair of largest codegree), so they
-share the injection search and the orbit closure, and audit only the
-shortcuts; enumerate_flags_brute takes the graphs from enumerate_free and
-one rooted key per embedding, and audits how flags are keyed one per orbit;
+read its degrees; canonical_search_sorted_leaves is the package's routine
+without its shortcuts (a discrete colouring returned at once, leaves valued
+as integers, the last vertex placed without a loop, prefix-fixing
+generators collected only as new ones are found, a one-cell search started
+only at a pair of largest codegree), so it shares the orbit closure, and
+audits only the shortcuts; link_patterns_every_vertex takes every vertex
+of a member, not one per automorphism orbit, and tries every injection of
+the rest, sharing only induced_subgraph; enumerate_flags_brute takes the
+graphs from enumerate_free and one rooted key per embedding, and audits
+how flags are keyed one per orbit;
 pair_density_table_brute takes its flags from enumerate_flags_brute and
 the targets, rooted keys and sparse matrix form from the package, and
 audits how a table finds its thetas, flag slots and pair orbits, and its
@@ -57,7 +58,6 @@ from turan3.enumeration import (
 )
 from turan3.graphs import (
     Hypergraph3,
-    _injections,
     _orbit_closure,
     _relabeled_edges,
     canonical_data,
@@ -209,8 +209,10 @@ def attachment_orbit_reps_brute(parent: Hypergraph3, auts, patterns=(), degree_f
 
 
 def link_patterns_every_vertex(parent: Hypergraph3, family, induced_flags):
-    """graphs.link_patterns with an injection search from every vertex w of
-    each member, not one w per automorphism orbit."""
+    """graphs.link_patterns from every vertex w of each member, not one w
+    per automorphism orbit, with the images of f - w found among all
+    injections (itertools.permutations): every edge must land on an edge,
+    and for an induced member the image must span no other edge."""
     k = parent.n
     index = {p: i for i, p in enumerate(combinations(range(k), 2))}
     patterns = set()
@@ -223,7 +225,14 @@ def link_patterns_every_vertex(parent: Hypergraph3, family, induced_flags):
                 for (i, a), (j, b) in combinations(enumerate(rest), 2)
                 if sorted_triple(w, a, b) in f.edge_set
             ]
-            for img in _injections(f_rest, parent, ind):
+            for img in permutations(range(parent.n), f_rest.n):
+                image = {sorted_triple(img[a], img[b], img[c]) for a, b, c in f_rest.edges}
+                if not image <= parent.edge_set:
+                    continue
+                if ind and len(image) != sum(
+                    t in parent.edge_set for t in combinations(sorted(img), 3)
+                ):
+                    continue
                 want = 0
                 for a, b in link:
                     want |= 1 << index[tuple(sorted((img[a], img[b])))]

@@ -31,9 +31,10 @@ def test_resolve_graph_reads_names_keys_and_files(tmp_path):
 )
 def test_resolve_graph_treats_other_hex_as_a_path(spec):
     start = time.perf_counter()
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError) as caught:
         families.resolve_graph(spec)
     assert time.perf_counter() - start < 5
+    assert str(caught.value) == f"{spec!r} is neither a built-in name, a canonical key nor a file"
 
 
 @pytest.mark.parametrize("spec", ["0a", "ff"])
