@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -76,7 +77,7 @@ from typing import NamedTuple, Sequence
 from .density import PairMatrix, fraction_text, parse_fraction
 from .enumeration import SOFT_VERTEX_LIMIT, enumerate_free
 from .families import family_from_key
-from .graphs import decode_key, read_text
+from .graphs import content_lines, decode_key, read_text
 from .sdp import Certificate, CertificateBlock, assemble
 
 
@@ -359,24 +360,11 @@ def certificate_from_text(text: str) -> Certificate:
     slacks: list[Fraction] = []
     raw_blocks: list[tuple[bytes, int, list[Fraction]]] = []
     entries: list[Fraction] | None = None  # upper-triangle entries of the open block
-    # value token -> its Fraction, each distinct token parsed once per call
-    values: dict[str, Fraction] = {}
-
-    def value(token: str) -> Fraction:
-        q = values.get(token)
-        if q is None:
-            q = values[token] = parse_fraction(token)
-        return q
-
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    value = cache(parse_fraction)  # each distinct token parsed once per call
+    for raw, line in content_lines(text):
         parts = line.split()
         if parts[0] in _FIELD_COUNTS and len(parts) != _FIELD_COUNTS[parts[0]]:
-            raise ValueError(
-                f"{parts[0]} line needs {_FIELD_COUNTS[parts[0]]} fields: {raw!r}"
-            )
+            raise ValueError(f"{parts[0]} line needs {_FIELD_COUNTS[parts[0]]} fields: {raw!r}")
         if parts[0] in ("bound", "family", "m"):
             if parts[0] in header_seen:
                 raise ValueError(f"repeated {parts[0]} line: {raw!r}")

@@ -1,13 +1,13 @@
 """Command-line interface.
 
 Subcommands: enumerate, construct, density, emit-sdp, round, verify,
-partition.  Output is tab-separated and machine-first; pass --human for
-labeled lines.  Every numeric value is an exact rational p/q or a 50-digit
-decimal.  Exit codes: 0 success, 1 domain error (bad input data, rejected
-certificate), 2 usage error.
+partition.  Output rows are tab-separated (--human labels them); enumerate's
+graph blocks and verify's verdict are the same either way.  Every numeric
+value is an exact rational p/q or a 50-digit decimal.  Exit codes: 0
+success, 1 domain error (bad input data, rejected certificate), 2 usage error.
 
-Each subcommand accepts --config FILE with plain key=value lines (comments
-with '#'); explicit flags override file values.
+Each subcommand accepts --config FILE with plain key=value lines, which may
+set any option, required ones too; explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -29,10 +29,7 @@ def _emit_rows(rows: list[tuple[str, str]], human: bool) -> None:
 
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for raw in graphs.read_text(path).split("\n"):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in graphs.content_lines(graphs.read_text(path)):
         if "=" not in line:
             raise ValueError(f"config line without '=': {raw.rstrip()!r}")
         key, _, value = line.partition("=")
@@ -52,8 +49,9 @@ _SWITCH_WORDS = {
 def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict[str, object]:
     """The --config file's values, converted, as defaults for parser.
 
-    A value is converted by its option's type, as argparse would convert
-    the flag; a switch (store_true) reads 1/true/yes/on or 0/false/no/off.
+    A value is converted by its option's type (str if it has none) and
+    checked against its choices, as argparse would treat the flag; a switch
+    (store_true) reads 1/true/yes/on or 0/false/no/off.
     """
     actions = {a.dest: a for a in parser._actions if a.default is not argparse.SUPPRESS}
     defaults: dict[str, object] = {}
@@ -65,13 +63,13 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict[str, ob
             if text.lower() not in _SWITCH_WORDS:
                 raise ValueError(f"config key {key!r}: {text!r} is not a yes/no word")
             defaults[key] = _SWITCH_WORDS[text.lower()]
-        elif action.type is not None:
+        else:
             try:
-                defaults[key] = action.type(text)
+                defaults[key] = (action.type or str)(text)
             except ValueError:
                 raise ValueError(f"config key {key!r}: invalid value {text!r}") from None
-        else:
-            defaults[key] = text
+        if action.choices is not None and defaults[key] not in action.choices:
+            raise ValueError(f"config key {key!r}: invalid choice {text!r}")
     return defaults
 
 
@@ -280,7 +278,8 @@ def cmd_partition(args, parser) -> int:
 
 def _add_common(sub):
     sub.add_argument("--config", help="key=value config file; flags override it")
-    sub.add_argument("--human", action="store_true", help="labeled output instead of TSV")
+    human = "labeled rows instead of TSV (enumerate and verify print the same either way)"
+    sub.add_argument("--human", action="store_true", help=human)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,13 +351,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # a --config file may supply required options, so they are enforced only
+    # once it is read; the usage lines still mark them
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    required = [a for sub in subs.choices.values() for a in sub._actions if a.required]
+    for sub in subs.choices.values():
+        sub.usage = sub.format_usage().removeprefix("usage: ").rstrip("\n")
+    for action in required:
+        action.required = False
     args = parser.parse_args(argv)
     try:
-        if args.config:
-            # the file's values become defaults, so a flag given on the
-            # command line wins whatever its value
-            args.parser_ref.set_defaults(**_config_defaults(args.config, args.parser_ref))
-            args = parser.parse_args(argv)
+        # the file's values become defaults: a flag given wins whatever its value
+        supplied = _config_defaults(args.config, args.parser_ref) if args.config else {}
+        args.parser_ref.set_defaults(**supplied)
+        for action in required:
+            action.required = action.dest not in supplied
+        args = parser.parse_args(argv)
         return args.func(args, args.parser_ref)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple, Sequence
 
 from . import families as families_mod
@@ -62,7 +63,7 @@ from .density import PairMatrix, edge_density, fraction_text, pair_density_table
 from .density import pair_denominator, parse_fraction
 from .enumeration import enumerate_free
 from .families import Family
-from .graphs import Hypergraph3, decode_key, read_text, subset_codes
+from .graphs import Hypergraph3, content_lines, decode_key, read_text, subset_codes
 
 
 class CertificateBlock(NamedTuple(
@@ -229,10 +230,8 @@ def emit(model: SdpModel, path: str) -> None:
 def model_from_text(text: str) -> SdpModel:
     header: dict[str, list[str]] = {}
     entries: list[tuple[int, int, int, int, str]] = []
-    for raw in text.splitlines():
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
+    for raw, line in content_lines(text):
+        parts = line.split()
         if parts[0] in {"m", "family", "nblocks", "blockdims", "typekeys", "nconstraints"}:
             if parts[0] in header:
                 raise ValueError(f"repeated {parts[0]} line: {raw!r}")
@@ -272,8 +271,7 @@ def model_from_text(text: str) -> SdpModel:
     # keyed by i * dim + j, and the count of each value token met
     uppers: list[dict[int, dict[int, int]]] = [{} for _ in type_dims]
     counts: list[dict[str, int]] = [{} for _ in type_dims]
-    # every other value token -> its value, each parsed once per call
-    values: dict[str, Fraction] = {}
+    value_of = cache(parse_fraction)  # any other token, parsed once per call
     slack_block = len(dims)
     # (constraint, block) of each objective, constant, bound and slack entry
     # read; for these the pair fixes (i, j)
@@ -299,9 +297,7 @@ def model_from_text(text: str) -> SdpModel:
                 raise ValueError(f"repeated entry {(r, b, i, j)}")
             upper[code] = c
             continue
-        value = values.get(token)
-        if value is None:
-            value = values[token] = parse_fraction(token)
+        value = value_of(token)
         if r == 0:
             if (b, i, j) != (1, 0, 0) or value != 1:
                 raise ValueError("unexpected objective row entry")
@@ -416,8 +412,7 @@ def rational_upper_bound(x, max_denominator: int) -> Fraction:
 
 def read_solution(path: str) -> list[float]:
     values = []
-    for raw in read_text(path).split("\n"):
-        line = raw.split("#", 1)[0]
+    for _, line in content_lines(read_text(path)):
         for tok in line.split():
             value = float(tok)
             if not math.isfinite(value):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import turan3
-from turan3 import certificate, constructions, families, graphs, sdp
+from turan3 import certificate, cli, constructions, families, graphs, sdp
 from turan3.cli import main
 from turan3.sdp import assemble
 
@@ -863,6 +863,48 @@ def test_config_value_takes_the_option_type(capsys, tmp_path):
     assert_one_error_line(err)
 
 
+def test_config_supplies_required_options(capsys, tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("m = 4\n")
+    want = run(capsys, "enumerate", "--m", "4")
+    assert want[0] == 0
+    assert run(capsys, "enumerate", "--config", str(cfg)) == want
+    # a flag still beats the file
+    code, out, _ = run(capsys, "enumerate", "--m", "5", "--config", str(cfg))
+    assert code == 0 and out.endswith("count 34\n")
+    cfg.write_text("kind = partite3\nparts = 2,2,2\nreport = yes\n")
+    code, out, _ = run(capsys, "construct", "--config", str(cfg))
+    assert code == 0 and "edges\t8" in out.splitlines()
+    cfg.write_text("kind = bogus\n")
+    code, out, err = run(capsys, "construct", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert_one_error_line(err)
+    assert "config key 'kind': invalid choice 'bogus'" in err
+    # an option given by neither is still argparse's usage error
+    cfg.write_text("forbid = C4_3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: turan3 enumerate [-h] --m M ")
+    assert err.endswith("turan3 enumerate: error: the following arguments are required: --m\n")
+
+
+def test_config_supplies_every_required_option_of_round_and_verify(capsys, tmp_path):
+    model = tmp_path / "m.sdp"
+    assert run(capsys, "emit-sdp", "--m", "4", "--forbid", "C4_3", "--out", str(model))[0] == 0
+    length = sdp.model_from_text(model.read_text()).solution_length()
+    solution = tmp_path / "sol.txt"
+    solution.write_text(" ".join(["0.5"] * length) + "\n")
+    cert = tmp_path / "cert.txt"
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"model = {model}\nsolution = {solution}\nout = {cert}\n")
+    code, out, _ = run(capsys, "round", "--config", str(cfg))
+    assert code == 0 and rows(out)["written"] == str(cert)
+    cfg.write_text(f"cert = {cert}\n")
+    assert run(capsys, "verify", "--config", str(cfg)) == run(capsys, "verify", "--cert", str(cert))
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -1270,6 +1312,43 @@ def _fuzz_seeds():
         "cert": certificate.certificate_to_text(make_sos_certificate(4, family)),
         "config": "human = yes\nforbid = C4_3\n",
     }
+
+
+# The five readers of input files, each from a file's text.
+_READERS = {
+    "graph": lambda text, path: graphs.parse_graph_text(text),
+    "model": lambda text, path: sdp.model_from_text(text),
+    "solution": lambda text, path: sdp.read_solution(_written(path, text)),
+    "cert": lambda text, path: certificate.certificate_from_text(text),
+    "config": lambda text, path: cli._read_config(_written(path, text)),
+}
+
+
+def _written(path, text):
+    path.write_bytes(text.encode())
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "decorate",
+    [
+        # CRLF line ends, a trailing comment on each content line, and
+        # comment-only and blank lines between them
+        lambda lines: "# leading comment\r\n\r\n"
+        + "".join(f"{line}  # note\r\n  \t\r\n# only a comment\r\n" for line in lines),
+        # a form feed ends a line for str.splitlines, so each content line
+        # after a comment and a form feed is kept
+        lambda lines: "".join(f"# note\x0c{line}\n" for line in lines),
+    ],
+    ids=["crlf-comments-blanks", "form-feed"],
+)
+@pytest.mark.parametrize("kind", list(_READERS))
+def test_every_reader_shares_one_line_grammar(kind, decorate, tmp_path):
+    seeds = _fuzz_seeds()
+    plain = {**seeds, "solution": "0.5 -0.25\n1e-3\n"}[kind]
+    read = _READERS[kind]
+    want = read(plain, tmp_path / "plain")
+    assert read(decorate(plain.splitlines()), tmp_path / "decorated") == want
 
 
 # Replacement tokens stay small: a file that declares an m above 4 is valid
