@@ -8,8 +8,10 @@ automorphism orbit as the canonical deletion vertex, the one at canonical
 slot n-1.  Together these two filters produce every isomorphism class
 exactly once, so no global seen-set is needed.  Family-freeness, induced
 members included, is hereditary under vertex deletion, so it prunes
-children at every level: the empty root is checked directly, and a child
-of a family-free parent by its attachment alone.
+children at every level, a child of a family-free parent by its attachment
+alone.  Each level is built once per set of members that fit it (those on
+at most m vertices) and memoised: level m extends the memoised level m - 1,
+so a list at m = 6 after one at m = 5 labels only 6-vertex graphs.
 
 Each attachment meets the cheapest checks first.  The first three read
 only the mask, before the child is built.  Checks 1 and 2 are invariant
@@ -229,11 +231,15 @@ def enumerate_free(
     keys are equal.  Each call returns a new list, so callers may mutate it.
     m above SOFT_VERTEX_LIMIT raises unless allow_large is set.
     """
+    _check_order(m, allow_large)
+    return list(_generate_free(m, kept_members(m, family, induced_flags)))
+
+
+def _check_order(m: int, allow_large: bool = False) -> None:
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > SOFT_VERTEX_LIMIT and not allow_large:
         raise ValueError(f"m={m} exceeds the soft limit {SOFT_VERTEX_LIMIT}")
-    return list(_generate_free(m, kept_members(m, family, induced_flags)))
 
 
 def kept_members(
@@ -253,29 +259,25 @@ def kept_members(
 def _generate_free(
     m: int, kept: frozenset[tuple[Hypergraph3, bool]]
 ) -> tuple[Hypergraph3, ...]:
-    family = [f for f, _ in kept]
-    induced_flags = [ind for _, ind in kept]
-    root = Hypergraph3(0, ())
-    level = [root] if is_family_free(root, family, induced_flags) else []
-    for k in range(m):
-        pairs = list(combinations(range(k), 2))
-        next_level: list[Hypergraph3] = []
-        for parent in level:
-            masks = _attachment_orbit_reps(
-                k,
-                parent.canonical.automorphisms,
-                parent.degrees,
-                link_patterns(parent, family, induced_flags),
-            )
-            for mask in masks:
-                child = _extend(parent, mask, pairs)
-                if not _in_top_cell(child):
-                    continue
-                data = child.canonical
-                if _new_vertex_is_canonical(child, data):
-                    next_level.append(data.graph)
-        level = sorted(next_level, key=lambda g: g.canon_key)
-    return tuple(level)
+    """Level m, sorted by canonical key: one augmentation step from the
+    memoised level m - 1 of the members that fit it.  At m = 0 only 0-vertex
+    members are kept, and such a member lies in every graph."""
+    if m == 0:
+        return () if kept else (Hypergraph3(0, ()),)
+    pairs = list(combinations(range(m - 1), 2))
+    level: list[Hypergraph3] = []
+    for parent in _generate_free(m - 1, frozenset(x for x in kept if x[0].n < m)):
+        masks = _attachment_orbit_reps(
+            m - 1, parent.canonical.automorphisms, parent.degrees, link_patterns(parent, kept)
+        )
+        for mask in masks:
+            child = _extend(parent, mask, pairs)
+            if not _in_top_cell(child):
+                continue
+            data = child.canonical
+            if _new_vertex_is_canonical(child, data):
+                level.append(data.graph)
+    return tuple(sorted(level, key=lambda g: g.canon_key))
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +333,10 @@ def _flag_data(
     members above m_prime, in neither sigma nor a flag, are not kept."""
     if sigma.n > m_prime:
         raise ValueError(f"type size {sigma.n} exceeds flag size {m_prime}")
-    family = [f for f, _ in kept]
-    induced_flags = [ind for _, ind in kept]
-    if not is_family_free(sigma, family, induced_flags):
+    if not is_family_free(sigma, [f for f, _ in kept], [ind for _, ind in kept]):
         raise ValueError("type graph is not family-free; no flags exist")
-    return _flag_classes(sigma, enumerate_free(m_prime, family, induced_flags))
+    _check_order(m_prime)
+    return _flag_classes(sigma, _generate_free(m_prime, kept))
 
 
 def _flag_classes(

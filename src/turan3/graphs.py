@@ -700,9 +700,7 @@ def is_family_free(
 
 
 def link_patterns(
-    parent: Hypergraph3,
-    family: Sequence[Hypergraph3],
-    induced_flags: Sequence[bool],
+    parent: Hypergraph3, members: Iterable[tuple[Hypergraph3, bool]]
 ) -> list[tuple[int, int]]:
     """The (care, want) pair-bitmasks of the links that complete a member.
 
@@ -720,7 +718,7 @@ def link_patterns(
     k = parent.n
     index = {p: i for i, p in enumerate(combinations(range(k), 2))}
     patterns: set[tuple[int, int]] = set()
-    for f, ind in zip(family, induced_flags):
+    for f, ind in members:
         generators = f.canonical.generators
         covered: set[int] = set()
         for w in range(f.n):

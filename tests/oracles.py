@@ -29,6 +29,11 @@ and dense_block and scale_rows_dense give the dense matrix and its per-row
 lcm scaling that the package's scale_rows is checked against.
 limit_denominator_stdlib is the standard library's Fraction.limit_denominator,
 which sdp.best_rational reimplements on integers.
+labelled_free_counts shares nothing with the package but Hypergraph3: it
+codes graphs and subsets as integers with one bit per triple, and tests a
+member's presence against the codes of all its relabellings.  With
+automorphisms_exhaustive, canonical_search_exhaustive and family_free_brute
+it audits enumerate_free by the orbit-stabiliser count.
 
 Three helpers the package no longer needs live here as test fixtures and
 references: relabel applies a vertex permutation, spanning_profile counts
@@ -179,6 +184,89 @@ def generate_free_labelling_every_child(m: int, members, induced_flags):
                     found.append((data.key, data.graph))
         level = [g for _, g in sorted(found, key=lambda kg: kg[0])]
     return level
+
+
+def _colex(t) -> int:
+    """Colex rank of a sorted tuple of vertices among those of its size."""
+    return sum(comb(v, i + 1) for i, v in enumerate(t))
+
+
+def _colex_ranks(sub, r: int) -> list[int]:
+    """The rank in the host of each r-subset of sub, in colex order of
+    positions in sub: entry i is the host rank of the positions ranked i."""
+    positions = sorted(combinations(range(len(sub)), r), key=_colex)
+    return [_colex(tuple(sub[i] for i in pos)) for pos in positions]
+
+
+def _member_codes(members, induced_flags) -> dict[int, tuple[set[int], set[int]]]:
+    """k -> (codes of the non-induced, codes of the induced k-vertex
+    members), one code per relabelling: bit _colex(t) for each edge t."""
+    by_size: dict[int, tuple[set[int], set[int]]] = {}
+    for f, ind in zip(members, induced_flags):
+        codes = by_size.setdefault(f.n, (set(), set()))[ind]
+        for p in permutations(range(f.n)):
+            codes.add(sum(1 << _colex(sorted_triple(p[a], p[b], p[c])) for a, b, c in f.edges))
+    return by_size
+
+
+def _spans_member(code: int, codes: tuple[set[int], set[int]]) -> bool:
+    """A subset with this code contains a non-induced member or equals an
+    induced one."""
+    contain, equal = codes
+    return code in equal or any(code & c == c for c in contain)
+
+
+def labelled_free_counts(m: int, members, induced_flags) -> list[int]:
+    """The number of family-free labelled 3-graphs on [n], for n = 0..m.
+
+    A labelled graph on [n] is an integer with bit _colex(t) for each edge
+    t, so the graphs on [n - 1] extend to [n] by the link mask of vertex
+    n - 1, one bit per pair (a, b) at _colex((a, b)), shifted past the
+    C(n - 1, 3) old triples.  Each free graph on [n - 1] is extended by
+    every link mask, and only the |V(f)|-subsets through the new vertex are
+    tested (a copy in a free parent uses the new vertex).  A subset, coded
+    like a graph on its sorted positions, spans a member when its code
+    contains (induced: equals) the code of one of the member's k!
+    relabellings.  The new vertex is the last position, so a subset's code
+    is its old part, read from the parent, and above it the mask's pairs
+    inside the subset; the bad masks are listed once per (subset, old part).
+    No search of the package is used.
+    """
+    by_size = _member_codes(members, induced_flags)
+    level = [] if 0 in by_size else [0]
+    counts = [len(level)]
+    for n in range(1, m + 1):
+        bad_masks: dict[tuple, tuple[int, set[int]]] = {}
+        subsets = [
+            (sub, _colex_ranks(sub, 3), _colex_ranks(sub, 2))
+            for k in sorted(by_size)
+            if k <= n
+            for sub in combinations(range(n - 1), k - 1)
+        ]
+        count = 0
+        next_level = []
+        for g in level:
+            checks = []
+            for sub, triples, pairs in subsets:
+                old = sum((g >> t & 1) << i for i, t in enumerate(triples))
+                if (sub, old) not in bad_masks:
+                    bad = {
+                        sum(1 << q for i, q in enumerate(pairs) if link >> i & 1)
+                        for link in range(1 << len(pairs))
+                        if _spans_member(old | link << len(triples), by_size[len(sub) + 1])
+                    }
+                    bad_masks[sub, old] = (sum(1 << q for q in pairs), bad)
+                if bad_masks[sub, old][1]:
+                    checks.append(bad_masks[sub, old])
+            for mask in range(1 << comb(n - 1, 2)):
+                if any(mask & care in bad for care, bad in checks):
+                    continue
+                count += 1
+                if n < m:
+                    next_level.append(g | mask << comb(n - 1, 3))
+        level = next_level
+        counts.append(count)
+    return counts
 
 
 def attachment_orbit_reps_brute(parent: Hypergraph3, auts, patterns=(), degree_filter=True):

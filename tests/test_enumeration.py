@@ -1,5 +1,6 @@
 import time
 from itertools import combinations
+from math import comb, factorial
 
 import pytest
 
@@ -204,6 +205,86 @@ def test_generator_matches_labelling_every_child_m6():
         assert enumerate_free(6, members, flags) == want
 
 
+AUDITED_FAMILIES = ("empty", "C4_3,F5_BAR", "F32,C5_3_MINUS", "F32,induced:F32_BAR")
+
+
+def _orbit_stabiliser_sides(m, graphs):
+    """(the sum of m!/|Aut G| over the graphs, each graph's exhaustive
+    minimum), both from the oracles' searches over every relabelling."""
+    total = sum(factorial(m) // len(oracles.automorphisms_exhaustive(g)) for g in graphs)
+    minima = [
+        oracles.canonical_search_exhaustive(
+            g.n, g.edges, oracles.refine_colors_by_pair_tuples(g.n, g.edges)
+        )[0]
+        for g in graphs
+    ]
+    return total, minima
+
+
+@pytest.mark.parametrize("famname", AUDITED_FAMILIES)
+def test_lists_meet_the_labelled_count_by_orbit_stabiliser(famname):
+    # A class G has m!/|Aut G| labellings, so pairwise non-isomorphic free
+    # classes whose labellings number all the free labelled graphs are
+    # every free class: the lists verify trusts, checked with no search of
+    # the package.
+    members, flags = GENERATOR_FAMILIES[famname]
+    counts = oracles.labelled_free_counts(6, members, flags)
+    for m, count in enumerate(counts):
+        got = enumerate_free(m, members, flags)
+        total, minima = _orbit_stabiliser_sides(m, got)
+        assert total == count, m
+        assert len(set(minima)) == len(minima), m
+        assert all(oracles.family_free_brute(g, members, flags) for g in got), m
+    if famname == "empty":
+        assert counts == [2 ** comb(m, 3) for m in range(7)]
+
+
+def test_orbit_stabiliser_audit_catches_a_dropped_a_duplicated_and_a_non_free_class():
+    members, flags = GENERATOR_FAMILIES["C4_3,F5_BAR"]
+    count = oracles.labelled_free_counts(5, members, flags)[5]
+    got = enumerate_free(5, members, flags)
+    assert _orbit_stabiliser_sides(5, got)[0] == count
+    assert _orbit_stabiliser_sides(5, got[:7] + got[8:])[0] < count
+    g = got[7]
+    copy = relabel(g, [4, 3, 2, 1, 0])
+    assert copy != g
+    total, minima = _orbit_stabiliser_sides(5, got + [copy])
+    assert total > count
+    assert len(set(minima)) < len(minima)
+    # F5_BAR in place of a class with as many automorphisms keeps the count
+    # and the distinct minima: only the freeness check sees it
+    bad = named_graph("F5_BAR")
+    i = next(i for i, g in enumerate(got) if len(oracles.automorphisms_exhaustive(g)) == 4)
+    total, minima = _orbit_stabiliser_sides(5, got[:i] + [bad] + got[i + 1 :])
+    assert (total, len(set(minima))) == (count, len(got))
+    assert len(oracles.automorphisms_exhaustive(bad)) == 4
+    assert not oracles.family_free_brute(bad, members, flags)
+
+
+def test_each_level_extends_the_memoised_level_below(monkeypatch):
+    from turan3 import graphs
+    from turan3.enumeration import _generate_free
+
+    members, flags = GENERATOR_FAMILIES["C4_3,F5_BAR"]
+    _generate_free.cache_clear()
+    enumerate_free(5, members, flags)
+    labelled = []
+    canonical_data = graphs.canonical_data
+
+    def recording(h):
+        labelled.append(h.n)
+        return canonical_data(h)
+
+    monkeypatch.setattr(graphs, "canonical_data", recording)
+    assert len(enumerate_free(6, members, flags)) == 818
+    assert labelled and set(labelled) == {6}
+
+
+def test_flags_keep_the_soft_limit():
+    with pytest.raises(ValueError, match="m=8 exceeds the soft limit 7"):
+        enumerate_flags(from_edges(2, []), 8)
+
+
 LINK_PATTERN_FAMILIES = {
     **GENERATOR_FAMILIES,
     "induced edgeless 3-vertex member": ([Hypergraph3(3, ())], [True]),
@@ -220,7 +301,7 @@ def test_link_patterns_decide_the_child_freeness(famname):
     for k in range(6):
         pairs = list(combinations(range(k), 2))
         for parent in enumerate_free(k, members, flags):
-            patterns = link_patterns(parent, members, flags)
+            patterns = link_patterns(parent, zip(members, flags))
             for mask in range(1 << len(pairs)):
                 child = _extend(parent, mask, pairs)
                 assert _matches(mask, patterns) is not is_family_free(child, members, flags)
@@ -231,7 +312,7 @@ def test_link_patterns_match_the_every_vertex_oracle(famname):
     members, flags = LINK_PATTERN_FAMILIES[famname]
     for k in range(6):
         for parent in enumerate_free(k, members, flags):
-            assert link_patterns(parent, members, flags) == oracles.link_patterns_every_vertex(
+            assert link_patterns(parent, zip(members, flags)) == oracles.link_patterns_every_vertex(
                 parent, members, flags
             )
 
@@ -247,7 +328,7 @@ def test_prefiltered_orbit_reps_are_the_filtered_reps(famname):
         pairs = list(combinations(range(k), 2))
         for parent in enumerate_free(k, members, flags):
             auts = parent.canonical.automorphisms
-            patterns = link_patterns(parent, members, flags)
+            patterns = link_patterns(parent, zip(members, flags))
             want = [
                 mask
                 for mask in _attachment_orbit_reps(k, auts)
@@ -304,7 +385,7 @@ def test_orbit_reps_match_the_brute_force_oracle(famname):
     for k in range(6):
         for parent in enumerate_free(k, members, flags):
             auts = parent.canonical.automorphisms
-            patterns = link_patterns(parent, members, flags)
+            patterns = link_patterns(parent, zip(members, flags))
             got = list(_attachment_orbit_reps(k, auts, parent.degrees, patterns))
             assert got == list(oracles.attachment_orbit_reps_brute(parent, auts, patterns))
 
@@ -522,7 +603,10 @@ def test_enumerate_free_memo_separates_induced_members():
 
     _generate_free.cache_clear()
     members = [named_graph("F32_BAR")]
+    enumerate_free(4, members, [True])  # levels 0-4 keep no member: shared
+    size = _generate_free.cache_info().currsize
     got_ind = enumerate_free(5, members, [True])
+    assert _generate_free.cache_info().currsize == size + 1
     got_non = enumerate_free(5, members, [False])
-    assert _generate_free.cache_info().currsize == 2
+    assert _generate_free.cache_info().currsize == size + 2
     assert len(got_non) < len(got_ind)

@@ -270,7 +270,7 @@ def one_cell_children(m, family=""):
             m,
             parent.canonical.automorphisms,
             parent.degrees,
-            graphs.link_patterns(parent, forbidden, flags),
+            graphs.link_patterns(parent, zip(forbidden, flags)),
         )
         for mask in masks:
             child = _extend(parent, mask, pairs)
