@@ -283,8 +283,9 @@ def verify(cert: Certificate) -> VerifyResult:
     except ValueError as exc:
         return _rejected(f"no program: {exc}")
     # assemble leaves out a type with no flags; the blocks must line up
+    keys = {block.type_key for block in model.blocks}
     for bi, sigma in enumerate(types):
-        if sigma.canon_key not in model.type_keys:
+        if sigma.canon_key not in keys:
             return _rejected(f"block {bi}: no flags lie over its type")
     if len(cert.slacks) != model.n_constraints:
         return _rejected(
@@ -294,14 +295,13 @@ def verify(cert: Certificate) -> VerifyResult:
         if c < 0:
             return _rejected(f"negative slack at graph {idx}")
     scaled = []  # per block, scaled once: Q's rows, its type's denominator, its counts
-    per_block = zip(cert.blocks, model.type_dims, model.denominators, model.pair_matrices)
-    for bi, (block, dim, denominator, matrices) in enumerate(per_block):
-        if block.dim != dim:
-            return _rejected(f"block {bi}: dimension {block.dim} but {dim} flags exist")
-        q = scale_rows(block)
+    for bi, (cert_block, block) in enumerate(zip(cert.blocks, model.blocks)):
+        if cert_block.dim != block.dim:
+            return _rejected(f"block {bi}: dimension {cert_block.dim} but {block.dim} flags exist")
+        q = scale_rows(cert_block)
         if not psd_check(q):
             return _rejected(f"block {bi}: matrix not positive semidefinite")
-        scaled.append((q, denominator, matrices))
+        scaled.append((q, block.denominator, block.matrices))
     mismatches = []
     for idx, obj in enumerate(model.obj):
         margin = cert.bound - obj

@@ -203,10 +203,10 @@ def cmd_emit_sdp(args, parser) -> int:
     rows = [
         ("written", args.out),
         ("constraints", str(model.n_constraints)),
-        ("psd_blocks", str(len(model.type_dims))),
-        ("block_dims", ",".join(map(str, model.type_dims)) or "-"),
+        ("psd_blocks", str(len(model.blocks))),
+        ("block_dims", ",".join(str(block.dim) for block in model.blocks) or "-"),
     ]
-    if not model.type_dims:
+    if not model.blocks:
         rows.append(("lp_bound", fraction_text(model.lp_value())))
     _emit_rows(rows, args.human)
     return 0

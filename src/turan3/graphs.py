@@ -29,7 +29,8 @@ loop, and a node looks for orbits of explored siblings only once the
 search has found an automorphism fixing its prefix.  A graph's refined
 colouring is its cached refined_colors, which the generator reads before
 it decides to label; refinement stops at the first round that splits no
-cell, and at once when the colouring is discrete.
+cell, and at once when the colouring is discrete.  Canonical forms share
+one tuple per label triple (_TRIPLES).
 _injections (backtracking over vertex images, pruned by degree and by every
 edge a placed vertex completes) checks only that edges land on edges:
 contains_sub and link_patterns (which lists, for the isomorph-free
@@ -139,8 +140,8 @@ class Hypergraph3:
 
     @cached_property
     def refined_colors(self) -> tuple[int, ...]:
-        """The label-invariant colouring _refine_colors gives with no initial colouring."""
-        return tuple(_refine_colors(self.n, self.edges))
+        """The label-invariant colouring _refine_colors gives from the degrees."""
+        return tuple(_refine_colors(self.n, self.edges, self.degrees))
 
     @cached_property
     def canonical(self) -> "CanonicalData":
@@ -175,24 +176,29 @@ def from_edges(n: int, triples: Iterable[Sequence[int]]) -> Hypergraph3:
     return Hypergraph3(n, tuple(t for t, _ in groupby(sorted(edges))))
 
 
+# One shared tuple per label triple that a relabeled edge tuple has held,
+# filled on first use: the graphs the generator keeps share their triples.
+_TRIPLES: dict[Triple, Triple] = {}
+
+
 def _relabeled_edges(edges: Sequence[Triple], perm: Sequence[int]) -> tuple[Triple, ...]:
-    return tuple(sorted(_sorted_triple(perm[a], perm[b], perm[c]) for a, b, c in edges))
+    triples = sorted(_sorted_triple(perm[a], perm[b], perm[c]) for a, b, c in edges)
+    return tuple([_TRIPLES.setdefault(t, t) for t in triples])
 
 
 # ---------------------------------------------------------------------------
 # Canonical labeling
 
 
-def _refine_colors(
-    n: int, edges: Sequence[Triple], initial: Sequence[int] | None = None
-) -> list[int]:
+def _refine_colors(n: int, edges: Sequence[Triple], initial: Sequence[int] | None) -> list[int]:
     """Iteratively refine vertex colors by the multiset of incident pair colors.
 
     The result is a label-invariant coloring: isomorphic graphs produce the
     same color for corresponding vertices.  Distinctions present in the
     initial coloring persist, and their relative order is preserved.  With
-    no initial colouring, refinement starts from the degree ranks, which is
-    exactly what the first round from all-equal colours gives.  Colours are
+    initial None every vertex starts in one colour.  Seeded with the degrees,
+    as refined_colors seeds it, refinement starts from the degree ranks,
+    which is exactly what the first round from one colour gives.  Colours are
     ranks 0..cells-1 throughout, so a pair of colours x <= y is coded as
     x*cells + y, and the sorted codes order vertices exactly as the sorted
     (x, y) pairs would.  A round that splits no cell leaves the colouring
@@ -200,15 +206,9 @@ def _refine_colors(
     as soon as it is ranked.
     """
     if initial is None:
-        seeds = [0] * n
-        for a, b, c in edges:
-            seeds[a] += 1
-            seeds[b] += 1
-            seeds[c] += 1
-    else:
-        seeds = list(initial)
-    rank = {s: i for i, s in enumerate(sorted(set(seeds)))}
-    colors = [rank[s] for s in seeds]
+        initial = [0] * n
+    rank = {s: i for i, s in enumerate(sorted(set(initial)))}
+    colors = [rank[s] for s in initial]
     while len(rank) < n:
         cells = len(rank)
         # each edge gives each of its vertices the code of its other two

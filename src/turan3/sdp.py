@@ -16,11 +16,13 @@ A type block is given by its type sigma, a labelled graph whose vertices
 are all roots.  Its rows are the flags over sigma of size m' = (m + s) / 2,
 s = |sigma|, in the order of their rooted keys: two such flags over a shared
 root set exactly fill an m-vertex target.  The program names the block by
-sigma's canonical key, which is all a certificate records of it.  A
-Certificate is a rational solution of the program, one CertificateBlock per
-type block; certificate.verify checks it against the program assemble
-builds.  A CertificateBlock is its upper triangle, row by row: the form a
-solution file gives, round_solution rounds and the certificate text stores.
+sigma's canonical key, which is all a certificate records of it.  An
+SdpModel holds one ProgramBlock per type block: its key, dimension,
+denominator and nonzero pair matrices by constraint.  A Certificate is a
+rational solution of the program, one CertificateBlock per type block;
+certificate.verify checks it against the program assemble builds.  A
+CertificateBlock is its upper triangle, row by row: the form a solution
+file gives, round_solution rounds and the certificate text stores.
 
 File format (one entry per line, exact rationals, '#' comments):
 
@@ -40,9 +42,9 @@ twice.  Solution files are whitespace-separated floats in block order, PSD
 blocks as upper triangles in row-major order.
 
 A type block's entry is -c/D in lowest terms for a count c and the D of
-its type (density.pair_denominator); the model keeps c and one D per
-block, and the reader rejects any other value there and a type key that
-does not decode or fit m.  An m=6 program has tens of thousands of entry
+its type (density.pair_denominator); a ProgramBlock keeps c and its D,
+and the reader rejects any other value there and a type key that does not
+decode or fit m.  An m=6 program has tens of thousands of entry
 lines but a few dozen distinct values, so model_to_text formats -c/D once
 per distinct (block, count), and model_from_text turns each distinct token
 into a count once per block and parses any other value once per token.
@@ -93,16 +95,22 @@ class Certificate(NamedTuple):
     slacks: tuple[Fraction, ...]
 
 
+class ProgramBlock(NamedTuple):
+    """One PSD type block: its type's canonical key, its dimension (the
+    number of flags), the denominator D of its pair densities, and its
+    nonzero pair matrices by constraint index, counts over D."""
+
+    type_key: bytes
+    dim: int
+    denominator: int
+    matrices: dict[int, PairMatrix]
+
+
 class SdpModel(NamedTuple):
     m: int
     family_key: str
     obj: tuple[Fraction, ...]  # per admissible graph, its edge density
-    type_keys: tuple[bytes, ...]
-    type_dims: tuple[int, ...]
-    # per type block, its nonzero pair matrices by constraint index, counts
-    # over the block's denominator
-    pair_matrices: tuple[dict[int, PairMatrix], ...]
-    denominators: tuple[int, ...]
+    blocks: tuple[ProgramBlock, ...]
 
     @property
     def n_constraints(self) -> int:
@@ -110,12 +118,12 @@ class SdpModel(NamedTuple):
 
     def lp_value(self) -> Fraction:
         """Optimum when there are no PSD blocks: the largest objective entry."""
-        if self.type_keys:
+        if self.blocks:
             raise ValueError("model has PSD blocks; its optimum needs a solver")
         return max(self.obj)
 
     def solution_length(self) -> int:
-        return 1 + sum(d * (d + 1) // 2 for d in self.type_dims) + self.n_constraints
+        return 1 + sum(b.dim * (b.dim + 1) // 2 for b in self.blocks) + self.n_constraints
 
 
 def types_of_sizes(m: int, sizes: Sequence[int], family: Family = ()) -> list[Hypergraph3]:
@@ -165,24 +173,21 @@ def assemble(
         raise ValueError("the family excludes every m-vertex graph")
     if use_default_types:
         types = default_types(m, family)
-    blocks = []  # (type key, table) for each type with flags
+    blocks = []
     for sigma in types:
         table = pair_density_table(sigma, m, family)
         assert [t.canon_key for t in table.targets] == [t.canon_key for t in targets]
-        if table.flags:
-            blocks.append((sigma.canon_key, table))
+        if not table.flags:
+            continue
+        nonzero = {fi: mat for fi, mat in enumerate(table.matrices) if mat}
+        blocks.append(ProgramBlock(sigma.canon_key, len(table.flags), table.denominator, nonzero))
     # the tables are memoised, so a later assembly reads no subset codes
     subset_codes.cache_clear()
     return SdpModel(
         m=m,
         family_key=families_mod.family_key(family),
         obj=tuple(edge_density(f) for f in targets),
-        type_keys=tuple(key for key, _ in blocks),
-        type_dims=tuple(len(table.flags) for _, table in blocks),
-        pair_matrices=tuple(
-            {fi: mat for fi, mat in enumerate(table.matrices) if mat} for _, table in blocks
-        ),
-        denominators=tuple(table.denominator for _, table in blocks),
+        blocks=tuple(blocks),
     )
 
 
@@ -192,21 +197,21 @@ def assemble(
 
 def model_to_text(model: SdpModel) -> str:
     k = model.n_constraints
-    dims = [-1] + list(model.type_dims) + [-k]
+    dims = [-1] + [block.dim for block in model.blocks] + [-k]
     lines = [
         f"m {model.m}",
         f"family {model.family_key if model.family_key else 'none'}",
         f"nblocks {len(dims)}",
         "blockdims " + " ".join(str(d) for d in dims),
     ]
-    if model.type_keys:
-        lines.append("typekeys " + " ".join(key.hex() for key in model.type_keys))
+    if model.blocks:
+        lines.append("typekeys " + " ".join(block.type_key.hex() for block in model.blocks))
     lines.append(f"nconstraints {k}")
     lines.append("0 1 0 0 1")  # objective: minimize the scalar bound
     slack_block = len(dims)
     # per type block: its matrices, its denominator D, and the text of -c/D
     # for each count c met
-    blocks = [(matrices, d, {}) for matrices, d in zip(model.pair_matrices, model.denominators)]
+    blocks = [(block.matrices, block.denominator, {}) for block in model.blocks]
     for r in range(1, k + 1):
         fi = r - 1
         lines.append(f"{r} 0 0 0 {fraction_text(model.obj[fi])}")
@@ -254,23 +259,24 @@ def model_from_text(text: str) -> SdpModel:
         raise ValueError("blockdims length disagrees with nblocks")
     if dims[0] != -1 or dims[-1] != -k:
         raise ValueError("expected a scalar bound block and a slack diagonal")
-    type_dims = tuple(dims[1:-1])
+    type_dims = dims[1:-1]
     if any(d <= 0 for d in type_dims):
         raise ValueError("interior blocks must be PSD (positive dimension)")
-    type_keys = tuple(bytes.fromhex(h) for h in header.get("typekeys", []))
+    type_keys = [bytes.fromhex(h) for h in header.get("typekeys", [])]
     if len(type_keys) != len(type_dims):
         raise ValueError("typekeys count disagrees with PSD block count")
-    denominators = []
-    for key in type_keys:
+    blocks = []  # each with no matrices yet
+    for key, dim in zip(type_keys, type_dims):
         try:
-            denominators.append(pair_denominator(m, decode_key(key).n))
+            denominator = pair_denominator(m, decode_key(key).n)
         except ValueError as exc:
             raise ValueError(f"type key {key.hex()}: {exc}") from None
+        blocks.append(ProgramBlock(key, dim, denominator, {}))
     obj: list[Fraction | None] = [None] * k
     # per type block, the upper-triangle counts of each constraint's matrix,
     # keyed by i * dim + j, and the count of each value token met
-    uppers: list[dict[int, dict[int, int]]] = [{} for _ in type_dims]
-    counts: list[dict[str, int]] = [{} for _ in type_dims]
+    uppers: list[dict[int, dict[int, int]]] = [{} for _ in blocks]
+    counts: list[dict[str, int]] = [{} for _ in blocks]
     value_of = cache(parse_fraction)  # any other token, parsed once per call
     slack_block = len(dims)
     # (constraint, block) of each objective, constant, bound and slack entry
@@ -282,17 +288,17 @@ def model_from_text(text: str) -> SdpModel:
             raise ValueError(f"constraint index {r} out of range")
         if r and 2 <= b < slack_block:
             t = b - 2
-            if not 0 <= i <= j < type_dims[t]:
+            dim, d = blocks[t].dim, blocks[t].denominator
+            if not 0 <= i <= j < dim:
                 raise ValueError(f"entry outside declared block: {(r, b, i, j)}")
             c = counts[t].get(token)
             if c is None:
-                q = -parse_fraction(token) * denominators[t]
+                q = -parse_fraction(token) * d
                 if q.denominator != 1 or q < 0:
-                    d = denominators[t]
                     raise ValueError(f"pair-density value {token!r} is not -c/{d} for a count c")
                 c = counts[t][token] = q.numerator
             upper = uppers[t].setdefault(fi, {})
-            code = i * type_dims[t] + j
+            code = i * dim + j
             if code in upper:
                 raise ValueError(f"repeated entry {(r, b, i, j)}")
             upper[code] = c
@@ -319,22 +325,15 @@ def model_from_text(text: str) -> SdpModel:
     if any(o is None for o in obj):
         raise ValueError("missing constant term for some constraint")
     # program text may hold an explicit 0, which a PairMatrix leaves out
-    pair_matrices = tuple(
-        {
-            fi: pair_matrix(list(nonzero), list(nonzero.values()), dim)
-            for fi, upper in block.items()
-            if (nonzero := {code: c for code, c in upper.items() if c})
-        }
-        for block, dim in zip(uppers, type_dims)
-    )
+    for block, by_constraint in zip(blocks, uppers):
+        for fi, upper in by_constraint.items():
+            if nonzero := {code: c for code, c in upper.items() if c}:
+                block.matrices[fi] = pair_matrix(list(nonzero), list(nonzero.values()), block.dim)
     return SdpModel(
         m=m,
         family_key=family_key,
         obj=tuple(obj),  # type: ignore[arg-type]
-        type_keys=type_keys,
-        type_dims=type_dims,
-        pair_matrices=pair_matrices,
-        denominators=tuple(denominators),
+        blocks=tuple(blocks),
     )
 
 
@@ -437,10 +436,10 @@ def round_solution(
     u = rational_upper_bound(floats[0], denominator_bound)
     pos = 1
     blocks = []
-    for key, d in zip(model.type_keys, model.type_dims):
-        size = d * (d + 1) // 2
+    for block in model.blocks:
+        size = block.dim * (block.dim + 1) // 2
         upper = tuple(best_rational(x, denominator_bound) for x in floats[pos : pos + size])
-        blocks.append(CertificateBlock(key, d, upper))
+        blocks.append(CertificateBlock(block.type_key, block.dim, upper))
         pos += size
     slacks = []
     for _ in range(model.n_constraints):

@@ -368,9 +368,10 @@ def test_acceptance_14_sdp_round_trip(tmp_path):
     emit(model, str(path))
     again = parse_sdp(str(path))
     assert again == model
-    assert model.type_dims == (2, 8, 7)
+    dims = tuple(block.dim for block in model.blocks)
+    assert dims == (2, 8, 7)
     report(
         14,
         f"m=5 program with default types ({model.n_constraints} constraints, "
-        f"blocks {model.type_dims}) round-trips bit-exactly; solver constants not re-derived",
+        f"blocks {dims}) round-trips bit-exactly; solver constants not re-derived",
     )

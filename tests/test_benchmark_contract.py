@@ -54,7 +54,7 @@ def test_is_family_free_takes_graphs_and_induced_flags():
 def test_assemble_selects_the_default_types():
     family = families.parse_family("F32,C5_3_MINUS")
     model = sdp.assemble(5, family, use_default_types=True)
-    assert model.type_dims
+    assert model.blocks
     assert model == sdp.assemble(5, family, types=sdp.default_types(5, family))
 
 

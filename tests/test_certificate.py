@@ -265,7 +265,7 @@ def m5_certificates(draw):
     family = families.parse_family(draw(st.sampled_from(PROGRAM_FAMILIES)))
     model = assemble(5, family, use_default_types=True)
     blocks = []
-    for sigma, d in zip(default_types(5, family), model.type_dims):
+    for sigma, d in zip(default_types(5, family), (block.dim for block in model.blocks)):
         rows = [[draw(rationals(2**10)) for _ in range(d)] for _ in range(d)]
         mat = _gram(rows)
         shift = draw(st.builds(Fraction, st.integers(1, 2**10), denominators))
@@ -275,9 +275,11 @@ def m5_certificates(draw):
     values = []
     for idx, obj in enumerate(model.obj):
         total = obj
-        for block, matrices, denominator in zip(blocks, model.pair_matrices, model.denominators):
+        for block, program_block in zip(blocks, model.blocks):
             total += oracles.inner_product_fractions(
-                oracles.dense_block(block), matrices.get(idx, ()), denominator
+                oracles.dense_block(block),
+                program_block.matrices.get(idx, ()),
+                program_block.denominator,
             )
         values.append(total)
     cert = Certificate(F(0), model.family_key, 5, tuple(blocks), ())

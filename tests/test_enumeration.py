@@ -280,6 +280,14 @@ def test_each_level_extends_the_memoised_level_below(monkeypatch):
     assert labelled and set(labelled) == {6}
 
 
+def test_canonical_forms_share_one_tuple_per_label_triple():
+    # every listed graph is a canonical form, whose edges are taken from one
+    # pool of triples, so the 2136 graphs hold at most C(6, 3) triple objects
+    graphs = enumerate_free(6)
+    assert len(graphs) == 2136
+    assert len({id(t) for g in graphs for t in g.edges}) <= comb(6, 3)
+
+
 def test_flags_keep_the_soft_limit():
     with pytest.raises(ValueError, match="m=8 exceeds the soft limit 7"):
         enumerate_flags(from_edges(2, []), 8)

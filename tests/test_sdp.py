@@ -17,6 +17,7 @@ import oracles
 from cert_helpers import lp_certificate
 from oracles import spanning_profile
 from turan3.sdp import (
+    ProgramBlock,
     SdpModel,
     assemble,
     best_rational,
@@ -106,7 +107,7 @@ def test_default_types_m5():
     types = default_types(5, family)
     assert sorted(t.n for t in types) == [1, 3, 3]
     model = assemble(5, family, use_default_types=True)
-    assert model.type_dims == (2, 8, 7)
+    assert [block.dim for block in model.blocks] == [2, 8, 7]
     assert model.n_constraints == 22
 
 
@@ -161,13 +162,13 @@ def test_default_program_holds_integer_counts(m, spec):
     family = families.parse_family(spec)
     model = assemble(m, family, use_default_types=True)
     read = model_from_text(model_to_text(model))
-    sizes = [decode_key(key).n for key in model.type_keys]
+    sizes = [decode_key(block.type_key).n for block in model.blocks]
     want = [oracles.pair_denominator_formula(m, s) for s in sizes]
-    assert list(model.denominators) == list(read.denominators) == want
+    assert [b.denominator for b in model.blocks] == [b.denominator for b in read.blocks] == want
     tables = [pair_density_table(sigma, m, family) for sigma in default_types(m, family)]
     assert sorted(table.denominator for table in tables if table.flags) == sorted(want)
     matrices = [mat for table in tables for mat in table.matrices] + [
-        mat for each in (model, read) for block in each.pair_matrices for mat in block.values()
+        mat for each in (model, read) for block in each.blocks for mat in block.matrices.values()
     ]
     assert all(type(c) is int for mat in matrices for row in mat for _, c in row)
 
@@ -192,7 +193,7 @@ def test_emit_parse_round_trip_typed(tmp_path):
 
 def test_single_type_block_declared(tmp_path):
     model = assemble(4, fam("C4_3"), use_default_types=True)
-    assert model.type_dims == (1, 2)  # empty type then the 2-vertex type
+    assert [block.dim for block in model.blocks] == [1, 2]  # empty type then the 2-vertex type
     path = tmp_path / "m4.sdp"
     emit(model, str(path))
     text = path.read_text()
@@ -255,7 +256,7 @@ def test_parse_rejects_a_pair_density_value_that_is_not_a_count(token):
     # the 2-vertex type at m=4 has denominator 24: -1/7 is no count over it,
     # 1/24 is the count -1, and -1/48 is half a count
     model = assemble(4, fam("C4_3"), use_default_types=True)
-    assert model.denominators == (6, 24)
+    assert [block.denominator for block in model.blocks] == [6, 24]
     lines = model_to_text(model).splitlines()
     last = max(k for k, line in enumerate(lines) if line.split()[1] == "3")
     lines[last] = " ".join(lines[last].split()[:4] + [token])
@@ -339,7 +340,7 @@ def test_parse_drops_an_explicit_zero_pair_density_entry():
     text = model_to_text(model)
     lines = text.splitlines()
     present = {tuple(map(int, line.split()[:4])) for line in lines if line[0].isdigit()}
-    b, dim = len(model.type_dims) + 1, model.type_dims[-1]
+    b, dim = len(model.blocks) + 1, model.blocks[-1].dim
     r, i, j = next(
         (r, i, j)
         for r in range(1, model.n_constraints + 1)
@@ -441,7 +442,7 @@ def test_round_solution_rounds_bound_upward():
 
 
 def test_round_solution_refuses_a_negative_type_dimension():
-    model = SdpModel(4, "", (Fraction(1, 2),), (b"",), (-2,), ({},), (1,))
+    model = SdpModel(4, "", (Fraction(1, 2),), (ProgramBlock(b"", -2, 1, {}),))
     with pytest.raises(ValueError, match="type block dimension -2 is negative"):
         round_solution(model, [0.5, 0.0, 0.0])
 
