@@ -113,6 +113,8 @@ def _construction_spec(args) -> constructions.ConstructionSpec:
     """The validated spec, so a bad one is refused even with no action."""
     cls = constructions.KINDS[args.kind]
     if cls is constructions.BRec:
+        if args.parts:
+            raise ValueError("brec takes no --parts; give --n")
         if args.n is None:
             raise ValueError("brec needs --n")
         if args.splits:
@@ -120,10 +122,12 @@ def _construction_spec(args) -> constructions.ConstructionSpec:
         else:
             spec = constructions.optimal_brec(args.n)
     else:
+        if args.n is not None or args.splits:
+            raise ValueError(f"{args.kind} takes no --n or --splits; give --parts")
         if not args.parts:
             raise ValueError(f"{args.kind} needs --parts with comma-separated sizes")
         parts = _integers(args.parts, "--parts value")
-        count = len(cls._fields)
+        count = cls.pattern.parts
         if len(parts) != count:
             raise ValueError(f"{args.kind} needs exactly {count} part sizes")
         spec = cls(*parts)

@@ -1,17 +1,16 @@
 """Lower-bound constructions.
 
-Each construction kind is described once, by its `kind` name, its limiting
-density `limit`, and how it is built:
-
-  * a blow-up kind has a `pattern` graph and one part per pattern vertex;
-    its edges are the triples with one vertex in each part of a pattern
-    edge.  Partite3 blows up a single edge, K4Blowup the complete 3-graph
-    on 4 vertices.
-  * a layered kind has `levels` (n, splits): on n vertices, each split s
-    takes the next s vertices and adds every triple with two of them and
-    one vertex after them.  BRec is the recursive construction, whose tail
-    of at most 2 vertices stays empty; SemiBipartite is the single level
-    n1 on n1 + n2 vertices.
+Every construction kind is a pattern (Pikhurko, On possible Turán
+densities, Israel J. Math. 201, 2014): a part count, edges that are sorted
+triples of parts (a part may repeat), and an optional recursive part.  A
+kind has its `kind` name, its limiting density `limit`, its `pattern` and
+its `levels`, the part sizes of each level.  A level's parts take
+consecutive vertices in part order, each later level lies on the recursive
+part of the one before, and a level's edges are, for each pattern edge e,
+the triples with e.count(p) vertices in each part p.  Partite3 is {012} and
+K4Blowup the four triples of 0..3, blow-ups of a graph with nonempty parts;
+SemiBipartite is {001}; BRec is {001} with part 1 recursive, one level
+(s, rest) per split s, and its tail of at most 2 vertices stays empty.
 
 The recursion value b_rec(n) is the maximum edge count over all split
 sequences; the exact DP below also returns the maximizing sequence, with
@@ -22,11 +21,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
-from math import comb
-from typing import ClassVar, NamedTuple, Union
+from itertools import accumulate, combinations
+from math import comb, prod
+from typing import ClassVar, NamedTuple, Optional, Sequence, Union
 
-from .graphs import Hypergraph3, blow_up, from_edges, named_graph
+from .graphs import Hypergraph3, Triple
 
 # Correctly rounded to 50 fractional digits.
 TWO_SQRT3_MINUS_3 = "0.46410161513775458705489268301174473388561050762076"
@@ -34,88 +33,91 @@ LIMIT_BREC_SIXTH = "0.07735026918962576450914878050195745564760175127013"
 OPTIMAL_SPLIT_RATIO = "0.63397459621556135323627682924706381652859737309481"
 
 
-class BlowUp:
-    """A blow-up of `pattern`: its fields are the part sizes, in vertex order,
-    each at least 1."""
+class Pattern(NamedTuple):
+    """A part count, edges as sorted triples of parts, and the recursive
+    part, which holds the next level (None: one level only).  A pattern
+    whose edges repeat no part is the blow-up of a graph on its parts."""
 
-    pattern: ClassVar[Hypergraph3]
+    parts: int
+    edges: tuple[Triple, ...]
+    recursive: Optional[int] = None
+
+
+class ConstructionSpec:
+    """A kind: its pattern and the part sizes of its levels.  Unless the
+    kind says otherwise, its fields are the sizes of its one level."""
+
+    pattern: ClassVar[Pattern]
 
     @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(self)
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        return (tuple(self),)
 
 
-class Layered:
-    """A layered construction, read as its `levels` (n, splits)."""
-
-    levels: tuple[int, tuple[int, ...]]
-
-
-class BRec(Layered, namedtuple("BRec", "n splits")):
+class BRec(ConstructionSpec, namedtuple("BRec", "n splits")):
     """Recursive construction on n vertices with the given level splits."""
 
     kind = "brec"
     limit = TWO_SQRT3_MINUS_3
+    pattern = Pattern(2, ((0, 0, 1),), recursive=1)
 
     @property
-    def levels(self) -> tuple[int, tuple[int, ...]]:
-        return self.n, self.splits
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        """One level (s, rest) per split s, or (0, n) with no split; splits
+        that do not fit n are refused."""
+        if self.n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
+        levels = []
+        rest = self.n
+        for s in self.splits:
+            if s < 1:
+                raise ValueError(f"split {s} must be at least 1")
+            if s > rest:
+                raise ValueError(f"split {s} exceeds the {rest} remaining vertices")
+            rest -= s
+            levels.append((s, rest))
+        if rest > 2:
+            raise ValueError(f"{rest} vertices left unsplit; tails above 2 vertices need a split")
+        return tuple(levels) or ((0, self.n),)
 
 
-class Partite3(BlowUp, namedtuple("Partite3", "n1 n2 n3")):
+class Partite3(ConstructionSpec, namedtuple("Partite3", "n1 n2 n3")):
     kind = "partite3"
     limit = Fraction(2, 9)
-    pattern = from_edges(3, [(0, 1, 2)])
+    pattern = Pattern(3, ((0, 1, 2),))
 
 
-class K4Blowup(BlowUp, namedtuple("K4Blowup", "s1 s2 s3 s4")):
+class K4Blowup(ConstructionSpec, namedtuple("K4Blowup", "s1 s2 s3 s4")):
     kind = "k4blowup"
     limit = Fraction(3, 8)
-    pattern = named_graph("K4_3")
+    pattern = Pattern(4, tuple(combinations(range(4), 3)))
 
 
-class SemiBipartite(Layered, namedtuple("SemiBipartite", "n1 n2")):
+class SemiBipartite(ConstructionSpec, namedtuple("SemiBipartite", "n1 n2")):
     kind = "semibipartite"
     limit = Fraction(4, 9)
+    pattern = Pattern(2, ((0, 0, 1),))
 
-    @property
-    def levels(self) -> tuple[int, tuple[int, ...]]:
-        return self.n1 + self.n2, (self.n1,)
-
-
-ConstructionSpec = Union[BlowUp, Layered]
 
 # The construction kinds by name; every kind but brec is given by part sizes.
 KINDS = {cls.kind: cls for cls in (BRec, Partite3, K4Blowup, SemiBipartite)}
 
 
 def validate(spec: ConstructionSpec) -> None:
-    """Reject negative part sizes, empty blow-up parts, and brec splits that
-    do not fit n."""
-    if isinstance(spec, BRec):
-        if spec.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {spec.n}")
-        remaining = spec.n
-        for s in spec.splits:
-            if s < 1:
-                raise ValueError(f"split {s} must be at least 1")
-            if s > remaining:
-                raise ValueError(f"split {s} exceeds the {remaining} remaining vertices")
-            remaining -= s
-        if remaining > 2:
+    """Reject levels that do not fit (BRec.levels), negative part sizes, and
+    empty blow-up parts."""
+    for sizes in spec.levels:
+        if min(sizes) < 0:
+            raise ValueError(f"part sizes must be nonnegative, got {','.join(map(str, sizes))}")
+        if 0 in sizes and all(len(set(e)) == 3 for e in spec.pattern.edges):
+            # a blow-up part stands for a graph vertex, which needs a vertex
+            part = sizes.index(0) + 1
             raise ValueError(
-                f"{remaining} vertices left unsplit; tails above 2 vertices need a split"
+                f"{spec.kind} part {part} is empty; blow-up parts need at least 1 vertex"
             )
-    elif min(spec) < 0:
-        sizes = ",".join(map(str, spec))
-        raise ValueError(f"part sizes must be nonnegative, got {sizes}")
-    elif isinstance(spec, BlowUp) and 0 in spec.sizes:
-        # a blow-up part stands for a pattern vertex, which needs a vertex
-        part = spec.sizes.index(0) + 1
-        raise ValueError(f"{spec.kind} part {part} is empty; blow-up parts need at least 1 vertex")
 
 
-# 10**6 partite3 edges took 0.23 s and 97 MB of peak RSS to build (2-core x86-64 VM)
+# 10**6 partite3 edges took 0.19-0.24 s and 93 MB of peak RSS to build (2-core x86-64 VM)
 BUILD_EDGE_LIMIT = 10**6
 
 
@@ -124,16 +126,31 @@ def build(spec: ConstructionSpec) -> Hypergraph3:
     edges = edge_count(spec)  # the closed form: nothing is built to refuse a spec
     if edges > BUILD_EDGE_LIMIT:
         raise ValueError(f"{spec.kind} has {edges} edges; build takes at most {BUILD_EDGE_LIMIT}")
-    if isinstance(spec, BlowUp):
-        return blow_up(spec.pattern, spec.sizes)
-    n, splits = spec.levels
-    edges = []
+    return pattern_graph(spec.pattern, spec.levels)
+
+
+def pattern_graph(pattern: Pattern, levels: Sequence[Sequence[int]]) -> Hypergraph3:
+    """The graph of pattern with the given part sizes on each level."""
+    edges: list[Triple] = []
     offset = 0
-    for s in splits:
-        for a, b in combinations(range(offset, offset + s), 2):
-            edges.extend((a, b, c) for c in range(offset + s, n))
-        offset += s
-    return from_edges(n, edges)
+    for sizes in levels:
+        edges.extend(_level_edges(pattern, sizes, offset))
+        offset += sum(sizes[: pattern.recursive])
+    edges.sort()
+    return Hypergraph3(sum(levels[0]), tuple(edges))
+
+
+def _level_edges(pattern: Pattern, sizes: Sequence[int], offset: int):
+    """The edges of one level whose first part starts at vertex offset: for
+    each pattern edge e, every triple with e.count(p) vertices in part p,
+    each sorted, since the parts take vertices in part order."""
+    starts = list(accumulate(sizes, initial=offset))
+    for e in pattern.edges:
+        triples: list[tuple[int, ...]] = [()]
+        for p in sorted(set(e)):
+            picks = list(combinations(range(starts[p], starts[p + 1]), e.count(p)))
+            triples = [t + c for t in triples for c in picks]
+        yield from triples
 
 
 B_REC_LIMIT = 5000  # b_rec's DP is quadratic in n: seconds at this bound
@@ -186,21 +203,17 @@ class DensityReport(NamedTuple):
 
 
 def vertex_count(spec: ConstructionSpec) -> int:
-    return sum(spec.sizes) if isinstance(spec, BlowUp) else spec.levels[0]
+    return sum(spec.levels[0])
 
 
 def edge_count(spec: ConstructionSpec) -> int:
     """Closed-form edge count; never materializes the graph."""
     validate(spec)
-    if isinstance(spec, BlowUp):
-        sizes = spec.sizes
-        return sum(sizes[a] * sizes[b] * sizes[c] for a, b, c in spec.pattern.edges)
-    n, splits = spec.levels
-    total = 0
-    for s in splits:
-        n -= s
-        total += comb(s, 2) * n
-    return total
+    return sum(
+        prod(comb(sizes[p], e.count(p)) for p in set(e))
+        for sizes in spec.levels
+        for e in spec.pattern.edges
+    )
 
 
 def density_report(spec: ConstructionSpec) -> DensityReport:

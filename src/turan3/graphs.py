@@ -771,31 +771,6 @@ def complement(h: Hypergraph3) -> Hypergraph3:
     return Hypergraph3(h.n, edges)
 
 
-def blow_up(h: Hypergraph3, sizes: Sequence[int]) -> Hypergraph3:
-    """Replace vertex v by a class of sizes[v] vertices.
-
-    A triple is an edge iff its vertices lie in three distinct classes whose
-    originals form an edge of h.
-    """
-    if len(sizes) != h.n:
-        raise ValueError(f"need {h.n} class sizes, got {len(sizes)}")
-    if any(s <= 0 for s in sizes):
-        raise ValueError("class sizes must be positive")
-    offsets = []
-    pos = 0
-    for s in sizes:
-        offsets.append(pos)
-        pos += s
-    classes = [range(offsets[v], offsets[v] + sizes[v]) for v in range(h.n)]
-    edges = []
-    for a, b, c in h.edges:
-        for x in classes[a]:
-            for y in classes[b]:
-                for z in classes[c]:
-                    edges.append(_sorted_triple(x, y, z))
-    return Hypergraph3(pos, tuple(sorted(edges)))
-
-
 # ---------------------------------------------------------------------------
 # Named graphs
 

@@ -43,6 +43,10 @@ maxcut_local_search is measured against.  move_deltas_edges is the
 edge walk the package's move gains from pair links are checked against,
 and bad_missing_brute lists the bad edges and every missing cross triple
 that partition.bad_missing only counts.
+
+construction_brute shares nothing with constructions but the pattern and
+level sizes it is given: it decides each vertex triple on its own, where
+the package emits each pattern edge's triples level by level.
 """
 
 from __future__ import annotations
@@ -779,3 +783,23 @@ def smallest_rational_above_brute(x, max_denominator: int) -> Fraction:
     return min(
         Fraction(-(-x.numerator * q // x.denominator), q) for q in range(1, max_denominator + 1)
     )
+
+
+def construction_brute(pattern, levels) -> set[tuple[int, int, int]]:
+    """The edges of pattern with the given part sizes on each level, one
+    vertex triple at a time: at the first level where the triple is not
+    all inside the recursive part, it is an edge iff its sorted parts are
+    a pattern edge.  A triple inside the last level's recursive part lies
+    in the empty tail."""
+    edges = set()
+    for t in combinations(range(sum(levels[0])), 3):
+        first = 0  # the first vertex of the level
+        for sizes in levels:
+            part_of = [p for p, size in enumerate(sizes) for _ in range(size)]
+            parts = tuple(sorted(part_of[v - first] for v in t))
+            if pattern.recursive is None or set(parts) != {pattern.recursive}:
+                if parts in pattern.edges:
+                    edges.add(t)
+                break
+            first += part_of.index(pattern.recursive)
+    return edges

@@ -253,10 +253,14 @@ def test_graph_reader_refuses_a_vertex_count_over_its_limit(capsys, tmp_path, ar
         (["semibipartite", "--parts", "0,-5"], "part sizes must be nonnegative"),
         (["brec", "--n", "1000000000000"], "n=1000000000000 exceeds"),
         (["brec", "--n", "1000000000000", "--report"], "n=1000000000000 exceeds"),
+        # an option the kind does not take would be dropped without a word
+        (["partite3", "--n", "5", "--parts", "1,1,1"], "partite3 takes no --n or --splits"),
+        (["k4blowup", "--splits", "2", "--parts", "1,1,1,1"], "k4blowup takes no --n or --splits"),
+        (["brec", "--n", "9", "--parts", "1,2"], "brec takes no --parts"),
     ],
     ids=[
         "brec-split", "brec-tail", "partite3-empty", "semibipartite-negative",
-        "brec-huge-n", "brec-huge-n-report",
+        "brec-huge-n", "brec-huge-n-report", "partite3-n", "k4blowup-splits", "brec-parts",
     ],
 )
 def test_construct_refuses_a_bad_spec_without_an_action(capsys, spec, message):

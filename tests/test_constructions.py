@@ -1,3 +1,4 @@
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
@@ -12,14 +13,18 @@ from turan3.constructions import (
     LIMIT_BREC_SIXTH,
     OPTIMAL_SPLIT_RATIO,
     Partite3,
+    Pattern,
     SemiBipartite,
     TWO_SQRT3_MINUS_3,
     b_rec,
     build,
     density_report,
+    edge_count,
     optimal_brec,
 )
 from turan3.graphs import exhaustive_containment_scan, named_graph
+
+from oracles import construction_brute
 
 
 def b_rec_oracle(n):
@@ -93,17 +98,49 @@ def test_build_semibipartite():
         assert len(h.edges) == comb(2 * k, 2) * k
 
 
-def test_kinds_are_blow_ups_or_levels():
+def test_kinds_are_patterns():
     assert list(KINDS) == ["brec", "partite3", "k4blowup", "semibipartite"]
-    assert Partite3.pattern.edges == ((0, 1, 2),)
-    assert K4Blowup.pattern == named_graph("K4_3")
-    assert K4Blowup(1, 2, 3, 4).sizes == (1, 2, 3, 4)
-    assert BRec(9, (5, 2)).levels == (9, (5, 2))
-    assert SemiBipartite(5, 4).levels == (9, (5,))
+    assert Partite3.pattern == Pattern(3, ((0, 1, 2),))
+    assert K4Blowup.pattern == Pattern(4, named_graph("K4_3").edges)
+    assert SemiBipartite.pattern == Pattern(2, ((0, 0, 1),))
+    assert BRec.pattern == Pattern(2, ((0, 0, 1),), recursive=1)
+    assert K4Blowup(1, 2, 3, 4).levels == ((1, 2, 3, 4),)
+    assert SemiBipartite(5, 4).levels == ((5, 4),)
+    assert BRec(9, (5, 2)).levels == ((5, 4), (2, 2))
+    assert BRec(2, ()).levels == ((0, 2),)
     # a semi-bipartite graph is the first level of a brec on the same vertices
     first = set(build(SemiBipartite(5, 4)).edges)
     whole = set(build(BRec(9, (5, 2))).edges)
     assert first < whole and whole - first == {(5, 6, 7), (5, 6, 8)}
+
+
+def random_spec(rng):
+    """A valid spec of a random kind on at most 14 vertices."""
+    kind = rng.choice(list(KINDS))
+    if kind == "partite3":
+        return Partite3(*(rng.randint(1, 4) for _ in range(3)))
+    if kind == "k4blowup":
+        return K4Blowup(*(rng.randint(1, 3) for _ in range(4)))
+    if kind == "semibipartite":
+        return SemiBipartite(rng.randint(0, 7), rng.randint(0, 7))
+    n = rng.randint(0, 14)
+    splits = []
+    rest = n
+    while rest > 2 or (rest and rng.random() < 0.5):
+        splits.append(rng.randint(1, rest))
+        rest -= splits[-1]
+    return BRec(n, tuple(splits))
+
+
+def test_build_and_edge_count_match_the_triple_oracle():
+    rng = random.Random(41)
+    for _ in range(1000):
+        spec = random_spec(rng)
+        h = build(spec)
+        want = construction_brute(spec.pattern, spec.levels)
+        assert h.n == sum(spec.levels[0])
+        assert list(h.edges) == sorted(want), spec
+        assert edge_count(spec) == len(want), spec
 
 
 @pytest.mark.parametrize(
@@ -180,8 +217,6 @@ def test_density_report_brec_and_semibipartite():
 
 
 def test_edge_count_closed_forms_match_builds():
-    from turan3.constructions import edge_count
-
     specs = [
         BRec(9, (5, 2)),
         BRec(10, (4, 4)),

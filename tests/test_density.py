@@ -9,7 +9,8 @@ from turan3 import density, enumeration, families, graphs
 from turan3.certificate import inner_product, scale_rows
 from turan3.density import edge_density, p, pair_density_table, pair_matrix
 from turan3.enumeration import enumerate_flags, enumerate_free, flag_action, rooted_canonical_key
-from turan3.graphs import blow_up, decode_key, from_edges, induced_subgraph, named_graph
+from turan3.constructions import K4Blowup, Partite3, build
+from turan3.graphs import decode_key, from_edges, induced_subgraph, named_graph
 from turan3.sdp import default_types
 
 import oracles
@@ -40,7 +41,7 @@ def test_p_on_complete_graph():
 
 
 def test_p_blowup_example():
-    b = blow_up(named_graph("K4_3"), [2, 2, 2, 2])
+    b = build(K4Blowup(2, 2, 2, 2))
     # oracle: count 4-subsets inducing K4_3 directly
     hits = 0
     for sub in combinations(range(8), 4):
@@ -57,7 +58,7 @@ def test_p_rejects_oversized_pattern():
 
 
 def test_edge_density_values():
-    partite = blow_up(from_edges(3, [(0, 1, 2)]), [10, 10, 10])
+    partite = build(Partite3(10, 10, 10))
     assert edge_density(partite) == Fraction(1000, comb(30, 3)) == Fraction(50, 203)
     assert edge_density(named_graph("K4_3")) == 1
     assert edge_density(from_edges(5, [])) == 0

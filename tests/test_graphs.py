@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turan3 import density, families, graphs
+from turan3.constructions import K4Blowup, Partite3, Pattern, build, pattern_graph
 from turan3.enumeration import _attachment_orbit_reps, _extend, _flag_data, enumerate_free
 from turan3.graphs import (
     Hypergraph3,
-    blow_up,
     complement,
     contains_induced,
     contains_sub,
@@ -36,6 +36,12 @@ def comb(n, k):
 def random_graph(n, p, rng):
     edges = [t for t in combinations(range(n), 3) if rng.random() < p]
     return from_edges(n, edges)
+
+
+def graph_blow_up(h, sizes):
+    """h with vertex v replaced by a class of sizes[v] vertices: the pattern
+    whose edges are h's edges, on one level."""
+    return pattern_graph(Pattern(h.n, h.edges), [sizes])
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +356,7 @@ def _labelling_hosts(rng):
         ("C5_3_MINUS", [2, 1, 2, 1, 2]),
         ("F32", [1, 2, 2, 2, 3]),
     ]:
-        h = blow_up(named_graph(base), sizes)
+        h = graph_blow_up(named_graph(base), sizes)
         for g in (h, complement(h)):
             perm = list(range(g.n))
             rng.shuffle(perm)
@@ -406,13 +412,13 @@ def test_canon_key_of_large_symmetric_graphs(h, key):
 def test_contains_sub_examples():
     assert contains_sub(named_graph("C5_3"), named_graph("C5_3_MINUS"))
     assert contains_sub(named_graph("F5_BAR"), named_graph("C5_3"))
-    partite = blow_up(from_edges(3, [(0, 1, 2)]), [3, 3, 3])
+    partite = build(Partite3(3, 3, 3))
     assert not contains_sub(partite, named_graph("F32"))
     assert not contains_sub(partite, named_graph("C5_3_MINUS"))
 
 
 def test_contains_induced_examples():
-    k4_blowup = blow_up(named_graph("K4_3"), [2, 2, 2, 2])
+    k4_blowup = build(K4Blowup(2, 2, 2, 2))
     assert not contains_induced(k4_blowup, named_graph("F32_BAR"))
     for name in ("F5", "F32", "C5_3"):
         f = named_graph(name)
@@ -457,7 +463,7 @@ def _scan_patterns():
 def test_subset_scan_matches_brute_force():
     rng = random.Random(29)
     hosts = [random_graph(n, p, rng) for n in (6, 7, 8, 9) for p in (0.15, 0.85)]
-    hosts.append(blow_up(named_graph("K4_3"), [2, 2, 2, 2]))
+    hosts.append(build(K4Blowup(2, 2, 2, 2)))
     for h in hosts:
         for f in _scan_patterns():
             if f.n > h.n or (f.n == 6 and h.n > 8):
@@ -610,7 +616,7 @@ def test_contains_monotone_under_edge_addition():
 
 def test_is_family_free():
     assert not is_family_free(named_graph("K4_3"), [named_graph("C4_3")])
-    partite = blow_up(from_edges(3, [(0, 1, 2)]), [2, 2, 2])
+    partite = build(Partite3(2, 2, 2))
     assert is_family_free(partite, [named_graph("F32"), named_graph("C5_3_MINUS")])
     # Induced flag changes the verdict: C5_3 contains C5_3_MINUS only non-induced.
     c5 = named_graph("C5_3")
@@ -669,23 +675,25 @@ def test_canon_key_stable_under_random_relabeling(h, rnd):
 def test_blow_up_preserves_family_freeness():
     # no copy of the 5-vertex pattern can use two vertices of one class
     for sizes in ([2, 2, 2, 2], [3, 3, 3, 3]):
-        b = blow_up(named_graph("K4_3"), sizes)
+        b = build(K4Blowup(*sizes))
         found, _ = exhaustive_containment_scan(b, named_graph("F32"))
         assert not found
 
 
 def test_blow_up_counts():
-    b = blow_up(named_graph("K4_3"), [2, 2, 2, 2])
+    b = build(K4Blowup(2, 2, 2, 2))
     assert b.n == 8 and len(b.edges) == 4 * 2**3
-    h = named_graph("F5")
-    assert blow_up(h, [1] * 5) == h
-    single = from_edges(3, [(0, 1, 2)])
+    for name in ("F5", "C5_3", "C5_3_MINUS", "F32"):
+        h = named_graph(name)
+        assert graph_blow_up(h, [1] * h.n) == h
+        assert len(graph_blow_up(h, [2] * h.n).edges) == 8 * len(h.edges)
     for k in (1, 2, 3):
-        assert len(blow_up(single, [k, k, k]).edges) == k**3
-    with pytest.raises(ValueError):
-        blow_up(single, [1, 0, 2])
-    with pytest.raises(ValueError):
-        blow_up(single, [1, 1])
+        assert len(build(Partite3(k, k, k)).edges) == k**3
+    # a zero class is refused; a kind takes exactly its class count
+    with pytest.raises(ValueError, match="^partite3 part 2 is empty; "):
+        build(Partite3(1, 0, 2))
+    with pytest.raises(TypeError):
+        Partite3(1, 1)
 
 
 # ---------------------------------------------------------------------------
