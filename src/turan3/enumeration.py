@@ -25,21 +25,27 @@ without them:
    per half of the mask, hold every vertex's count at once;
 2. the mask matches none of the parent's link patterns
    (graphs.link_patterns), so the child is family-free; each pattern is
-   split into halves, a high half keeps only the patterns it matches, and
-   a high half that some pattern matches whatever the low bits is
-   skipped whole;
+   split into halves, a high half collects the low halves that the
+   patterns it matches match, and a high half whose patterns match every
+   low half is skipped whole;
 3. the mask is the least in its Aut(parent)-orbit; an automorphism's
    image of it is the OR of two half-table entries built once per parent;
-4. the new vertex lies in the top cell of the child's refined colouring,
-   which is computed once and reused by the labelling;
+4. the new vertex lies in the top cell of the child's refined colouring;
+   refinement stops as soon as it leaves that cell;
 5. the child is labelled and the orbit test decides.
 
 Checks 1 and 4 are implied by the orbit test, so the output is the same
 as without them.
 
-An accepted child is labelled once: its canonical form comes with its own
-labelling primed (see graphs.CanonicalData), so sorting a level and
-extending it as a parent search nothing again.
+A child is handed what its parent and its own tests already computed, by
+assignment: _extend gives it its degrees, the parent's plus the mask's
+pairs at each old vertex and the mask's popcount for the new one, and
+_in_top_cell the refined colouring check 4 computed.  Check 5 labels it
+with graphs.canonical_data directly, which reads that colouring, so no
+child computes its degrees, colouring or labelling on a first read of a
+cached property.  An accepted child is labelled once: its canonical form
+comes with its own labelling primed (see graphs.CanonicalData), so
+sorting a level and extending it as a parent search nothing again.
 
 Typed flags need no wrapper types.  A type is a labelled graph sigma whose
 vertices are all roots, in label order.  A flag over sigma is a rooted
@@ -62,6 +68,8 @@ from typing import Iterable, Sequence
 from .graphs import (
     CanonicalData,
     Hypergraph3,
+    _refine_colors,
+    canonical_data,
     is_family_free,
     link_patterns,
     orbit,
@@ -104,6 +112,12 @@ def _outrank_codes(k: int) -> tuple[int, list[int], list[int], int, int]:
     return split, low, high, width, top
 
 
+@cache
+def _low_matches(split: int, care: int, want: int) -> int:
+    """Bit lo set for each low half lo < 2 ** split with lo & care == want."""
+    return sum(1 << lo for lo in range(1 << split) if lo & care == want)
+
+
 def _subset_images(images: Sequence[int]) -> list[int]:
     """table[s] = the OR of images[i] over the set bits i of s."""
     table = [0]
@@ -133,9 +147,8 @@ def _attachment_orbit_reps(
     automorphism maps pairs to pairs, so its image of a mask is the OR of
     the images of the two halves, read from two tables built once per call.
     A pattern matches exactly when both halves match, so each high half
-    keeps only the patterns its bits match, and a kept pattern with no low
-    care and no low want matches every low half, so it drops the whole
-    high half.
+    ORs the low halves matched by the patterns its bits match, one bit per
+    low half (_low_matches), and is dropped whole when they are all matched.
     """
     pairs = list(combinations(range(k), 2))
     index = {p: i for i, p in enumerate(pairs)}
@@ -153,24 +166,22 @@ def _attachment_orbit_reps(
         if img != identity:
             halves.append((_subset_images(img[:split]), _subset_images(img[split:])))
     split_patterns = [
-        (care & low_bits, want & low_bits, care >> split, want >> split)
+        (care >> split, want >> split, _low_matches(split, care & low_bits, want & low_bits))
         for care, want in patterns
     ]
+    every_low = (1 << len(low_codes)) - 1
     for hi, high_code in enumerate(high_codes):
-        kept = [
-            (care_lo, want_lo)
-            for care_lo, want_lo, care_hi, want_hi in split_patterns
-            if hi & care_hi == want_hi
-        ]
-        if (0, 0) in kept:
+        matched = 0  # bit lo: some pattern matches hi and lo
+        for care_hi, want_hi, lows in split_patterns:
+            if hi & care_hi == want_hi:
+                matched |= lows
+        if matched == every_low:
             continue
         outer = high_code + shift
         high_half = hi << split
         images = [(low_table, high_table[hi]) for low_table, high_table in halves]
         for lo, low_code in enumerate(low_codes):
-            if (low_code + outer) & top:
-                continue
-            if kept and any(lo & care == want for care, want in kept):
+            if (low_code + outer) & top or matched >> lo & 1:
                 continue
             mask = high_half | lo
             for low_table, high_image in images:
@@ -181,25 +192,40 @@ def _attachment_orbit_reps(
 
 
 def _extend(parent: Hypergraph3, mask: int, pairs: Sequence[tuple[int, int]]) -> Hypergraph3:
+    """The child: parent plus a new vertex whose link is the pairs of mask,
+    with its degrees assigned, the parent's plus the mask's pairs at each
+    old vertex and the mask's popcount for the new one."""
     new = parent.n
     edges = list(parent.edges)
+    degrees = list(parent.degrees)
     rest = mask
     while rest:
         low = rest & -rest
         u, v = pairs[low.bit_length() - 1]
         edges.append((u, v, new))
+        degrees[u] += 1
+        degrees[v] += 1
         rest ^= low
-    return Hypergraph3(new + 1, tuple(sorted(edges)))
+    degrees.append(mask.bit_count())
+    edges.sort()
+    child = Hypergraph3(new + 1, tuple(edges))
+    child.degrees = tuple(degrees)
+    return child
 
 
 def _in_top_cell(child: Hypergraph3) -> bool:
-    """The new vertex lies in the top cell of the child's refined colouring.
+    """The new vertex lies in the top cell of the child's refined colouring,
+    which is then assigned as the child's refined_colors.
 
     Canonical slot n-1 lies in the top cell, and automorphisms keep each
     cell, so a new vertex outside it fails _new_vertex_is_canonical.
+    Refinement stops as soon as the new vertex leaves the top cell.
     """
-    colors = child.refined_colors
-    return colors[-1] == max(colors)
+    colors = _refine_colors(child.n, child.edges, child.degrees, child.n - 1)
+    if colors is None:
+        return False
+    child.refined_colors = tuple(colors)
+    return True
 
 
 def _new_vertex_is_canonical(child: Hypergraph3, data: CanonicalData) -> bool:
@@ -274,7 +300,7 @@ def _generate_free(
             child = _extend(parent, mask, pairs)
             if not _in_top_cell(child):
                 continue
-            data = child.canonical
+            data = canonical_data(child)
             if _new_vertex_is_canonical(child, data):
                 level.append(data.graph)
     return tuple(sorted(level, key=lambda g: g.canon_key))

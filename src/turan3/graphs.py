@@ -22,23 +22,30 @@ most significant in a leaf's value, and a pair of codegree c' can make at
 most c' of them edges, the first c' only with its common neighbours at
 labels 2..c'+1; so every leaf reaching the least edge tuple obeys the
 rule, and no key or first perm reaching it is lost.  A discrete colouring
-is answered without a search, and a leaf is valued by an integer with one
-bit per relabeled edge, at the rank of the edge's triple, so a leaf costs
-one OR per edge and no sort.  The last vertex goes to its leaf without a
-loop, and a node looks for orbits of explored siblings only once the
-search has found an automorphism fixing its prefix.  A graph's refined
-colouring is its cached refined_colors, which the generator reads before
-it decides to label; refinement stops at the first round that splits no
-cell, and at once when the colouring is discrete.  Canonical forms share
-one tuple per label triple (_TRIPLES).
+is answered without a search (its ranks are the labels), and a leaf is
+valued by an integer with one bit per relabeled edge, at the rank of the
+edge's triple, so a leaf costs one OR per edge and no sort.  A vertex
+alone in its cell is placed before the search starts, the last vertex
+goes to its leaf without a loop, a node with one candidate keeps no
+sibling bookkeeping, and a node looks for orbits of explored siblings only
+once the search has found an automorphism fixing its prefix.
+
+A graph's refined colouring is its cached refined_colors, seeded with its
+cached degrees; refinement stops at the first round that splits no cell,
+and at once when the colouring is discrete.  A generator child computes
+neither: enumeration hands it its degrees (the parent's plus the new
+vertex's link) and the refined colouring it tests for the top cell, a
+refinement that stops as soon as the new vertex leaves that cell, by
+assigning them; it then labels the child with canonical_data directly.
+Canonical forms share one tuple per label triple, found by one lookup of
+the triple's vertex bitmask (_TRIPLES).
+
 _injections (backtracking over vertex images, pruned by degree and by every
 edge a placed vertex completes) checks only that edges land on edges:
-contains_sub and link_patterns (which lists, for the isomorph-free
-generator, the links of a new vertex that would complete a member) run it
-on the host, and the subset scan runs it on small induced graphs.  An
-induced copy is one on a subset spanning exactly |E(f)| edges: the
-injection then maps E(f) onto them, so non-edges land on non-edges.
-Canonical labeling never decides containment.
+contains_sub runs it on the host, and the subset scan runs it on small
+induced graphs.  An induced copy is one on a subset spanning exactly
+|E(f)| edges: the injection then maps E(f) onto them, so non-edges land
+on non-edges.  Canonical labeling never decides containment.
 
 A k-subset is coded by its induced graph, one bit per triple of its
 sorted positions in combinations order.  _subset_code alone writes one and
@@ -50,8 +57,10 @@ pattern over SMALL_VERTEX_LIMIT vertices and codes each subset whose edge
 count fits: density.p counts what it yields, contains_induced and
 exhaustive_containment_scan take the first.  Small graphs are coded once
 per size by the cached subset_codes, which root_sets reads for
-type_embeddings, link_patterns and density's tables, so every type of one
-size shares one walk of each graph.
+type_embeddings, density's tables and link_patterns (which lists, for the
+isomorph-free generator, the links of a new vertex that would complete a
+member, from the root sets of each member less a vertex, induced or not),
+so every type of one size shares one walk of each graph.
 
 One closure, orbit, serves every orbit of tuples: automorphism groups,
 flag embeddings and flag pairs.  Vertex orbits use the faster _orbit_closure.
@@ -68,7 +77,7 @@ import os
 import stat
 from collections import defaultdict
 from functools import cache, cached_property
-from itertools import combinations, compress, groupby, islice
+from itertools import chain, combinations, compress, groupby, islice
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -176,21 +185,36 @@ def from_edges(n: int, triples: Iterable[Sequence[int]]) -> Hypergraph3:
     return Hypergraph3(n, tuple(t for t, _ in groupby(sorted(edges))))
 
 
-# One shared tuple per label triple that a relabeled edge tuple has held,
-# filled on first use: the graphs the generator keeps share their triples.
-_TRIPLES: dict[Triple, Triple] = {}
+class _Triples(dict):
+    """Vertex bitmask of three vertices -> their sorted triple, filled on
+    first use: one shared tuple per label triple that a relabeled edge tuple
+    has held, so the graphs the generator keeps share their triples."""
+
+    def __missing__(self, mask: int) -> Triple:
+        low = mask & -mask
+        rest = mask ^ low
+        mid = rest & -rest
+        triple = self[mask] = (low.bit_length() - 1, mid.bit_length() - 1, rest.bit_length() - 1)
+        return triple
+
+
+_TRIPLES = _Triples()
 
 
 def _relabeled_edges(edges: Sequence[Triple], perm: Sequence[int]) -> tuple[Triple, ...]:
-    triples = sorted(_sorted_triple(perm[a], perm[b], perm[c]) for a, b, c in edges)
-    return tuple([_TRIPLES.setdefault(t, t) for t in triples])
+    """The sorted edges of the relabeling v -> perm[v], one lookup per edge."""
+    triples = [_TRIPLES[1 << perm[a] | 1 << perm[b] | 1 << perm[c]] for a, b, c in edges]
+    triples.sort()
+    return tuple(triples)
 
 
 # ---------------------------------------------------------------------------
 # Canonical labeling
 
 
-def _refine_colors(n: int, edges: Sequence[Triple], initial: Sequence[int] | None) -> list[int]:
+def _refine_colors(
+    n: int, edges: Sequence[Triple], initial: Sequence[int] | None, top: int | None = None
+) -> list[int] | None:
     """Iteratively refine vertex colors by the multiset of incident pair colors.
 
     The result is a label-invariant coloring: isomorphic graphs produce the
@@ -204,6 +228,10 @@ def _refine_colors(n: int, edges: Sequence[Triple], initial: Sequence[int] | Non
     (x, y) pairs would.  A round that splits no cell leaves the colouring
     stable, so refinement stops there, and a discrete colouring is stable
     as soon as it is ranked.
+
+    Given a vertex top, the result is None as soon as top lies below the top
+    cell: a round keeps the order of the cells it splits, so it never
+    returns there.
     """
     if initial is None:
         initial = [0] * n
@@ -211,6 +239,8 @@ def _refine_colors(n: int, edges: Sequence[Triple], initial: Sequence[int] | Non
     colors = [rank[s] for s in initial]
     while len(rank) < n:
         cells = len(rank)
+        if top is not None and colors[top] != cells - 1:
+            return None
         # each edge gives each of its vertices the code of its other two
         codes: list[list[int]] = [[] for _ in range(n)]
         for a, b, c in edges:
@@ -223,18 +253,21 @@ def _refine_colors(n: int, edges: Sequence[Triple], initial: Sequence[int] | Non
             own = codes[v]
             own.sort()
             sigs.append((colors[v], tuple(own)))
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        distinct = set(sigs)
+        if len(distinct) == cells:
+            break  # no cell split, so the ranks are the colours already
+        rank = {s: i for i, s in enumerate(sorted(distinct))}
         colors = [rank[s] for s in sigs]
-        if len(rank) == cells:
-            break
+    if top is not None and colors[top] != len(rank) - 1:
+        return None
     return colors
 
 
 def _orbit_closure(start: Iterable[int], generators: Sequence[Perm]) -> set[int]:
     """The union of the orbits of the start vertices: orbit on 1-tuples, but
     faster.  With 1-tuples, enumerate_free(6) for the enumerate-m6 families
-    took 353 ms, not 329 ms (median of 5 processes, one CPU of a 2-core
-    x86-64 VM); enumerate-m6 wall_s read 0.833 s, not 0.800 s (10 pairs)."""
+    took 229 ms, not 218 ms (median of 9 processes each, alternating, one
+    CPU of a 2-core x86-64 VM, Python 3.11)."""
     seen = set(start)
     frontier = list(seen)
     while frontier:
@@ -290,12 +323,13 @@ def _canonical_search(
     """Least relabeled edge tuple, one perm (v -> perm[v]) reaching it, and
     automorphisms that generate the graph's automorphism group.
 
-    colors is a refined colouring from _refine_colors.  The candidates are
-    the relabelings that sort vertices by color, free within each cell;
-    cells are laid out in increasing color order, so the candidate set is
-    the same for any isomorphic input, and the top cell takes the top labels.
-    A discrete colouring leaves one candidate and a trivial group, so it is
-    returned without a search.
+    colors is a refined colouring from _refine_colors (ranks 0..cells-1).
+    The candidates are the relabelings that sort vertices by color, free
+    within each cell; cells are laid out in increasing color order, so the
+    candidate set is the same for any isomorphic input, and the top cell
+    takes the top labels.  A discrete colouring leaves one candidate, the
+    ranks themselves, and a trivial group, so it is returned without a
+    search.
 
     A one-cell colouring with at least one edge keeps only the candidates
     that put a pair of largest codegree c at labels 0 and 1 and its common
@@ -320,19 +354,41 @@ def _canonical_search(
     least tuple and the first leaf reaching it are still visited, and the
     found automorphisms generate the whole group.
 
-    The bookkeeping per node is kept small without changing which nodes and
-    leaves are visited: a node at depth n-1 has one unused vertex and goes
-    straight to its leaf, a node collects the generators that fix its prefix
-    (by one AND of bitmasks each) only when the search has found new ones,
-    and tests a child for an explored sibling's orbit only once it holds one.
+    The bookkeeping per node is kept small without changing which leaves
+    are visited or in what order: a vertex alone in its cell has one place
+    and is put at its label before the search, so only the labels of larger
+    cells (the free labels) have nodes; the node at the last free label has
+    one unused vertex and goes straight to its leaf; a node with one
+    candidate has no sibling and keeps no orbit bookkeeping; and a node
+    collects the generators that fix its prefix (by one AND of bitmasks
+    each) only when the search has found new ones, and tests a child for an
+    explored sibling's orbit only once it holds one.  Placing the lone
+    vertices first changes no leaf: each has the same label in every
+    candidate.
     """
-    cells: dict[int, list[int]] = {}
+    if len(set(colors)) == n:  # discrete: the ranks are the labels
+        perm = tuple(colors)
+        return _relabeled_edges(edges, perm), perm, []
+    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
     for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    cell_of_label = [cells[c] for c in sorted(cells) for _ in cells[c]]
-    if len(cells) == n:
-        best, perm = _relabeled_to(edges, [cell[0] for cell in cell_of_label])
-        return best, perm, []
+        cells[c].append(v)
+    bit = [1 << (n - 1 - label) for label in range(n)]
+    arrangement = [0] * n  # arrangement[label] = vertex
+    code = [0] * n  # code[v] = bit[label of v]
+    cell_of_label: list[list[int]] = []
+    free: list[int] = []  # the labels of cells of two or more vertices
+    placed = 0  # a lone vertex is placed at its label now
+    for cell in cells:
+        label = len(cell_of_label)
+        if len(cell) == 1:
+            x = arrangement[label] = cell[0]
+            code[x] = bit[label]
+            placed |= 1 << x
+        else:
+            free += range(label, label + len(cell))
+        cell_of_label += [cell] * len(cell)
+    following = dict(zip(free, free[1:]))  # the next free label
+    last = free[-1]
     narrow = 0  # labels 1..narrow take their cells from the labels placed before them
     if len(cells) == 1 and edges:
         links = Hypergraph3(n, tuple(edges)).pair_links  # common-neighbour masks
@@ -347,9 +403,6 @@ def _canonical_search(
     # (_TRIPLE_BIT).  One edge tuple is less than another exactly when its
     # codes, sorted in decreasing order, are greater; with as many edges on
     # each side, that is exactly when its value is greater.
-    bit = [1 << (n - 1 - label) for label in range(n)]
-    arrangement = [0] * n  # arrangement[label] = vertex
-    code = [0] * n  # code[v] = bit[label of v]
     generators: list[Perm] = []
     moved: list[int] = []  # moved[i]: the bitmask of the vertices generators[i] moves
     # (value, arrangement) of the first leaf, then of the best leaf if it differs
@@ -365,11 +418,16 @@ def _canonical_search(
         for ref_value, ref in leaves:
             if value == ref_value:
                 g = [0] * n
-                for u, w in zip(ref, arrangement):
+                moves = 0
+                back = n
+                for label, u, w in zip(range(n), ref, arrangement):
                     g[u] = w
+                    if u != w:
+                        moves |= 1 << u
+                        back = min(back, label)
                 generators.append(tuple(g))
-                moved.append(sum(1 << u for u, w in zip(ref, arrangement) if u != w))
-                return next(i for i in range(n) if ref[i] != arrangement[i])
+                moved.append(moves)
+                return back
         if value > leaves[-1][0]:
             del leaves[1:]
             leaves.append((value, arrangement[:]))
@@ -385,19 +443,23 @@ def _canonical_search(
                 inside = [v for v in range(n) if mask >> v & 1]
                 outside = [v for v in range(n) if not mask >> v & 1]
                 cell_of_label[2:] = [inside] * codegree + [outside] * (n - 2 - codegree)
-        if d == n - 1:
+        if d == last:
             x = (placed ^ ((1 << n) - 1)).bit_length() - 1  # the one vertex left
             arrangement[d] = x
             code[x] = bit[d]
             return visit_leaf()
+        candidates = [x for x in cell_of_label[d] if not placed >> x & 1]
+        if len(candidates) == 1:  # no sibling, so no orbit to skip
+            x = arrangement[d] = candidates[0]
+            code[x] = bit[d]
+            back = explore(following[d], placed | 1 << x)
+            return back if back < d else d - 1
         explored: list[int] = []
         fixing: list[Perm] = []  # the generators that fix arrangement[:d]
         checked = 0  # len(generators) when fixing was last extended
         covered: set[int] = set()  # orbits of explored under fixing
         seen = (0, 0)  # (len(explored), len(fixing)) when covered was computed
-        for x in cell_of_label[d]:
-            if placed >> x & 1:
-                continue
+        for x in candidates:
             if checked < len(generators):
                 fixing += [
                     g for g, mask in zip(generators[checked:], moved[checked:])
@@ -411,25 +473,17 @@ def _canonical_search(
                 continue
             arrangement[d] = x
             code[x] = bit[d]
-            back = explore(d + 1, placed | 1 << x)
+            back = explore(following[d], placed | 1 << x)
             if back < d:
                 return back
             explored.append(x)
         return d - 1
 
-    explore(0, 0)
-    best, perm = _relabeled_to(edges, leaves[-1][1])
-    return best, perm, generators
-
-
-def _relabeled_to(
-    edges: Sequence[Triple], arrangement: Sequence[int]
-) -> tuple[tuple[Triple, ...], Perm]:
-    """(relabeled edges, perm) for the relabeling that puts arrangement[label] at label."""
-    perm = [0] * len(arrangement)
-    for label, v in enumerate(arrangement):
+    explore(free[0], placed)
+    perm = [0] * n  # the best leaf's relabeling, arrangement[label] -> label
+    for label, v in enumerate(leaves[-1][1]):
         perm[v] = label
-    return _relabeled_edges(edges, perm), tuple(perm)
+    return _relabeled_edges(edges, perm), tuple(perm), generators
 
 
 class CanonicalData:
@@ -462,30 +516,26 @@ class CanonicalData:
 
 
 def _encode(n: int, edges: Sequence[Triple]) -> bytes:
-    flat = bytearray([n])
-    for a, b, c in edges:
-        flat += bytes((a, b, c))
-    return bytes(flat)
+    return bytes(chain((n,), *edges))
 
 
 def canonical_data(h: Hypergraph3) -> CanonicalData:
     if h.n > SMALL_VERTEX_LIMIT:
         raise ValueError(f"canonical labeling supports at most {SMALL_VERTEX_LIMIT} vertices")
-    best, p0, generators = _canonical_search(h.n, h.edges, h.refined_colors)
-    inv0 = [0] * h.n
-    for v, img in enumerate(p0):
-        inv0[img] = v
-    key = _encode(h.n, best)
-    graph = Hypergraph3(h.n, best)
+    n = h.n
+    best, p0, generators = _canonical_search(n, h.edges, h.refined_colors)
+    key = _encode(n, best)
+    graph = Hypergraph3(n, best)
     # p0 maps h onto graph, so p0 a p0^-1 is an automorphism of graph for
     # each automorphism a of h.  Assigning graph's cached_property primes it.
-    graph.canonical = CanonicalData(
-        key=key,
-        graph=graph,
-        to_canonical=tuple(range(h.n)),
-        generators=tuple(tuple(p0[g[inv0[x]]] for x in range(h.n)) for g in generators),
-    )
-    return CanonicalData(key=key, graph=graph, to_canonical=p0, generators=tuple(generators))
+    conjugated: tuple[Perm, ...] = ()
+    if generators:
+        inv0 = [0] * n
+        for v, img in enumerate(p0):
+            inv0[img] = v
+        conjugated = tuple(tuple([p0[g[inv0[x]]] for x in range(n)]) for g in generators)
+    graph.canonical = CanonicalData(key, graph, tuple(range(n)), conjugated)
+    return CanonicalData(key, graph, p0, tuple(generators))
 
 
 def rooted_canonical_key(h: Hypergraph3, roots: Sequence[int]) -> bytes:
@@ -634,18 +684,20 @@ def subset_codes(h: Hypergraph3, k: int) -> list[int]:
 
 
 def root_sets(
-    target: Hypergraph3, sigma: Hypergraph3
+    target: Hypergraph3, sigma: Hypergraph3, exact: bool = True
 ) -> Iterator[tuple[tuple[int, ...], list[Perm]]]:
     """Each sigma.n-subset S of target's vertices that induces a copy of
-    sigma, in combinations order, with every ordering p for which
-    (S[p[0]], ..., S[p[s-1]]) induces sigma exactly: the injections of
-    sigma into a code of S (subset_codes) with as many edges, once per code."""
+    sigma (spans one, unless exact), in combinations order, with every
+    ordering p for which (S[p[0]], ..., S[p[s-1]]) induces sigma exactly
+    (maps its edges onto edges): the injections of sigma into a code of S
+    (subset_codes) with as many edges (at least as many), once per code."""
     want = len(sigma.edges)
     if len(target.edges) < want:
         return
     subsets = combinations(range(target.n), sigma.n)
     for sub, code in zip(subsets, subset_codes(target, sigma.n)):
-        if code.bit_count() == want:
+        count = code.bit_count()
+        if count == want if exact else count >= want:
             found = _code_injections(sigma, True, code)
             if found:
                 yield sub, found
@@ -699,6 +751,27 @@ def is_family_free(
     )
 
 
+@cache
+def _deletions(f: Hypergraph3) -> tuple[tuple[Hypergraph3, tuple[tuple[int, int], ...]], ...]:
+    """(f - w, the link of w as pairs of f - w's vertices) for one vertex w
+    per orbit of Aut(f), in increasing order of w."""
+    generators = f.canonical.generators
+    covered: set[int] = set()
+    found = []
+    for w in range(f.n):
+        if w in covered:
+            continue
+        covered |= _orbit_closure([w], generators)
+        rest = [v for v in range(f.n) if v != w]
+        link = tuple(
+            (i, j)
+            for (i, a), (j, b) in combinations(enumerate(rest), 2)
+            if _sorted_triple(w, a, b) in f.edge_set
+        )
+        found.append((induced_subgraph(f, rest), link))
+    return tuple(found)
+
+
 def link_patterns(
     parent: Hypergraph3, members: Iterable[tuple[Hypergraph3, bool]]
 ) -> list[tuple[int, int]]:
@@ -706,42 +779,32 @@ def link_patterns(
 
     Bit i of a mask is the i-th pair of combinations(range(parent.n), 2).
     For each member f, vertex w of f and injection of f - w into parent
-    (for an induced member, an induced copy: type_embeddings), want is the
-    image of w's link and care is want, or for an induced member every pair
-    inside the image.  When parent is family-free, the graph parent plus a
-    new vertex with link mask contains a member exactly when mask & care ==
-    want for some pattern: any copy uses the new vertex, as the image of
-    some w.  One w per orbit of Aut(f) is enough: an automorphism carrying w
-    to w' carries the injections of f - w onto those of f - w', with the
-    same masks.
+    (for an induced member, an induced copy), read from the root sets of
+    f - w, want is the image of w's link and care is want, or for an
+    induced member every pair inside the image.  When parent is
+    family-free, the graph parent plus a new vertex with link mask contains
+    a member exactly when mask & care == want for some pattern: any copy
+    uses the new vertex, as the image of some w.  One w per orbit of Aut(f)
+    is enough (_deletions): an automorphism carrying w to w' carries the
+    injections of f - w onto those of f - w', with the same masks.
     """
     k = parent.n
-    index = {p: i for i, p in enumerate(combinations(range(k), 2))}
+    bits = [[0] * k for _ in range(k)]  # bits[x][y]: the bit of pair {x, y}
+    for i, (x, y) in enumerate(combinations(range(k), 2)):
+        bits[x][y] = bits[y][x] = 1 << i
     patterns: set[tuple[int, int]] = set()
     for f, ind in members:
-        generators = f.canonical.generators
-        covered: set[int] = set()
-        for w in range(f.n):
-            if w in covered:
-                continue
-            covered |= _orbit_closure([w], generators)
-            rest = [v for v in range(f.n) if v != w]
-            f_rest = induced_subgraph(f, rest)
-            link = [
-                (i, j)
-                for (i, a), (j, b) in combinations(enumerate(rest), 2)
-                if _sorted_triple(w, a, b) in f.edge_set
-            ]
-            for img in type_embeddings(parent, f_rest) if ind else _injections(f_rest, parent):
-                want = 0
-                for a, b in link:
-                    x, y = img[a], img[b]
-                    want |= 1 << index[(x, y) if x < y else (y, x)]
-                care = want
+        for f_rest, link in _deletions(f):
+            for sub, found in root_sets(parent, f_rest, ind):
+                inside = 0
                 if ind:
-                    for x, y in combinations(sorted(img), 2):
-                        care |= 1 << index[(x, y)]
-                patterns.add((care, want))
+                    for x, y in combinations(sub, 2):
+                        inside |= bits[x][y]
+                for p in found:
+                    want = 0
+                    for a, b in link:
+                        want |= bits[sub[p[a]]][sub[p[b]]]
+                    patterns.add((want | inside, want))
     return sorted(patterns)
 
 
@@ -814,10 +877,16 @@ READ_VERTEX_LIMIT = 10**6
 READ_BYTE_LIMIT = 2**27
 
 
+# save_graph writes this many edge lines at a time, about 1 MB of text.
+_SAVE_CHUNK_EDGES = 1 << 16
+
+
+def _edge_lines(edges: Iterable[Triple]) -> str:
+    return "".join([f"{a} {b} {c}\n" for a, b, c in edges])
+
+
 def graph_to_text(h: Hypergraph3) -> str:
-    lines = [f"n {h.n}"]
-    lines.extend(f"{a} {b} {c}" for a, b, c in h.edges)
-    return "\n".join(lines) + "\n"
+    return f"n {h.n}\n" + _edge_lines(h.edges)
 
 
 def parse_graph_text(text: str) -> Hypergraph3:
@@ -869,5 +938,9 @@ def load_graph(path: str) -> Hypergraph3:
 
 
 def save_graph(h: Hypergraph3, path: str) -> None:
+    """Write graph_to_text(h) to path, _SAVE_CHUNK_EDGES edge lines at a
+    time, so a large graph's text is never held whole."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph_to_text(h))
+        fh.write(f"n {h.n}\n")
+        for start in range(0, len(h.edges), _SAVE_CHUNK_EDGES):
+            fh.write(_edge_lines(h.edges[start : start + _SAVE_CHUNK_EDGES]))

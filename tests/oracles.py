@@ -10,10 +10,12 @@ canonical search, and audits only the shortcuts;
 attachment_orbit_reps_brute builds each child with the package's _extend to
 read its degrees; canonical_search_sorted_leaves is the package's routine
 without its shortcuts (a discrete colouring returned at once, leaves valued
-as integers, the last vertex placed without a loop, prefix-fixing
-generators collected only as new ones are found, a one-cell search started
-only at a pair of largest codegree), so it shares the orbit closure, and
-audits only the shortcuts; link_patterns_every_vertex takes every vertex
+as integers, lone vertices placed before the search, the last vertex
+placed without a loop, no sibling bookkeeping at a node with one
+candidate, prefix-fixing generators collected only as new ones are found,
+a one-cell search started only at a pair of largest codegree), so it
+shares the orbit closure, and audits only the shortcuts;
+link_patterns_every_vertex takes every vertex
 of a member, not one per automorphism orbit, and tries every injection of
 the rest, sharing only induced_subgraph; enumerate_flags_brute takes the
 graphs from enumerate_free and one rooted key per embedding, and audits
@@ -47,6 +49,11 @@ that partition.bad_missing only counts.
 construction_brute shares nothing with constructions but the pattern and
 level sizes it is given: it decides each vertex triple on its own, where
 the package emits each pattern edge's triples level by level.
+
+check_generator_children runs the package's generator and checks what it
+hands each child (degrees from the parent and the mask, a refinement that
+stops once the new vertex leaves the top cell) against the degrees and
+refined colouring a fresh graph with the same edges computes for itself.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from itertools import chain, combinations, permutations, product
 from math import comb, gcd, perm
 from typing import Sequence
 
+from turan3 import enumeration
 from turan3.certificate import SCALE_SHIFT, _float_factor
 from turan3.density import PairDensityTable, pair_matrix
 from turan3.enumeration import (
@@ -188,6 +196,39 @@ def generate_free_labelling_every_child(m: int, members, induced_flags):
                     found.append((data.key, data.graph))
         level = [g for _, g in sorted(found, key=lambda kg: kg[0])]
     return level
+
+
+def check_generator_children(m: int, members, induced_flags) -> int:
+    """Build enumerate_free(m) afresh and check every child the generator
+    tests, at every level up to m: the degrees _extend assigned equal those
+    of a fresh Hypergraph3 with the same edges, and so does the refined
+    colouring _in_top_cell assigns when the new vertex is in the top cell
+    of the fresh colouring, and only then.  Returns the number of children
+    checked."""
+    in_top_cell = enumeration._in_top_cell
+    checked = 0
+
+    def checking(child: Hypergraph3) -> bool:
+        nonlocal checked
+        fresh = Hypergraph3(child.n, child.edges)
+        assert vars(child)["degrees"] == fresh.degrees
+        inside = in_top_cell(child)
+        colors = fresh.refined_colors
+        assert inside == (colors[-1] == max(colors))
+        if inside:
+            assert vars(child)["refined_colors"] == colors
+        else:
+            assert "refined_colors" not in vars(child)
+        checked += 1
+        return inside
+
+    enumeration._generate_free.cache_clear()
+    enumeration._in_top_cell = checking
+    try:
+        enumerate_free(m, members, induced_flags)
+    finally:
+        enumeration._in_top_cell = in_top_cell
+    return checked
 
 
 def _colex(t) -> int:

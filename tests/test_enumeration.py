@@ -208,6 +208,23 @@ def test_generator_matches_labelling_every_child_m6():
 AUDITED_FAMILIES = ("empty", "C4_3,F5_BAR", "F32,C5_3_MINUS", "F32,induced:F32_BAR")
 
 
+@pytest.mark.parametrize(
+    "famname, children",
+    [
+        ("empty", 3056),
+        ("C4_3,F5_BAR", 1218),
+        ("F32,C5_3_MINUS", 180),
+        ("F32,induced:F32_BAR", 564),
+    ],
+)
+def test_generator_children_carry_fresh_degrees_and_colourings(famname, children):
+    # every child built at m <= 6 is handed its degrees and, when it passes
+    # the top-cell test, its refined colouring; a CI step checks m = 7 of
+    # F32,induced:F32_BAR the same way
+    members, flags = GENERATOR_FAMILIES[famname]
+    assert oracles.check_generator_children(6, members, flags) == children
+
+
 def _orbit_stabiliser_sides(m, graphs):
     """(the sum of m!/|Aut G| over the graphs, each graph's exhaustive
     minimum), both from the oracles' searches over every relabelling."""
@@ -262,20 +279,20 @@ def test_orbit_stabiliser_audit_catches_a_dropped_a_duplicated_and_a_non_free_cl
 
 
 def test_each_level_extends_the_memoised_level_below(monkeypatch):
-    from turan3 import graphs
+    from turan3 import enumeration
     from turan3.enumeration import _generate_free
 
     members, flags = GENERATOR_FAMILIES["C4_3,F5_BAR"]
     _generate_free.cache_clear()
     enumerate_free(5, members, flags)
     labelled = []
-    canonical_data = graphs.canonical_data
 
     def recording(h):
         labelled.append(h.n)
         return canonical_data(h)
 
-    monkeypatch.setattr(graphs, "canonical_data", recording)
+    # the generator labels each child with canonical_data directly
+    monkeypatch.setattr(enumeration, "canonical_data", recording)
     assert len(enumerate_free(6, members, flags)) == 818
     assert labelled and set(labelled) == {6}
 

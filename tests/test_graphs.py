@@ -721,6 +721,19 @@ def test_text_round_trip():
         assert parse_graph_text(graph_to_text(h)) == h
 
 
+def test_save_graph_writes_the_text_in_chunks(monkeypatch, tmp_path):
+    # chunks of 3 edge lines: 0, 3, 4 and 7 edges
+    monkeypatch.setattr(graphs, "_SAVE_CHUNK_EDGES", 3)
+    path = tmp_path / "g.txt"
+    named = [named_graph(name) for name in ("F5", "F32", "F5_BAR")]
+    for h in [Hypergraph3(0, ()), Hypergraph3(5, ())] + named:
+        graphs.save_graph(h, str(path))
+        assert path.read_text(encoding="utf-8") == graph_to_text(h)
+        assert graph_to_text(h) == "".join(
+            [f"n {h.n}\n"] + [f"{a} {b} {c}\n" for a, b, c in h.edges]
+        )
+
+
 def test_text_comments_and_errors():
     h = parse_graph_text("# hello\nn 4\n0 1 2  # an edge\n\n1 2 3\n")
     assert h.n == 4 and len(h.edges) == 2
