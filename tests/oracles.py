@@ -50,6 +50,11 @@ construction_brute shares nothing with constructions but the pattern and
 level sizes it is given: it decides each vertex triple on its own, where
 the package emits each pattern edge's triples level by level.
 
+subset_scan_by_triples is the subset scan that counts each k-subset's
+edges over its C(k, 3) triples in combinations order; it shares the
+package's subset code and its memoised decision of a code, and audits the
+bit-sliced walk that picks which subsets reach them.
+
 check_generator_children runs the package's generator and checks what it
 hands each child (degrees from the parent and the mask, a refinement that
 stops once the new vertex leaves the top cell) against the degrees and
@@ -74,9 +79,12 @@ from turan3.enumeration import (
     enumerate_free,
 )
 from turan3.graphs import (
+    SMALL_VERTEX_LIMIT,
     Hypergraph3,
+    _code_injections,
     _orbit_closure,
     _relabeled_edges,
+    _subset_code,
     canonical_data,
     induced_subgraph,
     is_family_free,
@@ -128,6 +136,24 @@ def contains_brute(h: Hypergraph3, f: Hypergraph3, induced: bool = False) -> boo
             if all(sorted_triple(img[a], img[b], img[c]) in h_edges for a, b, c in f_edges):
                 return True
     return False
+
+
+def subset_scan_by_triples(h: Hypergraph3, f: Hypergraph3, exact: bool):
+    """Each f.n-subset of V(h), in combinations order, whose edge count,
+    counted over its triples, passes (== |E(f)| when exact, >= otherwise)
+    and whose code _code_injections decides spans a copy of f."""
+    k = f.n
+    if k > SMALL_VERTEX_LIMIT:
+        raise ValueError(f"pattern on {k} vertices exceeds the limit {SMALL_VERTEX_LIMIT}")
+    want = len(f.edges)
+    if len(h.edges) < want:
+        return
+    has_edge = h.edge_set.__contains__
+    for sub in combinations(range(h.n), k):
+        count = sum(map(has_edge, combinations(sub, 3)))
+        if count == want if exact else count >= want:
+            if _code_injections(f, False, _subset_code(has_edge, sub)):
+                yield sub
 
 
 def family_free_brute(h, members, induced_flags):

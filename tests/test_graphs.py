@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turan3 import density, families, graphs
-from turan3.constructions import K4Blowup, Partite3, Pattern, build, pattern_graph
+from turan3.constructions import K4Blowup, Partite3, Pattern, build, optimal_brec, pattern_graph
 from turan3.enumeration import _attachment_orbit_reps, _extend, _flag_data, enumerate_free
 from turan3.graphs import (
     Hypergraph3,
@@ -479,6 +479,32 @@ def test_subset_scan_matches_brute_force():
                 if induced:
                     assert density.p(f, h) == Fraction(len(accepted), len(subsets)), (h, f)
     assert not exhaustive_containment_scan(hosts[-1], named_graph("F32"))[0]
+
+
+def test_subset_scan_yields_the_triple_count_oracles_list():
+    # the bit-sliced walk must pick exactly the subsets whose edge count,
+    # counted over their triples, passes, in combinations order
+    rng = random.Random(37)
+    hosts = [random_graph(n, p, rng) for n in range(11) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    pats = _scan_patterns() + [from_edges(2, [])]
+    for h in hosts:
+        for f in pats:
+            for exact in (False, True):
+                want = list(oracles.subset_scan_by_triples(h, f, exact))
+                assert list(graphs._subset_scan(h, f, exact)) == want, (h, f, exact)
+    brec = build(optimal_brec(25))
+    f32 = list(graphs._subset_scan(brec, named_graph("F32"), True))
+    assert len(f32) == 5535
+    assert f32 == list(oracles.subset_scan_by_triples(brec, named_graph("F32"), True))
+    for name in ("C4_3", "F5_BAR"):
+        assert list(graphs._subset_scan(brec, named_graph(name), False)) == []
+
+
+def test_subset_scan_walks_a_255_vertex_prefix():
+    # the deepest walk: every prefix of the one subset, 254 levels deep
+    edge = from_edges(255, [(0, 1, 2)])
+    for exact in (False, True):
+        assert list(graphs._subset_scan(edge, edge, exact)) == [tuple(range(255))]
 
 
 def test_scan_of_a_host_with_too_few_edges_visits_no_subset(monkeypatch):
